@@ -36,7 +36,7 @@ from .learner import (
 )
 from .distill import (
     DistillConfig,
-    PseudoLabel,
+    PseudoLabels,
     filter_pseudo_labels,
     keep_most_confident_per_class,
     keep_top_probabilities,
@@ -51,7 +51,6 @@ from .chain import (
     run_chain,
     select_best,
     train_student,
-    write_chain_trace,
 )
 from .experiment import (
     DataFiles,

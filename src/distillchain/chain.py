@@ -10,14 +10,13 @@ validation accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import DataTable, SplitResult
 from .distill import (
     DistillConfig,
-    PseudoLabel,
+    PseudoLabels,
     filter_pseudo_labels,
     pseudo_label_pool,
     pseudo_label_quality,
@@ -93,18 +92,9 @@ def select_best(records: list[IterationRecord] | tuple[IterationRecord, ...]) ->
     return best
 
 
-def _pool_training_set(
-    pool: DataTable, labels: list[PseudoLabel]
-) -> tuple[np.ndarray, np.ndarray]:
-    id_to_row = {int(sid): i for i, sid in enumerate(pool.ids)}
-    rows = np.array([id_to_row[p.sample_id] for p in labels], dtype=np.int64)
-    targets = np.stack([p.soft for p in labels])
-    return pool.features[rows], targets
-
-
 def train_student(
     arch: ArchSpec,
-    teacher_labels: list[PseudoLabel],
+    teacher_labels: PseudoLabels,
     splits: SplitResult,
     cfg: ChainConfig,
     student_seed: int,
@@ -127,11 +117,11 @@ def train_student(
     else:
         start = warm_start
 
-    pool_x, pool_t = _pool_training_set(splits.pool, teacher_labels)
+    pool_x = splits.pool.features[splits.pool.rows_of(teacher_labels.ids)]
     pretrain_cfg = replace(cfg.pretrain, seed=student_seed)
     if pretrain_cfg.max_epochs > 0:
         pretrained, _ = train_with_early_stopping(
-            arch, pool_x, pool_t, splits.early_stop, pretrain_cfg, init=start
+            arch, pool_x, teacher_labels.soft, splits.early_stop, pretrain_cfg, init=start
         )
     else:
         pretrained = start
@@ -213,14 +203,3 @@ def run_chain(
         seeds=seeds,
     )
 
-
-def write_chain_trace(result: ChainResult, path, run: int = 0) -> None:
-    """Single-chain trace CSV: one row per iteration."""
-    lines = ["run,iteration,val_accuracy,test_accuracy,pseudo_count,pseudo_agreement"]
-    for rec in result.records:
-        agreement = "" if rec.pseudo_agreement is None else repr(rec.pseudo_agreement)
-        lines.append(
-            f"{run},{rec.iteration},{rec.val_accuracy!r},{rec.test_accuracy!r},"
-            f"{rec.pseudo_count},{agreement}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from .experiment import (
     ExperimentConfig,
     DataFiles,
     SyntheticSpec,
+    _best_teacher_mean,
     config_to_lines,
     prepare_dataset,
     run_baseline_sweep,
@@ -248,12 +249,7 @@ def _cmd_report(cfg: ExperimentConfig, baseline_summary: str | None) -> None:
         if traces:
             reference = best_baseline_mean(baseline_summary) if baseline_summary else None
             if reference is None:
-                by_fraction: dict[float, list[float]] = {}
-                for t in traces:
-                    if t.iteration == 0:
-                        by_fraction.setdefault(t.fraction, []).append(t.test_accuracy)
-                means = [sum(v) / len(v) for v in by_fraction.values()]
-                reference = max(means) if means else None
+                reference = _best_teacher_mean(traces)
             (out / "chain_curves.svg").write_text(
                 render_chain_svg(traces, baseline_reference=reference), encoding="utf-8"
             )

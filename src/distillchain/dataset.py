@@ -139,6 +139,18 @@ class DataTable:
             label = int(self.labels[i])
         return Sample(int(self.ids[i]), self.features[i], label)
 
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Row index of each of ``ids``; raises ValueError naming the first
+        id that is not in the table."""
+        ids = np.asarray(ids, dtype=np.int64)
+        order = np.argsort(self.ids)
+        pos = np.searchsorted(self.ids, ids, sorter=order)
+        found = pos < order.size
+        found[found] = self.ids[order[pos[found]]] == ids[found]
+        if not found.all():
+            raise ValueError(f"sample id {ids[~found][0]} not present in table")
+        return order[pos]
+
     def reveal_hidden_labels(self) -> np.ndarray:
         """Ground-truth labels of a hidden-label table, diagnostics only.
 
@@ -347,15 +359,10 @@ def make_splits(train: DataTable, spec: SplitSpec) -> SplitResult:
         )
 
     rng = np.random.default_rng(spec.seed)
-    id_to_row = {int(sid): i for i, sid in enumerate(train.ids)}
-
-    def rows_of(id_subset: np.ndarray) -> np.ndarray:
-        return np.array([id_to_row[int(s)] for s in id_subset], dtype=np.int64)
-
     for _ in range(10_000):
         order = _fisher_yates(train.ids, rng)
         early_ids = order[:n_early]
-        present = np.unique(train.labels[rows_of(early_ids)])
+        present = np.unique(train.labels[train.rows_of(early_ids)])
         if present.size == c:
             break
     else:
@@ -363,18 +370,14 @@ def make_splits(train: DataTable, spec: SplitSpec) -> SplitResult:
 
     remainder_ids = order[n_early:]
     if spec.balance_labelled:
-        labelled_ids = _balanced_draw(train, remainder_ids, rows_of, n_labelled, rng)
+        labelled_ids = _balanced_draw(train, remainder_ids, n_labelled, rng)
     else:
         shuffled = _fisher_yates(remainder_ids, rng)
         labelled_ids = shuffled[:n_labelled]
-
-    labelled_set = set(int(s) for s in labelled_ids)
-    pool_ids = np.array(
-        [int(s) for s in remainder_ids if int(s) not in labelled_set], dtype=np.int64
-    )
+    pool_ids = np.setdiff1d(remainder_ids, labelled_ids)
 
     def subtable(id_subset: np.ndarray, hide: bool) -> DataTable:
-        rows = rows_of(np.sort(id_subset)) if id_subset.size else np.empty(0, dtype=np.int64)
+        rows = train.rows_of(np.sort(id_subset))
         labels = train.labels[rows]
         return DataTable(
             catalog=train.catalog,
@@ -402,7 +405,6 @@ def make_splits(train: DataTable, spec: SplitSpec) -> SplitResult:
 def _balanced_draw(
     train: DataTable,
     candidate_ids: np.ndarray,
-    rows_of,
     n_labelled: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -410,7 +412,7 @@ def _balanced_draw(
     c = train.catalog.size
     quotas = np.full(c, n_labelled // c, dtype=np.int64)
     quotas[: n_labelled % c] += 1
-    labels = train.labels[rows_of(candidate_ids)]
+    labels = train.labels[train.rows_of(candidate_ids)]
     chosen: list[np.ndarray] = []
     for cls in range(c):
         members = candidate_ids[labels == cls]

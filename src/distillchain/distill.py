@@ -5,7 +5,7 @@ class probabilities, and per-class retention of the most confident samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,22 +14,32 @@ from .learner import ModelParams, forward
 
 
 @dataclass(frozen=True)
-class PseudoLabel:
-    """Soft class-probability target for one pool sample."""
+class PseudoLabels:
+    """Soft class-probability targets for pool samples, one row per sample.
 
-    sample_id: int
+    ``ids`` (n,) and ``soft`` (n, C) are given; ``top`` (n,) is the predicted
+    class (lowest index on ties) and ``confidence`` (n,) its probability. All
+    four arrays are read-only.
+    """
+
+    ids: np.ndarray
     soft: np.ndarray
-    top_class: int
-    confidence: float
+    top: np.ndarray = field(init=False)
+    confidence: np.ndarray = field(init=False)
 
-    @staticmethod
-    def from_probs(sample_id: int, probs: np.ndarray) -> "PseudoLabel":
-        soft = np.asarray(probs, dtype=np.float64)
-        soft.setflags(write=False)
-        top = int(soft.argmax())
-        return PseudoLabel(
-            sample_id=int(sample_id), soft=soft, top_class=top, confidence=float(soft[top])
-        )
+    def __post_init__(self) -> None:
+        ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+        soft = np.ascontiguousarray(self.soft, dtype=np.float64)
+        if soft.ndim != 2 or ids.shape != (soft.shape[0],):
+            raise ValueError("soft must be (n, C) with one id per row")
+        top = soft.argmax(axis=1)
+        confidence = soft[np.arange(soft.shape[0]), top]
+        for name, arr in (("ids", ids), ("soft", soft), ("top", top), ("confidence", confidence)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return int(self.ids.shape[0])
 
 
 @dataclass(frozen=True)
@@ -51,72 +61,74 @@ class DistillConfig:
             raise ValueError("top_probs must be positive or None")
 
 
-def pseudo_label_pool(model: ModelParams, pool: DataTable) -> list[PseudoLabel]:
-    """One PseudoLabel per pool sample, ordered by ascending sample id.
+def pseudo_label_pool(model: ModelParams, pool: DataTable) -> PseudoLabels:
+    """Pseudo-labels for every pool sample, ordered by ascending sample id.
 
     Only the pool's features are read; withheld labels stay untouched.
     """
     if len(pool) == 0:
-        return []
+        return PseudoLabels(np.empty(0, dtype=np.int64), np.empty((0, model.arch.output_dim)))
     if pool.dim != model.arch.input_dim:
         raise ValueError(
             f"pool dim {pool.dim} does not match model input {model.arch.input_dim}"
         )
     order = np.argsort(pool.ids)
-    probs = forward(model, pool.features[order])
-    ids = pool.ids[order]
-    return [PseudoLabel.from_probs(ids[i], probs[i]) for i in range(ids.shape[0])]
+    return PseudoLabels(pool.ids[order], forward(model, pool.features[order]))
 
 
-def keep_top_probabilities(label: PseudoLabel, keep: int) -> PseudoLabel:
-    """Zero all but the ``keep`` largest probabilities and renormalize.
+def keep_top_probabilities(labels: PseudoLabels, keep: int) -> PseudoLabels:
+    """Zero all but the ``keep`` largest probabilities of each row and
+    renormalize.
 
     Ties on the cut boundary keep the lower class index. The relative order
     of surviving probabilities, and hence the top class, is unchanged.
     """
-    c = label.soft.shape[0]
+    c = labels.soft.shape[1]
     if not 1 <= keep <= c:
         raise ValueError(f"keep must be in [1, {c}]")
     if keep == c:
-        return label
-    # Stable sort on the negated vector ranks equal values by ascending index.
-    survivors = np.argsort(-label.soft, kind="stable")[:keep]
-    truncated = np.zeros(c, dtype=np.float64)
-    truncated[survivors] = label.soft[survivors]
-    truncated /= truncated.sum()
-    return PseudoLabel.from_probs(label.sample_id, truncated)
+        return labels
+    # Stable sort on the negated rows ranks equal values by ascending index.
+    survivors = np.argsort(-labels.soft, axis=1, kind="stable")[:, :keep]
+    rows = np.arange(len(labels))[:, None]
+    truncated = np.zeros_like(labels.soft)
+    truncated[rows, survivors] = labels.soft[rows, survivors]
+    truncated /= truncated.sum(axis=1, keepdims=True)
+    return PseudoLabels(labels.ids, truncated)
 
 
 def keep_most_confident_per_class(
-    labels: list[PseudoLabel], cap: int | None, catalog: ClassCatalog
-) -> list[PseudoLabel]:
+    labels: PseudoLabels, cap: int | None, catalog: ClassCatalog
+) -> PseudoLabels:
     """Retain at most ``cap`` samples per predicted class, most confident
     first; ties break by ascending sample id. Output is grouped in catalog
     class order."""
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive or None")
-    by_class: list[list[PseudoLabel]] = [[] for _ in range(catalog.size)]
-    for label in labels:
-        by_class[label.top_class].append(label)
-    kept: list[PseudoLabel] = []
-    for members in by_class:
-        members.sort(key=lambda p: (-p.confidence, p.sample_id))
-        kept.extend(members if cap is None else members[:cap])
-    return kept
+    if labels.soft.shape[1] != catalog.size:
+        raise ValueError(
+            f"pseudo-labels have {labels.soft.shape[1]} classes, catalog has {catalog.size}"
+        )
+    order = np.lexsort((labels.ids, -labels.confidence, labels.top))
+    if cap is not None:
+        grouped = labels.top[order]
+        rank_in_class = np.arange(order.size) - np.searchsorted(grouped, grouped)
+        order = order[rank_in_class < cap]
+    return PseudoLabels(labels.ids[order], labels.soft[order])
 
 
 def filter_pseudo_labels(
-    labels: list[PseudoLabel], config: DistillConfig, catalog: ClassCatalog
-) -> list[PseudoLabel]:
+    labels: PseudoLabels, config: DistillConfig, catalog: ClassCatalog
+) -> PseudoLabels:
     """Per-sample probability truncation first, then the per-class cap on the
     recomputed confidences."""
     if config.top_probs is not None:
-        labels = [keep_top_probabilities(p, config.top_probs) for p in labels]
+        labels = keep_top_probabilities(labels, config.top_probs)
     return keep_most_confident_per_class(labels, config.per_class_cap, catalog)
 
 
 def pseudo_label_quality(
-    labels: list[PseudoLabel], pool: DataTable
+    labels: PseudoLabels, pool: DataTable
 ) -> tuple[float, np.ndarray]:
     """Agreement of predicted top classes with the pool's withheld truth.
 
@@ -126,18 +138,10 @@ def pseudo_label_quality(
     from the scored labels).
     """
     truth = pool.reveal_hidden_labels()
-    id_to_row = {int(sid): i for i, sid in enumerate(pool.ids)}
+    true_class = truth[pool.rows_of(labels.ids)]
     c = pool.catalog.size
-    hits = np.zeros(c, dtype=np.int64)
-    totals = np.zeros(c, dtype=np.int64)
-    for label in labels:
-        row = id_to_row.get(label.sample_id)
-        if row is None:
-            raise ValueError(f"sample id {label.sample_id} not present in pool")
-        true_class = int(truth[row])
-        totals[true_class] += 1
-        if label.top_class == true_class:
-            hits[true_class] += 1
+    totals = np.bincount(true_class, minlength=c)
+    hits = np.bincount(true_class[labels.top == true_class], minlength=c)
     if totals.sum() == 0:
         raise ValueError("no labels to score")
     per_class = np.where(totals > 0, hits / np.maximum(totals, 1), 0.0)

@@ -279,11 +279,13 @@ def _write_cell_artifacts(cfg, fraction, run, splits, result) -> None:
                 pseudo_label_pool(rec.model, splits.pool), cfg.chain.distill, splits.pool.catalog
             )
             lines = ["sample_id,top_class,confidence," + ",".join(f"p{j}" for j in range(c))]
-            for p in labels:
-                lines.append(
-                    f"{p.sample_id},{p.top_class},{p.confidence!r},"
-                    + ",".join(repr(float(v)) for v in p.soft)
+            lines += [
+                f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
+                for sid, top, conf, soft in zip(
+                    labels.ids.tolist(), labels.top.tolist(),
+                    labels.confidence.tolist(), labels.soft.tolist(),
                 )
+            ]
             (out / f"pseudo_{tag}_iter{rec.iteration + 1}.csv").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8"
             )
@@ -306,14 +308,17 @@ def _run_worker_cell(task: tuple[str, int, int]) -> _CellOutput:
     return cell(_WORKER_DATASET, _WORKER_CFG, f_idx, run)
 
 
-def _execute_cells(cfg: ExperimentConfig, mode: str) -> list[_CellOutput]:
+def _execute_cells(
+    cfg: ExperimentConfig, mode: str, dataset: tuple[DataTable, DataTable, DataTable]
+) -> list[_CellOutput]:
+    """Run every (fraction, run) cell; at jobs > 1 each worker loads its own
+    copy of the dataset instead of receiving ``dataset``."""
     tasks = [
         (mode, f_idx, run)
         for f_idx in range(len(cfg.fractions))
         for run in range(cfg.runs)
     ]
     if cfg.jobs == 1:
-        dataset = prepare_dataset(cfg)
         cell = _baseline_cell if mode == "baseline" else _chain_cell
         return [cell(dataset, cfg, f_idx, run) for _, f_idx, run in tasks]
     with ProcessPoolExecutor(
@@ -405,17 +410,17 @@ def emit_outputs(
 def run_baseline_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Teacher-only sweep: fresh seeded split per (fraction, run), training on
     the labelled subset alone, evaluated on validation and test."""
-    outputs = _execute_cells(cfg, "baseline")
+    dataset = prepare_dataset(cfg)
+    outputs = _execute_cells(cfg, "baseline", dataset)
     rows = [r for cell in outputs for r in cell.rows]
     confusions = [c for cell in outputs for c in cell.confusions]
     summary = aggregate_runs(rows)
-    train, _, _ = prepare_dataset(cfg)
     emit_outputs(
         summary,
         [],
         cfg.out_dir,
         confusions=confusions,
-        catalog=train.catalog,
+        catalog=dataset[0].catalog,
         config_lines=config_to_lines(cfg),
     )
     return summary
@@ -433,7 +438,8 @@ def run_chain_experiment(
     the best mean teacher accuracy from this experiment's own traces.
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    outputs = _execute_cells(cfg, "chain")
+    dataset = prepare_dataset(cfg)
+    outputs = _execute_cells(cfg, "chain", dataset)
     rows = [r for cell in outputs for r in cell.rows]
     traces = [t for cell in outputs for t in cell.traces]
     confusions = [c for cell in outputs for c in cell.confusions]
@@ -442,13 +448,12 @@ def run_chain_experiment(
     reference = best_baseline_mean(baseline_summary) if baseline_summary else None
     if reference is None:
         reference = _best_teacher_mean(traces)
-    train, _, _ = prepare_dataset(cfg)
     emit_outputs(
         summary,
         traces,
         cfg.out_dir,
         confusions=confusions,
-        catalog=train.catalog,
+        catalog=dataset[0].catalog,
         baseline_reference=reference,
         config_lines=config_to_lines(cfg),
     )

@@ -15,7 +15,7 @@ from distillchain import (
     DistillConfig,
     ExperimentConfig,
     HiddenLabelError,
-    PseudoLabel,
+    PseudoLabels,
     SplitResult,
     SplitSpec,
     SyntheticSpec,
@@ -68,10 +68,10 @@ def _brute_force_truncate(soft, keep):
 def _brute_force_cap(labels, cap, num_classes):
     kept = []
     for cls in range(num_classes):
-        members = [p for p in labels if p.top_class == cls]
-        members.sort(key=lambda p: (-p.confidence, p.sample_id))
+        members = [i for i in range(len(labels)) if labels.top[i] == cls]
+        members.sort(key=lambda i: (-labels.confidence[i], labels.ids[i]))
         kept.extend(members[:cap])
-    return kept
+    return [(int(labels.ids[i]), int(labels.top[i])) for i in kept]
 
 
 def test_criterion_2_filter_oracle_equivalence():
@@ -83,10 +83,10 @@ def test_criterion_2_filter_oracle_equivalence():
         raw = rng.exponential(1.0, c)
         soft = raw / raw.sum()
         keep = int(rng.integers(1, c + 1))
-        fast = keep_top_probabilities(PseudoLabel.from_probs(case, soft), keep)
+        fast = keep_top_probabilities(PseudoLabels([case], soft[None, :]), keep).soft[0]
         brute = _brute_force_truncate(soft, keep)
-        worst = max(worst, float(np.abs(fast.soft - brute).max()))
-        assert np.array_equal(fast.soft == 0.0, brute == 0.0)
+        worst = max(worst, float(np.abs(fast - brute).max()))
+        assert np.array_equal(fast == 0.0, brute == 0.0)
 
     for case in range(1000):
         c = int(rng.integers(2, 6))
@@ -94,13 +94,11 @@ def test_criterion_2_filter_oracle_equivalence():
         cap = int(rng.integers(1, 8))
         raw = rng.exponential(1.0, (n, c))
         soft = raw / raw.sum(axis=1, keepdims=True)
-        labels = [PseudoLabel.from_probs(i, soft[i]) for i in range(n)]
+        labels = PseudoLabels(np.arange(n), soft)
         catalog = ClassCatalog(tuple(f"c{i}" for i in range(c)))
         fast = keep_most_confident_per_class(labels, cap, catalog)
         brute = _brute_force_cap(labels, cap, c)
-        assert [(p.sample_id, p.top_class) for p in fast] == [
-            (p.sample_id, p.top_class) for p in brute
-        ]
+        assert list(zip(fast.ids.tolist(), fast.top.tolist())) == brute
     elapsed = time.perf_counter() - t0
     check(
         "2 filter-brute-force-equivalence",
@@ -151,20 +149,18 @@ def test_criterion_3_protocol_invariants():
         cap = int(case_rng.integers(1, 7))
         raw = case_rng.exponential(1.0, (int(case_rng.integers(1, 50)), c))
         soft = raw / raw.sum(axis=1, keepdims=True)
-        labels = [PseudoLabel.from_probs(i, soft[i]) for i in range(soft.shape[0])]
+        labels = PseudoLabels(np.arange(soft.shape[0]), soft)
         kept = keep_most_confident_per_class(
             labels, cap, ClassCatalog(tuple(f"c{i}" for i in range(c)))
         )
-        kept_ids = {p.sample_id for p in kept}
-        assert kept_ids <= {p.sample_id for p in labels}
+        assert np.isin(kept.ids, labels.ids).all()
+        dropped_mask = ~np.isin(labels.ids, kept.ids)
         for cls in range(c):
-            mine = [p for p in kept if p.top_class == cls]
-            assert len(mine) <= cap
-            dropped = [
-                p for p in labels if p.top_class == cls and p.sample_id not in kept_ids
-            ]
-            if mine and dropped:
-                assert min(p.confidence for p in mine) >= max(p.confidence for p in dropped)
+            mine = kept.confidence[kept.top == cls]
+            assert mine.size <= cap
+            dropped = labels.confidence[(labels.top == cls) & dropped_mask]
+            if mine.size and dropped.size:
+                assert mine.min() >= dropped.max()
 
     # chain selection dominance, record counts, and the hidden-label
     # firewall, 100 seeded miniature chains
@@ -177,10 +173,7 @@ def test_criterion_3_protocol_invariants():
         assert nsplits.pool.labels is None
         with pytest.raises(HiddenLabelError):
             nsplits.pool.reveal_hidden_labels()
-        uniform = [
-            PseudoLabel.from_probs(int(sid), np.full(3, 1.0 / 3.0))
-            for sid in nsplits.pool.ids
-        ]
+        uniform = PseudoLabels(nsplits.pool.ids, np.full((len(nsplits.pool), 3), 1.0 / 3.0))
         agreement, _ = pseudo_label_quality(uniform, nsplits.pool)
         assert 0.0 <= agreement <= 1.0
 
@@ -281,14 +274,11 @@ def test_criterion_7_retention_heuristic():
     # cap keeps exactly 80%
     catalog = ClassCatalog(tuple(f"t{i}" for i in range(9)))
     rng = np.random.default_rng(0)
-    labels = []
+    soft = np.full((45000, 9), 0.02)
     for cls in range(9):
-        noise = rng.uniform(0.0, 1e-6, 5000)
-        for i in range(5000):
-            soft = np.full(9, 0.02)
-            soft[cls] = 0.84 + noise[i]
-            soft /= soft.sum()
-            labels.append(PseudoLabel.from_probs(cls * 5000 + i, soft))
+        soft[cls * 5000 : (cls + 1) * 5000, cls] = 0.84 + rng.uniform(0.0, 1e-6, 5000)
+    soft /= soft.sum(axis=1, keepdims=True)
+    labels = PseudoLabels(np.arange(45000), soft)
     kept = keep_most_confident_per_class(labels, 4000, catalog)
     fraction_kept = len(kept) / len(labels)
     check(

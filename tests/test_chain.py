@@ -7,7 +7,7 @@ from distillchain import (
     ChainConfig,
     DistillConfig,
     IterationRecord,
-    PseudoLabel,
+    PseudoLabels,
     SplitResult,
     SplitSpec,
     TrainConfig,
@@ -19,7 +19,6 @@ from distillchain import (
     select_best,
     train_student,
     train_with_early_stopping,
-    write_chain_trace,
     evaluate,
 )
 
@@ -78,7 +77,8 @@ class TestTrainStudent:
     def test_empty_pseudo_labels_rejected(self):
         splits, _, _, arch = small_problem()
         with pytest.raises(ValueError, match="non-empty pseudo-label"):
-            train_student(arch, [], splits, quick_chain_config(), student_seed=0)
+            empty = PseudoLabels(np.empty(0, dtype=np.int64), np.empty((0, 3)))
+            train_student(arch, empty, splits, quick_chain_config(), student_seed=0)
 
     def test_zero_pretrain_equals_finetune_only(self):
         splits, _, _, arch = small_problem(seed=3)
@@ -90,9 +90,7 @@ class TestTrainStudent:
             finetune=cfg.finetune,
             seed=3,
         )
-        fake = [
-            PseudoLabel.from_probs(int(sid), np.full(3, 1.0 / 3.0)) for sid in splits.pool.ids
-        ]
+        fake = PseudoLabels(splits.pool.ids, np.full((len(splits.pool), 3), 1.0 / 3.0))
         student = train_student(arch, fake, splits, cfg, student_seed=17)
 
         from dataclasses import replace
@@ -109,10 +107,9 @@ class TestTrainStudent:
 
     def test_deterministic(self):
         splits, _, _, arch = small_problem(seed=5)
-        fake = [
-            PseudoLabel.from_probs(int(sid), np.array([0.7, 0.2, 0.1]))
-            for sid in splits.pool.ids
-        ]
+        fake = PseudoLabels(
+            splits.pool.ids, np.tile([0.7, 0.2, 0.1], (len(splits.pool), 1))
+        )
         cfg = quick_chain_config(seed=5)
         a = train_student(arch, fake, splits, cfg, student_seed=2)
         b = train_student(arch, fake, splits, cfg, student_seed=2)
@@ -127,11 +124,8 @@ class TestTrainStudent:
             splits, _, ntest, arch = small_problem(seed=seed, labelled=0.05, spread=0.6)
             # ground truth comes from the original table, not the hidden pool
             train, _, _ = generate_synthetic(classes=3, per_class=60, dim=3, spread=0.6, seed=seed)
-            truth_by_id = {int(i): int(l) for i, l in zip(train.ids, train.labels)}
-            oracle = [
-                PseudoLabel.from_probs(int(sid), one_hot(np.array([truth_by_id[int(sid)]]), 3)[0])
-                for sid in splits.pool.ids
-            ]
+            truth = train.labels[train.rows_of(splits.pool.ids)]
+            oracle = PseudoLabels(splits.pool.ids, one_hot(truth, 3))
             cfg = ChainConfig(
                 iterations=1,
                 distill=DistillConfig(per_class_cap=None),
@@ -204,13 +198,3 @@ class TestRunChain:
         assert len(excinfo.value.records) == 1  # the teacher survived
         assert excinfo.value.records[0].iteration == 0
 
-    def test_trace_csv_format(self, tmp_path):
-        splits, nval, ntest, arch = small_problem(seed=9, per_class=20, labelled=0.5, early=0.1)
-        result = run_chain(splits, nval, ntest, arch, quick_chain_config(iterations=1, seed=9))
-        path = tmp_path / "trace.csv"
-        write_chain_trace(result, path, run=3)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "run,iteration,val_accuracy,test_accuracy,pseudo_count,pseudo_agreement"
-        assert len(lines) == 3
-        assert lines[1].startswith("3,0,")
-        assert lines[1].endswith(",0,")  # teacher row: no pseudo labels

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from distillchain import (
     ArchSpec,
     ClassCatalog,
     DistillConfig,
-    PseudoLabel,
+    PseudoLabels,
     filter_pseudo_labels,
     init_params,
     keep_most_confident_per_class,
@@ -20,14 +22,18 @@ from distillchain.learner import ModelParams
 from conftest import table_from
 
 
-def label_of(sample_id, probs):
-    return PseudoLabel.from_probs(sample_id, np.asarray(probs, dtype=np.float64))
+def labels_of(ids, rows):
+    return PseudoLabels(np.asarray(ids), np.asarray(rows, dtype=np.float64))
 
 
 def random_labels(rng, n, c, id_offset=0):
     raw = rng.exponential(1.0, (n, c))
     soft = raw / raw.sum(axis=1, keepdims=True)
-    return [label_of(id_offset + i, soft[i]) for i in range(n)]
+    return PseudoLabels(np.arange(id_offset, id_offset + n), soft)
+
+
+def as_pairs(labels):
+    return list(zip(labels.ids.tolist(), labels.top.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -35,30 +41,108 @@ def random_labels(rng, n, c, id_offset=0):
 # zeroing); the fast path must match these exactly.
 
 
-def brute_force_truncate(label, keep):
-    c = label.soft.shape[0]
-    ranked = sorted(range(c), key=lambda i: (-label.soft[i], i))
+def brute_force_truncate(soft, keep):
+    c = soft.shape[0]
+    ranked = sorted(range(c), key=lambda i: (-soft[i], i))
     out = np.zeros(c)
     for i in ranked[:keep]:
-        out[i] = label.soft[i]
-    out = out / out.sum()
-    return label_of(label.sample_id, out)
+        out[i] = soft[i]
+    return out / out.sum()
 
 
 def brute_force_cap(labels, cap, num_classes):
+    """(id, top class) pairs kept, in output order."""
     kept = []
     for cls in range(num_classes):
-        members = [p for p in labels if p.top_class == cls]
+        members = [i for i in range(len(labels)) if labels.top[i] == cls]
+        members.sort(key=lambda i: (-labels.confidence[i], labels.ids[i]))
+        kept.extend(members if cap is None else members[:cap])
+    return [(int(labels.ids[i]), int(labels.top[i])) for i in kept]
+
+
+# ---------------------------------------------------------------------------
+# The per-sample implementation the array filters replaced: one object per
+# pool sample, per-row truncation, and a sort-key cap loop. The array path
+# must reproduce it bit for bit.
+
+
+@dataclass(frozen=True)
+class ReferenceLabel:
+    sample_id: int
+    soft: np.ndarray
+    top_class: int
+    confidence: float
+
+    @staticmethod
+    def from_probs(sample_id, probs):
+        soft = np.asarray(probs, dtype=np.float64)
+        top = int(soft.argmax())
+        return ReferenceLabel(int(sample_id), soft, top, float(soft[top]))
+
+
+def reference_keep_top(label, keep):
+    c = label.soft.shape[0]
+    if keep == c:
+        return label
+    survivors = np.argsort(-label.soft, kind="stable")[:keep]
+    truncated = np.zeros(c, dtype=np.float64)
+    truncated[survivors] = label.soft[survivors]
+    truncated /= truncated.sum()
+    return ReferenceLabel.from_probs(label.sample_id, truncated)
+
+
+def reference_cap(labels, cap, num_classes):
+    by_class = [[] for _ in range(num_classes)]
+    for label in labels:
+        by_class[label.top_class].append(label)
+    kept = []
+    for members in by_class:
         members.sort(key=lambda p: (-p.confidence, p.sample_id))
         kept.extend(members if cap is None else members[:cap])
     return kept
+
+
+def reference_filter(ids, soft, config, num_classes):
+    labels = [ReferenceLabel.from_probs(i, row) for i, row in zip(ids, soft)]
+    if config.top_probs is not None:
+        labels = [reference_keep_top(p, config.top_probs) for p in labels]
+    return reference_cap(labels, config.per_class_cap, num_classes)
+
+
+def tied_matrix(seed, n, c):
+    """Row-stochastic matrix with ties inside rows (coarse values) and
+    between rows (duplicated rows), under shuffled sample ids."""
+    rng = np.random.default_rng(seed)
+    raw = np.round(rng.exponential(1.0, (n, c)) * 3.0) + 1.0
+    raw[: n // 2] = rng.exponential(1.0, (n // 2, c))
+    dup = rng.integers(0, n, n // 4)
+    raw[rng.integers(0, n, n // 4)] = raw[dup]
+    ids = rng.permutation(3 * n)[:n]
+    return ids, raw / raw.sum(axis=1, keepdims=True)
+
+
+class TestMatchesPerSampleReference:
+    @pytest.mark.parametrize("per_class_cap", [None, 1, 7])
+    @pytest.mark.parametrize("seed,c", [(0, 2), (1, 3), (2, 5), (3, 9), (4, 12)])
+    def test_bit_identical(self, seed, c, per_class_cap):
+        ids, soft = tied_matrix(seed, 120, c)
+        for top_probs in (None, 1, min(3, c), c - 1, c):
+            config = DistillConfig(per_class_cap=per_class_cap, top_probs=top_probs)
+            expected = reference_filter(ids, soft, config, c)
+            got = filter_pseudo_labels(PseudoLabels(ids, soft), config, ClassCatalog.generic(c))
+            assert got.ids.tolist() == [p.sample_id for p in expected]
+            assert got.top.tolist() == [p.top_class for p in expected]
+            assert got.confidence.tolist() == [p.confidence for p in expected]
+            assert np.array_equal(got.soft, np.array([p.soft for p in expected]).reshape(-1, c))
 
 
 class TestPseudoLabelPool:
     def test_empty_pool(self, two_class_catalog):
         pool = table_from(two_class_catalog, np.zeros((0, 2)), labels=np.zeros(0, dtype=int), hidden=True)
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 0)
-        assert pseudo_label_pool(params, pool) == []
+        labels = pseudo_label_pool(params, pool)
+        assert len(labels) == 0
+        assert labels.soft.shape == (0, 2)
 
     def test_zero_params_give_uniform_soft_labels(self):
         catalog = ClassCatalog(tuple("abcdefghi"))
@@ -69,10 +153,10 @@ class TestPseudoLabelPool:
             biases=(np.zeros(9),),
         )
         labels = pseudo_label_pool(params, pool)
-        for p in labels:
-            assert np.allclose(p.soft, 1.0 / 9.0, atol=1e-12)
-            assert p.top_class == 0  # tie broken by lowest class index
-            assert p.confidence == pytest.approx(1.0 / 9.0)
+        assert len(labels) == 4
+        assert np.allclose(labels.soft, 1.0 / 9.0, atol=1e-12)
+        assert labels.top.tolist() == [0, 0, 0, 0]  # tie broken by lowest class index
+        assert labels.confidence.tolist() == pytest.approx([1.0 / 9.0] * 4)
 
     def test_ids_are_the_pool_ids_ascending(self, two_class_catalog):
         rng = np.random.default_rng(0)
@@ -82,7 +166,7 @@ class TestPseudoLabelPool:
         )
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 1)
         labels = pseudo_label_pool(params, pool)
-        assert [p.sample_id for p in labels] == [0, 2, 5, 7, 9]
+        assert labels.ids.tolist() == [0, 2, 5, 7, 9]
 
     def test_dimension_mismatch(self, two_class_catalog):
         pool = table_from(two_class_catalog, np.ones((2, 3)), labels=[0, 1], hidden=True)
@@ -93,44 +177,41 @@ class TestPseudoLabelPool:
 
 class TestKeepTopProbabilities:
     def test_keep_all_is_identity(self):
-        label = label_of(1, [0.5, 0.3, 0.2])
-        assert keep_top_probabilities(label, 3) is label
+        labels = labels_of([1], [[0.5, 0.3, 0.2]])
+        assert keep_top_probabilities(labels, 3) is labels
 
     def test_documented_example(self):
-        label = label_of(0, [0.5, 0.3, 0.15, 0.05])
-        out = keep_top_probabilities(label, 2)
-        assert out.soft.tolist() == pytest.approx([0.625, 0.375, 0.0, 0.0], abs=1e-12)
-        assert out.top_class == 0
-        assert out.confidence == pytest.approx(0.625)
+        out = keep_top_probabilities(labels_of([0], [[0.5, 0.3, 0.15, 0.05]]), 2)
+        assert out.soft[0].tolist() == pytest.approx([0.625, 0.375, 0.0, 0.0], abs=1e-12)
+        assert out.top[0] == 0
+        assert out.confidence[0] == pytest.approx(0.625)
 
     def test_keep_one_is_one_hot(self):
-        label = label_of(0, [0.2, 0.5, 0.3])
-        out = keep_top_probabilities(label, 1)
-        assert out.soft.tolist() == [0.0, 1.0, 0.0]
+        out = keep_top_probabilities(labels_of([0], [[0.2, 0.5, 0.3]]), 1)
+        assert out.soft[0].tolist() == [0.0, 1.0, 0.0]
 
     def test_boundary_tie_keeps_lower_class_index(self):
-        label = label_of(0, [0.4, 0.3, 0.3])
-        out = keep_top_probabilities(label, 2)
+        out = keep_top_probabilities(labels_of([0], [[0.4, 0.3, 0.3]]), 2)
         # classes 1 and 2 tie at 0.3; class 1 survives
-        assert out.soft[1] > 0.0
-        assert out.soft[2] == 0.0
+        assert out.soft[0, 1] > 0.0
+        assert out.soft[0, 2] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), keep=st.integers(1, 6))
     def test_matches_brute_force_and_preserves_order(self, seed, keep):
         rng = np.random.default_rng(seed)
         c = int(rng.integers(2, 7))
-        label = random_labels(rng, 1, c)[0]
+        label = random_labels(rng, 1, c)
         keep = min(keep, c)
         fast = keep_top_probabilities(label, keep)
-        brute = brute_force_truncate(label, keep)
-        assert np.abs(fast.soft - brute.soft).max() < 1e-12
-        assert fast.top_class == label.top_class
-        assert fast.soft.sum() == pytest.approx(1.0, abs=1e-9)
+        brute = brute_force_truncate(label.soft[0], keep)
+        assert np.abs(fast.soft[0] - brute).max() < 1e-12
+        assert fast.top[0] == label.top[0]
+        assert fast.soft[0].sum() == pytest.approx(1.0, abs=1e-9)
         # surviving probabilities keep their relative order
-        survivors = np.flatnonzero(fast.soft)
-        original_order = np.argsort(-label.soft[survivors], kind="stable")
-        new_order = np.argsort(-fast.soft[survivors], kind="stable")
+        survivors = np.flatnonzero(fast.soft[0])
+        original_order = np.argsort(-label.soft[0, survivors], kind="stable")
+        new_order = np.argsort(-fast.soft[0, survivors], kind="stable")
         assert np.array_equal(original_order, new_order)
 
 
@@ -139,29 +220,24 @@ class TestKeepMostConfidentPerClass:
         rng = np.random.default_rng(4)
         labels = random_labels(rng, 10, 2)
         out = keep_most_confident_per_class(labels, 100, two_class_catalog)
-        assert sorted(p.sample_id for p in out) == sorted(p.sample_id for p in labels)
-        assert [p.sample_id for p in out] == [
-            p.sample_id for p in brute_force_cap(labels, 100, 2)
-        ]
+        assert sorted(out.ids.tolist()) == sorted(labels.ids.tolist())
+        assert as_pairs(out) == brute_force_cap(labels, 100, 2)
 
     def test_documented_five_sample_case(self, two_class_catalog):
         confidences = {1: (0.9, 0.1), 2: (0.6, 0.4), 3: (0.2, 0.8), 4: (0.45, 0.55), 5: (0.7, 0.3)}
-        labels = [label_of(i, list(v)) for i, v in confidences.items()]
+        labels = labels_of(list(confidences), list(confidences.values()))
         out = keep_most_confident_per_class(labels, 1, two_class_catalog)
-        assert [(p.sample_id, p.top_class) for p in out] == [(1, 0), (3, 1)]
+        assert as_pairs(out) == [(1, 0), (3, 1)]
 
     def test_eighty_percent_heuristic(self):
         # 9 predicted classes x 5000 members each; a 4000 cap keeps 80%
         catalog = ClassCatalog(tuple(f"t{i}" for i in range(9)))
         rng = np.random.default_rng(0)
-        labels = []
-        for cls in range(9):
-            for i in range(5000):
-                soft = np.full(9, 0.01)
-                soft[cls] = 1.0 - 0.08
-                soft += rng.uniform(0, 1e-4, 9)  # break confidence ties
-                soft /= soft.sum()
-                labels.append(label_of(cls * 5000 + i, soft))
+        soft = np.full((45000, 9), 0.01)
+        soft[np.arange(45000), np.arange(45000) // 5000] = 1.0 - 0.08
+        soft += rng.uniform(0, 1e-4, (45000, 9))  # break confidence ties
+        soft /= soft.sum(axis=1, keepdims=True)
+        labels = PseudoLabels(np.arange(45000), soft)
         out = keep_most_confident_per_class(labels, 4000, catalog)
         assert len(labels) == 45000
         assert len(out) == 36000
@@ -176,23 +252,22 @@ class TestKeepMostConfidentPerClass:
         catalog = ClassCatalog(tuple(f"x{i}" for i in range(c)))
         labels = random_labels(rng, int(rng.integers(0, 40)), c)
         out = keep_most_confident_per_class(labels, cap, catalog)
-        out_ids = {p.sample_id for p in out}
-        assert out_ids <= {p.sample_id for p in labels}
+        dropped_mask = ~np.isin(labels.ids, out.ids)
+        assert np.isin(out.ids, labels.ids).all()
         for cls in range(c):
-            kept = [p for p in out if p.top_class == cls]
-            dropped = [
-                p for p in labels if p.top_class == cls and p.sample_id not in out_ids
-            ]
-            assert len(kept) <= cap
-            if kept and dropped:
-                assert min(p.confidence for p in kept) >= max(p.confidence for p in dropped)
+            kept = out.confidence[out.top == cls]
+            dropped = labels.confidence[(labels.top == cls) & dropped_mask]
+            assert kept.size <= cap
+            if kept.size and dropped.size:
+                assert kept.min() >= dropped.max()
 
     def test_deterministic(self, two_class_catalog):
         rng = np.random.default_rng(8)
         labels = random_labels(rng, 30, 2)
         a = keep_most_confident_per_class(labels, 5, two_class_catalog)
-        b = keep_most_confident_per_class(list(labels), 5, two_class_catalog)
-        assert [(p.sample_id, p.confidence) for p in a] == [(p.sample_id, p.confidence) for p in b]
+        b = keep_most_confident_per_class(PseudoLabels(labels.ids, labels.soft), 5, two_class_catalog)
+        assert a.ids.tolist() == b.ids.tolist()
+        assert a.confidence.tolist() == b.confidence.tolist()
 
 
 class TestFilterComposition:
@@ -202,23 +277,22 @@ class TestFilterComposition:
         out = filter_pseudo_labels(
             labels, DistillConfig(per_class_cap=None, top_probs=2), two_class_catalog
         )
-        assert sorted(p.sample_id for p in out) == sorted(p.sample_id for p in labels)
-        by_id = {p.sample_id: p for p in out}
-        for original in labels:
-            assert np.abs(by_id[original.sample_id].soft - original.soft).max() < 1e-12
+        assert sorted(out.ids.tolist()) == sorted(labels.ids.tolist())
+        by_id = np.argsort(out.ids)  # labels.ids is 0..n-1
+        assert np.abs(out.soft[by_id] - labels.soft).max() < 1e-12
 
 
 class TestPseudoLabelQuality:
     def test_perfect_agreement(self, two_class_catalog):
         pool = table_from(two_class_catalog, np.zeros((3, 1)), labels=[0, 1, 1], hidden=True)
-        labels = [label_of(0, [0.9, 0.1]), label_of(1, [0.2, 0.8]), label_of(2, [0.3, 0.7])]
+        labels = labels_of([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
         agreement, per_class = pseudo_label_quality(labels, pool)
         assert agreement == 1.0
         assert per_class.tolist() == [1.0, 1.0]
 
     def test_two_of_three_agree(self, two_class_catalog):
         pool = table_from(two_class_catalog, np.zeros((3, 1)), labels=[0, 1, 1], hidden=True)
-        labels = [label_of(0, [0.9, 0.1]), label_of(1, [0.2, 0.8]), label_of(2, [0.7, 0.3])]
+        labels = labels_of([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
         agreement, _ = pseudo_label_quality(labels, pool)
         assert agreement == pytest.approx(2.0 / 3.0, abs=1e-4)
 
@@ -238,4 +312,4 @@ class TestPseudoLabelQuality:
     def test_unknown_id_rejected(self, two_class_catalog):
         pool = table_from(two_class_catalog, np.zeros((1, 1)), labels=[0], hidden=True)
         with pytest.raises(ValueError, match="not present"):
-            pseudo_label_quality([label_of(5, [1.0, 0.0])], pool)
+            pseudo_label_quality(labels_of([5], [[1.0, 0.0]]), pool)

@@ -3,6 +3,7 @@ import pytest
 
 from distillchain import (
     ChainConfig,
+    DataFiles,
     DistillConfig,
     ExperimentConfig,
     RunRow,
@@ -12,8 +13,12 @@ from distillchain import (
     aggregate_runs,
     derive_seed,
     emit_outputs,
+    experiment,
+    generate_synthetic,
+    read_table,
     run_baseline_sweep,
     run_chain_experiment,
+    write_table,
 )
 from distillchain.dataset import ClassCatalog
 from distillchain.reports import (
@@ -100,6 +105,22 @@ class TestSeedDerivation:
         assert a != derive_seed(7, 2, 0, 0)
         assert a != derive_seed(8, 1, 0, 0)
         assert a != derive_seed(7, 1, 0, 1)
+
+
+@pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
+def test_files_source_reads_each_table_once(tmp_path, monkeypatch, sweep):
+    paths = [str(tmp_path / f"{name}.csv") for name in ("train", "validation", "test")]
+    for path, table in zip(paths, generate_synthetic(3, 40, 3, 0.4, seed=11)):
+        write_table(path, table)
+    calls = []
+
+    def counting_read_table(path, catalog=None):
+        calls.append(path)
+        return read_table(path, catalog)
+
+    monkeypatch.setattr(experiment, "read_table", counting_read_table)
+    sweep(tiny_config(tmp_path, source=DataFiles(*paths), fractions=(0.2,), runs=1))
+    assert sorted(calls) == sorted(paths)
 
 
 class TestBaselineSweep:
