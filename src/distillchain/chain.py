@@ -51,7 +51,8 @@ class ChainConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """Metrics for one chain member; iteration 0 is the teacher, so it has
-    no pseudo-labels."""
+    no pseudo-labels. A student keeps the filtered pseudo-labels it was
+    pretrained on."""
 
     iteration: int
     val_accuracy: float
@@ -61,6 +62,7 @@ class IterationRecord:
     confusion: np.ndarray
     model: ModelParams | None = None
     checkpoint_ref: str | None = None
+    pseudo_labels: PseudoLabels | None = None
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,9 @@ def run_chain(
     seeds = tuple(cfg.seed + i for i in range(cfg.iterations + 1))
     records: list[IterationRecord] = []
 
-    def record_model(i: int, model: ModelParams, count: int, agreement: float | None):
+    def record_model(
+        i: int, model: ModelParams, labels: PseudoLabels | None, agreement: float | None
+    ):
         val_acc, _ = evaluate(model, validation)
         test_acc, confusion = evaluate(model, test)
         records.append(
@@ -163,10 +167,11 @@ def run_chain(
                 iteration=i,
                 val_accuracy=val_acc,
                 test_accuracy=test_acc,
-                pseudo_count=count,
+                pseudo_count=0 if labels is None else len(labels),
                 pseudo_agreement=agreement,
                 confusion=confusion,
                 model=model,
+                pseudo_labels=labels,
             )
         )
 
@@ -179,7 +184,7 @@ def run_chain(
             splits.early_stop,
             replace(cfg.finetune, seed=seeds[0]),
         )
-        record_model(0, teacher, count=0, agreement=None)
+        record_model(0, teacher, labels=None, agreement=None)
 
         current = teacher
         for i in range(1, cfg.iterations + 1):
@@ -192,7 +197,7 @@ def run_chain(
             current = train_student(
                 arch, filtered, splits, cfg, student_seed=seeds[i], warm_start=current
             )
-            record_model(i, current, count=len(filtered), agreement=agreement)
+            record_model(i, current, labels=filtered, agreement=agreement)
     except (ValueError, ArithmeticError) as exc:
         raise ChainAborted(f"chain aborted at iteration {len(records)}: {exc}", tuple(records)) from exc
 

@@ -92,6 +92,8 @@ class DataTable:
         features = np.ascontiguousarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
         if ids.ndim != 1 or ids.shape[0] != features.shape[0]:
             raise ValueError("ids and features row counts differ")
         if ids.size and ids.min() < 0:
@@ -242,12 +244,17 @@ class Normalizer:
 
 
 def _fisher_yates(ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Seeded in-to-out Fisher-Yates shuffle of ids sorted ascending."""
-    out = np.sort(ids)
-    for i in range(out.size - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    """Seeded in-to-out Fisher-Yates shuffle of ids sorted ascending.
+
+    All swap indices come from one array-bounded draw, which consumes the
+    generator exactly as one ``integers(0, i + 1)`` call per i would.
+    """
+    ordered = np.sort(ids)
+    out = ordered.tolist()
+    swaps = rng.integers(0, np.arange(len(out), 1, -1)).tolist()
+    for i, j in zip(range(len(out) - 1, 0, -1), swaps):
         out[i], out[j] = out[j], out[i]
-    return out
+    return np.array(out, dtype=ordered.dtype)
 
 
 def synthetic_class_means(classes: int, dim: int, seed: int) -> np.ndarray:
@@ -515,11 +522,17 @@ def read_table(path: Path | str, catalog: ClassCatalog | None = None) -> DataTab
         labels.append(label)
         feats.append(row)
 
+    features = np.array(feats, dtype=np.float64).reshape(len(ids), d)
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        data_linenos = [n for n, line in enumerate(lines[1:], start=2) if line]
+        lineno = data_linenos[int(np.argmin(finite_rows))]
+        raise TableParseError(f"{path}: line {lineno}: non-finite feature")
     try:
         return DataTable(
             catalog=catalog,
             ids=np.array(ids, dtype=np.int64),
-            features=np.array(feats, dtype=np.float64).reshape(len(ids), d),
+            features=features,
             labels=np.array(labels, dtype=np.int64),
         )
     except ValueError as exc:

@@ -26,7 +26,6 @@ from .dataset import (
     normalize,
     read_table,
 )
-from .distill import filter_pseudo_labels, pseudo_label_pool
 from .learner import ArchSpec, TrainConfig, evaluate, one_hot, save_model, train_with_early_stopping
 from .reports import (
     RunRow,
@@ -188,13 +187,16 @@ def _baseline_cell(
 
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
     lab = splits.labelled
-    params, _ = train_with_early_stopping(
-        arch,
-        lab.features,
-        one_hot(lab.labels, arch.output_dim),
-        splits.early_stop,
-        replace(cfg.train, seed=train_seed),
-    )
+    try:
+        params, _ = train_with_early_stopping(
+            arch,
+            lab.features,
+            one_hot(lab.labels, arch.output_dim),
+            splits.early_stop,
+            replace(cfg.train, seed=train_seed),
+        )
+    except (ValueError, ArithmeticError) as exc:
+        return _CellOutput(rows=(replace(base, status=f"skipped: {_skip_reason(exc)}"),))
     val_acc, _ = evaluate(params, nval)
     test_acc, confusion = evaluate(params, ntest)
     row = replace(base, val_accuracy=val_acc, test_accuracy=test_acc)
@@ -274,10 +276,8 @@ def _write_cell_artifacts(cfg, fraction, run, splits, result) -> None:
             save_model(out / f"model_{tag}_iter{rec.iteration}.json", rec.model, seed=result.seeds[rec.iteration])
     if cfg.dump_pseudo_labels:
         c = splits.pool.catalog.size
-        for rec in result.records[:-1]:
-            labels = filter_pseudo_labels(
-                pseudo_label_pool(rec.model, splits.pool), cfg.chain.distill, splits.pool.catalog
-            )
+        for rec in result.records[1:]:
+            labels = rec.pseudo_labels
             lines = ["sample_id,top_class,confidence," + ",".join(f"p{j}" for j in range(c))]
             lines += [
                 f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
@@ -286,7 +286,7 @@ def _write_cell_artifacts(cfg, fraction, run, splits, result) -> None:
                     labels.confidence.tolist(), labels.soft.tolist(),
                 )
             ]
-            (out / f"pseudo_{tag}_iter{rec.iteration + 1}.csv").write_text(
+            (out / f"pseudo_{tag}_iter{rec.iteration}.csv").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8"
             )
 

@@ -140,6 +140,39 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     return ModelParams(arch=arch, weights=tuple(weights), biases=tuple(biases))
 
 
+def _param_count(arch: ArchSpec) -> int:
+    return sum(fan_out * (fan_in + 1) for fan_out, fan_in in arch.layer_dims)
+
+
+def _layer_views(
+    arch: ArchSpec, flat: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer weight and bias views into one flat buffer, laid out layer
+    by layer as the row-major weights followed by the bias."""
+    weights, biases = [], []
+    offset = 0
+    for fan_out, fan_in in arch.layer_dims:
+        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return tuple(weights), tuple(biases)
+
+
+def _flatten(arch: ArchSpec, weights, biases) -> np.ndarray:
+    """A fresh flat buffer holding copies of per-layer weights and biases."""
+    flat = np.empty(_param_count(arch), dtype=np.float64)
+    views_w, views_b = _layer_views(arch, flat)
+    for dst, src in zip((*views_w, *views_b), (*weights, *biases)):
+        dst[...] = src
+    return flat
+
+
+def _params_view(arch: ArchSpec, flat: np.ndarray) -> ModelParams:
+    weights, biases = _layer_views(arch, flat)
+    return ModelParams(arch=arch, weights=weights, biases=biases)
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -176,6 +209,14 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
+    logs = np.log(np.maximum(probs, LOG_CLAMP))
+    per_row = (target * logs).sum(axis=1)
+    # the mean of per_row exactly as ndarray.mean computes it, minus its
+    # call overhead
+    return float(-(np.add.reduce(per_row) / per_row.shape[0]))
+
+
 def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
     """Mean soft-target cross-entropy; probabilities are clamped at 1e-12
     before the log."""
@@ -183,26 +224,26 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if p.shape != t.shape:
         raise ValueError(f"probs shape {p.shape} does not match target shape {t.shape}")
-    logs = np.log(np.maximum(p, LOG_CLAMP))
-    return float(-(t * logs).sum(axis=1).mean())
+    return _cross_entropy(p, t)
 
 
-def _backprop(
+def _backprop_into(
     params: ModelParams,
     probs: np.ndarray,
     targets: np.ndarray,
     activations: list[np.ndarray],
     pre_acts: list[np.ndarray],
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    grad_w: tuple[np.ndarray, ...],
+    grad_b: tuple[np.ndarray, ...],
+) -> None:
+    """Backprop kernel: writes the gradient of the mean soft cross-entropy
+    into the per-layer ``grad_w``/``grad_b`` views."""
     dz = (probs - targets) / probs.shape[0]
-    grad_w: list[np.ndarray] = [None] * len(params.weights)  # type: ignore[list-item]
-    grad_b: list[np.ndarray] = [None] * len(params.biases)  # type: ignore[list-item]
     for i in range(len(params.weights) - 1, -1, -1):
-        grad_w[i] = dz.T @ activations[i]
-        grad_b[i] = dz.sum(axis=0)
+        np.matmul(dz.T, activations[i], out=grad_w[i])
+        np.add.reduce(dz, axis=0, out=grad_b[i])
         if i > 0:
             dz = (dz @ params.weights[i]) * (pre_acts[i - 1] > 0.0)
-    return tuple(grad_w), tuple(grad_b)
 
 
 def backward(
@@ -215,11 +256,31 @@ def backward(
         raise ValueError("targets shape does not match batch and output dim")
 
     probs, activations, pre_acts = _forward_cached(params, x)
-    grad_w, grad_b = _backprop(params, probs, t, activations, pre_acts)
-    for g in (*grad_w, *grad_b):
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient")
+    grad = np.empty(_param_count(params.arch), dtype=np.float64)
+    grad_w, grad_b = _layer_views(params.arch, grad)
+    _backprop_into(params, probs, t, activations, pre_acts, grad_w, grad_b)
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient")
     return grad_w, grad_b
+
+
+def _adam_step(
+    theta: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    t: int,
+    learning_rate: float,
+) -> None:
+    """Adam kernel: step ``t`` (from 1) with bias correction, updating the
+    flat ``theta``, ``m`` and ``v`` buffers in place."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grad * grad)
+    theta -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def adam_update(
@@ -229,39 +290,17 @@ def adam_update(
     learning_rate: float,
 ) -> tuple[ModelParams, AdamState]:
     """One Adam step with bias correction; returns fresh params and state."""
-    grad_w, grad_b = grads
+    arch = params.arch
+    theta = _flatten(arch, params.weights, params.biases)
+    m = _flatten(arch, state.m_weights, state.m_biases)
+    v = _flatten(arch, state.v_weights, state.v_biases)
     t = state.t + 1
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-
-    def step(theta, g, m, v):
-        m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        theta_new = theta - learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + ADAM_EPS)
-        return theta_new, m_new, v_new
-
-    new_w, new_mw, new_vw = [], [], []
-    for theta, g, m, v in zip(params.weights, grad_w, state.m_weights, state.v_weights):
-        a, b, c = step(theta, g, m, v)
-        new_w.append(a), new_mw.append(b), new_vw.append(c)
-    new_b, new_mb, new_vb = [], [], []
-    for theta, g, m, v in zip(params.biases, grad_b, state.m_biases, state.v_biases):
-        a, b, c = step(theta, g, m, v)
-        new_b.append(a), new_mb.append(b), new_vb.append(c)
-
-    for arr in (*new_w, *new_b):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("non-finite parameter update")
-    return (
-        ModelParams(arch=params.arch, weights=tuple(new_w), biases=tuple(new_b)),
-        AdamState(
-            m_weights=tuple(new_mw),
-            m_biases=tuple(new_mb),
-            v_weights=tuple(new_vw),
-            v_biases=tuple(new_vb),
-            t=t,
-        ),
-    )
+    _adam_step(theta, _flatten(arch, *grads), m, v, t, learning_rate)
+    if not np.isfinite(theta).all():
+        raise NumericError("non-finite parameter update")
+    m_w, m_b = _layer_views(arch, m)
+    v_w, v_b = _layer_views(arch, v)
+    return _params_view(arch, theta), AdamState(m_w, m_b, v_w, v_b, t=t)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -313,6 +352,11 @@ def train_with_early_stopping(
     once ``patience`` consecutive epochs fail to improve the early-stop
     accuracy, or at ``max_epochs``. When ``init`` is given, training continues
     from those weights instead of a fresh seeded initialization.
+
+    The model lives in flat buffers (params, grads, Adam moments) that the
+    backprop and Adam kernels update in place, so a step builds no objects.
+    Finiteness is checked once per epoch, on the mean loss and the params,
+    before the epoch is evaluated or kept; a blow-up raises NumericError.
     """
     x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
@@ -329,31 +373,42 @@ def train_with_early_stopping(
     if config.max_epochs == 0:
         return params, TrainHistory()
 
-    state = AdamState.zeros(params)
-    rng = np.random.default_rng(config.seed)
-    stream = _BatchStream(x.shape[0], config.batch_size, rng)
+    theta = _flatten(arch, params.weights, params.biases)
+    grad = np.zeros_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    best = np.empty_like(theta)
+    live = _params_view(arch, theta)
+    grad_w, grad_b = _layer_views(arch, grad)
+    stream = _BatchStream(x.shape[0], config.batch_size, np.random.default_rng(config.seed))
 
-    best_params = params
     best_acc = -1.0
     best_epoch = -1
     epochs: list[EpochStats] = []
     stale = 0
+    step = 0
     for epoch in range(config.max_epochs):
         loss_sum = 0.0
         for _ in range(config.steps_per_epoch):
             idx = stream.next_batch()
-            xb, tb = x[idx], t[idx]
-            probs, activations, pre_acts = _forward_cached(params, xb)
-            loss_sum += soft_cross_entropy(probs, tb)
-            grads = _backprop(params, probs, tb, activations, pre_acts)
-            params, state = adam_update(params, grads, state, config.learning_rate)
+            # ndarray.take gathers the same rows as x[idx] at a fraction of
+            # the call overhead
+            xb, tb = x.take(idx, 0), t.take(idx, 0)
+            probs, activations, pre_acts = _forward_cached(live, xb)
+            loss_sum += _cross_entropy(probs, tb)
+            _backprop_into(live, probs, tb, activations, pre_acts, grad_w, grad_b)
+            step += 1
+            _adam_step(theta, grad, m, v, step, config.learning_rate)
         mean_loss = loss_sum / config.steps_per_epoch
         if not np.isfinite(mean_loss):
             raise NumericError(f"non-finite training loss at epoch {epoch}")
-        acc, _ = evaluate(params, early_stop)
+        if not np.isfinite(theta).all():
+            raise NumericError(f"non-finite parameters at epoch {epoch}")
+        acc, _ = evaluate(live, early_stop)
         epochs.append(EpochStats(epoch=epoch, train_loss=mean_loss, early_stop_accuracy=acc))
         if acc > best_acc:
-            best_params, best_acc, best_epoch = params, acc, epoch
+            np.copyto(best, theta)
+            best_acc, best_epoch = acc, epoch
             stale = 0
         else:
             stale += 1
@@ -363,7 +418,7 @@ def train_with_early_stopping(
     history = TrainHistory(
         epochs=tuple(epochs), best_epoch=best_epoch, best_accuracy=best_acc
     )
-    return best_params, history
+    return _params_view(arch, best), history
 
 
 def evaluate(params: ModelParams, table: DataTable) -> tuple[float, np.ndarray]:

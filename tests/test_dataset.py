@@ -15,7 +15,7 @@ from distillchain import (
     read_table,
     write_table,
 )
-from distillchain.dataset import DEFAULT_CLASS_NAMES, synthetic_class_means
+from distillchain.dataset import DEFAULT_CLASS_NAMES, _fisher_yates, synthetic_class_means
 
 from conftest import table_from
 
@@ -42,6 +42,11 @@ class TestDataTable:
     def test_rejects_out_of_range_labels(self, two_class_catalog):
         with pytest.raises(ValueError):
             table_from(two_class_catalog, [[0.0]], labels=[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, two_class_catalog, bad):
+        with pytest.raises(ValueError, match="finite"):
+            table_from(two_class_catalog, [[0.0, 1.0], [bad, 2.0]], labels=[0, 1])
 
     def test_hidden_labels_unreachable_directly(self, two_class_catalog):
         pool = table_from(two_class_catalog, [[0.0], [1.0]], labels=[0, 1], hidden=True)
@@ -164,6 +169,14 @@ class TestTableIO:
         with pytest.raises(TableParseError, match="line 3"):
             read_table(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.with_suffix(".classes").write_text("a,b\n")
+        path.write_text(f"id,label,f0,f1\n0,a,1.0,2.0\n\n1,b,3.0,{bad}\n2,a,0.0,0.0\n")
+        with pytest.raises(TableParseError, match=rf"bad\.csv: line 4: non-finite"):
+            read_table(path)
+
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "orphan.csv"
         path.write_text("id,label,f0\n")
@@ -181,6 +194,28 @@ def _labelled_table(n, catalog_size=9, seed=0):
         features=rng.standard_normal((n, 3)),
         labels=labels,
     )
+
+
+def scalar_fisher_yates(ids, rng):
+    """The per-element shuffle the vectorised draw replaced: one
+    integers(0, i + 1) call per position, swapping in place."""
+    out = np.sort(ids)
+    for i in range(out.size - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+class TestFisherYates:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 6480])
+    def test_matches_scalar_draws_and_generator_state(self, n):
+        for seed in range(4):
+            ids = np.random.default_rng(seed + 50).permutation(3 * n)[:n].astype(np.int64)
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _fisher_yates(ids, ours)
+            want = scalar_fisher_yates(ids, theirs)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestMakeSplits:

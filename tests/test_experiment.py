@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,14 @@ from distillchain import (
     TraceRow,
     TrainConfig,
     aggregate_runs,
+    chain,
     derive_seed,
     emit_outputs,
     experiment,
+    filter_pseudo_labels,
     generate_synthetic,
+    load_model,
+    pseudo_label_pool,
     read_table,
     run_baseline_sweep,
     run_chain_experiment,
@@ -150,6 +156,15 @@ class TestBaselineSweep:
         text = (tmp_path / "out" / "runs.csv").read_text()
         assert "skipped:" in text
 
+    def test_training_blow_up_is_skipped_not_crashed(self, tmp_path):
+        blow_up = TrainConfig(learning_rate=1e300, max_epochs=3, steps_per_epoch=10)
+        cfg = tiny_config(tmp_path, arch_hidden=(4,), train=blow_up)
+        with np.errstate(all="ignore"):
+            summary = run_baseline_sweep(cfg)
+        assert len(summary.details) == 4
+        assert all(r.status.startswith("skipped: non-finite") for r in summary.details)
+        assert "skipped:" in (tmp_path / "out" / "runs.csv").read_text()
+
 
 class TestChainExperiment:
     def test_trace_counts_and_skips(self, tmp_path):
@@ -193,13 +208,41 @@ class TestChainExperiment:
                 tmp_path / "b" / "out" / name
             ).read_bytes()
 
-    def test_pseudo_label_dump(self, tmp_path):
-        cfg = tiny_config(tmp_path, fractions=(0.2,), runs=1, dump_pseudo_labels=True)
+    def test_pseudo_label_dump(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, fractions=(0.2,), runs=1, dump_pseudo_labels=True, save_models=True)
+        cfg = replace(cfg, chain=replace(cfg.chain, iterations=3))
+        calls = []
+
+        def counting_pool(params, pool):
+            calls.append(len(pool))
+            return pseudo_label_pool(params, pool)
+
+        for module in (chain, experiment):
+            monkeypatch.setattr(module, "pseudo_label_pool", counting_pool, raising=False)
         run_chain_experiment(cfg)
-        dump = tmp_path / "out" / "pseudo_0.2_0_iter1.csv"
-        assert dump.exists()
-        header = dump.read_text().splitlines()[0]
-        assert header == "sample_id,top_class,confidence,p0,p1,p2"
+        assert len(calls) == 3  # one relabelling per student; the dump reuses them
+
+        # Reference: relabel the pool with each saved chain member, as the
+        # dump did before students kept their pseudo-labels.
+        out = tmp_path / "out"
+        train, val, test = experiment.prepare_dataset(cfg)
+        split_seed = derive_seed(cfg.seed, experiment._ROLE_SPLIT, 0, 0)
+        splits, _, _ = experiment._normalized_splits(train, val, test, cfg, 0.2, split_seed)
+        for i in range(1, 4):
+            model, _ = load_model(out / f"model_0.2_0_iter{i - 1}.json")
+            labels = filter_pseudo_labels(
+                pseudo_label_pool(model, splits.pool), cfg.chain.distill, splits.pool.catalog
+            )
+            lines = ["sample_id,top_class,confidence,p0,p1,p2"] + [
+                f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
+                for sid, top, conf, soft in zip(
+                    labels.ids.tolist(), labels.top.tolist(),
+                    labels.confidence.tolist(), labels.soft.tolist(),
+                )
+            ]
+            dump = out / f"pseudo_0.2_0_iter{i}.csv"
+            assert dump.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert not (out / "pseudo_0.2_0_iter4.csv").exists()
 
     def test_model_checkpoints(self, tmp_path):
         cfg = tiny_config(tmp_path, fractions=(0.2,), runs=1, save_models=True)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from distillchain import (
     train_with_early_stopping,
     SplitSpec,
 )
-from distillchain.learner import ModelParams
+from distillchain.learner import EpochStats, ModelParams, TrainHistory
 
 from conftest import table_from
 
@@ -247,6 +249,151 @@ class TestTrainWithEarlyStopping:
             )
             best_acc, _ = evaluate(params, es)
             assert best_acc >= history.epochs[-1].early_stop_accuracy
+
+
+# ---------------------------------------------------------------------------
+# The per-step trainer the fused engine replaced, kept as the reference: every
+# step gathers its batch by index, builds fresh ModelParams and AdamState,
+# updates each layer's arrays separately and scores the step with the mean
+# cross-entropy as ndarray.mean computes it.
+
+
+def reference_forward_cached(params, x):
+    activations, pre_acts, h = [x], [], x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T + b
+        pre_acts.append(z)
+        if i < len(params.weights) - 1:
+            h = np.maximum(z, 0.0)
+            activations.append(h)
+    logits = pre_acts[-1]
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True), activations, pre_acts
+
+
+def reference_backprop(params, probs, targets, activations, pre_acts):
+    dz = (probs - targets) / probs.shape[0]
+    grad_w, grad_b = [None] * len(params.weights), [None] * len(params.biases)
+    for i in range(len(params.weights) - 1, -1, -1):
+        grad_w[i] = dz.T @ activations[i]
+        grad_b[i] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ params.weights[i]) * (pre_acts[i - 1] > 0.0)
+    return tuple(grad_w), tuple(grad_b)
+
+
+def reference_adam_update(params, grads, state, learning_rate):
+    t = state.t + 1
+    bc1 = 1.0 - 0.9**t
+    bc2 = 1.0 - 0.999**t
+
+    def step(theta, g, m, v):
+        m_new = 0.9 * m + (1.0 - 0.9) * g
+        v_new = 0.999 * v + (1.0 - 0.999) * (g * g)
+        theta_new = theta - learning_rate * (m_new / bc1) / (np.sqrt(v_new / bc2) + 1e-8)
+        if not np.all(np.isfinite(theta_new)):
+            raise NumericError("non-finite parameter update")
+        return theta_new, m_new, v_new
+
+    w = [step(*a) for a in zip(params.weights, grads[0], state.m_weights, state.v_weights)]
+    b = [step(*a) for a in zip(params.biases, grads[1], state.m_biases, state.v_biases)]
+    return (
+        ModelParams(arch=params.arch, weights=tuple(x[0] for x in w), biases=tuple(x[0] for x in b)),
+        AdamState(
+            m_weights=tuple(x[1] for x in w),
+            m_biases=tuple(x[1] for x in b),
+            v_weights=tuple(x[2] for x in w),
+            v_biases=tuple(x[2] for x in b),
+            t=t,
+        ),
+    )
+
+
+def reference_train(arch, features, targets, early_stop, config, init=None):
+    params = init if init is not None else init_params(arch, config.seed)
+    state = AdamState.zeros(params)
+    rng = np.random.default_rng(config.seed)
+    order, cursor = rng.permutation(len(features)), 0
+    best_params, best_acc, best_epoch, epochs, stale = params, -1.0, -1, [], 0
+    for epoch in range(config.max_epochs):
+        loss_sum = 0.0
+        for _ in range(config.steps_per_epoch):
+            take = []
+            while len(take) < config.batch_size:
+                if cursor == len(features):
+                    order, cursor = rng.permutation(len(features)), 0
+                take.append(order[cursor])
+                cursor += 1
+            xb, tb = features[take], targets[take]
+            probs, activations, pre_acts = reference_forward_cached(params, xb)
+            loss_sum += float(-(tb * np.log(np.maximum(probs, 1e-12))).sum(axis=1).mean())
+            grads = reference_backprop(params, probs, tb, activations, pre_acts)
+            params, state = reference_adam_update(params, grads, state, config.learning_rate)
+        mean_loss = loss_sum / config.steps_per_epoch
+        acc, _ = evaluate(params, early_stop)
+        epochs.append(EpochStats(epoch=epoch, train_loss=mean_loss, early_stop_accuracy=acc))
+        if acc > best_acc:
+            best_params, best_acc, best_epoch, stale = params, acc, epoch, 0
+        else:
+            stale += 1
+            if stale >= max(config.patience, 1):
+                break
+    return best_params, TrainHistory(epochs=tuple(epochs), best_epoch=best_epoch, best_accuracy=best_acc)
+
+
+def _three_class_problem(seed):
+    train, _, _ = generate_synthetic(classes=3, per_class=60, dim=5, spread=0.9, seed=seed)
+    splits = make_splits(train, SplitSpec(labelled_fraction=0.4, early_stop_fraction=0.1, seed=seed))
+    _, [lab, es] = normalize(splits.labelled, [splits.labelled, splits.early_stop])
+    return lab, es
+
+
+class TestMatchesPerStepReference:
+    @pytest.mark.parametrize("hidden", [(), (4,), (32, 16)])
+    @pytest.mark.parametrize(
+        "rows,max_epochs,patience,warm",
+        [
+            (None, 40, 2, False),  # stops by patience
+            (None, 6, 100, False),  # stops at max_epochs
+            (7, 5, 100, False),  # training set smaller than a batch
+            (None, 8, 100, True),  # continues from init=
+        ],
+    )
+    def test_bit_identical(self, hidden, rows, max_epochs, patience, warm):
+        lab, es = _three_class_problem(seed=len(hidden) + max_epochs)
+        x, t = lab.features[:rows], random_simplex(np.random.default_rng(3), (len(lab), 3))[:rows]
+        arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
+        cfg = TrainConfig(
+            learning_rate=3e-3, steps_per_epoch=15, max_epochs=max_epochs, patience=patience, seed=4
+        )
+        init = None
+        if warm:
+            init, _ = reference_train(arch, x, t, es, replace(cfg, max_epochs=2, seed=9))
+        got, got_history = train_with_early_stopping(arch, x, t, es, cfg, init=init)
+        want, want_history = reference_train(arch, x, t, es, cfg, init=init)
+        assert got_history == want_history
+        stopped_by_patience = len(got_history.epochs) < max_epochs
+        assert stopped_by_patience == (patience < max_epochs)
+        for a, b in zip((*got.weights, *got.biases), (*want.weights, *want.biases)):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mid_epoch_blow_up_raises(self):
+        lab, es = _three_class_problem(seed=0)
+        arch = ArchSpec(input_dim=5, hidden=(4,), output_dim=3)
+        cfg = TrainConfig(learning_rate=1e300, max_epochs=3, seed=0)
+        with pytest.raises(NumericError):
+            train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 3), es, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_weights_after_last_step_are_not_kept(self):
+        # the only step's loss is finite (it scores the initial weights), but
+        # an infinite learning rate leaves non-finite weights behind
+        lab, es = _three_class_problem(seed=0)
+        arch = ArchSpec(input_dim=5, hidden=(), output_dim=3)
+        cfg = TrainConfig(learning_rate=np.inf, steps_per_epoch=1, max_epochs=1, seed=0)
+        with pytest.raises(NumericError):
+            train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 3), es, cfg)
 
 
 class TestEvaluate:
