@@ -23,6 +23,7 @@ from .learner import (
     NumericError,
     TrainConfig,
     TrainHistory,
+    TrainJob,
     adam_update,
     backward,
     evaluate,
@@ -32,6 +33,7 @@ from .learner import (
     one_hot,
     save_model,
     soft_cross_entropy,
+    train_lockstep,
     train_with_early_stopping,
 )
 from .distill import (
@@ -49,6 +51,7 @@ from .chain import (
     ChainResult,
     IterationRecord,
     run_chain,
+    run_chains,
     select_best,
     train_student,
 )

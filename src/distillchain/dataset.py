@@ -86,6 +86,7 @@ class DataTable:
     features: np.ndarray
     labels: np.ndarray | None
     _hidden_labels: np.ndarray | None = field(default=None, repr=False)
+    _ascending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = np.ascontiguousarray(self.ids, dtype=np.int64)
@@ -98,8 +99,11 @@ class DataTable:
             raise ValueError("ids and features row counts differ")
         if ids.size and ids.min() < 0:
             raise ValueError("sample ids must be non-negative")
-        if np.unique(ids).size != ids.size:
+        # strictly ascending ids (the usual case) are unique without a sort
+        ascending = bool((ids[1:] > ids[:-1]).all())
+        if not ascending and np.unique(ids).size != ids.size:
             raise ValueError("sample ids must be unique within a table")
+        object.__setattr__(self, "_ascending", ascending)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "features", features)
         for attr in ("labels", "_hidden_labels"):
@@ -145,13 +149,15 @@ class DataTable:
         """Row index of each of ``ids``; raises ValueError naming the first
         id that is not in the table."""
         ids = np.asarray(ids, dtype=np.int64)
-        order = np.argsort(self.ids)
-        pos = np.searchsorted(self.ids, ids, sorter=order)
-        found = pos < order.size
-        found[found] = self.ids[order[pos[found]]] == ids[found]
+        order = None if self._ascending else np.argsort(self.ids)
+        rows = np.searchsorted(self.ids, ids, sorter=order)
+        found = rows < len(self)
+        if order is not None:
+            rows[found] = order[rows[found]]
+        found[found] = self.ids[rows[found]] == ids[found]
         if not found.all():
             raise ValueError(f"sample id {ids[~found][0]} not present in table")
-        return order[pos]
+        return rows
 
     def reveal_hidden_labels(self) -> np.ndarray:
         """Ground-truth labels of a hidden-label table, diagnostics only.

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainAborted, ChainConfig, run_chain
+from .chain import ChainAborted, ChainConfig, run_chains
 from .dataset import (
     DataTable,
     SplitResult,
@@ -26,7 +26,7 @@ from .dataset import (
     normalize,
     read_table,
 )
-from .learner import ArchSpec, TrainConfig, evaluate, one_hot, save_model, train_with_early_stopping
+from .learner import ArchSpec, TrainConfig, TrainJob, evaluate, one_hot, save_model, train_lockstep
 from .reports import (
     RunRow,
     RunSummary,
@@ -117,7 +117,9 @@ def derive_seed(master: int, *key: int) -> int:
 
 def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTable]:
     """Generate the synthetic tables (seeded from the master seed) or load
-    the configured CSV files."""
+    the configured CSV files, whose ``.classes`` sidecars must agree: labels
+    are encoded by catalog index, so a reordered catalog would silently
+    score validation or test labels as other classes."""
     if isinstance(cfg.source, SyntheticSpec):
         s = cfg.source
         return generate_synthetic(
@@ -127,11 +129,15 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
             spread=s.spread,
             seed=derive_seed(cfg.seed, _ROLE_DATASET),
         )
-    return (
-        read_table(cfg.source.train),
-        read_table(cfg.source.validation),
-        read_table(cfg.source.test),
-    )
+    files = cfg.source
+    tables = (read_table(files.train), read_table(files.validation), read_table(files.test))
+    for path, table in zip((files.validation, files.test), tables[1:]):
+        if table.catalog != tables[0].catalog:
+            raise ValueError(
+                f"class catalog of {path} ({','.join(table.catalog.names)}) differs from "
+                f"that of {files.train} ({','.join(tables[0].catalog.names)})"
+            )
+    return tables
 
 
 def _normalized_splits(
@@ -168,71 +174,99 @@ def _skip_reason(exc: Exception) -> str:
     return str(exc).replace(",", ";").replace("\n", " ")
 
 
-def _baseline_cell(
+def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
+    status = f"skipped: {_skip_reason(exc)}"
+    return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
+
+
+def _prepare_cells(dataset, cfg, cells, role, modes, outputs):
+    """Each (f_idx, run) cell's base rows, one per mode, seeded by ``role``,
+    and normalized splits; a cell whose split fails, or leaves a chain no
+    pool, gets its skip rows in ``outputs`` instead."""
+    train, val, test = dataset
+    prepared = []
+    for slot, (f_idx, run) in enumerate(cells):
+        fraction = cfg.fractions[f_idx]
+        seed = derive_seed(cfg.seed, role, f_idx, run)
+        bases = tuple(RunRow(mode=mode, fraction=fraction, run=run, seed=seed) for mode in modes)
+        try:
+            splits, nval, ntest = _normalized_splits(
+                train, val, test, cfg, fraction, derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run)
+            )
+            if role == _ROLE_CHAIN and len(splits.pool) == 0:
+                raise ValueError("empty pool")
+        except ValueError as exc:
+            outputs[slot] = _skipped(bases, exc)
+            continue
+        prepared.append((slot, bases, splits, nval, ntest))
+    return prepared
+
+
+def _baseline_cells(
     dataset: tuple[DataTable, DataTable, DataTable],
     cfg: ExperimentConfig,
-    f_idx: int,
-    run: int,
-) -> _CellOutput:
-    train, val, test = dataset
-    fraction = cfg.fractions[f_idx]
-    train_seed = derive_seed(cfg.seed, _ROLE_TRAIN, f_idx, run)
-    base = RunRow(mode="baseline", fraction=fraction, run=run, seed=train_seed)
-    try:
-        splits, nval, ntest = _normalized_splits(
-            train, val, test, cfg, fraction, derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run)
-        )
-    except ValueError as exc:
-        return _CellOutput(rows=(replace(base, status=f"skipped: {_skip_reason(exc)}"),))
-
+    cells: list[tuple[int, int]],
+) -> list[_CellOutput]:
+    """Baseline (f_idx, run) cells, every trainable one in one lockstep
+    group; a cell whose split or training fails becomes a skip row."""
+    train = dataset[0]
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    lab = splits.labelled
-    try:
-        params, _ = train_with_early_stopping(
-            arch,
-            lab.features,
-            one_hot(lab.labels, arch.output_dim),
+    outputs: list[_CellOutput | None] = [None] * len(cells)
+    prepared = _prepare_cells(dataset, cfg, cells, _ROLE_TRAIN, ("baseline",), outputs)
+    jobs = [
+        TrainJob(
+            splits.labelled.features,
+            one_hot(splits.labelled.labels, arch.output_dim),
             splits.early_stop,
-            replace(cfg.train, seed=train_seed),
+            replace(cfg.train, seed=bases[0].seed),
         )
-    except (ValueError, ArithmeticError) as exc:
-        return _CellOutput(rows=(replace(base, status=f"skipped: {_skip_reason(exc)}"),))
-    val_acc, _ = evaluate(params, nval)
-    test_acc, confusion = evaluate(params, ntest)
-    row = replace(base, val_accuracy=val_acc, test_accuracy=test_acc)
-    return _CellOutput(rows=(row,), confusions=((fraction, run, confusion),))
+        for _, bases, splits, _, _ in prepared
+    ]
+    for (slot, bases, _, nval, ntest), outcome in zip(prepared, train_lockstep(arch, jobs)):
+        if isinstance(outcome, Exception):
+            outputs[slot] = _skipped(bases, outcome)
+            continue
+        params, _ = outcome
+        val_acc, _ = evaluate(params, nval)
+        test_acc, confusion = evaluate(params, ntest)
+        row = replace(bases[0], val_accuracy=val_acc, test_accuracy=test_acc)
+        outputs[slot] = _CellOutput(rows=(row,), confusions=((row.fraction, row.run, confusion),))
+    return outputs
 
 
-def _chain_cell(
+def _chain_cells(
     dataset: tuple[DataTable, DataTable, DataTable],
     cfg: ExperimentConfig,
-    f_idx: int,
-    run: int,
-) -> _CellOutput:
-    train, val, test = dataset
-    fraction = cfg.fractions[f_idx]
-    chain_seed = derive_seed(cfg.seed, _ROLE_CHAIN, f_idx, run)
-    bases = tuple(
-        RunRow(mode=mode, fraction=fraction, run=run, seed=chain_seed)
-        for mode in ("chain_best", "chain_final")
-    )
-    try:
-        splits, nval, ntest = _normalized_splits(
-            train, val, test, cfg, fraction, derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run)
-        )
-        if len(splits.pool) == 0:
-            raise ValueError("empty pool")
-    except ValueError as exc:
-        status = f"skipped: {_skip_reason(exc)}"
-        return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
-
+    cells: list[tuple[int, int]],
+) -> list[_CellOutput]:
+    """Chain (f_idx, run) cells, every one with a pool advanced together by
+    ``run_chains``; a cell whose split or chain fails becomes skip rows."""
+    train = dataset[0]
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    try:
-        result = run_chain(splits, nval, ntest, arch, replace(cfg.chain, seed=chain_seed))
-    except ChainAborted as exc:
-        status = f"skipped: {_skip_reason(exc)}"
-        return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
+    outputs: list[_CellOutput | None] = [None] * len(cells)
+    prepared = _prepare_cells(
+        dataset, cfg, cells, _ROLE_CHAIN, ("chain_best", "chain_final"), outputs
+    )
+    results = run_chains(
+        [(splits, nval, ntest) for _, _, splits, nval, ntest in prepared],
+        arch,
+        [replace(cfg.chain, seed=bases[0].seed) for _, bases, _, _, _ in prepared],
+        keep_pseudo_labels=cfg.dump_pseudo_labels,
+    )
+    for (slot, bases, splits, _, _), result in zip(prepared, results):
+        if isinstance(result, ChainAborted):
+            outputs[slot] = _skipped(bases, result)
+            continue
+        if isinstance(result, Exception):
+            raise result
+        outputs[slot] = _chain_output(cfg, bases, splits, result)
+    return outputs
 
+
+def _chain_output(cfg, bases, splits, result) -> _CellOutput:
+    """Rows, traces and the best member's confusion of one finished chain,
+    plus its optional files."""
+    fraction, run = bases[0].fraction, bases[0].run
     best = result.records[result.best_iteration]
     final = result.records[-1]
     rows = (
@@ -301,30 +335,32 @@ def _init_worker(cfg: ExperimentConfig) -> None:
     _WORKER_DATASET = prepare_dataset(cfg)
 
 
-def _run_worker_cell(task: tuple[str, int, int]) -> _CellOutput:
-    mode, f_idx, run = task
+def _cell_group(mode: str):
+    return _baseline_cells if mode == "baseline" else _chain_cells
+
+
+def _run_worker_group(task: tuple[str, list[tuple[int, int]]]) -> list[_CellOutput]:
+    mode, cells = task
     assert _WORKER_CFG is not None and _WORKER_DATASET is not None
-    cell = _baseline_cell if mode == "baseline" else _chain_cell
-    return cell(_WORKER_DATASET, _WORKER_CFG, f_idx, run)
+    return _cell_group(mode)(_WORKER_DATASET, _WORKER_CFG, cells)
 
 
 def _execute_cells(
     cfg: ExperimentConfig, mode: str, dataset: tuple[DataTable, DataTable, DataTable]
 ) -> list[_CellOutput]:
-    """Run every (fraction, run) cell; at jobs > 1 each worker loads its own
-    copy of the dataset instead of receiving ``dataset``."""
-    tasks = [
-        (mode, f_idx, run)
-        for f_idx in range(len(cfg.fractions))
-        for run in range(cfg.runs)
-    ]
+    """Run every (fraction, run) cell as lockstep groups: one group at
+    jobs = 1, otherwise one contiguous group per worker, each worker loading
+    its own copy of the dataset instead of receiving ``dataset``."""
+    cells = [(f_idx, run) for f_idx in range(len(cfg.fractions)) for run in range(cfg.runs)]
     if cfg.jobs == 1:
-        cell = _baseline_cell if mode == "baseline" else _chain_cell
-        return [cell(dataset, cfg, f_idx, run) for _, f_idx, run in tasks]
+        return _cell_group(mode)(dataset, cfg, cells)
+    groups = min(cfg.jobs, len(cells))
+    bounds = [len(cells) * g // groups for g in range(groups + 1)]
+    tasks = [(mode, cells[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(
-        max_workers=cfg.jobs, initializer=_init_worker, initargs=(cfg,)
+        max_workers=groups, initializer=_init_worker, initargs=(cfg,)
     ) as pool:
-        return list(pool.map(_run_worker_cell, tasks))
+        return [out for outputs in pool.map(_run_worker_group, tasks) for out in outputs]
 
 
 def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:

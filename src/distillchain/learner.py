@@ -8,7 +8,8 @@ and accuracy-based early stopping with best-epoch weight selection.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,14 +148,18 @@ def _param_count(arch: ArchSpec) -> int:
 def _layer_views(
     arch: ArchSpec, flat: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer weight and bias views into one flat buffer, laid out layer
-    by layer as the row-major weights followed by the bias."""
+    """Per-layer weight and bias views into one flat buffer (P,), or into
+    each row of a stack of them (K, P), laid out layer by layer as the
+    row-major weights followed by the bias."""
+    lead = flat.shape[:-1]
     weights, biases = [], []
     offset = 0
     for fan_out, fan_in in arch.layer_dims:
-        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        weights.append(
+            flat[..., offset : offset + fan_out * fan_in].reshape(*lead, fan_out, fan_in)
+        )
         offset += fan_out * fan_in
-        biases.append(flat[offset : offset + fan_out])
+        biases.append(flat[..., offset : offset + fan_out])
         offset += fan_out
     return tuple(weights), tuple(biases)
 
@@ -173,27 +178,38 @@ def _params_view(arch: ArchSpec, flat: np.ndarray) -> ModelParams:
     return ModelParams(arch=arch, weights=weights, biases=biases)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in ``logits``."""
+    # ufunc reductions: what ndarray.max and .sum call, minus their wrappers
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
 
 
 def _forward_cached(
-    params: ModelParams, x: np.ndarray
+    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Probabilities plus the activations and pre-activations backprop needs."""
+    """Probabilities plus the activations and the hidden pre-activations
+    backprop needs; the output layer's pre-activation becomes the
+    probabilities in place.
+
+    Takes one model's 2-D weights and a (rows, in) batch, or a stack of K
+    models' (K, out, in) weights, (K, 1, out) biases and a (K, rows, in)
+    batch; a stacked matmul gives each model the bits of its own 2-D one.
+    """
     activations = [x]
     pre_acts = []
     h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = h @ w.mT
+        z += b
         pre_acts.append(z)
         if i < last:
             h = np.maximum(z, 0.0)
             activations.append(h)
-    return _softmax(pre_acts[-1]), activations, pre_acts
+    return _softmax_inplace(pre_acts[-1]), activations, pre_acts
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -205,16 +221,18 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    probs, _, _ = _forward_cached(params, x)
+    probs, _, _ = _forward_cached(params.weights, params.biases, x)
     return probs
 
 
-def _cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
+def _cross_entropy(probs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy over the rows of the last two axes: a 0-d array
+    for one batch, one value per model for a stack of batches."""
     logs = np.log(np.maximum(probs, LOG_CLAMP))
-    per_row = (target * logs).sum(axis=1)
+    per_row = np.add.reduce(target * logs, axis=-1)
     # the mean of per_row exactly as ndarray.mean computes it, minus its
     # call overhead
-    return float(-(np.add.reduce(per_row) / per_row.shape[0]))
+    return -(np.add.reduce(per_row, axis=-1) / per_row.shape[-1])
 
 
 def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
@@ -224,11 +242,11 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if p.shape != t.shape:
         raise ValueError(f"probs shape {p.shape} does not match target shape {t.shape}")
-    return _cross_entropy(p, t)
+    return float(_cross_entropy(p, t))
 
 
 def _backprop_into(
-    params: ModelParams,
+    weights: Sequence[np.ndarray],
     probs: np.ndarray,
     targets: np.ndarray,
     activations: list[np.ndarray],
@@ -237,13 +255,14 @@ def _backprop_into(
     grad_b: tuple[np.ndarray, ...],
 ) -> None:
     """Backprop kernel: writes the gradient of the mean soft cross-entropy
-    into the per-layer ``grad_w``/``grad_b`` views."""
-    dz = (probs - targets) / probs.shape[0]
-    for i in range(len(params.weights) - 1, -1, -1):
-        np.matmul(dz.T, activations[i], out=grad_w[i])
-        np.add.reduce(dz, axis=0, out=grad_b[i])
+    into the per-layer ``grad_w``/``grad_b`` views, for one model or, with
+    a leading model axis on every array, for a stack of them."""
+    dz = (probs - targets) / probs.shape[-2]
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(dz.mT, activations[i], out=grad_w[i])
+        np.add.reduce(dz, axis=-2, out=grad_b[i])
         if i > 0:
-            dz = (dz @ params.weights[i]) * (pre_acts[i - 1] > 0.0)
+            dz = (dz @ weights[i]) * (pre_acts[i - 1] > 0.0)
 
 
 def backward(
@@ -255,10 +274,10 @@ def backward(
     if t.shape != (x.shape[0], params.arch.output_dim):
         raise ValueError("targets shape does not match batch and output dim")
 
-    probs, activations, pre_acts = _forward_cached(params, x)
+    probs, activations, pre_acts = _forward_cached(params.weights, params.biases, x)
     grad = np.empty(_param_count(params.arch), dtype=np.float64)
     grad_w, grad_b = _layer_views(params.arch, grad)
-    _backprop_into(params, probs, t, activations, pre_acts, grad_w, grad_b)
+    _backprop_into(params.weights, probs, t, activations, pre_acts, grad_w, grad_b)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     return grad_w, grad_b
@@ -273,7 +292,7 @@ def _adam_step(
     learning_rate: float,
 ) -> None:
     """Adam kernel: step ``t`` (from 1) with bias correction, updating the
-    flat ``theta``, ``m`` and ``v`` buffers in place."""
+    flat (or stacked flat) ``theta``, ``m`` and ``v`` buffers in place."""
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     m *= ADAM_BETA1
@@ -316,16 +335,17 @@ class _BatchStream:
     """Endless minibatch index stream: seeded shuffle, reshuffled on
     exhaustion, so small datasets are revisited within one epoch."""
 
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
+    def __init__(self, n: int, rng: np.random.Generator):
         self.n = n
-        self.batch_size = batch_size
         self.rng = rng
         self.order = rng.permutation(n)
         self.cursor = 0
 
-    def next_batch(self) -> np.ndarray:
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` row indices; reshuffles only when more rows
+        are needed, so any split of a run of draws gives the same rows."""
         take: list[np.ndarray] = []
-        need = self.batch_size
+        need = count
         while need > 0:
             if self.cursor == self.n:
                 self.order = self.rng.permutation(self.n)
@@ -337,6 +357,189 @@ class _BatchStream:
         return np.concatenate(take) if len(take) > 1 else take[0]
 
 
+@dataclass(frozen=True)
+class TrainJob:
+    """One model to train: features, soft targets, the early-stop table, the
+    optimization settings, and the starting weights (a fresh seeded init
+    from ``config.seed`` when ``init`` is None).
+
+    Training example i is ``features[i]`` with ``targets[i]``, or, when
+    ``rows`` is given, ``features[rows[i]]`` with ``targets[i]``: a job can
+    train on rows of a shared table without a copy of them.
+    """
+
+    features: np.ndarray
+    targets: np.ndarray
+    early_stop: DataTable
+    config: TrainConfig
+    init: ModelParams | None = None
+    rows: np.ndarray | None = None
+
+
+TrainOutcome = tuple[ModelParams, TrainHistory] | ValueError | ArithmeticError
+
+# Steps whose minibatches are gathered in one call per member: fewer calls
+# per step, with a gather buffer that stays small whatever the epoch size.
+_GATHER_STEPS = 16
+
+
+class _Member:
+    """One model of a lockstep group: its validated data, start weights,
+    batch stream and early-stop record."""
+
+    def __init__(self, slot: int, arch: ArchSpec, job: TrainJob):
+        x = np.asarray(job.features, dtype=np.float64)
+        t = np.asarray(job.targets, dtype=np.float64)
+        rows = None if job.rows is None else np.asarray(job.rows, dtype=np.int64)
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ValueError("training features must be a non-empty 2-D array")
+        if x.shape[1] != arch.input_dim:
+            raise ValueError(
+                f"feature dim {x.shape[1]} does not match model input {arch.input_dim}"
+            )
+        if rows is not None and (
+            rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= x.shape[0]
+        ):
+            raise ValueError("rows must be a non-empty 1-D array of feature rows")
+        n = x.shape[0] if rows is None else rows.shape[0]
+        if t.shape != (n, arch.output_dim):
+            raise ValueError("targets shape does not match features and output dim")
+        if not job.early_stop.fully_labelled:
+            raise ValueError("early-stop table must be labelled")
+        init = job.init if job.init is not None else init_params(arch, job.config.seed)
+        if init.arch != arch:
+            raise ValueError("initial params do not match the architecture")
+        self.slot = slot
+        self.x, self.t, self.rows = x, t, rows
+        self.early_stop = job.early_stop
+        self.init = init
+        self.stream = _BatchStream(n, np.random.default_rng(job.config.seed))
+        self.epochs: list[EpochStats] = []
+        self.best_acc = -1.0
+        self.best_epoch = -1
+        self.stale = 0
+
+    def epoch_rows(self, steps: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next epoch's (steps, batch) rows of the features and of the
+        targets."""
+        examples = self.stream.take(steps * batch).reshape(steps, batch)
+        return (examples if self.rows is None else self.rows.take(examples)), examples
+
+    def history(self) -> TrainHistory:
+        return TrainHistory(
+            epochs=tuple(self.epochs), best_epoch=self.best_epoch, best_accuracy=self.best_acc
+        )
+
+
+def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcome]:
+    """Train one model per job in lockstep; each comes out bit-identical,
+    weights and history, to training it alone.
+
+    Params, grads and Adam moments live in one (K, P) buffer each, with
+    per-layer 3-D views; every step runs one stacked forward, backprop and
+    Adam update for all K members, which share the step counter. Each member
+    keeps its own batch stream, early-stop table and best-epoch copy, and
+    leaves the group, which is then compacted, when it stops by patience or
+    when its epoch fails (non-finite loss or params: NumericError). The
+    outcome per job is ``(params, history)`` or the ValueError/ArithmeticError
+    that ended that job alone. All jobs must share their TrainConfig except
+    ``seed``.
+
+    Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
+    once ``patience`` consecutive epochs fail to improve the early-stop
+    accuracy, or at ``max_epochs``; the weights of the best epoch are kept.
+    Finiteness is checked once per epoch, on the mean loss and the params,
+    before the epoch is evaluated or kept.
+    """
+    if not jobs:
+        return []
+    config = jobs[0].config
+    if any(replace(job.config, seed=config.seed) != config for job in jobs):
+        raise ValueError("lockstep jobs must share their TrainConfig except seed")
+    outcomes: list[TrainOutcome | None] = [None] * len(jobs)
+    members: list[_Member] = []
+    for slot, job in enumerate(jobs):
+        try:
+            members.append(_Member(slot, arch, job))
+        except ValueError as exc:
+            outcomes[slot] = exc
+    if config.max_epochs == 0:
+        for member in members:
+            outcomes[member.slot] = (member.init, TrainHistory())
+        return outcomes
+
+    steps, batch = config.steps_per_epoch, config.batch_size
+    theta = np.stack([_flatten(arch, mb.init.weights, mb.init.biases) for mb in members])
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    best = np.empty_like(theta)
+    step = 0
+    for epoch in range(config.max_epochs):
+        # Views into this epoch's buffers, which shrink when members leave;
+        # a lone member runs on plain 2-D views, which cost less per call.
+        k = len(members)
+        grad = np.empty_like(theta)
+        if k == 1:
+            weights, biases = _layer_views(arch, theta[0])
+            grad_w, grad_b = _layer_views(arch, grad[0])
+        else:
+            weights, biases = _layer_views(arch, theta)
+            biases = tuple(b[:, None, :] for b in biases)
+            grad_w, grad_b = _layer_views(arch, grad)
+        rows = [mb.epoch_rows(steps, batch) for mb in members]
+        chunk = min(steps, _GATHER_STEPS)
+        xs = np.empty((chunk, k, batch, arch.input_dim))
+        ts = np.empty((chunk, k, batch, arch.output_dim))
+        loss_sum = np.zeros(k)
+        for s in range(steps):
+            c = s % chunk
+            if c == 0:
+                n = min(chunk, steps - s)
+                for j, (mb, (x_rows, t_rows)) in enumerate(zip(members, rows)):
+                    # mode="clip" spares take() the buffered copy it makes
+                    # for out= under mode="raise"; all rows are in range
+                    mb.x.take(x_rows[s : s + n], 0, out=xs[:n, j], mode="clip")
+                    mb.t.take(t_rows[s : s + n], 0, out=ts[:n, j], mode="clip")
+            xb, tb = (xs[c, 0], ts[c, 0]) if k == 1 else (xs[c], ts[c])
+            probs, activations, pre_acts = _forward_cached(weights, biases, xb)
+            loss_sum += _cross_entropy(probs, tb)
+            _backprop_into(weights, probs, tb, activations, pre_acts, grad_w, grad_b)
+            step += 1
+            _adam_step(theta, grad, m, v, step, config.learning_rate)
+        mean_loss = loss_sum / steps
+
+        staying = []
+        for k, mb in enumerate(members):
+            try:
+                if not np.isfinite(mean_loss[k]):
+                    raise NumericError(f"non-finite training loss at epoch {epoch}")
+                if not np.isfinite(theta[k]).all():
+                    raise NumericError(f"non-finite parameters at epoch {epoch}")
+                acc, _ = evaluate(_params_view(arch, theta[k]), mb.early_stop)
+            except (ValueError, ArithmeticError) as exc:
+                outcomes[mb.slot] = exc
+                continue
+            mb.epochs.append(
+                EpochStats(epoch=epoch, train_loss=float(mean_loss[k]), early_stop_accuracy=acc)
+            )
+            if acc > mb.best_acc:
+                np.copyto(best[k], theta[k])
+                mb.best_acc, mb.best_epoch = acc, epoch
+                mb.stale = 0
+            else:
+                mb.stale += 1
+            if mb.stale >= max(config.patience, 1) or epoch == config.max_epochs - 1:
+                outcomes[mb.slot] = (_params_view(arch, best[k].copy()), mb.history())
+            else:
+                staying.append(k)
+        if not staying:
+            break
+        if len(staying) < len(members):
+            members = [members[k] for k in staying]
+            theta, m, v, best = theta[staying], m[staying], v[staying], best[staying]
+    return outcomes
+
+
 def train_with_early_stopping(
     arch: ArchSpec,
     features: np.ndarray,
@@ -346,79 +549,19 @@ def train_with_early_stopping(
     init: ModelParams | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Train on (features, soft targets), keeping the weights of the epoch
-    with the best hard accuracy on ``early_stop``.
+    with the best hard accuracy on ``early_stop``: the one-model case of
+    :func:`train_lockstep`, raising its error instead of returning it.
 
     Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
     once ``patience`` consecutive epochs fail to improve the early-stop
     accuracy, or at ``max_epochs``. When ``init`` is given, training continues
-    from those weights instead of a fresh seeded initialization.
-
-    The model lives in flat buffers (params, grads, Adam moments) that the
-    backprop and Adam kernels update in place, so a step builds no objects.
-    Finiteness is checked once per epoch, on the mean loss and the params,
-    before the epoch is evaluated or kept; a blow-up raises NumericError.
+    from those weights instead of a fresh seeded initialization. A blow-up
+    raises NumericError.
     """
-    x = np.asarray(features, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("training features must be a non-empty 2-D array")
-    if t.shape != (x.shape[0], arch.output_dim):
-        raise ValueError("targets shape does not match features and output dim")
-    if not early_stop.fully_labelled:
-        raise ValueError("early-stop table must be labelled")
-
-    params = init if init is not None else init_params(arch, config.seed)
-    if params.arch != arch:
-        raise ValueError("initial params do not match the architecture")
-    if config.max_epochs == 0:
-        return params, TrainHistory()
-
-    theta = _flatten(arch, params.weights, params.biases)
-    grad = np.zeros_like(theta)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    best = np.empty_like(theta)
-    live = _params_view(arch, theta)
-    grad_w, grad_b = _layer_views(arch, grad)
-    stream = _BatchStream(x.shape[0], config.batch_size, np.random.default_rng(config.seed))
-
-    best_acc = -1.0
-    best_epoch = -1
-    epochs: list[EpochStats] = []
-    stale = 0
-    step = 0
-    for epoch in range(config.max_epochs):
-        loss_sum = 0.0
-        for _ in range(config.steps_per_epoch):
-            idx = stream.next_batch()
-            # ndarray.take gathers the same rows as x[idx] at a fraction of
-            # the call overhead
-            xb, tb = x.take(idx, 0), t.take(idx, 0)
-            probs, activations, pre_acts = _forward_cached(live, xb)
-            loss_sum += _cross_entropy(probs, tb)
-            _backprop_into(live, probs, tb, activations, pre_acts, grad_w, grad_b)
-            step += 1
-            _adam_step(theta, grad, m, v, step, config.learning_rate)
-        mean_loss = loss_sum / config.steps_per_epoch
-        if not np.isfinite(mean_loss):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
-        if not np.isfinite(theta).all():
-            raise NumericError(f"non-finite parameters at epoch {epoch}")
-        acc, _ = evaluate(live, early_stop)
-        epochs.append(EpochStats(epoch=epoch, train_loss=mean_loss, early_stop_accuracy=acc))
-        if acc > best_acc:
-            np.copyto(best, theta)
-            best_acc, best_epoch = acc, epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= max(config.patience, 1):
-                break
-
-    history = TrainHistory(
-        epochs=tuple(epochs), best_epoch=best_epoch, best_accuracy=best_acc
-    )
-    return _params_view(arch, best), history
+    (outcome,) = train_lockstep(arch, [TrainJob(features, targets, early_stop, config, init)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def evaluate(params: ModelParams, table: DataTable) -> tuple[float, np.ndarray]:

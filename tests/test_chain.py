@@ -16,10 +16,14 @@ from distillchain import (
     normalize,
     one_hot,
     run_chain,
+    run_chains,
     select_best,
     train_student,
     train_with_early_stopping,
     evaluate,
+    filter_pseudo_labels,
+    pseudo_label_pool,
+    pseudo_label_quality,
 )
 
 
@@ -198,3 +202,102 @@ class TestRunChain:
         assert len(excinfo.value.records) == 1  # the teacher survived
         assert excinfo.value.records[0].iteration == 0
 
+
+
+def assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.iteration, a.val_accuracy, a.test_accuracy, a.pseudo_count, a.pseudo_agreement) == (
+            b.iteration, b.val_accuracy, b.test_accuracy, b.pseudo_count, b.pseudo_agreement
+        )
+        assert np.array_equal(a.confusion, b.confusion)
+        for x, y in zip((*a.model.weights, *a.model.biases), (*b.model.weights, *b.model.biases)):
+            assert np.array_equal(x, y)
+        assert (a.pseudo_labels is None) == (b.pseudo_labels is None)
+        if a.pseudo_labels is not None:
+            assert np.array_equal(a.pseudo_labels.ids, b.pseudo_labels.ids)
+            assert np.array_equal(a.pseudo_labels.soft, b.pseudo_labels.soft)
+
+
+def reference_chain_records(splits, validation, test, arch, cfg):
+    """The chain loop as it ran one cell at a time before lockstep: a
+    teacher, then per iteration pseudo-labels, filtering and one student."""
+    from dataclasses import replace
+
+    seeds = [cfg.seed + i for i in range(cfg.iterations + 1)]
+    lab = splits.labelled
+    model, _ = train_with_early_stopping(
+        arch, lab.features, one_hot(lab.labels, arch.output_dim), splits.early_stop,
+        replace(cfg.finetune, seed=seeds[0]),
+    )
+    records = []
+    labels, agreement = None, None
+    for i in range(cfg.iterations + 1):
+        if i > 0:
+            raw = pseudo_label_pool(model, splits.pool)
+            labels = filter_pseudo_labels(raw, cfg.distill, splits.pool.catalog)
+            agreement = pseudo_label_quality(labels, splits.pool)[0]
+            model = train_student(arch, labels, splits, cfg, student_seed=seeds[i], warm_start=model)
+        val_acc, _ = evaluate(model, validation)
+        test_acc, confusion = evaluate(model, test)
+        records.append(IterationRecord(
+            iteration=i, val_accuracy=val_acc, test_accuracy=test_acc,
+            pseudo_count=0 if labels is None else len(labels), pseudo_agreement=agreement,
+            confusion=confusion, model=model, pseudo_labels=labels,
+        ))
+    return records
+
+
+class TestRunChains:
+    @staticmethod
+    def cells(hidden=()):
+        cells, cfgs = [], []
+        for seed, labelled in ((11, 0.05), (12, 0.2), (13, 0.1)):
+            splits, nval, ntest, arch = small_problem(seed=seed, labelled=labelled, spread=0.6)
+            cells.append((splits, nval, ntest))
+            cfgs.append(quick_chain_config(iterations=3, seed=seed, per_class_cap=20))
+        return cells, ArchSpec(input_dim=3, hidden=hidden, output_dim=3), cfgs
+
+    @pytest.mark.parametrize("hidden", [(), (8,)])
+    def test_equals_one_run_chain_per_cell(self, hidden):
+        cells, arch, cfgs = self.cells(hidden)
+        results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
+        for (splits, nval, ntest), cfg, got in zip(cells, cfgs, results):
+            want = run_chain(splits, nval, ntest, arch, cfg)
+            assert (got.best_iteration, got.seeds, got.config) == (
+                want.best_iteration, want.seeds, want.config
+            )
+            assert_same_records(got.records, want.records)
+            assert_same_records(
+                got.records, reference_chain_records(splits, nval, ntest, arch, cfg)
+            )
+
+    def test_pseudo_labels_kept_only_on_request(self):
+        cells, arch, cfgs = self.cells()
+        kept = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
+        dropped = run_chains(cells, arch, cfgs)
+        for a, b in zip(kept, dropped):
+            assert all(rec.pseudo_labels is None for rec in b.records)
+            assert all(rec.pseudo_labels is not None for rec in a.records[1:])
+            assert [r.pseudo_count for r in a.records] == [r.pseudo_count for r in b.records]
+
+    def test_failing_cell_aborts_alone(self):
+        cells, arch, cfgs = self.cells()
+        empty_pool = small_problem(seed=8, labelled=1.0)[:3]
+        cells.insert(1, empty_pool)
+        cfgs.insert(1, quick_chain_config(iterations=3, seed=8, per_class_cap=20))
+        results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
+        with pytest.raises(ChainAborted) as alone:
+            run_chain(*empty_pool, arch, cfgs[1])
+        assert isinstance(results[1], ChainAborted)
+        assert str(results[1]) == str(alone.value)
+        assert_same_records(results[1].records, alone.value.records)
+        for j in (0, 2, 3):
+            want = run_chain(*cells[j], arch, cfgs[j])
+            assert_same_records(results[j].records, want.records)
+
+    def test_cells_must_share_config_except_seed(self):
+        cells, arch, cfgs = self.cells()
+        cfgs[2] = ChainConfig(iterations=1, seed=13)
+        with pytest.raises(ValueError, match="except seed"):
+            run_chains(cells, arch, cfgs)

@@ -39,6 +39,36 @@ class TestDataTable:
         with pytest.raises(ValueError, match="unique"):
             table_from(two_class_catalog, [[0.0], [1.0]], labels=[0, 1], ids=[3, 3])
 
+    @pytest.mark.parametrize("ids", [[1, 2, 2, 3], [3, 1, 3], [5, 5], [4, 0, 9, 0]])
+    def test_rejects_duplicates_sorted_or_not(self, two_class_catalog, ids):
+        with pytest.raises(ValueError, match="unique"):
+            table_from(two_class_catalog, np.zeros((len(ids), 1)), ids=ids)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_rows_of_matches_argsort_lookup(self, two_class_catalog, ascending):
+        # reference: the argsort + searchsorted lookup every table used to do
+        def reference_rows_of(table_ids, ids):
+            order = np.argsort(table_ids)
+            pos = np.searchsorted(table_ids, ids, sorter=order)
+            found = pos < order.size
+            found[found] = table_ids[order[pos[found]]] == ids[found]
+            return order[pos], found
+
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 2, 50):
+            ids = np.sort(rng.choice(200, size=n, replace=False))
+            if not ascending:
+                ids = rng.permutation(ids)
+            table = table_from(two_class_catalog, np.zeros((n, 1)), ids=ids)
+            queries = rng.permutation(table.ids.copy())[: n // 2]
+            want, found = reference_rows_of(table.ids, queries)
+            assert found.all()
+            assert np.array_equal(table.rows_of(queries), want)
+            assert np.array_equal(table.ids[table.rows_of(queries)], queries)
+            for unknown in (-1, 200, *np.setdiff1d(np.arange(200), ids)[:3]):
+                with pytest.raises(ValueError, match=f"sample id {unknown} not present"):
+                    table.rows_of(np.append(queries, unknown))
+
     def test_rejects_out_of_range_labels(self, two_class_catalog):
         with pytest.raises(ValueError):
             table_from(two_class_catalog, [[0.0]], labels=[2])

@@ -129,6 +129,33 @@ def test_files_source_reads_each_table_once(tmp_path, monkeypatch, sweep):
     assert sorted(calls) == sorted(paths)
 
 
+def test_mismatched_class_sidecars_are_rejected(tmp_path):
+    paths = [str(tmp_path / f"{name}.csv") for name in ("train", "validation", "test")]
+    for path, table in zip(paths, generate_synthetic(3, 40, 3, 0.4, seed=11)):
+        write_table(path, table)
+    (tmp_path / "validation.classes").write_text("c2,c1,c0\n", encoding="utf-8")
+    cfg = tiny_config(tmp_path, source=DataFiles(*paths))
+    with pytest.raises(ValueError) as excinfo:
+        experiment.prepare_dataset(cfg)
+    assert paths[0] in str(excinfo.value) and paths[1] in str(excinfo.value)
+
+
+@pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
+def test_lockstep_groups_do_not_change_bytes(tmp_path, sweep):
+    # jobs = 1 trains all six cells as one lockstep group, jobs = 2 and 3 as
+    # contiguous groups of three and of two
+    written = {}
+    for jobs in (1, 2, 3):
+        cfg = tiny_config(tmp_path / str(jobs), fractions=(0.1, 0.2, 1.0), runs=2, jobs=jobs)
+        sweep(cfg)
+        out = tmp_path / str(jobs) / "out"
+        written[jobs] = {
+            p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "config_resolved.cfg"
+        }
+    assert "runs.csv" in written[1] and "confusion_0.1_1.csv" in written[1]
+    assert written[1] == written[2] == written[3]
+
+
 class TestBaselineSweep:
     def test_full_fraction_trains_and_counts(self, tmp_path):
         cfg = tiny_config(tmp_path)

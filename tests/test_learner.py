@@ -26,7 +26,7 @@ from distillchain import (
     train_with_early_stopping,
     SplitSpec,
 )
-from distillchain.learner import EpochStats, ModelParams, TrainHistory
+from distillchain.learner import EpochStats, ModelParams, TrainHistory, TrainJob, train_lockstep
 
 from conftest import table_from
 
@@ -394,6 +394,108 @@ class TestMatchesPerStepReference:
         cfg = TrainConfig(learning_rate=np.inf, steps_per_epoch=1, max_epochs=1, seed=0)
         with pytest.raises(NumericError):
             train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 3), es, cfg)
+
+
+def assert_same_params(got, want):
+    for a, b in zip((*got.weights, *got.biases), (*want.weights, *want.biases), strict=True):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestLockstep:
+    """train_lockstep against one separate run of the per-step reference
+    trainer per member."""
+
+    @staticmethod
+    def jobs(hidden, k):
+        arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
+        cfg = TrainConfig(learning_rate=3e-3, steps_per_epoch=15, max_epochs=12, patience=2)
+        jobs = []
+        for j in range(k):
+            lab, es = _three_class_problem(seed=10 + j)
+            rows = 7 if j == 1 else None  # fewer rows than a batch
+            x = lab.features[:rows]
+            t = random_simplex(np.random.default_rng(j), (len(lab), 3))[:rows]
+            init = None
+            if j == 2:  # continues from init=
+                init, _ = reference_train(arch, x, t, es, replace(cfg, max_epochs=2, seed=99))
+            jobs.append(TrainJob(x, t, es, replace(cfg, seed=j), init=init))
+        return arch, jobs
+
+    @staticmethod
+    def assert_matches_reference(arch, job, outcome):
+        want, want_history = reference_train(
+            arch, job.features, job.targets, job.early_stop, job.config, init=job.init
+        )
+        got, got_history = outcome
+        assert got_history == want_history
+        assert_same_params(got, want)
+
+    @pytest.mark.parametrize("hidden", [(), (4,), (32, 16)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_bit_identical_to_separate_reference_runs(self, hidden, k):
+        arch, jobs = self.jobs(hidden, k)
+        outcomes = train_lockstep(arch, jobs)
+        assert len(outcomes) == k
+        for job, outcome in zip(jobs, outcomes):
+            self.assert_matches_reference(arch, job, outcome)
+        if k >= 3:  # members left the group at different epochs
+            assert len({len(history.epochs) for _, history in outcomes}) > 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blown_up_member_fails_alone(self):
+        # members share their learning rate, so one member blows up from
+        # its own start: finite weights of 1e300 overflow its logits
+        arch, jobs = self.jobs((4,), 3)
+        start = init_params(arch, 0)
+        huge = ModelParams(arch, tuple(w * 1e300 for w in start.weights), start.biases)
+        jobs[1] = replace(jobs[1], init=huge)
+        outcomes = train_lockstep(arch, jobs)
+        assert isinstance(outcomes[1], NumericError)
+        assert str(outcomes[1]) == "non-finite training loss at epoch 0"
+        with pytest.raises(NumericError, match="non-finite training loss at epoch 0"):
+            job = jobs[1]
+            train_with_early_stopping(
+                arch, job.features, job.targets, job.early_stop, job.config, init=job.init
+            )
+        for j in (0, 2):
+            self.assert_matches_reference(arch, jobs[j], outcomes[j])
+
+    def test_invalid_member_fails_alone(self):
+        arch, jobs = self.jobs((), 3)
+        hidden_es = replace(jobs[0].early_stop, labels=None)
+        jobs[0] = replace(jobs[0], early_stop=hidden_es)
+        outcomes = train_lockstep(arch, jobs)
+        assert isinstance(outcomes[0], ValueError)
+        assert "early-stop table must be labelled" in str(outcomes[0])
+        for j in (1, 2):
+            self.assert_matches_reference(arch, jobs[j], outcomes[j])
+
+    def test_rows_train_as_their_gathered_copy(self):
+        arch, jobs = self.jobs((4,), 1)
+        job = jobs[0]
+        rows = np.random.default_rng(5).choice(len(job.features), size=40)
+        targets = random_simplex(np.random.default_rng(6), (40, 3))
+        gathered = replace(job, features=job.features[rows], targets=targets)
+        by_rows = replace(job, targets=targets, rows=rows)
+        out_of_range = replace(by_rows, rows=rows + len(job.features))
+        a, b, bad = train_lockstep(arch, [gathered, by_rows, out_of_range])
+        self.assert_matches_reference(arch, gathered, a)
+        self.assert_matches_reference(arch, gathered, b)
+        assert isinstance(bad, ValueError) and "rows" in str(bad)
+
+    def test_members_must_share_config_except_seed(self):
+        arch, jobs = self.jobs((), 2)
+        jobs[1] = replace(jobs[1], config=replace(jobs[1].config, learning_rate=1e-2))
+        with pytest.raises(ValueError, match="except seed"):
+            train_lockstep(arch, jobs)
+
+    def test_zero_epochs_returns_each_start(self):
+        arch, jobs = self.jobs((), 3)
+        jobs = [replace(job, config=replace(job.config, max_epochs=0)) for job in jobs]
+        outcomes = train_lockstep(arch, jobs)
+        assert outcomes[2][0] is jobs[2].init
+        assert_same_params(outcomes[0][0], init_params(arch, jobs[0].config.seed))
+        assert all(history == TrainHistory() for _, history in outcomes)
 
 
 class TestEvaluate:
