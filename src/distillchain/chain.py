@@ -31,6 +31,7 @@ from .learner import (
     init_params,
     one_hot,
     train_lockstep,
+    train_with_early_stopping,
 )
 
 
@@ -120,13 +121,13 @@ def _pretrain_job(
 ) -> TrainJob:
     """Phase 1 of a student: the pool rows the pseudo-labels name, in their
     order, against their soft targets."""
+    pool = splits.pool
     return TrainJob(
-        splits.pool.features,
+        pool.features[pool.rows_of(teacher_labels.ids)],
         teacher_labels.soft,
         splits.early_stop,
         replace(cfg.pretrain, seed=student_seed),
         init=start,
-        rows=splits.pool.rows_of(teacher_labels.ids),
     )
 
 
@@ -143,13 +144,6 @@ def _finetune_job(
         replace(cfg.finetune, seed=seed),
         init=init,
     )
-
-
-def _train_alone(arch: ArchSpec, job: TrainJob) -> ModelParams:
-    (outcome,) = train_lockstep(arch, [job])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome[0]
 
 
 def train_student(
@@ -169,10 +163,15 @@ def train_student(
     """
     _check_student_inputs(teacher_labels, splits)
     start = _student_start(arch, cfg, student_seed, warm_start)
-    pretrained = _train_alone(
-        arch, _pretrain_job(teacher_labels, splits, cfg, student_seed, start)
+    job = _pretrain_job(teacher_labels, splits, cfg, student_seed, start)
+    pretrained, _ = train_with_early_stopping(
+        arch, job.features, job.targets, job.early_stop, job.config, init=job.init
     )
-    return _train_alone(arch, _finetune_job(arch, splits, cfg, student_seed, pretrained))
+    job = _finetune_job(arch, splits, cfg, student_seed, pretrained)
+    tuned, _ = train_with_early_stopping(
+        arch, job.features, job.targets, job.early_stop, job.config, init=job.init
+    )
+    return tuned
 
 
 ChainCell = tuple[SplitResult, DataTable, DataTable]

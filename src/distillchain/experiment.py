@@ -179,12 +179,12 @@ def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
     return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
 
 
-def _prepare_cells(dataset, cfg, cells, role, modes, outputs):
+def _prepare_cells(dataset, cfg, cells, role, modes):
     """Each (f_idx, run) cell's base rows, one per mode, seeded by ``role``,
-    and normalized splits; a cell whose split fails, or leaves a chain no
-    pool, gets its skip rows in ``outputs`` instead."""
+    with its normalized splits; a cell whose split fails gets its skip rows
+    instead, keyed by its position in ``cells``."""
     train, val, test = dataset
-    prepared = []
+    prepared, skipped = [], {}
     for slot, (f_idx, run) in enumerate(cells):
         fraction = cfg.fractions[f_idx]
         seed = derive_seed(cfg.seed, role, f_idx, run)
@@ -193,13 +193,11 @@ def _prepare_cells(dataset, cfg, cells, role, modes, outputs):
             splits, nval, ntest = _normalized_splits(
                 train, val, test, cfg, fraction, derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run)
             )
-            if role == _ROLE_CHAIN and len(splits.pool) == 0:
-                raise ValueError("empty pool")
         except ValueError as exc:
-            outputs[slot] = _skipped(bases, exc)
+            skipped[slot] = _skipped(bases, exc)
             continue
         prepared.append((slot, bases, splits, nval, ntest))
-    return prepared
+    return prepared, skipped
 
 
 def _baseline_cells(
@@ -211,8 +209,7 @@ def _baseline_cells(
     group; a cell whose split or training fails becomes a skip row."""
     train = dataset[0]
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    outputs: list[_CellOutput | None] = [None] * len(cells)
-    prepared = _prepare_cells(dataset, cfg, cells, _ROLE_TRAIN, ("baseline",), outputs)
+    prepared, outputs = _prepare_cells(dataset, cfg, cells, _ROLE_TRAIN, ("baseline",))
     jobs = [
         TrainJob(
             splits.labelled.features,
@@ -231,7 +228,7 @@ def _baseline_cells(
         test_acc, confusion = evaluate(params, ntest)
         row = replace(bases[0], val_accuracy=val_acc, test_accuracy=test_acc)
         outputs[slot] = _CellOutput(rows=(row,), confusions=((row.fraction, row.run, confusion),))
-    return outputs
+    return [outputs[slot] for slot in range(len(cells))]
 
 
 def _chain_cells(
@@ -243,10 +240,13 @@ def _chain_cells(
     ``run_chains``; a cell whose split or chain fails becomes skip rows."""
     train = dataset[0]
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    outputs: list[_CellOutput | None] = [None] * len(cells)
-    prepared = _prepare_cells(
-        dataset, cfg, cells, _ROLE_CHAIN, ("chain_best", "chain_final"), outputs
+    prepared, outputs = _prepare_cells(
+        dataset, cfg, cells, _ROLE_CHAIN, ("chain_best", "chain_final")
     )
+    for slot, bases, splits, _, _ in prepared:
+        if len(splits.pool) == 0:
+            outputs[slot] = _skipped(bases, ValueError("empty pool"))
+    prepared = [cell for cell in prepared if cell[0] not in outputs]
     results = run_chains(
         [(splits, nval, ntest) for _, _, splits, nval, ntest in prepared],
         arch,
@@ -260,7 +260,7 @@ def _chain_cells(
         if isinstance(result, Exception):
             raise result
         outputs[slot] = _chain_output(cfg, bases, splits, result)
-    return outputs
+    return [outputs[slot] for slot in range(len(cells))]
 
 
 def _chain_output(cfg, bases, splits, result) -> _CellOutput:
@@ -335,31 +335,43 @@ def _init_worker(cfg: ExperimentConfig) -> None:
     _WORKER_DATASET = prepare_dataset(cfg)
 
 
-def _cell_group(mode: str):
-    return _baseline_cells if mode == "baseline" else _chain_cells
-
-
-def _run_worker_group(task: tuple[str, list[tuple[int, int]]]) -> list[_CellOutput]:
-    mode, cells = task
+def _run_worker_group(task) -> list[_CellOutput]:
+    run_group, cells = task
     assert _WORKER_CFG is not None and _WORKER_DATASET is not None
-    return _cell_group(mode)(_WORKER_DATASET, _WORKER_CFG, cells)
+    return run_group(_WORKER_DATASET, _WORKER_CFG, cells)
+
+
+# Cells trained in one lockstep group at most. Memory grows with every cell
+# in flight, while past about eight members a stacked training step gets
+# little cheaper per model: on a 2-core x86 host, per model and step, about
+# 80 us alone, 30 at eight members and 24 at sixteen for softmax regression,
+# and 145, 57 and 55 us for hidden layers (32, 16).
+_GROUP_CELLS = 8
+
+
+def _cell_groups(cells: list, jobs: int) -> list[list]:
+    """Contiguous groups of at most ``_GROUP_CELLS`` cells, as even as
+    possible, and at least one per worker while there are cells to share."""
+    count = min(len(cells), max(jobs, -(-len(cells) // _GROUP_CELLS)))
+    bounds = [len(cells) * g // count for g in range(count + 1)]
+    return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _execute_cells(
-    cfg: ExperimentConfig, mode: str, dataset: tuple[DataTable, DataTable, DataTable]
+    cfg: ExperimentConfig, run_group, dataset: tuple[DataTable, DataTable, DataTable]
 ) -> list[_CellOutput]:
-    """Run every (fraction, run) cell as lockstep groups: one group at
-    jobs = 1, otherwise one contiguous group per worker, each worker loading
-    its own copy of the dataset instead of receiving ``dataset``."""
+    """Run every (fraction, run) cell through ``run_group`` in lockstep
+    groups from ``_cell_groups``: one after another at jobs = 1, otherwise
+    shared out to the workers, each of which loads its own copy of the
+    dataset instead of receiving ``dataset``."""
     cells = [(f_idx, run) for f_idx in range(len(cfg.fractions)) for run in range(cfg.runs)]
+    groups = _cell_groups(cells, cfg.jobs)
     if cfg.jobs == 1:
-        return _cell_group(mode)(dataset, cfg, cells)
-    groups = min(cfg.jobs, len(cells))
-    bounds = [len(cells) * g // groups for g in range(groups + 1)]
-    tasks = [(mode, cells[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        return [out for group in groups for out in run_group(dataset, cfg, group)]
     with ProcessPoolExecutor(
-        max_workers=groups, initializer=_init_worker, initargs=(cfg,)
+        max_workers=min(cfg.jobs, len(groups)), initializer=_init_worker, initargs=(cfg,)
     ) as pool:
+        tasks = [(run_group, group) for group in groups]
         return [out for outputs in pool.map(_run_worker_group, tasks) for out in outputs]
 
 
@@ -447,7 +459,7 @@ def run_baseline_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Teacher-only sweep: fresh seeded split per (fraction, run), training on
     the labelled subset alone, evaluated on validation and test."""
     dataset = prepare_dataset(cfg)
-    outputs = _execute_cells(cfg, "baseline", dataset)
+    outputs = _execute_cells(cfg, _baseline_cells, dataset)
     rows = [r for cell in outputs for r in cell.rows]
     confusions = [c for cell in outputs for c in cell.confusions]
     summary = aggregate_runs(rows)
@@ -475,7 +487,7 @@ def run_chain_experiment(
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     dataset = prepare_dataset(cfg)
-    outputs = _execute_cells(cfg, "chain", dataset)
+    outputs = _execute_cells(cfg, _chain_cells, dataset)
     rows = [r for cell in outputs for r in cell.rows]
     traces = [t for cell in outputs for t in cell.traces]
     confusions = [c for cell in outputs for c in cell.confusions]

@@ -361,19 +361,13 @@ class _BatchStream:
 class TrainJob:
     """One model to train: features, soft targets, the early-stop table, the
     optimization settings, and the starting weights (a fresh seeded init
-    from ``config.seed`` when ``init`` is None).
-
-    Training example i is ``features[i]`` with ``targets[i]``, or, when
-    ``rows`` is given, ``features[rows[i]]`` with ``targets[i]``: a job can
-    train on rows of a shared table without a copy of them.
-    """
+    from ``config.seed`` when ``init`` is None)."""
 
     features: np.ndarray
     targets: np.ndarray
     early_stop: DataTable
     config: TrainConfig
     init: ModelParams | None = None
-    rows: np.ndarray | None = None
 
 
 TrainOutcome = tuple[ModelParams, TrainHistory] | ValueError | ArithmeticError
@@ -390,19 +384,13 @@ class _Member:
     def __init__(self, slot: int, arch: ArchSpec, job: TrainJob):
         x = np.asarray(job.features, dtype=np.float64)
         t = np.asarray(job.targets, dtype=np.float64)
-        rows = None if job.rows is None else np.asarray(job.rows, dtype=np.int64)
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("training features must be a non-empty 2-D array")
         if x.shape[1] != arch.input_dim:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match model input {arch.input_dim}"
             )
-        if rows is not None and (
-            rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= x.shape[0]
-        ):
-            raise ValueError("rows must be a non-empty 1-D array of feature rows")
-        n = x.shape[0] if rows is None else rows.shape[0]
-        if t.shape != (n, arch.output_dim):
+        if t.shape != (x.shape[0], arch.output_dim):
             raise ValueError("targets shape does not match features and output dim")
         if not job.early_stop.fully_labelled:
             raise ValueError("early-stop table must be labelled")
@@ -410,20 +398,18 @@ class _Member:
         if init.arch != arch:
             raise ValueError("initial params do not match the architecture")
         self.slot = slot
-        self.x, self.t, self.rows = x, t, rows
+        self.x, self.t = x, t
         self.early_stop = job.early_stop
         self.init = init
-        self.stream = _BatchStream(n, np.random.default_rng(job.config.seed))
+        self.stream = _BatchStream(x.shape[0], np.random.default_rng(job.config.seed))
         self.epochs: list[EpochStats] = []
         self.best_acc = -1.0
         self.best_epoch = -1
         self.stale = 0
 
-    def epoch_rows(self, steps: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next epoch's (steps, batch) rows of the features and of the
-        targets."""
-        examples = self.stream.take(steps * batch).reshape(steps, batch)
-        return (examples if self.rows is None else self.rows.take(examples)), examples
+    def epoch_rows(self, steps: int, batch: int) -> np.ndarray:
+        """The next epoch's training rows, one row of ``batch`` per step."""
+        return self.stream.take(steps * batch).reshape(steps, batch)
 
     def history(self) -> TrainHistory:
         return TrainHistory(
@@ -475,17 +461,12 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     best = np.empty_like(theta)
     step = 0
     for epoch in range(config.max_epochs):
-        # Views into this epoch's buffers, which shrink when members leave;
-        # a lone member runs on plain 2-D views, which cost less per call.
+        # views into this epoch's buffers, which shrink when members leave
         k = len(members)
         grad = np.empty_like(theta)
-        if k == 1:
-            weights, biases = _layer_views(arch, theta[0])
-            grad_w, grad_b = _layer_views(arch, grad[0])
-        else:
-            weights, biases = _layer_views(arch, theta)
-            biases = tuple(b[:, None, :] for b in biases)
-            grad_w, grad_b = _layer_views(arch, grad)
+        weights, biases = _layer_views(arch, theta)
+        biases = tuple(b[:, None, :] for b in biases)
+        grad_w, grad_b = _layer_views(arch, grad)
         rows = [mb.epoch_rows(steps, batch) for mb in members]
         chunk = min(steps, _GATHER_STEPS)
         xs = np.empty((chunk, k, batch, arch.input_dim))
@@ -495,15 +476,14 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             c = s % chunk
             if c == 0:
                 n = min(chunk, steps - s)
-                for j, (mb, (x_rows, t_rows)) in enumerate(zip(members, rows)):
+                for j, (mb, epoch_rows) in enumerate(zip(members, rows)):
                     # mode="clip" spares take() the buffered copy it makes
                     # for out= under mode="raise"; all rows are in range
-                    mb.x.take(x_rows[s : s + n], 0, out=xs[:n, j], mode="clip")
-                    mb.t.take(t_rows[s : s + n], 0, out=ts[:n, j], mode="clip")
-            xb, tb = (xs[c, 0], ts[c, 0]) if k == 1 else (xs[c], ts[c])
-            probs, activations, pre_acts = _forward_cached(weights, biases, xb)
-            loss_sum += _cross_entropy(probs, tb)
-            _backprop_into(weights, probs, tb, activations, pre_acts, grad_w, grad_b)
+                    mb.x.take(epoch_rows[s : s + n], 0, out=xs[:n, j], mode="clip")
+                    mb.t.take(epoch_rows[s : s + n], 0, out=ts[:n, j], mode="clip")
+            probs, activations, pre_acts = _forward_cached(weights, biases, xs[c])
+            loss_sum += _cross_entropy(probs, ts[c])
+            _backprop_into(weights, probs, ts[c], activations, pre_acts, grad_w, grad_b)
             step += 1
             _adam_step(theta, grad, m, v, step, config.learning_rate)
         mean_loss = loss_sum / steps

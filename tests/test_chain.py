@@ -22,6 +22,7 @@ from distillchain import (
     train_with_early_stopping,
     evaluate,
     filter_pseudo_labels,
+    init_params,
     pseudo_label_pool,
     pseudo_label_quality,
 )
@@ -219,6 +220,27 @@ def assert_same_records(got, want):
             assert np.array_equal(a.pseudo_labels.soft, b.pseudo_labels.soft)
 
 
+def reference_student(arch, labels, splits, cfg, seed, warm_start):
+    """A student as it was trained before lockstep: pretrained on the pool
+    rows its pseudo-labels name, looked up id by id, then fine-tuned."""
+    from dataclasses import replace
+
+    start = warm_start
+    if cfg.fresh_init_per_student or warm_start is None:
+        start = init_params(arch, seed)
+    row_of = {sid: row for row, sid in enumerate(splits.pool.ids.tolist())}
+    pool_x = splits.pool.features[[row_of[sid] for sid in labels.ids.tolist()]]
+    pretrained, _ = train_with_early_stopping(
+        arch, pool_x, labels.soft, splits.early_stop, replace(cfg.pretrain, seed=seed), init=start
+    )
+    lab = splits.labelled
+    tuned, _ = train_with_early_stopping(
+        arch, lab.features, one_hot(lab.labels, arch.output_dim), splits.early_stop,
+        replace(cfg.finetune, seed=seed), init=pretrained,
+    )
+    return tuned
+
+
 def reference_chain_records(splits, validation, test, arch, cfg):
     """The chain loop as it ran one cell at a time before lockstep: a
     teacher, then per iteration pseudo-labels, filtering and one student."""
@@ -237,7 +259,7 @@ def reference_chain_records(splits, validation, test, arch, cfg):
             raw = pseudo_label_pool(model, splits.pool)
             labels = filter_pseudo_labels(raw, cfg.distill, splits.pool.catalog)
             agreement = pseudo_label_quality(labels, splits.pool)[0]
-            model = train_student(arch, labels, splits, cfg, student_seed=seeds[i], warm_start=model)
+            model = reference_student(arch, labels, splits, cfg, seeds[i], model)
         val_acc, _ = evaluate(model, validation)
         test_acc, confusion = evaluate(model, test)
         records.append(IterationRecord(

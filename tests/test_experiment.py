@@ -141,19 +141,34 @@ def test_mismatched_class_sidecars_are_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
-def test_lockstep_groups_do_not_change_bytes(tmp_path, sweep):
+def test_lockstep_groups_do_not_change_bytes(tmp_path, sweep, monkeypatch):
     # jobs = 1 trains all six cells as one lockstep group, jobs = 2 and 3 as
-    # contiguous groups of three and of two
+    # contiguous groups of three and of two; a group cap of 4 and of 1 splits
+    # the jobs = 1 sweep into groups of three and of one
     written = {}
-    for jobs in (1, 2, 3):
-        cfg = tiny_config(tmp_path / str(jobs), fractions=(0.1, 0.2, 1.0), runs=2, jobs=jobs)
-        sweep(cfg)
-        out = tmp_path / str(jobs) / "out"
-        written[jobs] = {
-            p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "config_resolved.cfg"
+    for jobs, cap in ((1, 8), (2, 8), (3, 8), (1, 4), (1, 1)):
+        monkeypatch.setattr(experiment, "_GROUP_CELLS", cap)
+        out = tmp_path / f"{jobs}_{cap}"
+        sweep(tiny_config(out, fractions=(0.1, 0.2, 1.0), runs=2, jobs=jobs))
+        written[jobs, cap] = {
+            p.name: p.read_bytes()
+            for p in sorted((out / "out").iterdir())
+            if p.name != "config_resolved.cfg"
         }
-    assert "runs.csv" in written[1] and "confusion_0.1_1.csv" in written[1]
-    assert written[1] == written[2] == written[3]
+    assert "runs.csv" in written[1, 8] and "confusion_0.1_1.csv" in written[1, 8]
+    assert all(files == written[1, 8] for files in written.values())
+
+
+def test_cell_groups_are_contiguous_capped_and_one_per_worker():
+    cap = experiment._GROUP_CELLS
+    for n in range(1, 3 * cap + 2):
+        cells = list(range(n))
+        for jobs in (1, 2, 3, n + 1):
+            groups = experiment._cell_groups(cells, jobs)
+            assert [c for group in groups for c in group] == cells
+            assert all(0 < len(group) <= cap for group in groups)
+            assert len(groups) == max(min(jobs, n), -(-n // cap))
+            assert max(map(len, groups)) - min(map(len, groups)) <= 1
 
 
 class TestBaselineSweep:

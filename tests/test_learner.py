@@ -470,19 +470,6 @@ class TestLockstep:
         for j in (1, 2):
             self.assert_matches_reference(arch, jobs[j], outcomes[j])
 
-    def test_rows_train_as_their_gathered_copy(self):
-        arch, jobs = self.jobs((4,), 1)
-        job = jobs[0]
-        rows = np.random.default_rng(5).choice(len(job.features), size=40)
-        targets = random_simplex(np.random.default_rng(6), (40, 3))
-        gathered = replace(job, features=job.features[rows], targets=targets)
-        by_rows = replace(job, targets=targets, rows=rows)
-        out_of_range = replace(by_rows, rows=rows + len(job.features))
-        a, b, bad = train_lockstep(arch, [gathered, by_rows, out_of_range])
-        self.assert_matches_reference(arch, gathered, a)
-        self.assert_matches_reference(arch, gathered, b)
-        assert isinstance(bad, ValueError) and "rows" in str(bad)
-
     def test_members_must_share_config_except_seed(self):
         arch, jobs = self.jobs((), 2)
         jobs[1] = replace(jobs[1], config=replace(jobs[1].config, learning_rate=1e-2))
