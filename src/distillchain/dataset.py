@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -72,6 +73,13 @@ class Sample:
     label: int | None = None
 
 
+def _frozen_view(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; the caller's own array stays writable."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class DataTable:
     """Immutable table of identified feature vectors sharing one catalog.
@@ -86,7 +94,8 @@ class DataTable:
     features: np.ndarray
     labels: np.ndarray | None
     _hidden_labels: np.ndarray | None = field(default=None, repr=False)
-    _ascending: bool = field(init=False, repr=False, compare=False)
+    # True when ids are strictly ascending, as in every table make_splits builds
+    ascending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = np.ascontiguousarray(self.ids, dtype=np.int64)
@@ -103,9 +112,9 @@ class DataTable:
         ascending = bool((ids[1:] > ids[:-1]).all())
         if not ascending and np.unique(ids).size != ids.size:
             raise ValueError("sample ids must be unique within a table")
-        object.__setattr__(self, "_ascending", ascending)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "ascending", ascending)
+        object.__setattr__(self, "ids", _frozen_view(ids))
+        object.__setattr__(self, "features", _frozen_view(features))
         for attr in ("labels", "_hidden_labels"):
             arr = getattr(self, attr)
             if arr is None:
@@ -115,10 +124,7 @@ class DataTable:
                 raise ValueError(f"{attr} shape does not match row count")
             if arr.size and (arr.min() < UNLABELLED or arr.max() >= self.catalog.size):
                 raise ValueError(f"{attr} outside [0, {self.catalog.size})")
-            arr.setflags(write=False)
-            object.__setattr__(self, attr, arr)
-        ids.setflags(write=False)
-        features.setflags(write=False)
+            object.__setattr__(self, attr, _frozen_view(arr))
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -149,7 +155,7 @@ class DataTable:
         """Row index of each of ``ids``; raises ValueError naming the first
         id that is not in the table."""
         ids = np.asarray(ids, dtype=np.int64)
-        order = None if self._ascending else np.argsort(self.ids)
+        order = None if self.ascending else np.argsort(self.ids)
         rows = np.searchsorted(self.ids, ids, sorter=order)
         found = rows < len(self)
         if order is not None:
@@ -240,10 +246,12 @@ class Normalizer:
             raise ValueError(
                 f"normalizer dim {self.mean.shape[0]} does not match table dim {table.dim}"
             )
+        features = table.features - self.mean
+        features /= self.std
         return DataTable(
             catalog=table.catalog,
             ids=table.ids,
-            features=(table.features - self.mean) / self.std,
+            features=features,
             labels=table.labels,
             _hidden_labels=table._hidden_labels,
         )
@@ -456,8 +464,11 @@ def normalize(
     return norm, [norm.apply(t) for t in targets]
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+# Data lines read_table parses in one batch (and rows write_table formats):
+# the per-row Python objects of one block at a time are alive.
+_BLOCK_LINES = 4096
+
+_INT64 = range(-(2**63), 2**63)  # the ids a table's int64 array can hold
 
 
 def classes_path(path: Path | str) -> Path:
@@ -465,40 +476,59 @@ def classes_path(path: Path | str) -> Path:
 
 
 def write_table(path: Path | str, table: DataTable) -> None:
-    """Write a table as CSV plus its ``.classes`` catalog sidecar."""
+    """Write a table as CSV plus its ``.classes`` catalog sidecar; floats are
+    written with ``repr``, so they read back bit-exactly."""
     path = Path(path)
-    d = table.dim
-    header = "id,label," + ",".join(f"f{j}" for j in range(d))
-    lines = [header]
-    for s in table:
-        name = "" if s.label is None else table.catalog.names[s.label]
-        lines.append(f"{s.id},{name}," + ",".join(_format_float(v) for v in s.features))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    names = (*table.catalog.names, "")  # UNLABELLED (-1) picks the empty name
+    labels = np.full(len(table), UNLABELLED) if table.labels is None else table.labels
+    with path.open("w", encoding="utf-8") as f:
+        f.write("id,label," + ",".join(f"f{j}" for j in range(table.dim)) + "\n")
+        for start in range(0, len(table), _BLOCK_LINES):
+            block = slice(start, start + _BLOCK_LINES)
+            f.writelines(
+                f"{sid},{names[label]}," + ",".join(map(repr, row)) + "\n"
+                for sid, label, row in zip(
+                    table.ids[block].tolist(),
+                    labels[block].tolist(),
+                    table.features[block].tolist(),
+                )
+            )
     classes_path(path).write_text(",".join(table.catalog.names) + "\n", encoding="utf-8")
 
 
-def read_table(path: Path | str, catalog: ClassCatalog | None = None) -> DataTable:
-    """Read a CSV table; the catalog comes from the ``.classes`` sidecar
-    unless one is passed explicitly."""
-    path = Path(path)
-    if catalog is None:
-        sidecar = classes_path(path)
-        if not sidecar.exists():
-            raise TableParseError(f"missing catalog sidecar {sidecar}")
-        names = [n.strip() for n in sidecar.read_text(encoding="utf-8").splitlines()[0].split(",")]
-        catalog = ClassCatalog(tuple(names))
-
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+def _read_catalog(sidecar: Path) -> ClassCatalog:
+    if not sidecar.exists():
+        raise TableParseError(f"missing catalog sidecar {sidecar}")
+    lines = sidecar.read_text(encoding="utf-8").splitlines()
     if not lines:
-        raise TableParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if len(header) < 3 or header[0] != "id" or header[1] != "label":
-        raise TableParseError(f"{path}: line 1: header must be id,label,f0,...")
-    d = len(header) - 2
+        raise TableParseError(f"{sidecar}: empty catalog sidecar")
+    try:
+        return ClassCatalog(tuple(n.strip() for n in lines[0].split(",")))
+    except ValueError as exc:
+        raise TableParseError(f"{sidecar}: line 1: {exc}") from None
 
-    ids, labels, feats = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+
+def _line_blocks(f: Iterator[str]) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines) for consecutive blocks of text file ``f``.
+
+    Iterating ``f`` cuts the text after each ``\\n`` (universal newlines have
+    already turned ``\\r\\n`` and a lone ``\\r`` into ``\\n``); ``splitlines``
+    then also breaks at ``\\f``, ``\\v``, ``\\x85``, ``\\u2028`` and the like, so
+    the lines and their numbers are those of ``splitlines`` on the whole text.
+    """
+    lineno = 1
+    while chunk := list(islice(f, _BLOCK_LINES)):
+        lines = "".join(chunk).splitlines()
+        yield lineno, lines
+        lineno += len(lines)
+
+
+def _raise_first_bad_line(
+    path: Path, start: int, lines: list[str], d: int, label_of: dict[str, int]
+) -> None:
+    """Raise TableParseError for the first bad line of ``lines`` (numbered from
+    ``start``), checking its field count, then id, then label, then features."""
+    for lineno, line in enumerate(lines, start):
         if not line:
             continue
         parts = line.split(",")
@@ -507,39 +537,96 @@ def read_table(path: Path | str, catalog: ClassCatalog | None = None) -> DataTab
                 f"{path}: line {lineno}: expected {d + 2} fields, got {len(parts)}"
             )
         try:
-            sid = int(parts[0])
+            if int(parts[0]) not in _INT64:
+                raise ValueError
         except ValueError:
             raise TableParseError(f"{path}: line {lineno}: bad id {parts[0]!r}") from None
-        name = parts[1]
-        if name == "":
-            label = UNLABELLED
-        else:
-            try:
-                label = catalog.index(name)
-            except ValueError:
-                raise TableParseError(
-                    f"{path}: line {lineno}: label {name!r} not in catalog"
-                ) from None
+        if parts[1] not in label_of:
+            raise TableParseError(
+                f"{path}: line {lineno}: label {parts[1]!r} not in catalog"
+            )
         try:
-            row = [float(v) for v in parts[2:]]
+            for v in parts[2:]:
+                float(v)
         except ValueError:
             raise TableParseError(f"{path}: line {lineno}: non-numeric feature") from None
-        ids.append(sid)
-        labels.append(label)
-        feats.append(row)
 
-    features = np.array(feats, dtype=np.float64).reshape(len(ids), d)
-    finite_rows = np.isfinite(features).all(axis=1)
-    if not finite_rows.all():
-        data_linenos = [n for n, line in enumerate(lines[1:], start=2) if line]
-        lineno = data_linenos[int(np.argmin(finite_rows))]
-        raise TableParseError(f"{path}: line {lineno}: non-finite feature")
+
+def _parse_block(
+    path: Path, start: int, lines: list[str], d: int, label_of: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Line numbers, ids, labels and (n, d) features of the non-blank
+    ``lines``, numbered from ``start``; blank lines are skipped."""
+    rows = list(filter(None, lines))
+    if len(rows) == len(lines):
+        linenos = np.arange(start, start + len(lines))
+    else:
+        linenos = start + np.flatnonzero(list(map(bool, lines)))
+    n, width = len(rows), d + 2
     try:
-        return DataTable(
-            catalog=catalog,
-            ids=np.array(ids, dtype=np.int64),
-            features=features,
-            labels=np.array(labels, dtype=np.int64),
-        )
-    except ValueError as exc:
-        raise TableParseError(f"{path}: {exc}") from exc
+        if set(map(str.count, rows, repeat(","))) - {width - 1}:  # a row of other width
+            raise ValueError("wrong field count")
+        tokens = ",".join(rows).split(",") if rows else []
+        ids = np.fromiter(map(int, tokens[::width]), np.int64, n)
+        labels = np.fromiter(map(label_of.__getitem__, tokens[1::width]), np.int64, n)
+        del tokens[::width]  # the ids; the labels now recur every width - 1
+        del tokens[:: width - 1]
+        features = np.fromiter(map(float, tokens), np.float64, n * d).reshape(n, d)
+    except (ValueError, KeyError, OverflowError):
+        _raise_first_bad_line(path, start, lines, d, label_of)
+        raise
+    return linenos, ids, labels, features
+
+
+def _rejected_row(ids: np.ndarray, features: np.ndarray, linenos: np.ndarray) -> str:
+    """The "line N: why" message for the first row a DataTable refuses: a
+    non-finite feature, else a negative id, else the later copy of a
+    repeated id."""
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        return f"line {linenos[finite.argmin()]}: non-finite feature"
+    negative = ids < 0
+    if negative.any():
+        row = negative.argmax()
+        return f"line {linenos[row]}: sample id {ids[row]}; sample ids must be non-negative"
+    order = np.argsort(ids, kind="stable")
+    row = order[1:][ids[order[1:]] == ids[order[:-1]]].min()
+    first = (ids == ids[row]).argmax()
+    return (
+        f"line {linenos[row]}: sample id {ids[row]} repeats line {linenos[first]}; "
+        "sample ids must be unique within a table"
+    )
+
+
+def read_table(path: Path | str, catalog: ClassCatalog | None = None) -> DataTable:
+    """Read a CSV table; the catalog comes from the ``.classes`` sidecar
+    unless one is passed explicitly.
+
+    Data lines are parsed in blocks of ``_BLOCK_LINES``, each in a few batched
+    steps, with the same ``int``/``float`` builtins a per-line parse would
+    use. A bad table raises TableParseError naming the file and line: the
+    first line, in file order, whose field count, id, label or features (in
+    that order) do not parse; once the whole file has parsed, the first row
+    with a non-finite feature, then with a negative id, then repeating an id.
+    """
+    path = Path(path)
+    if catalog is None:
+        catalog = _read_catalog(classes_path(path))
+    label_of = {name: i for i, name in enumerate(catalog.names)}
+    label_of[""] = UNLABELLED
+    with path.open(encoding="utf-8") as f:
+        blocks = _line_blocks(f)
+        start, lines = next(blocks, (1, []))
+        if not lines:
+            raise TableParseError(f"{path}: empty file")
+        header = lines[0].split(",")
+        if len(header) < 3 or header[0] != "id" or header[1] != "label":
+            raise TableParseError(f"{path}: line 1: header must be id,label,f0,...")
+        d = len(header) - 2
+        parsed = [_parse_block(path, start + 1, lines[1:], d, label_of)]
+        parsed += (_parse_block(path, start, lines, d, label_of) for start, lines in blocks)
+    linenos, ids, labels, features = (np.concatenate(arrays) for arrays in zip(*parsed))
+    try:
+        return DataTable(catalog=catalog, ids=ids, features=features, labels=labels)
+    except ValueError:
+        raise TableParseError(f"{path}: {_rejected_row(ids, features, linenos)}") from None

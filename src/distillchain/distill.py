@@ -72,6 +72,8 @@ def pseudo_label_pool(model: ModelParams, pool: DataTable) -> PseudoLabels:
         raise ValueError(
             f"pool dim {pool.dim} does not match model input {model.arch.input_dim}"
         )
+    if pool.ascending:
+        return PseudoLabels(pool.ids, forward(model, pool.features))
     order = np.argsort(pool.ids)
     return PseudoLabels(pool.ids[order], forward(model, pool.features[order]))
 

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,13 @@ from distillchain import (
     read_table,
     write_table,
 )
-from distillchain.dataset import DEFAULT_CLASS_NAMES, _fisher_yates, synthetic_class_means
+from distillchain import dataset
+from distillchain.dataset import (
+    DEFAULT_CLASS_NAMES,
+    UNLABELLED,
+    _fisher_yates,
+    synthetic_class_means,
+)
 
 from conftest import table_from
 
@@ -77,6 +86,20 @@ class TestDataTable:
     def test_rejects_non_finite_features(self, two_class_catalog, bad):
         with pytest.raises(ValueError, match="finite"):
             table_from(two_class_catalog, [[0.0, 1.0], [bad, 2.0]], labels=[0, 1])
+
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_leaves_the_callers_arrays_writable(self, two_class_catalog, hidden):
+        ids = np.arange(3, dtype=np.int64)
+        features = np.zeros((3, 2))
+        labels = np.array([0, 1, 0], dtype=np.int64)
+        table = table_from(two_class_catalog, features, labels=labels, ids=ids, hidden=hidden)
+        assert ids.flags.writeable and features.flags.writeable and labels.flags.writeable
+        frozen = (table.ids, table.features, table.labels if not hidden else table._hidden_labels)
+        for arr in frozen:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        np.random.default_rng(0).shuffle(ids)  # the caller's array is still theirs
 
     def test_hidden_labels_unreachable_directly(self, two_class_catalog):
         pool = table_from(two_class_catalog, [[0.0], [1.0]], labels=[0, 1], hidden=True)
@@ -212,6 +235,268 @@ class TestTableIO:
         path.write_text("id,label,f0\n")
         with pytest.raises(TableParseError, match="sidecar"):
             read_table(path)
+
+    @pytest.mark.parametrize(
+        "sidecar, why",
+        [
+            ("", "empty catalog sidecar"),
+            ("\n", "line 1: catalog needs at least 2 classes"),
+            ("only\n", "line 1: catalog needs at least 2 classes"),
+            ("a, b,a\nc,d\n", "line 1: class names must be unique"),
+        ],
+    )
+    def test_bad_sidecar_names_the_sidecar(self, tmp_path, sidecar, why):
+        path = tmp_path / "t.csv"
+        path.write_text("id,label,f0\n0,a,1.0\n")
+        path.with_suffix(".classes").write_text(sidecar)
+        with pytest.raises(TableParseError, match=rf"t\.classes: {why}$"):
+            read_table(path)
+
+    @pytest.mark.parametrize(
+        "rows, why",
+        [
+            ("3,a,0\n-1,b,0\n-2,a,0\n", "line 3: sample id -1; sample ids must be non-negative"),
+            (
+                "3,a,0\n\n1,b,0\n7,a,0\n1,a,0\n7,a,0\n",
+                "line 6: sample id 1 repeats line 4; sample ids must be unique within a table",
+            ),
+            ("5,a,0\n5,b,0\n", "line 3: sample id 5 repeats line 2; sample ids"),
+            ("5,a,0\n4,b,0\n5,a,nan\n", "line 4: non-finite feature"),
+        ],
+    )
+    def test_negative_and_repeated_ids_name_their_line(self, tmp_path, rows, why):
+        path = tmp_path / "ids.csv"
+        path.with_suffix(".classes").write_text("a,b\n")
+        path.write_text("id,label,f0\n" + rows)
+        with pytest.raises(TableParseError, match=rf"ids\.csv: {why}"):
+            read_table(path)
+
+    def test_id_outside_int64_is_a_bad_id(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.with_suffix(".classes").write_text("a,b\n")
+        path.write_text(f"id,label,f0\n0,a,1.0\n{2**63},a,1.0\n{2**63 - 1},b,x\n")
+        with pytest.raises(TableParseError, match=rf"line 3: bad id '{2**63}'"):
+            read_table(path)
+        path.write_text(f"id,label,f0\n{-(2**63) - 1},a,1.0\n")
+        with pytest.raises(TableParseError, match="line 2: bad id"):
+            read_table(path)
+
+
+def reference_write_table(path, table):
+    """write_table as it was when it built one Sample per row."""
+    d = table.dim
+    lines = ["id,label," + ",".join(f"f{j}" for j in range(d))]
+    for s in table:
+        name = "" if s.label is None else table.catalog.names[s.label]
+        lines.append(f"{s.id},{name}," + ",".join(repr(float(v)) for v in s.features))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.with_suffix(".classes").write_text(",".join(table.catalog.names) + "\n", encoding="utf-8")
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("block_lines", [3, dataset._BLOCK_LINES])
+    @pytest.mark.parametrize("kind", ["labelled", "unlabelled rows", "hidden", "empty"])
+    def test_same_bytes_as_the_per_sample_writer(self, tmp_path, block_lines, kind):
+        catalog = ClassCatalog(("a", "b", "TUM"))
+        specials = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1, 1 / 3]
+        rng = np.random.default_rng(4)
+        features = np.concatenate([np.array(specials).reshape(4, 2), rng.normal(size=(4, 2)) * 1e5])
+        ids = np.array([0, 2**63 - 1, 2**62, 17, 10**15, 1, 3, 5])
+        labels = np.array([0, 1, 2, 2, 1, 0, 1, 2])
+        if kind == "unlabelled rows":
+            labels[[1, 4, 7]] = UNLABELLED
+        if kind == "empty":
+            features, ids, labels = features[:0], ids[:0], labels[:0]
+        hide = kind == "hidden"
+        table = table_from(catalog, features, labels=labels, ids=ids, hidden=hide)
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        reference_write_table(want, table)
+        with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
+            write_table(got, table)
+        assert got.read_bytes() == want.read_bytes()
+        assert got.with_suffix(".classes").read_bytes() == want.with_suffix(".classes").read_bytes()
+        back = read_table(got)
+        assert back.features.tobytes() == table.features.tobytes()
+
+
+def reference_read_table(path, catalog):
+    """read_table as it was when it parsed the whole file line by line."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise TableParseError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if len(header) < 3 or header[0] != "id" or header[1] != "label":
+        raise TableParseError(f"{path}: line 1: header must be id,label,f0,...")
+    d = len(header) - 2
+
+    ids, labels, feats = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 2:
+            raise TableParseError(
+                f"{path}: line {lineno}: expected {d + 2} fields, got {len(parts)}"
+            )
+        try:
+            sid = int(parts[0])
+        except ValueError:
+            raise TableParseError(f"{path}: line {lineno}: bad id {parts[0]!r}") from None
+        name = parts[1]
+        if name == "":
+            label = UNLABELLED
+        else:
+            try:
+                label = catalog.index(name)
+            except ValueError:
+                raise TableParseError(
+                    f"{path}: line {lineno}: label {name!r} not in catalog"
+                ) from None
+        try:
+            row = [float(v) for v in parts[2:]]
+        except ValueError:
+            raise TableParseError(f"{path}: line {lineno}: non-numeric feature") from None
+        ids.append(sid)
+        labels.append(label)
+        feats.append(row)
+
+    features = np.array(feats, dtype=np.float64).reshape(len(ids), d)
+    data_linenos = [n for n, line in enumerate(lines[1:], start=2) if line]
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        lineno = data_linenos[int(np.argmin(finite_rows))]
+        raise TableParseError(f"{path}: line {lineno}: non-finite feature")
+    try:
+        return DataTable(
+            catalog=catalog,
+            ids=np.array(ids, dtype=np.int64),
+            features=features,
+            labels=np.array(labels, dtype=np.int64),
+        )
+    except ValueError as exc:
+        message = f"{path}: {exc}"
+        # the one intended difference: read_table now names the first
+        # offending line, worked out here from the parsed rows
+        seen = {}
+        for row, (sid, lineno) in enumerate(zip(ids, data_linenos)):
+            if sid < 0 and "non-negative" in message:
+                message = f"{path}: line {lineno}: sample id {sid}; {exc}"
+                break
+            if sid in seen and "unique" in message:
+                message = f"{path}: line {lineno}: sample id {sid} repeats line {seen[sid]}; {exc}"
+                break
+            seen.setdefault(sid, lineno)
+        raise TableParseError(message) from exc
+
+
+def outcome(read, path, catalog):
+    try:
+        table = read(path, catalog)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return table.features.shape, table.ids.tobytes(), table.features.tobytes(), table.labels.tobytes()
+
+
+def assert_reads_like_the_reference(path, text, block_lines):
+    path.write_bytes(text.encode("utf-8"))
+    catalog = ClassCatalog(("a", "b", "TUM"))
+    want = outcome(reference_read_table, path, catalog)
+    with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
+        got = outcome(read_table, path, catalog)
+    assert got == want
+
+
+ID_TOKENS = ["0", "1", "2", "3", "7", "12", "-1", " 4", "5 ", "1_0", "+6", "\u0668", "x", "", "1.0"]
+LABEL_TOKENS = ["a", "b", "TUM", "", "c", " a", "A"]
+GOOD_FEATURES = ["1.0", "-0.0", "2.5e-3", "5e-324", "1e308", " 4 ", "1_0", "-7", "+.5", "1E2"]
+BAD_FEATURES = ["nan", "-inf", "1e999", "Infinity", "x", "", "0x1", "1__0", "\u0663.5"]
+SEPARATORS = ["\n"] * 6 + ["\r\n", "\r", "\f", "\v", "\x85", "\u2028", "\x1c", "\n\n"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text near the edge of what read_table accepts: mostly well formed,
+    with some bad tokens, field counts and line breaks if ``dirty``."""
+    dirty = draw(st.booleans())
+    rare = st.integers(0, 9).map(lambda k: dirty and k == 0)
+    d = draw(st.integers(1, 3))
+    header = "id,label," + ",".join(f"f{j}" for j in range(d))
+    if draw(rare):
+        header = draw(st.sampled_from(["id,label", "label,id,f0", "", "id,label,f0,f1,f2,f3"]))
+    lines = [header]
+    n = draw(st.integers(0, 14))
+    step = draw(st.sampled_from([1, -1]))
+    for i in range(n):
+        if draw(rare):
+            lines.append("")
+            continue
+        sid = draw(st.sampled_from([*ID_TOKENS, str(n)])) if draw(rare) else str(n + step * i)
+        label = draw(st.sampled_from(LABEL_TOKENS[4:] if draw(rare) else LABEL_TOKENS[:4]))
+        feats = [
+            draw(st.sampled_from(BAD_FEATURES if draw(rare) else GOOD_FEATURES)) for _ in range(d)
+        ]
+        fields = [sid, label, *feats]
+        if draw(rare):
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+        lines.append(",".join(fields))
+    seps = [draw(st.sampled_from(SEPARATORS)) if dirty else "\n" for _ in lines]
+    if draw(st.booleans()):
+        seps[-1] = ""
+    return "".join(line + sep for line, sep in zip(lines, seps))
+
+
+class TestReadTableMatchesLineByLine:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts(), block_lines=st.sampled_from([1, 2, 3, 5]))
+    def test_generated_files(self, tmp_path_factory, text, block_lines):
+        path = tmp_path_factory.mktemp("differential") / "t.csv"
+        assert_reads_like_the_reference(path, text, block_lines)
+
+    @pytest.mark.parametrize("block_lines", [3, dataset._BLOCK_LINES])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n",
+            "id,label,f0",
+            "id,label,f0\n\n\n",
+            "id,label\n0,a\n",
+            "label,id,f0\n",
+            "id,label,f0\n\n0,a,1.0\n\n\n1,b,2.0\n\n2,,3.0\n",
+            "id,label,f0,f1\r\n0,a,1.0,2.0\r\n1,TUM,3.0,4.0\r\n2,b,5.0,6.0\r\n",
+            "id,label,f0\r0,a,1.0\r1,b,2.0\r2,a,3.0\r3,b,x\r",
+            "id,label,f0\n0,a,1.0\f1,b,2.0\v2,a,3.0\x853,b,4.0\u20284,a,5.0\n5,b,6.0\n",
+            "id,label,f0\f0,a,1.0\n1,b,2\x85.0\n",
+            "id,label,f0\n0,a,1.0\n1,b,2\u2028.0\n2,a,3.0\n",
+            "id,label,f0,f1\n 0 ,a, 1.5 ,\t2.5\n1_0,b,1_0,+.5\n",
+            "id,label,f0\n0,a,nan\n1,b,2.0\n",
+            "id,label,f0\n0,a,1.0\n1,b,2.0\n2,a,3.0\n3,b,4.0\n4,a,-inf\n5,b,inf\n",
+            "id,label,f0\n0,a,1.0\n1,b,2.0\n2,c,3.0\n",
+            "id,label,f0\n0,a,1.0\n1,b,2.0\n2,a,3.0\n3,a\n4,a,1,2\n",
+            "id,label,f0\n0,a,nan\n1,b,2.0\n2,a,3.0\n3,zz,4.0\nx,a,1.0\n5,b,,\n",
+            "id,label,f0\n0,a,nan\n1,b,2.0\n2,a,3.0\n3,b,4.0\n4,b,y\n5,zz,1.0\n",
+            "id,label,f0\n0,a,1.0\n1,b,2.0\n-3,a,3.0\n1,b,4.0\n",
+            "id,label,f0\n0,a,1.0\n1,b,2.0\n9,a,3.0\n8,b,4.0\n1,a,inf\n",
+            "id,label,f0\n9,a,1.0\n8,b,2.0\n7,a,3.0\n8,b,4.0\n9,a,5.0\n",
+        ],
+    )
+    def test_fixed_cases(self, tmp_path, text, block_lines):
+        assert_reads_like_the_reference(tmp_path / "t.csv", text, block_lines)
+
+    def test_peak_memory_stays_below_three_times_the_file(self, tmp_path):
+        train, _, _ = generate_synthetic(classes=4, per_class=6250, dim=16, spread=1.0, seed=3)
+        assert len(train) >= 20_000
+        path = tmp_path / "big.csv"
+        write_table(path, train)
+        tracemalloc.start()
+        try:
+            table = read_table(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.features.tobytes() == train.features.tobytes()
+        assert peak < 3 * path.stat().st_size
 
 
 def _labelled_table(n, catalog_size=9, seed=0):
@@ -352,6 +637,14 @@ class TestNormalize:
         _, [out] = normalize(ref, [ref])
         assert np.abs(out.features.mean(axis=0)).max() < 1e-9
         assert np.abs(out.features.std(axis=0) - 1.0).max() < 1e-9
+
+    def test_apply_is_bit_identical_to_subtract_then_divide(self, two_class_catalog):
+        rng = np.random.default_rng(5)
+        ref = table_from(two_class_catalog, rng.normal(3.0, 2.5, (300, 5)), labels=rng.integers(0, 2, 300))
+        target = table_from(two_class_catalog, rng.normal(-1.0, 40.0, (200, 5)), hidden=True)
+        norm, [out] = normalize(ref, [target])
+        assert out.features.tobytes() == ((target.features - norm.mean) / norm.std).tobytes()
+        assert np.array_equal(out.ids, target.ids) and out.hidden
 
     def test_dimension_mismatch_rejected(self, two_class_catalog):
         ref = table_from(two_class_catalog, [[0.0], [2.0]], labels=[0, 1])

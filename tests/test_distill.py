@@ -168,6 +168,22 @@ class TestPseudoLabelPool:
         labels = pseudo_label_pool(params, pool)
         assert labels.ids.tolist() == [0, 2, 5, 7, 9]
 
+    def test_ascending_pool_gives_the_same_bytes_as_a_shuffled_one(self, two_class_catalog):
+        # an ascending pool is read in place; a shuffled one is reordered first
+        rng = np.random.default_rng(1)
+        ids = np.array([0, 2, 5, 7, 9])
+        features = rng.normal(size=(5, 2))
+        params = init_params(ArchSpec(input_dim=2, hidden=(4,), output_dim=2), 1)
+        shuffle = rng.permutation(5)
+        labels = [
+            pseudo_label_pool(
+                params, table_from(two_class_catalog, features[rows], ids=ids[rows], hidden=True)
+            )
+            for rows in (np.arange(5), shuffle)
+        ]
+        assert labels[0].ids.tobytes() == labels[1].ids.tobytes() == ids.tobytes()
+        assert labels[0].soft.tobytes() == labels[1].soft.tobytes()
+
     def test_dimension_mismatch(self, two_class_catalog):
         pool = table_from(two_class_catalog, np.ones((2, 3)), labels=[0, 1], hidden=True)
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 0)
