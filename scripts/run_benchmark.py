@@ -4,10 +4,12 @@
 Baseline labelled-fraction sweep, then the teacher-student chain sweep with
 the baseline's best mean as the chart reference, into <out>/baseline and
 <out>/chain. The printed table compares the teacher with the best selected
-chain iteration per fraction.
+chain iteration per fraction; the last lines are the output hashes that
+pin the results byte for byte (first 16 hex digits of sha256).
 """
 
 import argparse
+import hashlib
 import time
 from pathlib import Path
 
@@ -15,6 +17,15 @@ import numpy as np
 
 from distillchain import ExperimentConfig, SyntheticSpec, run_baseline_sweep, run_chain_experiment
 from distillchain.reports import read_runs_csv, read_traces_csv
+
+# The outputs whose hashes are the byte-identity oracle of a seeded run.
+HASHED = (
+    "baseline/summary.csv",
+    "baseline/runs.csv",
+    "chain/summary.csv",
+    "chain/runs.csv",
+    "chain/traces.csv",
+)
 
 
 def main() -> None:
@@ -57,6 +68,10 @@ def main() -> None:
         teacher = [t.test_accuracy for t in traces if t.fraction == fraction and t.iteration == 0]
         t_mean, b_mean = float(np.mean(teacher)), float(np.mean(best[fraction]))
         print(f"{fraction:8g}  {t_mean:12.4f}  {b_mean:15.4f}  {b_mean - t_mean:+.4f}")
+
+    print("\noutput hashes:")
+    for name in HASHED:
+        print(f"  {name}: {hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]}")
 
 
 if __name__ == "__main__":

@@ -4,27 +4,26 @@ from .dataset import (
     DEFAULT_CLASS_NAMES,
     ClassCatalog,
     DataTable,
-    HiddenLabelError,
     Normalizer,
-    Sample,
+    PoolTruth,
+    PoolView,
     SplitResult,
     SplitSpec,
     TableParseError,
     generate_synthetic,
     make_splits,
     normalize,
+    normalize_splits,
     read_table,
     write_table,
 )
 from .learner import (
-    AdamState,
     ArchSpec,
     ModelParams,
     NumericError,
     TrainConfig,
     TrainHistory,
     TrainJob,
-    adam_update,
     backward,
     evaluate,
     forward,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import DataTable, SplitResult
+from .dataset import DataTable, PoolTruth, SplitResult
 from .distill import (
     DistillConfig,
     PseudoLabels,
@@ -31,7 +31,6 @@ from .learner import (
     init_params,
     one_hot,
     train_lockstep,
-    train_with_early_stopping,
 )
 
 
@@ -64,7 +63,6 @@ class IterationRecord:
     pseudo_agreement: float | None
     confusion: np.ndarray
     model: ModelParams | None = None
-    checkpoint_ref: str | None = None
     pseudo_labels: PseudoLabels | None = None
 
 
@@ -120,14 +118,17 @@ def _pretrain_job(
     start: ModelParams,
 ) -> TrainJob:
     """Phase 1 of a student: the pool rows the pseudo-labels name, in their
-    order, against their soft targets."""
+    order, against their soft targets, read in place from the pool's source
+    matrix."""
     pool = splits.pool
     return TrainJob(
-        pool.features[pool.rows_of(teacher_labels.ids)],
+        pool.source,
         teacher_labels.soft,
         splits.early_stop,
         replace(cfg.pretrain, seed=student_seed),
         init=start,
+        rows=pool.rows[pool.positions(teacher_labels.ids)],
+        normalizer=pool.normalizer,
     )
 
 
@@ -144,6 +145,13 @@ def _finetune_job(
         replace(cfg.finetune, seed=seed),
         init=init,
     )
+
+
+def _train(arch: ArchSpec, job: TrainJob) -> ModelParams:
+    (outcome,) = train_lockstep(arch, [job])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
 def train_student(
@@ -163,27 +171,22 @@ def train_student(
     """
     _check_student_inputs(teacher_labels, splits)
     start = _student_start(arch, cfg, student_seed, warm_start)
-    job = _pretrain_job(teacher_labels, splits, cfg, student_seed, start)
-    pretrained, _ = train_with_early_stopping(
-        arch, job.features, job.targets, job.early_stop, job.config, init=job.init
-    )
-    job = _finetune_job(arch, splits, cfg, student_seed, pretrained)
-    tuned, _ = train_with_early_stopping(
-        arch, job.features, job.targets, job.early_stop, job.config, init=job.init
-    )
-    return tuned
+    pretrained = _train(arch, _pretrain_job(teacher_labels, splits, cfg, student_seed, start))
+    return _train(arch, _finetune_job(arch, splits, cfg, student_seed, pretrained))
 
 
-ChainCell = tuple[SplitResult, DataTable, DataTable]
+# (splits, the pool's truth, validation and test as stored)
+ChainCell = tuple[SplitResult, PoolTruth, DataTable, DataTable]
 
 
 class _Chain:
     """One cell's chain in flight: its tables, seeds, records so far, and the
-    latest member with the pseudo-labels it gave the pool."""
+    latest member with the pseudo-labels it gave the pool. The pool's truth
+    goes to the diagnostics alone."""
 
     def __init__(self, slot: int, cell: ChainCell, cfg: ChainConfig):
         self.slot = slot
-        self.splits, self.validation, self.test = cell
+        self.splits, self.truth, self.validation, self.test = cell
         self.cfg = cfg
         self.seeds = tuple(cfg.seed + i for i in range(cfg.iterations + 1))
         self.records: list[IterationRecord] = []
@@ -197,7 +200,7 @@ class _Chain:
         pool = self.splits.pool
         raw = pseudo_label_pool(self.model, pool)
         self.labels = filter_pseudo_labels(raw, self.cfg.distill, pool.catalog)
-        self.agreement = pseudo_label_quality(self.labels, pool)[0] if self.labels else None
+        self.agreement = pseudo_label_quality(self.labels, self.truth)[0] if self.labels else None
         _check_student_inputs(self.labels, self.splits)
         seed = self.seeds[len(self.records)]
         start = _student_start(arch, self.cfg, seed, self.model)
@@ -210,9 +213,10 @@ class _Chain:
 
     def record(self, keep_pseudo_labels: bool) -> None:
         """Score the latest member and append its record; a student's
-        pseudo-labels stay on it only with ``keep_pseudo_labels``."""
-        val_acc, _ = evaluate(self.model, self.validation)
-        test_acc, confusion = evaluate(self.model, self.test)
+        pseudo-labels stay on it only with ``keep_pseudo_labels``. Validation
+        and test are normalized for the scoring alone."""
+        val_acc, _ = evaluate(self.model, self.splits.normalized(self.validation))
+        test_acc, confusion = evaluate(self.model, self.splits.normalized(self.test))
         labels = self.labels
         self.records.append(
             IterationRecord(
@@ -235,7 +239,7 @@ def run_chains(
     cfgs: Sequence[ChainConfig],
     keep_pseudo_labels: bool = False,
 ) -> list[ChainResult | ChainAborted | ValueError]:
-    """Run one teacher-student chain per (splits, validation, test) cell,
+    """Run one teacher-student chain per (splits, truth, validation, test) cell,
     advancing all of them phase by phase: every teacher trains in one
     lockstep group, then per iteration each cell pseudo-labels and filters
     its pool, every student pretrains in one group and every student
@@ -256,7 +260,7 @@ def run_chains(
     outcomes: list[ChainResult | ChainAborted | ValueError | None] = [None] * len(cells)
     live: list[_Chain] = []
     for slot, (cell, cfg) in enumerate(zip(cells, cfgs)):
-        _, validation, test = cell
+        _, _, validation, test = cell
         if not validation.fully_labelled or not test.fully_labelled:
             outcomes[slot] = ValueError("validation and test tables must be labelled")
         else:
@@ -315,6 +319,7 @@ def run_chains(
 
 def run_chain(
     splits: SplitResult,
+    truth: PoolTruth,
     validation: DataTable,
     test: DataTable,
     arch: ArchSpec,
@@ -329,7 +334,9 @@ def run_chain(
     recorded for reporting but never consulted by the selection. A training
     failure raises ChainAborted carrying the completed records.
     """
-    (outcome,) = run_chains([(splits, validation, test)], arch, [cfg], keep_pseudo_labels=True)
+    (outcome,) = run_chains(
+        [(splits, truth, validation, test)], arch, [cfg], keep_pseudo_labels=True
+    )
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -7,8 +7,7 @@ repeated calls are bit-identical.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator
@@ -20,16 +19,9 @@ UNLABELLED = -1
 # Nine-way tissue catalog used as the default for file ingestion.
 DEFAULT_CLASS_NAMES = ("ADI", "BACK", "DEB", "LYM", "MUC", "MUS", "NORM", "STR", "TUM")
 
-# Functions allowed to read ground-truth labels of a hidden-label pool.
-_DIAGNOSTIC_READERS = frozenset({"pseudo_label_quality"})
-
 
 class TableParseError(ValueError):
     """Malformed table file; message names the offending line."""
-
-
-class HiddenLabelError(RuntimeError):
-    """Raised when code outside the diagnostics path touches pool labels."""
 
 
 @dataclass(frozen=True)
@@ -64,15 +56,6 @@ class ClassCatalog:
         return ClassCatalog(tuple(f"c{i}" for i in range(count)))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One identified feature vector, optionally labelled."""
-
-    id: int
-    features: np.ndarray
-    label: int | None = None
-
-
 def _frozen_view(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``; the caller's own array stays writable."""
     view = arr.view()
@@ -80,20 +63,29 @@ def _frozen_view(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def _lookup(ids: np.ndarray, wanted: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Index into ``ids`` (ascending, or ascending in ``order``) of each of
+    ``wanted``; raises ValueError naming the first id that is not there."""
+    wanted = np.asarray(wanted, dtype=np.int64)
+    rows = np.searchsorted(ids, wanted, sorter=order)
+    found = rows < ids.shape[0]
+    if order is not None:
+        rows[found] = order[rows[found]]
+    found[found] = ids[rows[found]] == wanted[found]
+    if not found.all():
+        raise ValueError(f"sample id {wanted[~found][0]} not present in table")
+    return rows
+
+
 @dataclass(frozen=True)
 class DataTable:
-    """Immutable table of identified feature vectors sharing one catalog.
-
-    ``labels`` is None for tables whose labels are withheld (the unlabelled
-    pool); the withheld ground truth then lives in ``_hidden_labels`` and is
-    reachable only through :meth:`reveal_hidden_labels`.
-    """
+    """Immutable table of identified feature vectors sharing one catalog;
+    ``labels`` is None for a table without labels."""
 
     catalog: ClassCatalog
     ids: np.ndarray
     features: np.ndarray
     labels: np.ndarray | None
-    _hidden_labels: np.ndarray | None = field(default=None, repr=False)
     # True when ids are strictly ascending, as in every table make_splits builds
     ascending: bool = field(init=False, repr=False, compare=False)
 
@@ -115,70 +107,122 @@ class DataTable:
         object.__setattr__(self, "ascending", ascending)
         object.__setattr__(self, "ids", _frozen_view(ids))
         object.__setattr__(self, "features", _frozen_view(features))
-        for attr in ("labels", "_hidden_labels"):
-            arr = getattr(self, attr)
-            if arr is None:
-                continue
-            arr = np.ascontiguousarray(arr, dtype=np.int64)
-            if arr.shape != (ids.shape[0],):
-                raise ValueError(f"{attr} shape does not match row count")
-            if arr.size and (arr.min() < UNLABELLED or arr.max() >= self.catalog.size):
-                raise ValueError(f"{attr} outside [0, {self.catalog.size})")
-            object.__setattr__(self, attr, _frozen_view(arr))
+        if self.labels is not None:
+            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            if labels.shape != (ids.shape[0],):
+                raise ValueError("labels shape does not match row count")
+            if labels.size and (labels.min() < UNLABELLED or labels.max() >= self.catalog.size):
+                raise ValueError(f"labels outside [0, {self.catalog.size})")
+            object.__setattr__(self, "labels", _frozen_view(labels))
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield self.sample(i)
 
     @property
     def dim(self) -> int:
         return int(self.features.shape[1])
 
     @property
-    def hidden(self) -> bool:
-        return self.labels is None
-
-    @property
     def fully_labelled(self) -> bool:
         return self.labels is not None and (len(self) == 0 or self.labels.min() >= 0)
-
-    def sample(self, i: int) -> Sample:
-        label = None
-        if self.labels is not None and self.labels[i] != UNLABELLED:
-            label = int(self.labels[i])
-        return Sample(int(self.ids[i]), self.features[i], label)
 
     def rows_of(self, ids: np.ndarray) -> np.ndarray:
         """Row index of each of ``ids``; raises ValueError naming the first
         id that is not in the table."""
-        ids = np.asarray(ids, dtype=np.int64)
-        order = None if self.ascending else np.argsort(self.ids)
-        rows = np.searchsorted(self.ids, ids, sorter=order)
-        found = rows < len(self)
-        if order is not None:
-            rows[found] = order[rows[found]]
-        found[found] = self.ids[rows[found]] == ids[found]
-        if not found.all():
-            raise ValueError(f"sample id {ids[~found][0]} not present in table")
-        return rows
+        return _lookup(self.ids, ids, None if self.ascending else np.argsort(self.ids))
 
-    def reveal_hidden_labels(self) -> np.ndarray:
-        """Ground-truth labels of a hidden-label table, diagnostics only.
 
-        Any caller other than the registered diagnostics is rejected; this is
-        the firewall that keeps pool labels out of training and filtering.
-        """
-        caller = sys._getframe(1).f_code.co_name
-        if caller not in _DIAGNOSTIC_READERS:
-            raise HiddenLabelError(
-                f"hidden labels requested from {caller!r}; only diagnostics may read them"
+@dataclass(frozen=True)
+class Normalizer:
+    """Per-feature affine standardization fitted on a reference table."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __post_init__(self) -> None:
+        mean = np.ascontiguousarray(self.mean, dtype=np.float64)
+        std = np.ascontiguousarray(self.std, dtype=np.float64)
+        if mean.shape != std.shape or mean.ndim != 1:
+            raise ValueError("mean and std must be 1-D arrays of equal length")
+        if np.any(std <= 0.0):
+            raise ValueError("std entries must be strictly positive")
+        mean.setflags(write=False)
+        std.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
+
+    def __call__(self, features: np.ndarray) -> np.ndarray:
+        """A normalized copy of (n, d) ``features``: the mean subtracted into
+        a new array, then the std divided out in place."""
+        if features.shape[-1] != self.mean.shape[0]:
+            raise ValueError(
+                f"normalizer dim {self.mean.shape[0]} does not match table dim {features.shape[-1]}"
             )
-        if self._hidden_labels is None:
-            raise HiddenLabelError("table has no hidden labels")
-        return self._hidden_labels
+        out = features - self.mean
+        out /= self.std
+        return out
+
+    def apply(self, table: DataTable) -> DataTable:
+        return DataTable(
+            catalog=table.catalog, ids=table.ids, features=self(table.features), labels=table.labels
+        )
+
+
+@dataclass(frozen=True)
+class PoolView:
+    """A split's unlabelled pool, read in place: ``rows`` of the ``source``
+    feature matrix (the train table's, shared by every split of it), listed
+    by ascending ``ids``, and read through ``normalizer`` (None: as stored).
+
+    A pool holds no labels, so nothing that is given one can reach the
+    pool's truth: :func:`make_splits` hands that out as a separate
+    :class:`PoolTruth`, which only diagnostics receive.
+    """
+
+    catalog: ClassCatalog
+    source: np.ndarray
+    rows: np.ndarray
+    ids: np.ndarray
+    normalizer: Normalizer | None = None
+
+    def __post_init__(self) -> None:
+        source = np.asarray(self.source, dtype=np.float64)
+        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
+        ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+        if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= len(source))):
+            raise ValueError("pool rows must index the source matrix")
+        if ids.shape != rows.shape or not (ids[1:] > ids[:-1]).all():
+            raise ValueError("pool ids must be strictly ascending, one per row")
+        for name, arr in (("source", source), ("rows", rows), ("ids", ids)):
+            object.__setattr__(self, name, _frozen_view(arr))
+
+    def __len__(self) -> int:
+        return int(self.ids.shape[0])
+
+    def positions(self, ids: np.ndarray) -> np.ndarray:
+        """Position in the pool of each of ``ids``; raises ValueError naming
+        the first id that is not in it."""
+        return _lookup(self.ids, ids)
+
+    def features(self) -> np.ndarray:
+        """The whole pool's features in id order, normalized: a fresh array."""
+        gathered = self.source[self.rows]
+        return gathered if self.normalizer is None else self.normalizer(gathered)
+
+
+@dataclass(frozen=True)
+class PoolTruth:
+    """The withheld labels of a pool, one per id of its ascending ``ids``:
+    what only the pseudo-label diagnostics read."""
+
+    catalog: ClassCatalog
+    ids: np.ndarray
+    labels: np.ndarray
+
+    def labels_of(self, ids: np.ndarray) -> np.ndarray:
+        """The true label of each of ``ids``; raises ValueError naming the
+        first id that is not in the pool."""
+        return self.labels[_lookup(self.ids, ids)]
 
 
 @dataclass(frozen=True)
@@ -214,47 +258,19 @@ class SplitAudit:
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Disjoint labelled / early-stop / pool tables covering the input."""
+    """Disjoint labelled / early-stop tables and an unlabelled pool view
+    covering the input."""
 
     labelled: DataTable
     early_stop: DataTable
-    pool: DataTable
+    pool: PoolView
     audit: SplitAudit
 
-
-@dataclass(frozen=True)
-class Normalizer:
-    """Per-feature affine standardization fitted on a reference table."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        std = np.ascontiguousarray(self.std, dtype=np.float64)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise ValueError("mean and std must be 1-D arrays of equal length")
-        if np.any(std <= 0.0):
-            raise ValueError("std entries must be strictly positive")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-
-    def apply(self, table: DataTable) -> DataTable:
-        if table.dim != self.mean.shape[0]:
-            raise ValueError(
-                f"normalizer dim {self.mean.shape[0]} does not match table dim {table.dim}"
-            )
-        features = table.features - self.mean
-        features /= self.std
-        return DataTable(
-            catalog=table.catalog,
-            ids=table.ids,
-            features=features,
-            labels=table.labels,
-            _hidden_labels=table._hidden_labels,
-        )
+    def normalized(self, table: DataTable) -> DataTable:
+        """``table`` (validation or test) through the normalizer the pool is
+        read with: a fresh table, or ``table`` itself without a normalizer."""
+        norm = self.pool.normalizer
+        return table if norm is None else norm.apply(table)
 
 
 def _fisher_yates(ids: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -343,15 +359,17 @@ def generate_synthetic(
     return tables[0], tables[1], tables[2]
 
 
-def make_splits(train: DataTable, spec: SplitSpec) -> SplitResult:
-    """Carve ``train`` into labelled / early-stop / pool per ``spec``.
+def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTruth]:
+    """Carve ``train`` into labelled / early-stop / pool per ``spec``, and
+    return the pool's truth apart from the splits.
 
     The early-stop set is drawn first, uniformly at random with size
     floor(early_stop_fraction * N); draws missing a class are rejected and
     redrawn so accuracy-based early stopping never sees an absent class. The
     labelled set of size floor(labelled_fraction * N) is then drawn from the
     remainder (class-balanced only when requested); everything else becomes
-    the pool with its labels hidden.
+    the pool: a view of ``train``'s feature matrix without labels. Its labels
+    are the returned :class:`PoolTruth`.
     """
     if not train.fully_labelled:
         raise ValueError("make_splits requires a fully labelled training table")
@@ -395,23 +413,22 @@ def make_splits(train: DataTable, spec: SplitSpec) -> SplitResult:
     else:
         shuffled = _fisher_yates(remainder_ids, rng)
         labelled_ids = shuffled[:n_labelled]
-    pool_ids = np.setdiff1d(remainder_ids, labelled_ids)
+    pool_ids = np.setdiff1d(remainder_ids, labelled_ids)  # ascending
 
-    def subtable(id_subset: np.ndarray, hide: bool) -> DataTable:
+    def subtable(id_subset: np.ndarray) -> DataTable:
         rows = train.rows_of(np.sort(id_subset))
-        labels = train.labels[rows]
         return DataTable(
             catalog=train.catalog,
             ids=train.ids[rows],
             features=train.features[rows],
-            labels=None if hide else labels,
-            _hidden_labels=labels if hide else None,
+            labels=train.labels[rows],
         )
 
+    pool_rows = train.rows_of(pool_ids)
     result = SplitResult(
-        labelled=subtable(labelled_ids, hide=False),
-        early_stop=subtable(early_ids, hide=False),
-        pool=subtable(pool_ids, hide=True),
+        labelled=subtable(labelled_ids),
+        early_stop=subtable(early_ids),
+        pool=PoolView(train.catalog, train.features, pool_rows, pool_ids),
         audit=SplitAudit(
             seed=spec.seed,
             n_total=n,
@@ -420,7 +437,7 @@ def make_splits(train: DataTable, spec: SplitSpec) -> SplitResult:
             n_pool=int(pool_ids.size),
         ),
     )
-    return result
+    return result, PoolTruth(train.catalog, pool_ids, train.labels[pool_rows])
 
 
 def _balanced_draw(
@@ -462,6 +479,16 @@ def normalize(
     std = np.where(std < 1e-12, 1.0, std)
     norm = Normalizer(mean=mean, std=std)
     return norm, [norm.apply(t) for t in targets]
+
+
+def normalize_splits(splits: SplitResult) -> SplitResult:
+    """Splits as :func:`make_splits` gave them, standardized by a
+    normalizer fitted on the labelled set: the labelled and early-stop
+    tables are normalized copies, and the pool is read through it."""
+    norm, [labelled, early_stop] = normalize(splits.labelled, [splits.labelled, splits.early_stop])
+    return replace(
+        splits, labelled=labelled, early_stop=early_stop, pool=replace(splits.pool, normalizer=norm)
+    )
 
 
 # Data lines read_table parses in one batch (and rows write_table formats):

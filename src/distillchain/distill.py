@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ClassCatalog, DataTable
+from .dataset import ClassCatalog, PoolTruth, PoolView, _frozen_view
 from .learner import ModelParams, forward
 
 
@@ -19,7 +19,7 @@ class PseudoLabels:
 
     ``ids`` (n,) and ``soft`` (n, C) are given; ``top`` (n,) is the predicted
     class (lowest index on ties) and ``confidence`` (n,) its probability. All
-    four arrays are read-only.
+    four arrays are read-only views; the caller's own arrays stay writable.
     """
 
     ids: np.ndarray
@@ -35,8 +35,7 @@ class PseudoLabels:
         top = soft.argmax(axis=1)
         confidence = soft[np.arange(soft.shape[0]), top]
         for name, arr in (("ids", ids), ("soft", soft), ("top", top), ("confidence", confidence)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_view(arr))
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -61,21 +60,18 @@ class DistillConfig:
             raise ValueError("top_probs must be positive or None")
 
 
-def pseudo_label_pool(model: ModelParams, pool: DataTable) -> PseudoLabels:
+def pseudo_label_pool(model: ModelParams, pool: PoolView) -> PseudoLabels:
     """Pseudo-labels for every pool sample, ordered by ascending sample id.
 
-    Only the pool's features are read; withheld labels stay untouched.
+    The whole pool is gathered and normalized into one scratch matrix and
+    labelled by one forward pass: a pass over row blocks would give other
+    bits, since a matmul's rounding depends on the rows it is given.
     """
-    if len(pool) == 0:
-        return PseudoLabels(np.empty(0, dtype=np.int64), np.empty((0, model.arch.output_dim)))
-    if pool.dim != model.arch.input_dim:
+    if pool.source.shape[1] != model.arch.input_dim:
         raise ValueError(
-            f"pool dim {pool.dim} does not match model input {model.arch.input_dim}"
+            f"pool dim {pool.source.shape[1]} does not match model input {model.arch.input_dim}"
         )
-    if pool.ascending:
-        return PseudoLabels(pool.ids, forward(model, pool.features))
-    order = np.argsort(pool.ids)
-    return PseudoLabels(pool.ids[order], forward(model, pool.features[order]))
+    return PseudoLabels(pool.ids, forward(model, pool.features()))
 
 
 def keep_top_probabilities(labels: PseudoLabels, keep: int) -> PseudoLabels:
@@ -130,18 +126,17 @@ def filter_pseudo_labels(
 
 
 def pseudo_label_quality(
-    labels: PseudoLabels, pool: DataTable
+    labels: PseudoLabels, truth: PoolTruth
 ) -> tuple[float, np.ndarray]:
     """Agreement of predicted top classes with the pool's withheld truth.
 
-    Diagnostics only: this is the single permitted reader of hidden pool
-    labels, and nothing here feeds back into training. Returns the overall
-    agreement and the per-true-class agreement vector (0 for classes absent
-    from the scored labels).
+    Diagnostics only: the one function given the truth, and nothing here
+    feeds back into training. Returns the overall agreement and the
+    per-true-class agreement vector (0 for classes absent from the scored
+    labels).
     """
-    truth = pool.reveal_hidden_labels()
-    true_class = truth[pool.rows_of(labels.ids)]
-    c = pool.catalog.size
+    true_class = truth.labels_of(labels.ids)
+    c = truth.catalog.size
     totals = np.bincount(true_class, minlength=c)
     hits = np.bincount(true_class[labels.top == true_class], minlength=c)
     if totals.sum() == 0:

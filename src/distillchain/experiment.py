@@ -19,11 +19,10 @@ import numpy as np
 from .chain import ChainAborted, ChainConfig, run_chains
 from .dataset import (
     DataTable,
-    SplitResult,
     SplitSpec,
     generate_synthetic,
     make_splits,
-    normalize,
+    normalize_splits,
     read_table,
 )
 from .learner import ArchSpec, TrainConfig, TrainJob, evaluate, one_hot, save_model, train_lockstep
@@ -140,29 +139,6 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
     return tables
 
 
-def _normalized_splits(
-    train: DataTable,
-    val: DataTable,
-    test: DataTable,
-    cfg: ExperimentConfig,
-    fraction: float,
-    split_seed: int,
-) -> tuple[SplitResult, DataTable, DataTable]:
-    splits = make_splits(
-        train,
-        SplitSpec(
-            labelled_fraction=fraction,
-            early_stop_fraction=cfg.early_stop_fraction,
-            seed=split_seed,
-            balance_labelled=cfg.balance_labelled,
-        ),
-    )
-    _, [lab, es, pool, nval, ntest] = normalize(
-        splits.labelled, [splits.labelled, splits.early_stop, splits.pool, val, test]
-    )
-    return SplitResult(labelled=lab, early_stop=es, pool=pool, audit=splits.audit), nval, ntest
-
-
 @dataclass(frozen=True)
 class _CellOutput:
     rows: tuple[RunRow, ...]
@@ -181,22 +157,28 @@ def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
 
 def _prepare_cells(dataset, cfg, cells, role, modes):
     """Each (f_idx, run) cell's base rows, one per mode, seeded by ``role``,
-    with its normalized splits; a cell whose split fails gets its skip rows
-    instead, keyed by its position in ``cells``."""
-    train, val, test = dataset
+    with its normalized splits and its pool's truth; a cell whose split fails
+    gets its skip rows instead, keyed by its position in ``cells``. The pool,
+    validation and test are not copied: they are normalized where read."""
+    train = dataset[0]
     prepared, skipped = [], {}
     for slot, (f_idx, run) in enumerate(cells):
         fraction = cfg.fractions[f_idx]
         seed = derive_seed(cfg.seed, role, f_idx, run)
         bases = tuple(RunRow(mode=mode, fraction=fraction, run=run, seed=seed) for mode in modes)
         try:
-            splits, nval, ntest = _normalized_splits(
-                train, val, test, cfg, fraction, derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run)
+            spec = SplitSpec(
+                labelled_fraction=fraction,
+                early_stop_fraction=cfg.early_stop_fraction,
+                seed=derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run),
+                balance_labelled=cfg.balance_labelled,
             )
+            splits, truth = make_splits(train, spec)
+            splits = normalize_splits(splits)
         except ValueError as exc:
             skipped[slot] = _skipped(bases, exc)
             continue
-        prepared.append((slot, bases, splits, nval, ntest))
+        prepared.append((slot, bases, splits, truth))
     return prepared, skipped
 
 
@@ -206,8 +188,9 @@ def _baseline_cells(
     cells: list[tuple[int, int]],
 ) -> list[_CellOutput]:
     """Baseline (f_idx, run) cells, every trainable one in one lockstep
-    group; a cell whose split or training fails becomes a skip row."""
-    train = dataset[0]
+    group; a cell whose split or training fails becomes a skip row.
+    Validation and test are normalized per cell after training."""
+    train, val, test = dataset
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
     prepared, outputs = _prepare_cells(dataset, cfg, cells, _ROLE_TRAIN, ("baseline",))
     jobs = [
@@ -217,15 +200,15 @@ def _baseline_cells(
             splits.early_stop,
             replace(cfg.train, seed=bases[0].seed),
         )
-        for _, bases, splits, _, _ in prepared
+        for _, bases, splits, _ in prepared
     ]
-    for (slot, bases, _, nval, ntest), outcome in zip(prepared, train_lockstep(arch, jobs)):
+    for (slot, bases, splits, _), outcome in zip(prepared, train_lockstep(arch, jobs)):
         if isinstance(outcome, Exception):
             outputs[slot] = _skipped(bases, outcome)
             continue
         params, _ = outcome
-        val_acc, _ = evaluate(params, nval)
-        test_acc, confusion = evaluate(params, ntest)
+        val_acc, _ = evaluate(params, splits.normalized(val))
+        test_acc, confusion = evaluate(params, splits.normalized(test))
         row = replace(bases[0], val_accuracy=val_acc, test_accuracy=test_acc)
         outputs[slot] = _CellOutput(rows=(row,), confusions=((row.fraction, row.run, confusion),))
     return [outputs[slot] for slot in range(len(cells))]
@@ -238,22 +221,22 @@ def _chain_cells(
 ) -> list[_CellOutput]:
     """Chain (f_idx, run) cells, every one with a pool advanced together by
     ``run_chains``; a cell whose split or chain fails becomes skip rows."""
-    train = dataset[0]
+    train, val, test = dataset
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
     prepared, outputs = _prepare_cells(
         dataset, cfg, cells, _ROLE_CHAIN, ("chain_best", "chain_final")
     )
-    for slot, bases, splits, _, _ in prepared:
+    for slot, bases, splits, _ in prepared:
         if len(splits.pool) == 0:
             outputs[slot] = _skipped(bases, ValueError("empty pool"))
     prepared = [cell for cell in prepared if cell[0] not in outputs]
     results = run_chains(
-        [(splits, nval, ntest) for _, _, splits, nval, ntest in prepared],
+        [(splits, truth, val, test) for _, _, splits, truth in prepared],
         arch,
-        [replace(cfg.chain, seed=bases[0].seed) for _, bases, _, _, _ in prepared],
+        [replace(cfg.chain, seed=bases[0].seed) for _, bases, _, _ in prepared],
         keep_pseudo_labels=cfg.dump_pseudo_labels,
     )
-    for (slot, bases, splits, _, _), result in zip(prepared, results):
+    for (slot, bases, splits, _), result in zip(prepared, results):
         if isinstance(result, ChainAborted):
             outputs[slot] = _skipped(bases, result)
             continue

@@ -14,15 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DataTable
+from .dataset import DataTable, Normalizer
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 LOG_CLAMP = 1e-12
-
-INIT_SCHEME = "uniform-fan-in"
 
 
 class NumericError(ArithmeticError):
@@ -71,28 +69,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class AdamState:
-    """First/second moment estimates congruent to ModelParams plus the step
-    counter."""
-
-    m_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
-    t: int = 0
-
-    @staticmethod
-    def zeros(params: ModelParams) -> "AdamState":
-        return AdamState(
-            m_weights=tuple(np.zeros_like(w) for w in params.weights),
-            m_biases=tuple(np.zeros_like(b) for b in params.biases),
-            v_weights=tuple(np.zeros_like(w) for w in params.weights),
-            v_biases=tuple(np.zeros_like(b) for b in params.biases),
-            t=0,
-        )
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings; the epoch size is a fixed number of minibatch
     steps regardless of dataset size."""
@@ -127,7 +103,6 @@ class TrainHistory:
     epochs: tuple[EpochStats, ...] = ()
     best_epoch: int | None = None
     best_accuracy: float | None = None
-    init_scheme: str = INIT_SCHEME
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -302,26 +277,6 @@ def _adam_step(
     theta -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
-def adam_update(
-    params: ModelParams,
-    grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]],
-    state: AdamState,
-    learning_rate: float,
-) -> tuple[ModelParams, AdamState]:
-    """One Adam step with bias correction; returns fresh params and state."""
-    arch = params.arch
-    theta = _flatten(arch, params.weights, params.biases)
-    m = _flatten(arch, state.m_weights, state.m_biases)
-    v = _flatten(arch, state.v_weights, state.v_biases)
-    t = state.t + 1
-    _adam_step(theta, _flatten(arch, *grads), m, v, t, learning_rate)
-    if not np.isfinite(theta).all():
-        raise NumericError("non-finite parameter update")
-    m_w, m_b = _layer_views(arch, m)
-    v_w, v_b = _layer_views(arch, v)
-    return _params_view(arch, theta), AdamState(m_w, m_b, v_w, v_b, t=t)
-
-
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -343,31 +298,40 @@ class _BatchStream:
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` row indices; reshuffles only when more rows
-        are needed, so any split of a run of draws gives the same rows."""
-        take: list[np.ndarray] = []
-        need = count
-        while need > 0:
-            if self.cursor == self.n:
-                self.order = self.rng.permutation(self.n)
-                self.cursor = 0
-            grab = min(need, self.n - self.cursor)
-            take.append(self.order[self.cursor : self.cursor + grab])
-            self.cursor += grab
-            need -= grab
-        return np.concatenate(take) if len(take) > 1 else take[0]
+        are needed, so any split of a run of draws gives the same rows. The
+        passes a draw needs come from one ``permuted`` call over stacked
+        ``arange(n)`` rows: the same draws as one ``permutation(n)`` each."""
+        head = self.order[self.cursor : self.cursor + count]
+        need = count - head.size
+        if need <= 0:
+            self.cursor += count
+            return head
+        passes = -(-need // self.n)
+        drawn = self.rng.permuted(np.tile(np.arange(self.n), (passes, 1)), axis=1)
+        self.order = drawn[-1]
+        self.cursor = need - (passes - 1) * self.n
+        return np.concatenate([head, drawn.reshape(-1)[:need]])
 
 
 @dataclass(frozen=True)
 class TrainJob:
     """One model to train: features, soft targets, the early-stop table, the
     optimization settings, and the starting weights (a fresh seeded init
-    from ``config.seed`` when ``init`` is None)."""
+    from ``config.seed`` when ``init`` is None).
+
+    With ``rows``, the training set is those rows of ``features``, in the
+    order of ``targets``, read in place; with ``normalizer``, rows are
+    normalized in place as they are gathered, with the operations of
+    ``Normalizer.apply``.
+    """
 
     features: np.ndarray
     targets: np.ndarray
     early_stop: DataTable
     config: TrainConfig
     init: ModelParams | None = None
+    rows: np.ndarray | None = None
+    normalizer: Normalizer | None = None
 
 
 TrainOutcome = tuple[ModelParams, TrainHistory] | ValueError | ArithmeticError
@@ -384,13 +348,20 @@ class _Member:
     def __init__(self, slot: int, arch: ArchSpec, job: TrainJob):
         x = np.asarray(job.features, dtype=np.float64)
         t = np.asarray(job.targets, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] == 0:
+        rows = None if job.rows is None else np.asarray(job.rows, dtype=np.int64)
+        n = x.shape[0] if rows is None else rows.shape[0]
+        if x.ndim != 2 or n == 0:
             raise ValueError("training features must be a non-empty 2-D array")
         if x.shape[1] != arch.input_dim:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match model input {arch.input_dim}"
             )
-        if t.shape != (x.shape[0], arch.output_dim):
+        # the gather clips indices, so rows out of range must not get that far
+        if rows is not None and (rows.ndim != 1 or rows.min() < 0 or rows.max() >= x.shape[0]):
+            raise ValueError("training rows must index the feature matrix")
+        if job.normalizer is not None and job.normalizer.mean.shape != (x.shape[1],):
+            raise ValueError("normalizer dim does not match the features")
+        if t.shape != (n, arch.output_dim):
             raise ValueError("targets shape does not match features and output dim")
         if not job.early_stop.fully_labelled:
             raise ValueError("early-stop table must be labelled")
@@ -398,18 +369,20 @@ class _Member:
         if init.arch != arch:
             raise ValueError("initial params do not match the architecture")
         self.slot = slot
-        self.x, self.t = x, t
+        self.x, self.t, self.rows, self.normalizer = x, t, rows, job.normalizer
         self.early_stop = job.early_stop
         self.init = init
-        self.stream = _BatchStream(x.shape[0], np.random.default_rng(job.config.seed))
+        self.stream = _BatchStream(n, np.random.default_rng(job.config.seed))
         self.epochs: list[EpochStats] = []
         self.best_acc = -1.0
         self.best_epoch = -1
         self.stale = 0
 
-    def epoch_rows(self, steps: int, batch: int) -> np.ndarray:
-        """The next epoch's training rows, one row of ``batch`` per step."""
-        return self.stream.take(steps * batch).reshape(steps, batch)
+    def epoch_rows(self, steps: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next epoch's rows of the targets and of the feature matrix,
+        one row of ``batch`` per step."""
+        picks = self.stream.take(steps * batch).reshape(steps, batch)
+        return picks, picks if self.rows is None else self.rows[picks]
 
     def history(self) -> TrainHistory:
         return TrainHistory(
@@ -449,7 +422,7 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             members.append(_Member(slot, arch, job))
         except ValueError as exc:
             outcomes[slot] = exc
-    if config.max_epochs == 0:
+    if config.max_epochs == 0 or not members:
         for member in members:
             outcomes[member.slot] = (member.init, TrainHistory())
         return outcomes
@@ -459,6 +432,14 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     best = np.empty_like(theta)
+    # one normalization per gather along each member's contiguous block of
+    # the buffer (mean and std tiled over the batch); mean 0 and std 1 leave
+    # the bits of a member without a normalizer as they are
+    norms = [mb.normalizer for mb in members]
+    normalize = any(nm is not None for nm in norms)
+    if normalize:
+        means = np.tile([np.zeros(arch.input_dim) if nm is None else nm.mean for nm in norms], batch)
+        stds = np.tile([np.ones(arch.input_dim) if nm is None else nm.std for nm in norms], batch)
     step = 0
     for epoch in range(config.max_epochs):
         # views into this epoch's buffers, which shrink when members leave
@@ -476,11 +457,15 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             c = s % chunk
             if c == 0:
                 n = min(chunk, steps - s)
-                for j, (mb, epoch_rows) in enumerate(zip(members, rows)):
+                for j, (mb, (picks, x_rows)) in enumerate(zip(members, rows)):
                     # mode="clip" spares take() the buffered copy it makes
                     # for out= under mode="raise"; all rows are in range
-                    mb.x.take(epoch_rows[s : s + n], 0, out=xs[:n, j], mode="clip")
-                    mb.t.take(epoch_rows[s : s + n], 0, out=ts[:n, j], mode="clip")
+                    mb.x.take(x_rows[s : s + n], 0, out=xs[:n, j], mode="clip")
+                    mb.t.take(picks[s : s + n], 0, out=ts[:n, j], mode="clip")
+                if normalize:  # the IEEE operations of Normalizer.apply
+                    blocks = xs[:n].reshape(n, k, -1)
+                    blocks -= means
+                    blocks /= stds
             probs, activations, pre_acts = _forward_cached(weights, biases, xs[c])
             loss_sum += _cross_entropy(probs, ts[c])
             _backprop_into(weights, probs, ts[c], activations, pre_acts, grad_w, grad_b)
@@ -517,6 +502,8 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
         if len(staying) < len(members):
             members = [members[k] for k in staying]
             theta, m, v, best = theta[staying], m[staying], v[staying], best[staying]
+            if normalize:
+                means, stds = means[staying], stds[staying]
     return outcomes
 
 

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from distillchain import ArchSpec, ClassCatalog, DataTable, backward, forward, init_params, soft_cross_entropy
+from distillchain import (
+    ArchSpec,
+    ClassCatalog,
+    DataTable,
+    PoolTruth,
+    PoolView,
+    backward,
+    forward,
+    init_params,
+    soft_cross_entropy,
+)
 from distillchain.learner import ModelParams
 
 
@@ -10,17 +20,62 @@ def two_class_catalog():
     return ClassCatalog(("neg", "pos"))
 
 
-def table_from(catalog, features, labels=None, ids=None, hidden=False):
+def table_from(catalog, features, labels=None, ids=None):
     """Small-table builder for tests."""
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     ids = np.arange(n) if ids is None else np.asarray(ids)
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
-    if hidden:
-        return DataTable(
-            catalog=catalog, ids=ids, features=features, labels=None, _hidden_labels=labels
-        )
     return DataTable(catalog=catalog, ids=ids, features=features, labels=labels)
+
+
+def pool_from(catalog, features, ids=None):
+    """A pool view over every row of ``features``, one id per row (listed
+    by ascending id)."""
+    features = np.asarray(features, dtype=np.float64)
+    ids = np.arange(features.shape[0]) if ids is None else np.asarray(ids)
+    rows = np.argsort(ids)
+    return PoolView(catalog, features, rows, ids[rows])
+
+
+def truth_from(catalog, labels, ids=None):
+    """A pool truth of ``labels``, one id per label."""
+    labels = np.asarray(labels, dtype=np.int64)
+    ids = np.arange(labels.shape[0]) if ids is None else np.asarray(ids)
+    order = np.argsort(ids)
+    return PoolTruth(catalog, ids[order], labels[order])
+
+
+def reachable(*roots):
+    """Every object reachable from ``roots`` through containers, dataclass
+    fields and instance attributes (arrays are leaves)."""
+    stack, seen, found = list(roots), set(), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, np.ndarray):
+            continue
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
+
+
+def reaches_labels(roots, *label_arrays):
+    """True when an object reachable from ``roots`` is a PoolTruth, or an
+    array that may share memory with one of ``label_arrays``."""
+    for obj in reachable(*roots):
+        if isinstance(obj, PoolTruth):
+            return True
+        if isinstance(obj, np.ndarray) and any(np.may_share_memory(obj, a) for a in label_arrays):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from distillchain import (
     ClassCatalog,
     DistillConfig,
     ExperimentConfig,
-    HiddenLabelError,
+    PoolTruth,
     PseudoLabels,
-    SplitResult,
     SplitSpec,
     SyntheticSpec,
     TrainConfig,
@@ -24,15 +23,16 @@ from distillchain import (
     keep_most_confident_per_class,
     keep_top_probabilities,
     make_splits,
-    normalize,
+    normalize_splits,
     pseudo_label_quality,
     run_baseline_sweep,
     run_chain,
     run_chain_experiment,
 )
+from distillchain import chain as chain_module
 from distillchain.reports import read_runs_csv, read_traces_csv
 
-from conftest import gradcheck_case, max_relative_error, table_from
+from conftest import gradcheck_case, max_relative_error, reaches_labels, table_from
 
 
 def check(name: str, passed: bool, detail: str = ""):
@@ -107,25 +107,25 @@ def test_criterion_2_filter_oracle_equivalence():
     )
 
 
-def _mini_chain(seed):
+def _mini_chain(seed, relabel=0):
+    """A seeded miniature chain; ``relabel`` shifts every truth label of the
+    pool, mod 3, before the chain runs."""
     train, val, test = generate_synthetic(classes=3, per_class=30, dim=2, spread=0.5, seed=seed)
-    splits = make_splits(
+    splits, truth = make_splits(
         train, SplitSpec(labelled_fraction=0.25, early_stop_fraction=0.1, seed=seed)
     )
-    _, [lab, es, pool, nval, ntest] = normalize(
-        splits.labelled, [splits.labelled, splits.early_stop, splits.pool, val, test]
-    )
-    nsplits = SplitResult(labelled=lab, early_stop=es, pool=pool, audit=splits.audit)
+    splits = normalize_splits(splits)
+    truth = PoolTruth(truth.catalog, truth.ids, (truth.labels + relabel) % 3)
     fast = TrainConfig(max_epochs=2, steps_per_epoch=5, batch_size=8, patience=2)
     cfg = ChainConfig(
         iterations=2, distill=DistillConfig(per_class_cap=None),
         pretrain=fast, finetune=fast, seed=seed,
     )
     arch = ArchSpec(input_dim=2, hidden=(), output_dim=3)
-    return nsplits, run_chain(nsplits, nval, ntest, arch, cfg)
+    return train, splits, truth, run_chain(splits, truth, val, test, arch, cfg)
 
 
-def test_criterion_3_protocol_invariants():
+def test_criterion_3_protocol_invariants(monkeypatch):
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
 
@@ -135,7 +135,7 @@ def test_criterion_3_protocol_invariants():
         n = int(rng.integers(120, 400))
         labels = np.concatenate([np.arange(3), rng.integers(0, 3, n - 3)])
         train = table_from(catalog, rng.standard_normal((n, 2)), labels=labels)
-        result = make_splits(
+        result, _ = make_splits(
             train, SplitSpec(labelled_fraction=0.2, early_stop_fraction=0.05, seed=seed)
         )
         union = np.concatenate([result.labelled.ids, result.early_stop.ids, result.pool.ids])
@@ -163,18 +163,42 @@ def test_criterion_3_protocol_invariants():
                 assert mine.min() >= dropped.max()
 
     # chain selection dominance, record counts, and the hidden-label
-    # firewall, 100 seeded miniature chains
+    # firewall, 100 seeded miniature chains: nothing the chain hands to
+    # pseudo-labelling, filtering or training (each TrainJob goes through
+    # train_lockstep) reaches the pool's truth or the train table's labels,
+    # and a relabelled truth changes nothing but the scored agreement
+    handed = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            handed.setdefault(name, []).append((args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("pseudo_label_pool", "filter_pseudo_labels", "train_lockstep"):
+        monkeypatch.setattr(chain_module, name, spy(name, getattr(chain_module, name)))
     for seed in range(100):
-        nsplits, result = _mini_chain(seed)
+        _, _, _, relabelled = _mini_chain(seed, relabel=1)
+        handed.clear()
+        train, splits, truth, result = _mini_chain(seed)
+        for a, b in zip(result.records, relabelled.records, strict=True):
+            assert (a.val_accuracy, a.test_accuracy, a.pseudo_count) == (
+                b.val_accuracy, b.test_accuracy, b.pseudo_count
+            )
+            assert np.array_equal(a.confusion, b.confusion)
+            for x, y in zip((*a.model.weights, *a.model.biases), (*b.model.weights, *b.model.biases)):
+                assert np.array_equal(x, y)
         assert len(result.records) == result.config.iterations + 1
         assert [r.iteration for r in result.records] == list(range(len(result.records)))
         best = result.records[result.best_iteration]
         assert best.val_accuracy >= result.records[0].val_accuracy
-        assert nsplits.pool.labels is None
-        with pytest.raises(HiddenLabelError):
-            nsplits.pool.reveal_hidden_labels()
-        uniform = PseudoLabels(nsplits.pool.ids, np.full((len(nsplits.pool), 3), 1.0 / 3.0))
-        agreement, _ = pseudo_label_quality(uniform, nsplits.pool)
+        assert not hasattr(splits.pool, "labels")
+        assert [len(handed[n]) for n in ("pseudo_label_pool", "filter_pseudo_labels")] == [2, 2]
+        assert len(handed["train_lockstep"]) == 5  # teacher, then pretrain and finetune x 2
+        assert not reaches_labels(handed.values(), truth.labels, train.labels)
+        assert reaches_labels([truth], truth.labels)  # the check sees what it looks for
+        uniform = PseudoLabels(splits.pool.ids, np.full((len(splits.pool), 3), 1.0 / 3.0))
+        agreement, _ = pseudo_label_quality(uniform, truth)
         assert 0.0 <= agreement <= 1.0
 
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,13 @@ from distillchain import (
     ChainConfig,
     DistillConfig,
     IterationRecord,
+    PoolTruth,
     PseudoLabels,
-    SplitResult,
     SplitSpec,
     TrainConfig,
     generate_synthetic,
     make_splits,
-    normalize,
+    normalize_splits,
     one_hot,
     run_chain,
     run_chains,
@@ -40,16 +42,14 @@ def record(i, val, test=0.0):
 
 
 def small_problem(seed=0, classes=3, per_class=60, dim=3, spread=0.25, labelled=0.2, early=0.05):
+    """Normalized splits, the pool's truth, raw validation and test tables,
+    and a softmax-regression architecture."""
     train, val, test = generate_synthetic(classes=classes, per_class=per_class, dim=dim, spread=spread, seed=seed)
-    splits = make_splits(
+    splits, truth = make_splits(
         train, SplitSpec(labelled_fraction=labelled, early_stop_fraction=early, seed=seed)
     )
-    _, [lab, es, pool, nval, ntest] = normalize(
-        splits.labelled, [splits.labelled, splits.early_stop, splits.pool, val, test]
-    )
-    nsplits = SplitResult(labelled=lab, early_stop=es, pool=pool, audit=splits.audit)
     arch = ArchSpec(input_dim=dim, hidden=(), output_dim=classes)
-    return nsplits, nval, ntest, arch
+    return normalize_splits(splits), truth, val, test, arch
 
 
 def quick_chain_config(iterations=2, seed=0, **distill):
@@ -80,13 +80,13 @@ class TestSelectBest:
 
 class TestTrainStudent:
     def test_empty_pseudo_labels_rejected(self):
-        splits, _, _, arch = small_problem()
+        splits, _, _, _, arch = small_problem()
         with pytest.raises(ValueError, match="non-empty pseudo-label"):
             empty = PseudoLabels(np.empty(0, dtype=np.int64), np.empty((0, 3)))
             train_student(arch, empty, splits, quick_chain_config(), student_seed=0)
 
     def test_zero_pretrain_equals_finetune_only(self):
-        splits, _, _, arch = small_problem(seed=3)
+        splits, _, _, _, arch = small_problem(seed=3)
         cfg = quick_chain_config(seed=3)
         cfg = ChainConfig(
             iterations=1,
@@ -97,8 +97,6 @@ class TestTrainStudent:
         )
         fake = PseudoLabels(splits.pool.ids, np.full((len(splits.pool), 3), 1.0 / 3.0))
         student = train_student(arch, fake, splits, cfg, student_seed=17)
-
-        from dataclasses import replace
 
         direct, _ = train_with_early_stopping(
             arch,
@@ -111,7 +109,7 @@ class TestTrainStudent:
             assert np.array_equal(a, b)
 
     def test_deterministic(self):
-        splits, _, _, arch = small_problem(seed=5)
+        splits, _, _, _, arch = small_problem(seed=5)
         fake = PseudoLabels(
             splits.pool.ids, np.tile([0.7, 0.2, 0.1], (len(splits.pool), 1))
         )
@@ -126,7 +124,8 @@ class TestTrainStudent:
         # least the plain supervised teacher's accuracy, averaged over seeds
         teacher_accs, student_accs = [], []
         for seed in range(5):
-            splits, _, ntest, arch = small_problem(seed=seed, labelled=0.05, spread=0.6)
+            splits, _, _, test, arch = small_problem(seed=seed, labelled=0.05, spread=0.6)
+            ntest = splits.normalized(test)
             # ground truth comes from the original table, not the hidden pool
             train, _, _ = generate_synthetic(classes=3, per_class=60, dim=3, spread=0.6, seed=seed)
             truth = train.labels[train.rows_of(splits.pool.ids)]
@@ -138,8 +137,6 @@ class TestTrainStudent:
                 finetune=TrainConfig(max_epochs=40, patience=10, learning_rate=3e-4),
                 seed=seed,
             )
-            from dataclasses import replace
-
             teacher, _ = train_with_early_stopping(
                 arch,
                 splits.labelled.features,
@@ -156,10 +153,10 @@ class TestTrainStudent:
 class TestRunChain:
     def test_record_count_and_unfiltered_pseudo_count(self):
         # 48 training samples: 4 early-stop + 24 labelled leave a 20-sample pool
-        splits, nval, ntest, arch = small_problem(seed=1, per_class=20, labelled=0.5, early=0.1)
+        splits, truth, val, test, arch = small_problem(seed=1, per_class=20, labelled=0.5, early=0.1)
         assert len(splits.pool) == 20
         cfg = quick_chain_config(iterations=1, seed=1)
-        result = run_chain(splits, nval, ntest, arch, cfg)
+        result = run_chain(splits, truth, val, test, arch, cfg)
         assert len(result.records) == 2
         assert result.records[0].pseudo_count == 0
         assert result.records[0].pseudo_agreement is None
@@ -167,39 +164,51 @@ class TestRunChain:
         assert result.seeds == (1, 2)
 
     def test_selection_dominance(self):
-        splits, nval, ntest, arch = small_problem(seed=2)
-        result = run_chain(splits, nval, ntest, arch, quick_chain_config(seed=2))
+        splits, truth, val, test, arch = small_problem(seed=2)
+        result = run_chain(splits, truth, val, test, arch, quick_chain_config(seed=2))
         best = result.records[result.best_iteration]
         assert best.val_accuracy >= result.records[0].val_accuracy
         assert result.best_iteration == select_best(result.records)
 
     def test_iterations_are_contiguous(self):
-        splits, nval, ntest, arch = small_problem(seed=4)
-        result = run_chain(splits, nval, ntest, arch, quick_chain_config(iterations=3, seed=4))
+        splits, truth, val, test, arch = small_problem(seed=4)
+        result = run_chain(splits, truth, val, test, arch, quick_chain_config(iterations=3, seed=4))
         assert [r.iteration for r in result.records] == [0, 1, 2, 3]
 
     def test_pool_membership_is_stable_across_iterations(self):
-        splits, nval, ntest, arch = small_problem(seed=6)
+        splits, truth, val, test, arch = small_problem(seed=6)
         before_ids = splits.pool.ids.copy()
-        run_chain(splits, nval, ntest, arch, quick_chain_config(iterations=2, seed=6))
+        run_chain(splits, truth, val, test, arch, quick_chain_config(iterations=2, seed=6))
         assert np.array_equal(splits.pool.ids, before_ids)
-        assert splits.pool.labels is None
+        assert not hasattr(splits.pool, "labels")
+
+    def test_the_truth_moves_nothing_but_the_agreement(self):
+        # the pool's truth reaches the diagnostics alone: relabelling it
+        # changes the scored agreement and nothing a chain trains or records
+        splits, truth, val, test, arch = small_problem(seed=9, labelled=0.1, spread=0.6)
+        cfg = quick_chain_config(iterations=3, seed=9)
+        relabelled = PoolTruth(truth.catalog, truth.ids, (truth.labels + 1) % 3)
+        a = run_chain(splits, truth, val, test, arch, cfg)
+        b = run_chain(splits, relabelled, val, test, arch, cfg)
+        assert [r.pseudo_agreement for r in a.records] != [r.pseudo_agreement for r in b.records]
+        unscored = [replace(r, pseudo_agreement=None) for r in b.records]
+        assert_same_records([replace(r, pseudo_agreement=None) for r in a.records], unscored)
 
     def test_deterministic_end_to_end(self):
-        splits, nval, ntest, arch = small_problem(seed=7)
+        splits, truth, val, test, arch = small_problem(seed=7)
         cfg = quick_chain_config(iterations=2, seed=7)
-        r1 = run_chain(splits, nval, ntest, arch, cfg)
-        r2 = run_chain(splits, nval, ntest, arch, cfg)
+        r1 = run_chain(splits, truth, val, test, arch, cfg)
+        r2 = run_chain(splits, truth, val, test, arch, cfg)
         assert [(r.val_accuracy, r.test_accuracy) for r in r1.records] == [
             (r.val_accuracy, r.test_accuracy) for r in r2.records
         ]
         assert r1.best_iteration == r2.best_iteration
 
     def test_empty_pool_aborts_with_partial_records(self):
-        splits, nval, ntest, arch = small_problem(seed=8, labelled=1.0)
+        splits, truth, val, test, arch = small_problem(seed=8, labelled=1.0)
         assert len(splits.pool) == 0
         with pytest.raises(ChainAborted) as excinfo:
-            run_chain(splits, nval, ntest, arch, quick_chain_config(seed=8))
+            run_chain(splits, truth, val, test, arch, quick_chain_config(seed=8))
         assert len(excinfo.value.records) == 1  # the teacher survived
         assert excinfo.value.records[0].iteration == 0
 
@@ -221,15 +230,15 @@ def assert_same_records(got, want):
 
 
 def reference_student(arch, labels, splits, cfg, seed, warm_start):
-    """A student as it was trained before lockstep: pretrained on the pool
-    rows its pseudo-labels name, looked up id by id, then fine-tuned."""
-    from dataclasses import replace
-
+    """A student as it was trained before lockstep: pretrained on a
+    normalized copy of the pool rows its pseudo-labels name, looked up id by
+    id, then fine-tuned."""
     start = warm_start
     if cfg.fresh_init_per_student or warm_start is None:
         start = init_params(arch, seed)
-    row_of = {sid: row for row, sid in enumerate(splits.pool.ids.tolist())}
-    pool_x = splits.pool.features[[row_of[sid] for sid in labels.ids.tolist()]]
+    pool, norm = splits.pool, splits.pool.normalizer
+    row_of = dict(zip(pool.ids.tolist(), pool.rows.tolist()))
+    pool_x = (pool.source[[row_of[sid] for sid in labels.ids.tolist()]] - norm.mean) / norm.std
     pretrained, _ = train_with_early_stopping(
         arch, pool_x, labels.soft, splits.early_stop, replace(cfg.pretrain, seed=seed), init=start
     )
@@ -241,11 +250,11 @@ def reference_student(arch, labels, splits, cfg, seed, warm_start):
     return tuned
 
 
-def reference_chain_records(splits, validation, test, arch, cfg):
+def reference_chain_records(splits, truth, validation, test, arch, cfg):
     """The chain loop as it ran one cell at a time before lockstep: a
-    teacher, then per iteration pseudo-labels, filtering and one student."""
-    from dataclasses import replace
-
+    teacher, then per iteration pseudo-labels, filtering and one student,
+    each member scored on validation and test normalized up front."""
+    validation, test = (splits.pool.normalizer.apply(t) for t in (validation, test))
     seeds = [cfg.seed + i for i in range(cfg.iterations + 1)]
     lab = splits.labelled
     model, _ = train_with_early_stopping(
@@ -258,7 +267,7 @@ def reference_chain_records(splits, validation, test, arch, cfg):
         if i > 0:
             raw = pseudo_label_pool(model, splits.pool)
             labels = filter_pseudo_labels(raw, cfg.distill, splits.pool.catalog)
-            agreement = pseudo_label_quality(labels, splits.pool)[0]
+            agreement = pseudo_label_quality(labels, truth)[0]
             model = reference_student(arch, labels, splits, cfg, seeds[i], model)
         val_acc, _ = evaluate(model, validation)
         test_acc, confusion = evaluate(model, test)
@@ -275,8 +284,8 @@ class TestRunChains:
     def cells(hidden=()):
         cells, cfgs = [], []
         for seed, labelled in ((11, 0.05), (12, 0.2), (13, 0.1)):
-            splits, nval, ntest, arch = small_problem(seed=seed, labelled=labelled, spread=0.6)
-            cells.append((splits, nval, ntest))
+            splits, truth, val, test, arch = small_problem(seed=seed, labelled=labelled, spread=0.6)
+            cells.append((splits, truth, val, test))
             cfgs.append(quick_chain_config(iterations=3, seed=seed, per_class_cap=20))
         return cells, ArchSpec(input_dim=3, hidden=hidden, output_dim=3), cfgs
 
@@ -284,14 +293,14 @@ class TestRunChains:
     def test_equals_one_run_chain_per_cell(self, hidden):
         cells, arch, cfgs = self.cells(hidden)
         results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
-        for (splits, nval, ntest), cfg, got in zip(cells, cfgs, results):
-            want = run_chain(splits, nval, ntest, arch, cfg)
+        for cell, cfg, got in zip(cells, cfgs, results):
+            want = run_chain(*cell, arch, cfg)
             assert (got.best_iteration, got.seeds, got.config) == (
                 want.best_iteration, want.seeds, want.config
             )
             assert_same_records(got.records, want.records)
             assert_same_records(
-                got.records, reference_chain_records(splits, nval, ntest, arch, cfg)
+                got.records, reference_chain_records(*cell, arch, cfg)
             )
 
     def test_pseudo_labels_kept_only_on_request(self):
@@ -305,7 +314,7 @@ class TestRunChains:
 
     def test_failing_cell_aborts_alone(self):
         cells, arch, cfgs = self.cells()
-        empty_pool = small_problem(seed=8, labelled=1.0)[:3]
+        empty_pool = small_problem(seed=8, labelled=1.0)[:4]
         cells.insert(1, empty_pool)
         cfgs.insert(1, quick_chain_config(iterations=3, seed=8, per_class_cap=20))
         results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from distillchain import (
     ClassCatalog,
     DataTable,
-    HiddenLabelError,
+    PoolView,
     SplitSpec,
     TableParseError,
     generate_synthetic,
     make_splits,
     normalize,
+    normalize_splits,
     read_table,
     write_table,
 )
@@ -26,7 +27,7 @@ from distillchain.dataset import (
     synthetic_class_means,
 )
 
-from conftest import table_from
+from conftest import reaches_labels, table_from
 
 
 class TestClassCatalog:
@@ -87,26 +88,37 @@ class TestDataTable:
         with pytest.raises(ValueError, match="finite"):
             table_from(two_class_catalog, [[0.0, 1.0], [bad, 2.0]], labels=[0, 1])
 
-    @pytest.mark.parametrize("hidden", [False, True])
-    def test_leaves_the_callers_arrays_writable(self, two_class_catalog, hidden):
+    @pytest.mark.parametrize("kind", ["table", "pool"])
+    def test_leaves_the_callers_arrays_writable(self, two_class_catalog, kind):
         ids = np.arange(3, dtype=np.int64)
         features = np.zeros((3, 2))
         labels = np.array([0, 1, 0], dtype=np.int64)
-        table = table_from(two_class_catalog, features, labels=labels, ids=ids, hidden=hidden)
+        if kind == "table":
+            table = table_from(two_class_catalog, features, labels=labels, ids=ids)
+            frozen = (table.ids, table.features, table.labels)
+        else:
+            pool = PoolView(two_class_catalog, features, labels, ids)  # labels as the rows
+            frozen = (pool.ids, pool.source, pool.rows)
         assert ids.flags.writeable and features.flags.writeable and labels.flags.writeable
-        frozen = (table.ids, table.features, table.labels if not hidden else table._hidden_labels)
         for arr in frozen:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
         np.random.default_rng(0).shuffle(ids)  # the caller's array is still theirs
 
-    def test_hidden_labels_unreachable_directly(self, two_class_catalog):
-        pool = table_from(two_class_catalog, [[0.0], [1.0]], labels=[0, 1], hidden=True)
-        assert pool.labels is None
-        assert pool.hidden
-        with pytest.raises(HiddenLabelError, match="diagnostics"):
-            pool.reveal_hidden_labels()
+    @pytest.mark.parametrize(
+        "rows,ids,why",
+        [
+            ([0, 2], [5, 5], "ascending"),
+            ([0, 2], [6, 5], "ascending"),
+            ([0, 2], [5], "ascending"),
+            ([0, 3], [5, 6], "index the source"),
+            ([-1, 1], [5, 6], "index the source"),
+        ],
+    )
+    def test_pool_view_rejects_bad_rows_and_ids(self, two_class_catalog, rows, ids, why):
+        with pytest.raises(ValueError, match=why):
+            PoolView(two_class_catalog, np.zeros((3, 2)), rows, ids)
 
 
 class TestGenerateSynthetic:
@@ -200,10 +212,9 @@ class TestTableIO:
         path.write_text("id,label,f0,f1\n7,TUM,0.1,0.2\n")
         path.with_suffix(".classes").write_text(",".join(DEFAULT_CLASS_NAMES) + "\n")
         table = read_table(path)
-        sample = table.sample(0)
-        assert sample.id == 7
-        assert sample.label == 8
-        assert sample.features.tolist() == [0.1, 0.2]
+        assert table.ids.tolist() == [7]
+        assert table.labels.tolist() == [8]
+        assert table.features[0].tolist() == [0.1, 0.2]
 
     def test_unknown_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -283,19 +294,20 @@ class TestTableIO:
 
 
 def reference_write_table(path, table):
-    """write_table as it was when it built one Sample per row."""
+    """write_table as it was when it formatted one row at a time."""
     d = table.dim
     lines = ["id,label," + ",".join(f"f{j}" for j in range(d))]
-    for s in table:
-        name = "" if s.label is None else table.catalog.names[s.label]
-        lines.append(f"{s.id},{name}," + ",".join(repr(float(v)) for v in s.features))
+    for i in range(len(table)):
+        label = UNLABELLED if table.labels is None else int(table.labels[i])
+        name = "" if label == UNLABELLED else table.catalog.names[label]
+        lines.append(f"{int(table.ids[i])},{name}," + ",".join(repr(float(v)) for v in table.features[i]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     path.with_suffix(".classes").write_text(",".join(table.catalog.names) + "\n", encoding="utf-8")
 
 
 class TestWriteTable:
     @pytest.mark.parametrize("block_lines", [3, dataset._BLOCK_LINES])
-    @pytest.mark.parametrize("kind", ["labelled", "unlabelled rows", "hidden", "empty"])
+    @pytest.mark.parametrize("kind", ["labelled", "unlabelled rows", "no labels", "empty"])
     def test_same_bytes_as_the_per_sample_writer(self, tmp_path, block_lines, kind):
         catalog = ClassCatalog(("a", "b", "TUM"))
         specials = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1, 1 / 3]
@@ -307,8 +319,7 @@ class TestWriteTable:
             labels[[1, 4, 7]] = UNLABELLED
         if kind == "empty":
             features, ids, labels = features[:0], ids[:0], labels[:0]
-        hide = kind == "hidden"
-        table = table_from(catalog, features, labels=labels, ids=ids, hidden=hide)
+        table = table_from(catalog, features, labels=None if kind == "no labels" else labels, ids=ids)
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         reference_write_table(want, table)
         with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
@@ -536,14 +547,14 @@ class TestFisherYates:
 class TestMakeSplits:
     def test_floor_arithmetic_sizes(self):
         train = _labelled_table(1000)
-        result = make_splits(train, SplitSpec(labelled_fraction=0.01, early_stop_fraction=0.01, seed=4))
+        result, _ = make_splits(train, SplitSpec(labelled_fraction=0.01, early_stop_fraction=0.01, seed=4))
         assert result.audit.n_early_stop == 10
         assert result.audit.n_labelled == 10
         assert result.audit.n_pool == 980
 
     def test_full_fraction_empties_the_pool(self):
         train = _labelled_table(1000)
-        result = make_splits(train, SplitSpec(labelled_fraction=1.0, early_stop_fraction=0.01, seed=4))
+        result, _ = make_splits(train, SplitSpec(labelled_fraction=1.0, early_stop_fraction=0.01, seed=4))
         assert result.audit.n_pool == 0
         assert result.audit.n_labelled == 990
 
@@ -559,9 +570,9 @@ class TestMakeSplits:
     def test_seeds_change_the_draw(self):
         train = _labelled_table(1000)
         spec = SplitSpec(labelled_fraction=0.05, early_stop_fraction=0.01, seed=1)
-        a = make_splits(train, spec)
-        b = make_splits(train, SplitSpec(labelled_fraction=0.05, early_stop_fraction=0.01, seed=2))
-        c = make_splits(train, spec)
+        a, _ = make_splits(train, spec)
+        b, _ = make_splits(train, SplitSpec(labelled_fraction=0.05, early_stop_fraction=0.01, seed=2))
+        c, _ = make_splits(train, spec)
         assert not np.array_equal(a.labelled.ids, b.labelled.ids)
         assert np.array_equal(a.labelled.ids, c.labelled.ids)
         assert np.array_equal(a.early_stop.ids, c.early_stop.ids)
@@ -571,7 +582,7 @@ class TestMakeSplits:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 400))
     def test_disjoint_cover_property(self, seed, n):
         train = _labelled_table(n, catalog_size=4, seed=seed % 17)
-        result = make_splits(
+        result, _ = make_splits(
             train, SplitSpec(labelled_fraction=0.1, early_stop_fraction=0.05, seed=seed)
         )
         pieces = [result.labelled.ids, result.early_stop.ids, result.pool.ids]
@@ -582,7 +593,7 @@ class TestMakeSplits:
     def test_early_stop_covers_every_class(self):
         for seed in range(30):
             train = _labelled_table(300, catalog_size=9, seed=3)
-            result = make_splits(
+            result, _ = make_splits(
                 train, SplitSpec(labelled_fraction=0.1, early_stop_fraction=0.04, seed=seed)
             )
             present = np.unique(result.early_stop.labels)
@@ -590,19 +601,43 @@ class TestMakeSplits:
 
     def test_balanced_draw_quotas(self):
         train = _labelled_table(400, catalog_size=4, seed=5)
-        result = make_splits(
+        result, _ = make_splits(
             train,
             SplitSpec(labelled_fraction=0.1, early_stop_fraction=0.02, seed=8, balance_labelled=True),
         )
         counts = np.bincount(result.labelled.labels, minlength=4)
         assert counts.tolist() == [10, 10, 10, 10]
 
-    def test_pool_labels_are_hidden(self):
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_pool_view_carries_no_labels_and_truth_comes_apart(self, normalized):
         train = _labelled_table(500)
-        result = make_splits(train, SplitSpec(labelled_fraction=0.1, early_stop_fraction=0.02, seed=0))
-        assert result.pool.labels is None
-        with pytest.raises(HiddenLabelError):
-            result.pool.reveal_hidden_labels()
+        result, truth = make_splits(train, SplitSpec(labelled_fraction=0.1, early_stop_fraction=0.02, seed=0))
+        if normalized:
+            result = normalize_splits(result)
+        pool = result.pool
+        assert not hasattr(pool, "labels")
+        assert not reaches_labels([pool], train.labels, truth.labels)
+        assert np.may_share_memory(pool.source, train.features)  # read in place
+        assert np.array_equal(pool.ids, train.ids[pool.rows])
+        assert np.array_equal(truth.ids, pool.ids)
+        assert np.array_equal(truth.labels, train.labels[pool.rows])
+
+    def test_normalize_splits_fits_on_the_labelled_set(self):
+        train = _labelled_table(500)
+        raw, _ = make_splits(train, SplitSpec(labelled_fraction=0.1, early_stop_fraction=0.02, seed=0))
+        result = normalize_splits(raw)
+        norm, [lab, es] = normalize(raw.labelled, [raw.labelled, raw.early_stop])
+        pool = result.pool
+        assert np.array_equal(pool.normalizer.mean, norm.mean) and np.array_equal(pool.normalizer.std, norm.std)
+        assert result.labelled.features.tobytes() == lab.features.tobytes()
+        assert result.early_stop.features.tobytes() == es.features.tobytes()
+        assert np.array_equal(pool.rows, raw.pool.rows)
+        assert np.may_share_memory(pool.source, train.features)
+        gathered = (train.features[pool.rows] - norm.mean) / norm.std
+        assert pool.features().tobytes() == gathered.tobytes()
+        assert raw.pool.features().tobytes() == train.features[pool.rows].tobytes()
+        assert result.normalized(train).features.tobytes() == norm.apply(train).features.tobytes()
+        assert raw.normalized(train) is train
 
     def test_missing_class_in_train_rejected(self):
         catalog = ClassCatalog(("a", "b", "c"))
@@ -641,10 +676,11 @@ class TestNormalize:
     def test_apply_is_bit_identical_to_subtract_then_divide(self, two_class_catalog):
         rng = np.random.default_rng(5)
         ref = table_from(two_class_catalog, rng.normal(3.0, 2.5, (300, 5)), labels=rng.integers(0, 2, 300))
-        target = table_from(two_class_catalog, rng.normal(-1.0, 40.0, (200, 5)), hidden=True)
+        target = table_from(two_class_catalog, rng.normal(-1.0, 40.0, (200, 5)))
         norm, [out] = normalize(ref, [target])
         assert out.features.tobytes() == ((target.features - norm.mean) / norm.std).tobytes()
-        assert np.array_equal(out.ids, target.ids) and out.hidden
+        assert norm(target.features).tobytes() == out.features.tobytes()
+        assert np.array_equal(out.ids, target.ids) and out.labels is None
 
     def test_dimension_mismatch_rejected(self, two_class_catalog):
         ref = table_from(two_class_catalog, [[0.0], [2.0]], labels=[0, 1])

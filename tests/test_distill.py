@@ -9,6 +9,8 @@ from distillchain import (
     ArchSpec,
     ClassCatalog,
     DistillConfig,
+    Normalizer,
+    PoolView,
     PseudoLabels,
     filter_pseudo_labels,
     init_params,
@@ -17,9 +19,9 @@ from distillchain import (
     pseudo_label_pool,
     pseudo_label_quality,
 )
-from distillchain.learner import ModelParams
+from distillchain.learner import ModelParams, forward
 
-from conftest import table_from
+from conftest import pool_from, truth_from
 
 
 def labels_of(ids, rows):
@@ -138,7 +140,7 @@ class TestMatchesPerSampleReference:
 
 class TestPseudoLabelPool:
     def test_empty_pool(self, two_class_catalog):
-        pool = table_from(two_class_catalog, np.zeros((0, 2)), labels=np.zeros(0, dtype=int), hidden=True)
+        pool = pool_from(two_class_catalog, np.zeros((0, 2)))
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 0)
         labels = pseudo_label_pool(params, pool)
         assert len(labels) == 0
@@ -146,7 +148,7 @@ class TestPseudoLabelPool:
 
     def test_zero_params_give_uniform_soft_labels(self):
         catalog = ClassCatalog(tuple("abcdefghi"))
-        pool = table_from(catalog, np.ones((4, 3)), labels=[0, 1, 2, 3], hidden=True)
+        pool = pool_from(catalog, np.ones((4, 3)))
         params = ModelParams(
             arch=ArchSpec(input_dim=3, hidden=(), output_dim=9),
             weights=(np.zeros((9, 3)),),
@@ -160,16 +162,14 @@ class TestPseudoLabelPool:
 
     def test_ids_are_the_pool_ids_ascending(self, two_class_catalog):
         rng = np.random.default_rng(0)
-        pool = table_from(
-            two_class_catalog, rng.normal(size=(5, 2)), labels=[0, 1, 0, 1, 0],
-            ids=[9, 2, 5, 7, 0], hidden=True,
-        )
+        pool = pool_from(two_class_catalog, rng.normal(size=(5, 2)), ids=[9, 2, 5, 7, 0])
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 1)
         labels = pseudo_label_pool(params, pool)
         assert labels.ids.tolist() == [0, 2, 5, 7, 9]
 
     def test_ascending_pool_gives_the_same_bytes_as_a_shuffled_one(self, two_class_catalog):
-        # an ascending pool is read in place; a shuffled one is reordered first
+        # the same rows read from a source matrix in id order and from a
+        # shuffled one
         rng = np.random.default_rng(1)
         ids = np.array([0, 2, 5, 7, 9])
         features = rng.normal(size=(5, 2))
@@ -177,15 +177,29 @@ class TestPseudoLabelPool:
         shuffle = rng.permutation(5)
         labels = [
             pseudo_label_pool(
-                params, table_from(two_class_catalog, features[rows], ids=ids[rows], hidden=True)
+                params, pool_from(two_class_catalog, features[rows], ids=ids[rows])
             )
             for rows in (np.arange(5), shuffle)
         ]
         assert labels[0].ids.tobytes() == labels[1].ids.tobytes() == ids.tobytes()
         assert labels[0].soft.tobytes() == labels[1].soft.tobytes()
 
+    def test_reads_its_rows_of_the_source_through_the_normalizer(self, two_class_catalog):
+        # one forward over the whole gathered, normalized pool: the bytes of
+        # a forward over a normalized copy of those rows
+        rng = np.random.default_rng(2)
+        source = rng.normal(3.0, 2.5, size=(40, 3))
+        norm = Normalizer(mean=source.mean(axis=0), std=source.std(axis=0))
+        rows = np.array([31, 4, 17, 0, 22, 9])
+        pool = PoolView(two_class_catalog, source, rows, np.array([1, 3, 4, 8, 10, 11]), norm)
+        params = init_params(ArchSpec(input_dim=3, hidden=(4,), output_dim=2), 3)
+        labels = pseudo_label_pool(params, pool)
+        copied = (source[rows] - norm.mean) / norm.std
+        assert labels.ids.tolist() == [1, 3, 4, 8, 10, 11]
+        assert labels.soft.tobytes() == forward(params, copied).tobytes()
+
     def test_dimension_mismatch(self, two_class_catalog):
-        pool = table_from(two_class_catalog, np.ones((2, 3)), labels=[0, 1], hidden=True)
+        pool = pool_from(two_class_catalog, np.ones((2, 3)))
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 0)
         with pytest.raises(ValueError, match="dim"):
             pseudo_label_pool(params, pool)
@@ -300,16 +314,16 @@ class TestFilterComposition:
 
 class TestPseudoLabelQuality:
     def test_perfect_agreement(self, two_class_catalog):
-        pool = table_from(two_class_catalog, np.zeros((3, 1)), labels=[0, 1, 1], hidden=True)
+        truth = truth_from(two_class_catalog, [0, 1, 1])
         labels = labels_of([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
-        agreement, per_class = pseudo_label_quality(labels, pool)
+        agreement, per_class = pseudo_label_quality(labels, truth)
         assert agreement == 1.0
         assert per_class.tolist() == [1.0, 1.0]
 
     def test_two_of_three_agree(self, two_class_catalog):
-        pool = table_from(two_class_catalog, np.zeros((3, 1)), labels=[0, 1, 1], hidden=True)
+        truth = truth_from(two_class_catalog, [0, 1, 1])
         labels = labels_of([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
-        agreement, _ = pseudo_label_quality(labels, pool)
+        agreement, _ = pseudo_label_quality(labels, truth)
         assert agreement == pytest.approx(2.0 / 3.0, abs=1e-4)
 
     @settings(max_examples=30, deadline=None)
@@ -317,15 +331,35 @@ class TestPseudoLabelQuality:
     def test_per_class_agreement_recombines(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 30))
-        truth = rng.integers(0, 2, n)
-        pool = table_from(ClassCatalog(("neg", "pos")), np.zeros((n, 1)), labels=truth, hidden=True)
+        true_labels = rng.integers(0, 2, n)
+        truth = truth_from(ClassCatalog(("neg", "pos")), true_labels)
         labels = random_labels(rng, n, 2)
-        agreement, per_class = pseudo_label_quality(labels, pool)
-        counts = np.bincount(truth, minlength=2)
+        agreement, per_class = pseudo_label_quality(labels, truth)
+        counts = np.bincount(true_labels, minlength=2)
         recombined = float((per_class * counts).sum() / counts.sum())
         assert agreement == pytest.approx(recombined, abs=1e-12)
 
     def test_unknown_id_rejected(self, two_class_catalog):
-        pool = table_from(two_class_catalog, np.zeros((1, 1)), labels=[0], hidden=True)
+        truth = truth_from(two_class_catalog, [0])
         with pytest.raises(ValueError, match="not present"):
-            pseudo_label_quality(labels_of([5], [[1.0, 0.0]]), pool)
+            pseudo_label_quality(labels_of([5], [[1.0, 0.0]]), truth)
+
+    def test_reads_the_truth_of_the_labelled_ids_in_any_order(self, two_class_catalog):
+        truth = truth_from(two_class_catalog, [1, 0, 1, 1], ids=[30, 10, 20, 40])
+        labels = labels_of([40, 10], [[0.2, 0.8], [0.1, 0.9]])
+        assert truth.labels_of(labels.ids).tolist() == [1, 0]
+        agreement, per_class = pseudo_label_quality(labels, truth)
+        assert agreement == 0.5
+        assert per_class.tolist() == [0.0, 1.0]
+
+
+class TestPseudoLabels:
+    def test_leaves_the_callers_arrays_writable(self):
+        ids = np.arange(3)
+        soft = np.full((3, 2), 0.5)
+        labels = PseudoLabels(ids, soft)
+        assert ids.flags.writeable and soft.flags.writeable
+        for arr in (labels.ids, labels.soft, labels.top, labels.confidence):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        ids[0] = 7  # the caller's arrays are still theirs

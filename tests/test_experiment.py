@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -171,6 +172,25 @@ def test_cell_groups_are_contiguous_capped_and_one_per_worker():
             assert max(map(len, groups)) - min(map(len, groups)) <= 1
 
 
+@pytest.mark.parametrize("role", [experiment._ROLE_CHAIN, experiment._ROLE_TRAIN])
+def test_prepared_cells_hold_no_copy_of_the_pool(role):
+    # each cell holds row indices into the one train table, not a copy of
+    # its pool, validation or test features
+    cfg = ExperimentConfig(source=SyntheticSpec(classes=3, per_class=1000, dim=16), fractions=(0.01,), runs=4)
+    dataset = experiment.prepare_dataset(cfg)
+    cells = [(0, run) for run in range(cfg.runs)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prepared, skipped = experiment._prepare_cells(dataset, cfg, cells, role, ("chain_best",))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(prepared) == len(cells) and not skipped
+    pool_matrix = prepared[0][2].audit.n_pool * dataset[0].dim * 8
+    assert grown < len(cells) * pool_matrix
+
+
 class TestBaselineSweep:
     def test_full_fraction_trains_and_counts(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -267,9 +287,10 @@ class TestChainExperiment:
         # Reference: relabel the pool with each saved chain member, as the
         # dump did before students kept their pseudo-labels.
         out = tmp_path / "out"
-        train, val, test = experiment.prepare_dataset(cfg)
-        split_seed = derive_seed(cfg.seed, experiment._ROLE_SPLIT, 0, 0)
-        splits, _, _ = experiment._normalized_splits(train, val, test, cfg, 0.2, split_seed)
+        dataset = experiment.prepare_dataset(cfg)
+        [(_, _, splits, _)], _ = experiment._prepare_cells(
+            dataset, cfg, [(0, 0)], experiment._ROLE_CHAIN, ("chain_best",)
+        )
         for i in range(1, 4):
             model, _ = load_model(out / f"model_0.2_0_iter{i - 1}.json")
             labels = filter_pseudo_labels(

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distillchain import (
-    AdamState,
     ArchSpec,
     ClassCatalog,
     NumericError,
     TrainConfig,
-    adam_update,
     backward,
     evaluate,
     forward,
@@ -26,7 +24,16 @@ from distillchain import (
     train_with_early_stopping,
     SplitSpec,
 )
-from distillchain.learner import EpochStats, ModelParams, TrainHistory, TrainJob, train_lockstep
+from distillchain.learner import (
+    EpochStats,
+    ModelParams,
+    TrainHistory,
+    TrainJob,
+    _BatchStream,
+    _adam_step,
+    _flatten,
+    train_lockstep,
+)
 
 from conftest import table_from
 
@@ -155,16 +162,24 @@ class TestBackward:
         assert worst < 1e-4
 
 
-class TestAdamUpdate:
+def adam_step(params, grads, learning_rate):
+    """One first Adam step of the engine's kernel from zero moments: the new
+    params and second moments, as flat buffers."""
+    arch = params.arch
+    theta = _flatten(arch, params.weights, params.biases)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    _adam_step(theta, _flatten(arch, *grads), m, v, 1, learning_rate)
+    return theta, v
+
+
+class TestAdamStep:
     def test_first_step_magnitude(self):
         # entry 0.5 with gradient 0.2: the first bias-corrected step moves by
         # almost exactly the learning rate
         params = params_from([[[0.5], [0.0]]], [[0.0, 0.0]], 1, (), 2)
         grads = ((np.array([[0.2], [0.0]]),), (np.zeros(2),))
-        state = AdamState.zeros(params)
-        new_params, new_state = adam_update(params, grads, state, learning_rate=0.001)
-        assert new_params.weights[0][0, 0] == pytest.approx(0.499, abs=1e-6)
-        assert new_state.t == 1
+        theta, _ = adam_step(params, grads, learning_rate=0.001)
+        assert theta[0] == pytest.approx(0.499, abs=1e-6)
 
     def test_zero_gradient_changes_nothing(self):
         params = init_params(ArchSpec(input_dim=2, hidden=(3,), output_dim=2), 1)
@@ -172,26 +187,26 @@ class TestAdamUpdate:
             tuple(np.zeros_like(w) for w in params.weights),
             tuple(np.zeros_like(b) for b in params.biases),
         )
-        new_params, new_state = adam_update(params, grads, AdamState.zeros(params), 0.01)
-        for a, b in zip(new_params.weights, params.weights):
-            assert np.array_equal(a, b)
-        assert new_state.t == 1
-        assert all((v >= 0).all() for v in new_state.v_weights)
+        theta, v = adam_step(params, grads, 0.01)
+        assert np.array_equal(theta, _flatten(params.arch, params.weights, params.biases))
+        assert (v >= 0).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_update_raises(self):
+    def test_non_finite_gradient_gives_non_finite_params(self):
+        # the engine's per-epoch check then raises NumericError: see
+        # test_non_finite_weights_after_last_step_are_not_kept
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 1)
         grads = (
             (np.full_like(params.weights[0], np.inf),),
             (np.zeros_like(params.biases[0]),),
         )
-        with pytest.raises(NumericError):
-            adam_update(params, grads, AdamState.zeros(params), 0.01)
+        theta, _ = adam_step(params, grads, 0.01)
+        assert not np.isfinite(theta).all()
 
 
 def _blob_problem(seed=0):
     train, val, test = generate_synthetic(classes=2, per_class=120, dim=2, spread=0.1, seed=seed)
-    splits = make_splits(train, SplitSpec(labelled_fraction=0.5, early_stop_fraction=0.1, seed=seed))
+    splits, _ = make_splits(train, SplitSpec(labelled_fraction=0.5, early_stop_fraction=0.1, seed=seed))
     _, [lab, es, v, t] = normalize(splits.labelled, [splits.labelled, splits.early_stop, val, test])
     return lab, es, v, t
 
@@ -253,7 +268,7 @@ class TestTrainWithEarlyStopping:
 
 # ---------------------------------------------------------------------------
 # The per-step trainer the fused engine replaced, kept as the reference: every
-# step gathers its batch by index, builds fresh ModelParams and AdamState,
+# step gathers its batch by index, builds fresh ModelParams and moments,
 # updates each layer's arrays separately and scores the step with the mean
 # cross-entropy as ndarray.mean computes it.
 
@@ -283,7 +298,10 @@ def reference_backprop(params, probs, targets, activations, pre_acts):
 
 
 def reference_adam_update(params, grads, state, learning_rate):
-    t = state.t + 1
+    """``state`` is (first moments, second moments, step), each moment a
+    (weights, biases) pair of per-layer tuples."""
+    (m_weights, m_biases), (v_weights, v_biases), t = state
+    t += 1
     bc1 = 1.0 - 0.9**t
     bc2 = 1.0 - 0.999**t
 
@@ -295,23 +313,22 @@ def reference_adam_update(params, grads, state, learning_rate):
             raise NumericError("non-finite parameter update")
         return theta_new, m_new, v_new
 
-    w = [step(*a) for a in zip(params.weights, grads[0], state.m_weights, state.v_weights)]
-    b = [step(*a) for a in zip(params.biases, grads[1], state.m_biases, state.v_biases)]
+    w = [step(*a) for a in zip(params.weights, grads[0], m_weights, v_weights)]
+    b = [step(*a) for a in zip(params.biases, grads[1], m_biases, v_biases)]
     return (
         ModelParams(arch=params.arch, weights=tuple(x[0] for x in w), biases=tuple(x[0] for x in b)),
-        AdamState(
-            m_weights=tuple(x[1] for x in w),
-            m_biases=tuple(x[1] for x in b),
-            v_weights=tuple(x[2] for x in w),
-            v_biases=tuple(x[2] for x in b),
-            t=t,
+        (
+            (tuple(x[1] for x in w), tuple(x[1] for x in b)),
+            (tuple(x[2] for x in w), tuple(x[2] for x in b)),
+            t,
         ),
     )
 
 
 def reference_train(arch, features, targets, early_stop, config, init=None):
     params = init if init is not None else init_params(arch, config.seed)
-    state = AdamState.zeros(params)
+    zeros = (tuple(map(np.zeros_like, params.weights)), tuple(map(np.zeros_like, params.biases)))
+    state = (zeros, zeros, 0)
     rng = np.random.default_rng(config.seed)
     order, cursor = rng.permutation(len(features)), 0
     best_params, best_acc, best_epoch, epochs, stale = params, -1.0, -1, [], 0
@@ -343,7 +360,7 @@ def reference_train(arch, features, targets, early_stop, config, init=None):
 
 def _three_class_problem(seed):
     train, _, _ = generate_synthetic(classes=3, per_class=60, dim=5, spread=0.9, seed=seed)
-    splits = make_splits(train, SplitSpec(labelled_fraction=0.4, early_stop_fraction=0.1, seed=seed))
+    splits, _ = make_splits(train, SplitSpec(labelled_fraction=0.4, early_stop_fraction=0.1, seed=seed))
     _, [lab, es] = normalize(splits.labelled, [splits.labelled, splits.early_stop])
     return lab, es
 
@@ -418,13 +435,22 @@ class TestLockstep:
             init = None
             if j == 2:  # continues from init=
                 init, _ = reference_train(arch, x, t, es, replace(cfg, max_epochs=2, seed=99))
+            if j >= 3:  # reads its rows of a raw matrix in place, normalizing them
+                raw, _, _ = generate_synthetic(classes=3, per_class=60, dim=5, spread=0.9 + j, seed=j)
+                norm, _ = normalize(raw, [])
+                rows = np.random.default_rng(j).choice(len(raw), size=len(t))  # with repeats
+                jobs.append(TrainJob(raw.features, t, es, replace(cfg, seed=j), rows=rows, normalizer=norm))
+                continue
             jobs.append(TrainJob(x, t, es, replace(cfg, seed=j), init=init))
         return arch, jobs
 
     @staticmethod
     def assert_matches_reference(arch, job, outcome):
+        x = job.features
+        if job.rows is not None:  # the rows copied out and normalized up front
+            x = (x[job.rows] - job.normalizer.mean) / job.normalizer.std
         want, want_history = reference_train(
-            arch, job.features, job.targets, job.early_stop, job.config, init=job.init
+            arch, x, job.targets, job.early_stop, job.config, init=job.init
         )
         got, got_history = outcome
         assert got_history == want_history
@@ -470,6 +496,28 @@ class TestLockstep:
         for j in (1, 2):
             self.assert_matches_reference(arch, jobs[j], outcomes[j])
 
+    def test_a_group_of_invalid_members_returns_each_error(self):
+        arch, jobs = self.jobs((), 2)
+        jobs = [replace(job, early_stop=replace(job.early_stop, labels=None)) for job in jobs]
+        outcomes = train_lockstep(arch, jobs)
+        assert [type(o) for o in outcomes] == [ValueError, ValueError]
+        assert all("early-stop table must be labelled" in str(o) for o in outcomes)
+
+    @pytest.mark.parametrize("bad", [-1, 144])
+    def test_rows_outside_the_matrix_fail_alone(self, bad):
+        # the gather clips indices, so a bad row must be caught before it
+        arch, jobs = self.jobs((), 5)
+        assert len(jobs[3].features) == 144
+        rows = jobs[3].rows.copy()
+        rows[5] = bad
+        jobs[3] = replace(jobs[3], rows=rows)
+        outcomes = train_lockstep(arch, jobs)
+        assert isinstance(outcomes[3], ValueError)
+        assert "rows must index" in str(outcomes[3])
+        for j in (0, 1, 2, 4):
+            self.assert_matches_reference(arch, jobs[j], outcomes[j])
+
+
     def test_members_must_share_config_except_seed(self):
         arch, jobs = self.jobs((), 2)
         jobs[1] = replace(jobs[1], config=replace(jobs[1].config, learning_rate=1e-2))
@@ -483,6 +531,36 @@ class TestLockstep:
         assert outcomes[2][0] is jobs[2].init
         assert_same_params(outcomes[0][0], init_params(arch, jobs[0].config.seed))
         assert all(history == TrainHistory() for _, history in outcomes)
+
+
+def reference_draws(n, seed, counts):
+    """Row indices and generator end state of a stream that reshuffles with
+    one permutation(n) call per pass, taking one row at a time."""
+    rng = np.random.default_rng(seed)
+    order, cursor, draws = rng.permutation(n), 0, []
+    for count in counts:
+        rows = []
+        for _ in range(count):
+            if cursor == n:
+                order, cursor = rng.permutation(n), 0
+            rows.append(int(order[cursor]))
+            cursor += 1
+        draws.append(rows)
+    return draws, rng.bit_generator.state
+
+
+class TestBatchStream:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 32, 33, 64, 500, 6400])
+    def test_same_rows_and_generator_state_as_one_permutation_per_pass(self, n):
+        # draws that stay inside a pass, end exactly on a boundary, cross
+        # one boundary, and cross many
+        counts = [max(n // 3, 1), n - max(n // 3, 1), 0, 1, n, 7 * n + 3, 2, 3200]
+        for seed in range(5):
+            stream = _BatchStream(n, np.random.default_rng(seed))
+            got = [stream.take(count).tolist() for count in counts]
+            want, state = reference_draws(n, seed, counts)
+            assert got == want
+            assert stream.rng.bit_generator.state == state
 
 
 class TestEvaluate:
@@ -519,10 +597,10 @@ class TestEvaluate:
         assert confusion.tolist() == [[0, 0], [1, 0]]  # predicted class 0
 
     def test_unlabelled_table_rejected(self, two_class_catalog):
-        pool = table_from(two_class_catalog, [[0.0]], labels=[0], hidden=True)
+        unlabelled = table_from(two_class_catalog, [[0.0]])
         params = init_params(ArchSpec(input_dim=1, hidden=(), output_dim=2), 0)
         with pytest.raises(ValueError, match="labelled"):
-            evaluate(params, pool)
+            evaluate(params, unlabelled)
 
 
 class TestCheckpoints:
@@ -544,7 +622,7 @@ class TestSyntheticSanity:
 
         def trained_accuracy(spread):
             train, _, test = generate_synthetic(classes=3, per_class=200, dim=2, spread=spread, seed=2)
-            splits = make_splits(train, SplitSpec(labelled_fraction=0.5, early_stop_fraction=0.05, seed=2))
+            splits, _ = make_splits(train, SplitSpec(labelled_fraction=0.5, early_stop_fraction=0.05, seed=2))
             _, [lab, es, t] = normalize(splits.labelled, [splits.labelled, splits.early_stop, test])
             params, _ = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 3), es, cfg)
             acc, _ = evaluate(params, t)
