@@ -18,12 +18,14 @@ from .dataset import (
     write_table,
 )
 from .learner import (
+    AdamState,
     ArchSpec,
     ModelParams,
     NumericError,
     TrainConfig,
     TrainHistory,
     TrainJob,
+    adam_update,
     backward,
     evaluate,
     forward,

@@ -30,6 +30,7 @@ from .learner import (
     evaluate,
     init_params,
     one_hot,
+    train_job,
     train_lockstep,
 )
 
@@ -63,6 +64,7 @@ class IterationRecord:
     pseudo_agreement: float | None
     confusion: np.ndarray
     model: ModelParams | None = None
+    checkpoint_ref: str | None = None
     pseudo_labels: PseudoLabels | None = None
 
 
@@ -88,11 +90,7 @@ def select_best(records: list[IterationRecord] | tuple[IterationRecord, ...]) ->
     ties. Test accuracy never participates in the choice."""
     if not records:
         raise ValueError("select_best needs at least one record")
-    best = 0
-    for i, rec in enumerate(records):
-        if rec.val_accuracy > records[best].val_accuracy:
-            best = i
-    return best
+    return max(range(len(records)), key=lambda i: records[i].val_accuracy)
 
 
 def _student_start(
@@ -147,13 +145,6 @@ def _finetune_job(
     )
 
 
-def _train(arch: ArchSpec, job: TrainJob) -> ModelParams:
-    (outcome,) = train_lockstep(arch, [job])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome[0]
-
-
 def train_student(
     arch: ArchSpec,
     teacher_labels: PseudoLabels,
@@ -171,8 +162,9 @@ def train_student(
     """
     _check_student_inputs(teacher_labels, splits)
     start = _student_start(arch, cfg, student_seed, warm_start)
-    pretrained = _train(arch, _pretrain_job(teacher_labels, splits, cfg, student_seed, start))
-    return _train(arch, _finetune_job(arch, splits, cfg, student_seed, pretrained))
+    pretrained, _ = train_job(arch, _pretrain_job(teacher_labels, splits, cfg, student_seed, start))
+    tuned, _ = train_job(arch, _finetune_job(arch, splits, cfg, student_seed, pretrained))
+    return tuned
 
 
 # (splits, the pool's truth, validation and test as stored)

@@ -19,7 +19,7 @@ from .experiment import (
     ExperimentConfig,
     DataFiles,
     SyntheticSpec,
-    _best_teacher_mean,
+    _chart_reference,
     config_to_lines,
     prepare_dataset,
     run_baseline_sweep,
@@ -27,13 +27,7 @@ from .experiment import (
     aggregate_runs,
 )
 from .learner import TrainConfig
-from .reports import (
-    best_baseline_mean,
-    read_runs_csv,
-    read_traces_csv,
-    render_chain_svg,
-    write_summary_csv,
-)
+from .reports import read_runs_csv, read_traces_csv, render_chain_svg, write_summary_csv
 
 
 class ConfigError(ValueError):
@@ -121,9 +115,8 @@ def _defaults() -> dict[str, str]:
         key, _, value = line.partition("=")
         flat[key.strip()] = value.strip()
     # data.* have no defaults; require them only when source = files.
-    flat.setdefault("data.train", "")
-    flat.setdefault("data.validation", "")
-    flat.setdefault("data.test", "")
+    for key in ("data.train", "data.validation", "data.test"):
+        flat.setdefault(key, "")
     return flat
 
 
@@ -247,9 +240,7 @@ def _cmd_report(cfg: ExperimentConfig, baseline_summary: str | None) -> None:
     if traces_path.exists():
         traces = read_traces_csv(traces_path)
         if traces:
-            reference = best_baseline_mean(baseline_summary) if baseline_summary else None
-            if reference is None:
-                reference = _best_teacher_mean(traces)
+            reference = _chart_reference(traces, baseline_summary)
             (out / "chain_curves.svg").write_text(
                 render_chain_svg(traces, baseline_reference=reference), encoding="utf-8"
             )

@@ -146,12 +146,8 @@ class _CellOutput:
     confusions: tuple[tuple[float, int, np.ndarray], ...] = ()
 
 
-def _skip_reason(exc: Exception) -> str:
-    return str(exc).replace(",", ";").replace("\n", " ")
-
-
 def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
-    status = f"skipped: {_skip_reason(exc)}"
+    status = "skipped: " + str(exc).replace(",", ";").replace("\n", " ")
     return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
 
 
@@ -251,20 +247,14 @@ def _chain_output(cfg, bases, splits, result) -> _CellOutput:
     plus its optional files."""
     fraction, run = bases[0].fraction, bases[0].run
     best = result.records[result.best_iteration]
-    final = result.records[-1]
-    rows = (
+    rows = tuple(
         replace(
-            bases[0],
-            iteration=best.iteration,
-            val_accuracy=best.val_accuracy,
-            test_accuracy=best.test_accuracy,
-        ),
-        replace(
-            bases[1],
-            iteration=final.iteration,
-            val_accuracy=final.val_accuracy,
-            test_accuracy=final.test_accuracy,
-        ),
+            base,
+            iteration=rec.iteration,
+            val_accuracy=rec.val_accuracy,
+            test_accuracy=rec.test_accuracy,
+        )
+        for base, rec in zip(bases, (best, result.records[-1]))
     )
     traces = tuple(
         TraceRow(
@@ -379,19 +369,8 @@ def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:
             values = np.array([getattr(r, metric) for r in ok], dtype=np.float64)
             note = "n=1" if values.size == 1 else ""
             std = 0.0 if values.size == 1 else float(values.std(ddof=1))
-            cells.append(
-                SummaryCell(
-                    mode,
-                    fraction,
-                    metric,
-                    float(values.mean()),
-                    std,
-                    float(values.min()),
-                    float(values.max()),
-                    int(values.size),
-                    note,
-                )
-            )
+            mean, lo, hi = float(values.mean()), float(values.min()), float(values.max())
+            cells.append(SummaryCell(mode, fraction, metric, mean, std, lo, hi, values.size, note))
     ordered = tuple(sorted(rows, key=lambda r: (r.fraction, r.mode, r.run)))
     return RunSummary(cells=tuple(cells), details=ordered)
 
@@ -411,13 +390,10 @@ def emit_outputs(
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        write_summary_csv(out / "summary.csv", summary)
-        written.append(out / "summary.csv")
-        write_runs_csv(out / "runs.csv", summary.details)
-        written.append(out / "runs.csv")
-        write_traces_csv(out / "traces.csv", traces)
-        written.append(out / "traces.csv")
+        written = [out / "summary.csv", out / "runs.csv", out / "traces.csv"]
+        write_summary_csv(written[0], summary)
+        write_runs_csv(written[1], summary.details)
+        write_traces_csv(written[2], traces)
         for fraction, run, confusion in sorted(
             confusions or [], key=lambda c: (c[0], c[1])
         ):
@@ -438,22 +414,22 @@ def emit_outputs(
         raise OSError(f"cannot write outputs under {out}: {exc}") from exc
 
 
+def _sweep(cfg: ExperimentConfig, run_group):
+    """Every cell of ``cfg`` through ``run_group``: the summary of their rows,
+    their traces and confusions, and the dataset's catalog."""
+    dataset = prepare_dataset(cfg)
+    outputs = _execute_cells(cfg, run_group, dataset)
+    summary = aggregate_runs([r for cell in outputs for r in cell.rows])
+    traces = [t for cell in outputs for t in cell.traces]
+    confusions = [c for cell in outputs for c in cell.confusions]
+    return summary, traces, confusions, dataset[0].catalog
+
+
 def run_baseline_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Teacher-only sweep: fresh seeded split per (fraction, run), training on
     the labelled subset alone, evaluated on validation and test."""
-    dataset = prepare_dataset(cfg)
-    outputs = _execute_cells(cfg, _baseline_cells, dataset)
-    rows = [r for cell in outputs for r in cell.rows]
-    confusions = [c for cell in outputs for c in cell.confusions]
-    summary = aggregate_runs(rows)
-    emit_outputs(
-        summary,
-        [],
-        cfg.out_dir,
-        confusions=confusions,
-        catalog=dataset[0].catalog,
-        config_lines=config_to_lines(cfg),
-    )
+    summary, _, confusions, catalog = _sweep(cfg, _baseline_cells)
+    emit_outputs(summary, [], cfg.out_dir, confusions, catalog, config_lines=config_to_lines(cfg))
     return summary
 
 
@@ -469,29 +445,19 @@ def run_chain_experiment(
     the best mean teacher accuracy from this experiment's own traces.
     """
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    dataset = prepare_dataset(cfg)
-    outputs = _execute_cells(cfg, _chain_cells, dataset)
-    rows = [r for cell in outputs for r in cell.rows]
-    traces = [t for cell in outputs for t in cell.traces]
-    confusions = [c for cell in outputs for c in cell.confusions]
-    summary = aggregate_runs(rows)
-
-    reference = best_baseline_mean(baseline_summary) if baseline_summary else None
-    if reference is None:
-        reference = _best_teacher_mean(traces)
-    emit_outputs(
-        summary,
-        traces,
-        cfg.out_dir,
-        confusions=confusions,
-        catalog=dataset[0].catalog,
-        baseline_reference=reference,
-        config_lines=config_to_lines(cfg),
-    )
+    summary, traces, confusions, catalog = _sweep(cfg, _chain_cells)
+    reference = _chart_reference(traces, baseline_summary)
+    emit_outputs(summary, traces, cfg.out_dir, confusions, catalog, reference, config_to_lines(cfg))
     return summary
 
 
-def _best_teacher_mean(traces: list[TraceRow]) -> float | None:
+def _chart_reference(traces: list[TraceRow], baseline_summary: Path | str | None) -> float | None:
+    """The chain chart's reference line: the best mean baseline test accuracy
+    in ``baseline_summary`` when it has one, else the best mean teacher test
+    accuracy of ``traces``."""
+    reference = best_baseline_mean(baseline_summary) if baseline_summary else None
+    if reference is not None:
+        return reference
     by_fraction: dict[float, list[float]] = {}
     for t in traces:
         if t.iteration == 0:

@@ -22,6 +22,8 @@ ADAM_EPS = 1e-8
 
 LOG_CLAMP = 1e-12
 
+INIT_SCHEME = "uniform-fan-in"
+
 
 class NumericError(ArithmeticError):
     """A training computation produced non-finite values."""
@@ -69,6 +71,28 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
+class AdamState:
+    """First/second moment estimates congruent to ModelParams plus the step
+    counter."""
+
+    m_weights: tuple[np.ndarray, ...]
+    m_biases: tuple[np.ndarray, ...]
+    v_weights: tuple[np.ndarray, ...]
+    v_biases: tuple[np.ndarray, ...]
+    t: int = 0
+
+    @staticmethod
+    def zeros(params: ModelParams) -> "AdamState":
+        return AdamState(
+            m_weights=tuple(np.zeros_like(w) for w in params.weights),
+            m_biases=tuple(np.zeros_like(b) for b in params.biases),
+            v_weights=tuple(np.zeros_like(w) for w in params.weights),
+            v_biases=tuple(np.zeros_like(b) for b in params.biases),
+            t=0,
+        )
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings; the epoch size is a fixed number of minibatch
     steps regardless of dataset size."""
@@ -103,6 +127,7 @@ class TrainHistory:
     epochs: tuple[EpochStats, ...] = ()
     best_epoch: int | None = None
     best_accuracy: float | None = None
+    init_scheme: str = INIT_SCHEME
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -277,6 +302,26 @@ def _adam_step(
     theta -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
+def adam_update(
+    params: ModelParams,
+    grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]],
+    state: AdamState,
+    learning_rate: float,
+) -> tuple[ModelParams, AdamState]:
+    """One Adam step with bias correction; returns fresh params and state."""
+    arch = params.arch
+    theta = _flatten(arch, params.weights, params.biases)
+    m = _flatten(arch, state.m_weights, state.m_biases)
+    v = _flatten(arch, state.v_weights, state.v_biases)
+    t = state.t + 1
+    _adam_step(theta, _flatten(arch, *grads), m, v, t, learning_rate)
+    if not np.isfinite(theta).all():
+        raise NumericError("non-finite parameter update")
+    m_w, m_b = _layer_views(arch, m)
+    v_w, v_b = _layer_views(arch, v)
+    return _params_view(arch, theta), AdamState(m_w, m_b, v_w, v_b, t=t)
+
+
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -349,16 +394,18 @@ class _Member:
         x = np.asarray(job.features, dtype=np.float64)
         t = np.asarray(job.targets, dtype=np.float64)
         rows = None if job.rows is None else np.asarray(job.rows, dtype=np.int64)
-        n = x.shape[0] if rows is None else rows.shape[0]
-        if x.ndim != 2 or n == 0:
+        if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("training features must be a non-empty 2-D array")
         if x.shape[1] != arch.input_dim:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match model input {arch.input_dim}"
             )
         # the gather clips indices, so rows out of range must not get that far
-        if rows is not None and (rows.ndim != 1 or rows.min() < 0 or rows.max() >= x.shape[0]):
+        if rows is not None and (
+            rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= x.shape[0]
+        ):
             raise ValueError("training rows must index the feature matrix")
+        n = x.shape[0] if rows is None else rows.size
         if job.normalizer is not None and job.normalizer.mean.shape != (x.shape[1],):
             raise ValueError("normalizer dim does not match the features")
         if t.shape != (n, arch.output_dim):
@@ -383,11 +430,6 @@ class _Member:
         one row of ``batch`` per step."""
         picks = self.stream.take(steps * batch).reshape(steps, batch)
         return picks, picks if self.rows is None else self.rows[picks]
-
-    def history(self) -> TrainHistory:
-        return TrainHistory(
-            epochs=tuple(self.epochs), best_epoch=self.best_epoch, best_accuracy=self.best_acc
-        )
 
 
 def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcome]:
@@ -494,7 +536,8 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             else:
                 mb.stale += 1
             if mb.stale >= max(config.patience, 1) or epoch == config.max_epochs - 1:
-                outcomes[mb.slot] = (_params_view(arch, best[k].copy()), mb.history())
+                history = TrainHistory(tuple(mb.epochs), mb.best_epoch, mb.best_acc)
+                outcomes[mb.slot] = (_params_view(arch, best[k].copy()), history)
             else:
                 staying.append(k)
         if not staying:
@@ -516,8 +559,7 @@ def train_with_early_stopping(
     init: ModelParams | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Train on (features, soft targets), keeping the weights of the epoch
-    with the best hard accuracy on ``early_stop``: the one-model case of
-    :func:`train_lockstep`, raising its error instead of returning it.
+    with the best hard accuracy on ``early_stop``, through :func:`train_job`.
 
     Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
     once ``patience`` consecutive epochs fail to improve the early-stop
@@ -525,7 +567,13 @@ def train_with_early_stopping(
     from those weights instead of a fresh seeded initialization. A blow-up
     raises NumericError.
     """
-    (outcome,) = train_lockstep(arch, [TrainJob(features, targets, early_stop, config, init)])
+    return train_job(arch, TrainJob(features, targets, early_stop, config, init))
+
+
+def train_job(arch: ArchSpec, job: TrainJob) -> tuple[ModelParams, TrainHistory]:
+    """Train one job alone: :func:`train_lockstep` for a group of one,
+    raising the job's error instead of returning it."""
+    (outcome,) = train_lockstep(arch, [job])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

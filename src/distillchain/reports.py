@@ -125,15 +125,18 @@ def write_confusion_csv(path: Path | str, catalog: ClassCatalog, confusion: np.n
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_runs_csv(path: Path | str) -> list[RunRow]:
+def _data_lines(path: Path | str, header: str, kind: str) -> list[list[str]]:
+    """The fields of each non-blank line after ``header``, the file's first."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != RUNS_HEADER:
-        raise ValueError(f"{path}: unexpected runs header")
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: unexpected {kind} header")
+    return [line.split(",") for line in lines[1:] if line]
+
+
+def read_runs_csv(path: Path | str) -> list[RunRow]:
     rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        mode, fraction, run, seed, status, iteration, val, test = line.split(",")
+    for fields in _data_lines(path, RUNS_HEADER, "runs"):
+        mode, fraction, run, seed, status, iteration, val, test = fields
         rows.append(
             RunRow(
                 mode=mode,
@@ -150,14 +153,9 @@ def read_runs_csv(path: Path | str) -> list[RunRow]:
 
 
 def read_traces_csv(path: Path | str) -> list[TraceRow]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != TRACES_HEADER:
-        raise ValueError(f"{path}: unexpected traces header")
     rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        run, fraction, iteration, val, test, count, agreement = line.split(",")
+    for fields in _data_lines(path, TRACES_HEADER, "traces"):
+        run, fraction, iteration, val, test, count, agreement = fields
         rows.append(
             TraceRow(
                 run=int(run),

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distillchain import (
+    AdamState,
     ArchSpec,
     ClassCatalog,
     NumericError,
     TrainConfig,
+    adam_update,
     backward,
     evaluate,
     forward,
@@ -30,8 +32,6 @@ from distillchain.learner import (
     TrainHistory,
     TrainJob,
     _BatchStream,
-    _adam_step,
-    _flatten,
     train_lockstep,
 )
 
@@ -162,24 +162,16 @@ class TestBackward:
         assert worst < 1e-4
 
 
-def adam_step(params, grads, learning_rate):
-    """One first Adam step of the engine's kernel from zero moments: the new
-    params and second moments, as flat buffers."""
-    arch = params.arch
-    theta = _flatten(arch, params.weights, params.biases)
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-    _adam_step(theta, _flatten(arch, *grads), m, v, 1, learning_rate)
-    return theta, v
-
-
-class TestAdamStep:
+class TestAdamUpdate:
     def test_first_step_magnitude(self):
         # entry 0.5 with gradient 0.2: the first bias-corrected step moves by
         # almost exactly the learning rate
         params = params_from([[[0.5], [0.0]]], [[0.0, 0.0]], 1, (), 2)
         grads = ((np.array([[0.2], [0.0]]),), (np.zeros(2),))
-        theta, _ = adam_step(params, grads, learning_rate=0.001)
-        assert theta[0] == pytest.approx(0.499, abs=1e-6)
+        state = AdamState.zeros(params)
+        new_params, new_state = adam_update(params, grads, state, learning_rate=0.001)
+        assert new_params.weights[0][0, 0] == pytest.approx(0.499, abs=1e-6)
+        assert new_state.t == 1
 
     def test_zero_gradient_changes_nothing(self):
         params = init_params(ArchSpec(input_dim=2, hidden=(3,), output_dim=2), 1)
@@ -187,21 +179,21 @@ class TestAdamStep:
             tuple(np.zeros_like(w) for w in params.weights),
             tuple(np.zeros_like(b) for b in params.biases),
         )
-        theta, v = adam_step(params, grads, 0.01)
-        assert np.array_equal(theta, _flatten(params.arch, params.weights, params.biases))
-        assert (v >= 0).all()
+        new_params, new_state = adam_update(params, grads, AdamState.zeros(params), 0.01)
+        for a, b in zip(new_params.weights, params.weights):
+            assert np.array_equal(a, b)
+        assert new_state.t == 1
+        assert all((v >= 0).all() for v in new_state.v_weights)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_gradient_gives_non_finite_params(self):
-        # the engine's per-epoch check then raises NumericError: see
-        # test_non_finite_weights_after_last_step_are_not_kept
+    def test_non_finite_update_raises(self):
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 1)
         grads = (
             (np.full_like(params.weights[0], np.inf),),
             (np.zeros_like(params.biases[0]),),
         )
-        theta, _ = adam_step(params, grads, 0.01)
-        assert not np.isfinite(theta).all()
+        with pytest.raises(NumericError):
+            adam_update(params, grads, AdamState.zeros(params), 0.01)
 
 
 def _blob_problem(seed=0):
@@ -268,7 +260,7 @@ class TestTrainWithEarlyStopping:
 
 # ---------------------------------------------------------------------------
 # The per-step trainer the fused engine replaced, kept as the reference: every
-# step gathers its batch by index, builds fresh ModelParams and moments,
+# step gathers its batch by index, builds fresh ModelParams and AdamState,
 # updates each layer's arrays separately and scores the step with the mean
 # cross-entropy as ndarray.mean computes it.
 
@@ -298,10 +290,7 @@ def reference_backprop(params, probs, targets, activations, pre_acts):
 
 
 def reference_adam_update(params, grads, state, learning_rate):
-    """``state`` is (first moments, second moments, step), each moment a
-    (weights, biases) pair of per-layer tuples."""
-    (m_weights, m_biases), (v_weights, v_biases), t = state
-    t += 1
+    t = state.t + 1
     bc1 = 1.0 - 0.9**t
     bc2 = 1.0 - 0.999**t
 
@@ -313,22 +302,23 @@ def reference_adam_update(params, grads, state, learning_rate):
             raise NumericError("non-finite parameter update")
         return theta_new, m_new, v_new
 
-    w = [step(*a) for a in zip(params.weights, grads[0], m_weights, v_weights)]
-    b = [step(*a) for a in zip(params.biases, grads[1], m_biases, v_biases)]
+    w = [step(*a) for a in zip(params.weights, grads[0], state.m_weights, state.v_weights)]
+    b = [step(*a) for a in zip(params.biases, grads[1], state.m_biases, state.v_biases)]
     return (
         ModelParams(arch=params.arch, weights=tuple(x[0] for x in w), biases=tuple(x[0] for x in b)),
-        (
-            (tuple(x[1] for x in w), tuple(x[1] for x in b)),
-            (tuple(x[2] for x in w), tuple(x[2] for x in b)),
-            t,
+        AdamState(
+            m_weights=tuple(x[1] for x in w),
+            m_biases=tuple(x[1] for x in b),
+            v_weights=tuple(x[2] for x in w),
+            v_biases=tuple(x[2] for x in b),
+            t=t,
         ),
     )
 
 
 def reference_train(arch, features, targets, early_stop, config, init=None):
     params = init if init is not None else init_params(arch, config.seed)
-    zeros = (tuple(map(np.zeros_like, params.weights)), tuple(map(np.zeros_like, params.biases)))
-    state = (zeros, zeros, 0)
+    state = AdamState.zeros(params)
     rng = np.random.default_rng(config.seed)
     order, cursor = rng.permutation(len(features)), 0
     best_params, best_acc, best_epoch, epochs, stale = params, -1.0, -1, [], 0
@@ -517,6 +507,23 @@ class TestLockstep:
         for j in (0, 1, 2, 4):
             self.assert_matches_reference(arch, jobs[j], outcomes[j])
 
+    @pytest.mark.parametrize(
+        "bad, field, value, message",
+        [
+            (1, "features", np.float64(1.0), "non-empty 2-D"),  # a job without rows
+            (3, "features", np.float64(1.0), "non-empty 2-D"),  # and one with
+            (3, "rows", np.int64(0), "rows must index"),
+            (3, "rows", np.zeros(0, dtype=np.int64), "rows must index"),
+        ],
+    )
+    def test_malformed_features_or_rows_fail_alone(self, bad, field, value, message):
+        arch, jobs = self.jobs((), 5)
+        jobs[bad] = replace(jobs[bad], **{field: value})
+        outcomes = train_lockstep(arch, jobs)
+        assert isinstance(outcomes[bad], ValueError)
+        assert message in str(outcomes[bad])
+        for j in {0, 1, 2, 3, 4} - {bad}:
+            self.assert_matches_reference(arch, jobs[j], outcomes[j])
 
     def test_members_must_share_config_except_seed(self):
         arch, jobs = self.jobs((), 2)
