@@ -164,13 +164,11 @@ def _layer_views(
     return tuple(weights), tuple(biases)
 
 
-def _flatten(arch: ArchSpec, weights, biases) -> np.ndarray:
-    """A fresh flat buffer holding copies of per-layer weights and biases."""
-    flat = np.empty(_param_count(arch), dtype=np.float64)
-    views_w, views_b = _layer_views(arch, flat)
-    for dst, src in zip((*views_w, *views_b), (*weights, *biases)):
-        dst[...] = src
-    return flat
+def _flatten(weights, biases) -> np.ndarray:
+    """A fresh flat buffer holding copies of per-layer weights and biases,
+    laid out as :func:`_layer_views` reads them."""
+    parts = [part for w, b in zip(weights, biases) for part in (np.ravel(w), b)]
+    return np.concatenate(parts, dtype=np.float64)
 
 
 def _params_view(arch: ArchSpec, flat: np.ndarray) -> ModelParams:
@@ -178,61 +176,66 @@ def _params_view(arch: ArchSpec, flat: np.ndarray) -> ModelParams:
     return ModelParams(arch=arch, weights=weights, biases=biases)
 
 
-def _softmax_inplace(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in ``logits``."""
-    # ufunc reductions: what ndarray.max and .sum call, minus their wrappers
-    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
-    return logits
+class _Scratch:
+    """Buffers of one forward (and backprop) pass over ``rows`` rows, for a
+    stack of models (``lead`` = (K,)) or one (``lead`` = ())."""
+
+    def __init__(self, arch: ArchSpec, lead: tuple[int, ...], rows: int, backprop: bool = True):
+        self.z = [np.empty((*lead, rows, width)) for width in arch.hidden]
+        self.h = [np.empty_like(z) for z in self.z]
+        self.live = [np.empty(z.shape, dtype=bool) for z in self.z] if backprop else []
+        self.dz = [np.empty((*lead, rows, o)) for o, _ in arch.layer_dims] if backprop else []
+        self.row = np.empty((*lead, rows, 1))
 
 
-def _forward_cached(
-    weights: Sequence[np.ndarray], biases: Sequence[np.ndarray], x: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Probabilities plus the activations and the hidden pre-activations
-    backprop needs; the output layer's pre-activation becomes the
-    probabilities in place.
+def _forward_into(s: _Scratch, weights_t, biases, x: np.ndarray, probs: np.ndarray) -> None:
+    """Forward kernel: the class probabilities of ``x`` into ``probs``, and
+    the hidden pre-activations and activations backprop needs into ``s``.
 
-    Takes one model's 2-D weights and a (rows, in) batch, or a stack of K
-    models' (K, out, in) weights, (K, 1, out) biases and a (K, rows, in)
-    batch; a stacked matmul gives each model the bits of its own 2-D one.
+    Takes one model's transposed 2-D weights, its biases and a (rows, in)
+    batch, or a stack of K models' (K, in, out) transposed weights, (K, 1,
+    out) biases and a (K, rows, in) batch; a stacked matmul gives each model
+    the bits of its own 2-D one.
     """
-    activations = [x]
-    pre_acts = []
     h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w.mT
+    for i, (w_t, b) in enumerate(zip(weights_t, biases)):
+        z = s.z[i] if i < len(s.z) else probs
+        np.matmul(h, w_t, out=z)
         z += b
-        pre_acts.append(z)
-        if i < last:
-            h = np.maximum(z, 0.0)
-            activations.append(h)
-    return _softmax_inplace(pre_acts[-1]), activations, pre_acts
+        if i < len(s.z):
+            h = np.maximum(z, 0.0, out=s.h[i])
+    # softmax over the last axis, in place; ufunc reductions are what
+    # ndarray.max and .sum call, minus their wrappers
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True, out=s.row)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True, out=s.row)
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Class probabilities for a batch of feature vectors."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != params.arch.input_dim:
-        raise ValueError(
-            f"feature dim {x.shape[1]} does not match model input {params.arch.input_dim}"
-        )
+        raise ValueError(f"feature dim {x.shape[1]} does not match model input {params.arch.input_dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    probs, _, _ = _forward_cached(params.weights, params.biases, x)
+    probs = np.empty((x.shape[0], params.arch.output_dim))
+    scratch = _Scratch(params.arch, (), x.shape[0], backprop=False)
+    _forward_into(scratch, [w.T for w in params.weights], params.biases, x, probs)
     return probs
 
 
-def _cross_entropy(probs: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy over the rows of the last two axes: a 0-d array
-    for one batch, one value per model for a stack of batches."""
-    logs = np.log(np.maximum(probs, LOG_CLAMP))
-    per_row = np.add.reduce(target * logs, axis=-1)
+def _cross_entropy_into(probs, target, logs, per_row, out: np.ndarray) -> np.ndarray:
+    """Cross-entropy kernel: the mean over the rows of the last two axes into
+    ``out`` (0-d for one batch), with scratch ``logs`` shaped as ``probs``
+    and ``per_row`` without its last axis."""
+    np.log(np.maximum(probs, LOG_CLAMP, out=logs), out=logs)
+    logs *= target
+    np.add.reduce(logs, axis=-1, out=per_row)
     # the mean of per_row exactly as ndarray.mean computes it, minus its
     # call overhead
-    return -(np.add.reduce(per_row, axis=-1) / per_row.shape[-1])
+    np.add.reduce(per_row, axis=-1, out=out)
+    out /= per_row.shape[-1]
+    return np.negative(out, out=out)
 
 
 def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
@@ -242,27 +245,24 @@ def soft_cross_entropy(probs: np.ndarray, target: np.ndarray) -> float:
     t = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if p.shape != t.shape:
         raise ValueError(f"probs shape {p.shape} does not match target shape {t.shape}")
-    return float(_cross_entropy(p, t))
+    scratch = np.empty_like(p), np.empty(p.shape[:-1])
+    return float(_cross_entropy_into(p, t, *scratch, np.empty(p.shape[:-2])))
 
 
-def _backprop_into(
-    weights: Sequence[np.ndarray],
-    probs: np.ndarray,
-    targets: np.ndarray,
-    activations: list[np.ndarray],
-    pre_acts: list[np.ndarray],
-    grad_w: tuple[np.ndarray, ...],
-    grad_b: tuple[np.ndarray, ...],
-) -> None:
+def _backprop_into(s: _Scratch, weights, x, probs, targets, grad_w, grad_b) -> None:
     """Backprop kernel: writes the gradient of the mean soft cross-entropy
-    into the per-layer ``grad_w``/``grad_b`` views, for one model or, with
-    a leading model axis on every array, for a stack of them."""
-    dz = (probs - targets) / probs.shape[-2]
-    for i in range(len(weights) - 1, -1, -1):
-        np.matmul(dz.mT, activations[i], out=grad_w[i])
+    into the per-layer ``grad_w``/``grad_b`` views, after
+    :func:`_forward_into` filled ``s`` and ``probs`` from ``x``; for one
+    model or, with a leading model axis on every array, for a stack."""
+    last = len(weights) - 1
+    dz = np.subtract(probs, targets, out=s.dz[last])
+    dz /= probs.shape[-2]
+    for i in range(last, -1, -1):
+        np.matmul(dz.mT, s.h[i - 1] if i else x, out=grad_w[i])
         np.add.reduce(dz, axis=-2, out=grad_b[i])
         if i > 0:
-            dz = (dz @ weights[i]) * (pre_acts[i - 1] > 0.0)
+            dz = np.matmul(dz, weights[i], out=s.dz[i - 1])
+            dz *= np.greater(s.z[i - 1], 0.0, out=s.live[i - 1])
 
 
 def backward(
@@ -273,33 +273,47 @@ def backward(
     t = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if t.shape != (x.shape[0], params.arch.output_dim):
         raise ValueError("targets shape does not match batch and output dim")
-
-    probs, activations, pre_acts = _forward_cached(params.weights, params.biases, x)
+    scratch, probs = _Scratch(params.arch, (), x.shape[0]), np.empty_like(t)
+    _forward_into(scratch, [w.T for w in params.weights], params.biases, x, probs)
     grad = np.empty(_param_count(params.arch), dtype=np.float64)
     grad_w, grad_b = _layer_views(params.arch, grad)
-    _backprop_into(params.weights, probs, t, activations, pre_acts, grad_w, grad_b)
+    _backprop_into(scratch, params.weights, x, probs, t, grad_w, grad_b)
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
     return grad_w, grad_b
 
 
-def _adam_step(
-    theta: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    learning_rate: float,
-) -> None:
-    """Adam kernel: step ``t`` (from 1) with bias correction, updating the
-    flat (or stacked flat) ``theta``, ``m`` and ``v`` buffers in place."""
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (grad * grad)
-    theta -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+class _Adam:
+    """Adam moments of a flat (P,) or stacked (K, P) parameter buffer as one
+    (2, ...) buffer of m over v, and a scratch buffer of that shape whose
+    first half takes the gradient."""
+
+    def __init__(self, theta: np.ndarray):
+        self.mv = np.zeros((2, *theta.shape))
+        self.resize()
+
+    def resize(self) -> None:  # views and scratch to match mv after a compaction
+        self.work = np.empty_like(self.mv)
+        (self.m, self.v), (self.grad, self.scaled) = self.mv, self.work
+
+    def step(self, theta: np.ndarray, t: int, learning_rate: float) -> None:
+        """Adam kernel: step ``t`` (from 1) with bias correction from the
+        gradient in ``grad``, updating ``theta`` and the moments in place.
+        Bias corrections are Python floats, as 1 - beta**t."""
+        g, g2 = self.grad, self.scaled
+        np.multiply(g, g, out=g2)
+        g *= 1.0 - ADAM_BETA1
+        g2 *= 1.0 - ADAM_BETA2
+        self.m *= ADAM_BETA1
+        self.v *= ADAM_BETA2
+        self.mv += self.work
+        np.divide(self.m, 1.0 - ADAM_BETA1**t, out=g)
+        np.divide(self.v, 1.0 - ADAM_BETA2**t, out=g2)
+        g *= learning_rate
+        np.sqrt(g2, out=g2)
+        g2 += ADAM_EPS
+        g /= g2
+        theta -= g
 
 
 def adam_update(
@@ -310,15 +324,17 @@ def adam_update(
 ) -> tuple[ModelParams, AdamState]:
     """One Adam step with bias correction; returns fresh params and state."""
     arch = params.arch
-    theta = _flatten(arch, params.weights, params.biases)
-    m = _flatten(arch, state.m_weights, state.m_biases)
-    v = _flatten(arch, state.v_weights, state.v_biases)
+    theta = _flatten(params.weights, params.biases)
+    adam = _Adam(theta)
+    adam.mv[0] = _flatten(state.m_weights, state.m_biases)
+    adam.mv[1] = _flatten(state.v_weights, state.v_biases)
+    adam.grad[...] = _flatten(*grads)
     t = state.t + 1
-    _adam_step(theta, _flatten(arch, *grads), m, v, t, learning_rate)
+    adam.step(theta, t, learning_rate)
     if not np.isfinite(theta).all():
         raise NumericError("non-finite parameter update")
-    m_w, m_b = _layer_views(arch, m)
-    v_w, v_b = _layer_views(arch, v)
+    m_w, m_b = _layer_views(arch, adam.mv[0])
+    v_w, v_b = _layer_views(arch, adam.mv[1])
     return _params_view(arch, theta), AdamState(m_w, m_b, v_w, v_b, t=t)
 
 
@@ -397,9 +413,7 @@ class _Member:
         if x.ndim != 2 or x.shape[0] == 0:
             raise ValueError("training features must be a non-empty 2-D array")
         if x.shape[1] != arch.input_dim:
-            raise ValueError(
-                f"feature dim {x.shape[1]} does not match model input {arch.input_dim}"
-            )
+            raise ValueError(f"feature dim {x.shape[1]} does not match model input {arch.input_dim}")
         # the gather clips indices, so rows out of range must not get that far
         if rows is not None and (
             rows.ndim != 1 or rows.size == 0 or rows.min() < 0 or rows.max() >= x.shape[0]
@@ -412,18 +426,16 @@ class _Member:
             raise ValueError("targets shape does not match features and output dim")
         if not job.early_stop.fully_labelled:
             raise ValueError("early-stop table must be labelled")
+        _check_scoring(arch, job.early_stop)
         init = job.init if job.init is not None else init_params(arch, job.config.seed)
         if init.arch != arch:
             raise ValueError("initial params do not match the architecture")
         self.slot = slot
         self.x, self.t, self.rows, self.normalizer = x, t, rows, job.normalizer
-        self.early_stop = job.early_stop
-        self.init = init
+        self.early_stop, self.init = job.early_stop, init
         self.stream = _BatchStream(n, np.random.default_rng(job.config.seed))
         self.epochs: list[EpochStats] = []
-        self.best_acc = -1.0
-        self.best_epoch = -1
-        self.stale = 0
+        self.best_acc, self.best_epoch, self.stale = -1.0, -1, 0
 
     def epoch_rows(self, steps: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
         """The next epoch's rows of the targets and of the feature matrix,
@@ -432,25 +444,50 @@ class _Member:
         return picks, picks if self.rows is None else self.rows[picks]
 
 
+def _early_stop_groups(arch: ArchSpec, members: list[_Member]) -> list[tuple]:
+    """Members grouped by early-stop row count: each group's positions,
+    stacked features and labels, and forward buffers."""
+    by_rows: dict[int, list[int]] = {}
+    for k, mb in enumerate(members):
+        by_rows.setdefault(len(mb.early_stop), []).append(k)
+    return [
+        (np.array(pos), np.stack([members[k].early_stop.features for k in pos]),
+         np.stack([members[k].early_stop.labels for k in pos]),
+         _Scratch(arch, (len(pos),), rows, backprop=False), np.empty((len(pos), rows, arch.output_dim)))
+        for rows, pos in by_rows.items()
+    ]
+
+
+def _early_stop_accuracy(arch: ArchSpec, theta: np.ndarray, groups: list[tuple]) -> np.ndarray:
+    """Each member's hard accuracy on its early-stop table, as
+    :func:`evaluate` gives it: one stacked forward per group."""
+    accuracy = np.empty(theta.shape[0])
+    for pos, x, labels, scratch, probs in groups:
+        weights, biases = _layer_views(arch, theta if pos.size == theta.shape[0] else theta[pos])
+        _forward_into(scratch, [w.mT for w in weights], [b[:, None, :] for b in biases], x, probs)
+        accuracy[pos] = np.count_nonzero(probs.argmax(axis=-1) == labels, axis=-1) / labels.shape[-1]
+    return accuracy
+
+
 def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcome]:
     """Train one model per job in lockstep; each comes out bit-identical,
     weights and history, to training it alone.
 
-    Params, grads and Adam moments live in one (K, P) buffer each, with
-    per-layer 3-D views; every step runs one stacked forward, backprop and
-    Adam update for all K members, which share the step counter. Each member
-    keeps its own batch stream, early-stop table and best-epoch copy, and
-    leaves the group, which is then compacted, when it stops by patience or
-    when its epoch fails (non-finite loss or params: NumericError). The
-    outcome per job is ``(params, history)`` or the ValueError/ArithmeticError
-    that ended that job alone. All jobs must share their TrainConfig except
-    ``seed``.
+    Params and Adam moments live in stacked (K, P) buffers with per-layer
+    views. Every step runs one stacked forward, backprop and Adam update for
+    all K members, which share the step counter, writing into buffers made
+    when the group starts or shrinks. The loss is taken once per 16-step
+    gather and summed in step order; the epoch's early-stop accuracies come
+    from one stacked forward per early-stop row count. A member leaves the
+    group when it stops by patience or its epoch fails (non-finite loss or
+    params: NumericError). The outcome per job is ``(params, history)`` or
+    the ValueError/ArithmeticError that ended that job alone. All jobs must
+    share their TrainConfig except ``seed``.
 
     Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
     once ``patience`` consecutive epochs fail to improve the early-stop
     accuracy, or at ``max_epochs``; the weights of the best epoch are kept.
-    Finiteness is checked once per epoch, on the mean loss and the params,
-    before the epoch is evaluated or kept.
+    Finiteness is checked once per epoch, before the epoch is evaluated.
     """
     if not jobs:
         return []
@@ -469,11 +506,11 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             outcomes[member.slot] = (member.init, TrainHistory())
         return outcomes
 
-    steps, batch = config.steps_per_epoch, config.batch_size
-    theta = np.stack([_flatten(arch, mb.init.weights, mb.init.biases) for mb in members])
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    steps, batch, lr = config.steps_per_epoch, config.batch_size, config.learning_rate
+    chunk = min(steps, _GATHER_STEPS)
+    theta = np.stack([_flatten(mb.init.weights, mb.init.biases) for mb in members])
     best = np.empty_like(theta)
+    adam = _Adam(theta)
     # one normalization per gather along each member's contiguous block of
     # the buffer (mean and std tiled over the batch); mean 0 and std 1 leave
     # the bits of a member without a normalizer as they are
@@ -482,19 +519,21 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     if normalize:
         means = np.tile([np.zeros(arch.input_dim) if nm is None else nm.mean for nm in norms], batch)
         stds = np.tile([np.ones(arch.input_dim) if nm is None else nm.std for nm in norms], batch)
-    step = 0
+    step, k = 0, 0
     for epoch in range(config.max_epochs):
-        # views into this epoch's buffers, which shrink when members leave
-        k = len(members)
-        grad = np.empty_like(theta)
-        weights, biases = _layer_views(arch, theta)
-        biases = tuple(b[:, None, :] for b in biases)
-        grad_w, grad_b = _layer_views(arch, grad)
+        if k != len(members):  # the group's buffers and views, made anew when it shrank
+            k = len(members)
+            weights, biases = _layer_views(arch, theta)
+            weights_t, biases = [w.mT for w in weights], [b[:, None, :] for b in biases]
+            grad_w, grad_b = _layer_views(arch, adam.grad)
+            scratch = _Scratch(arch, (k,), batch)
+            xs, per_row = np.empty((chunk, k, batch, arch.input_dim)), np.empty((chunk, k, batch))
+            ts, probs, logs = (np.empty((chunk, k, batch, arch.output_dim)) for _ in range(3))
+            # row 0 stays 0.0, the start of each member's in-order loss sum
+            losses = np.zeros((steps + 1, k))
+            early_stop = _early_stop_groups(arch, members)
+            step_views = list(zip(xs, ts, probs))
         rows = [mb.epoch_rows(steps, batch) for mb in members]
-        chunk = min(steps, _GATHER_STEPS)
-        xs = np.empty((chunk, k, batch, arch.input_dim))
-        ts = np.empty((chunk, k, batch, arch.output_dim))
-        loss_sum = np.zeros(k)
         for s in range(steps):
             c = s % chunk
             if c == 0:
@@ -508,43 +547,42 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
                     blocks = xs[:n].reshape(n, k, -1)
                     blocks -= means
                     blocks /= stds
-            probs, activations, pre_acts = _forward_cached(weights, biases, xs[c])
-            loss_sum += _cross_entropy(probs, ts[c])
-            _backprop_into(weights, probs, ts[c], activations, pre_acts, grad_w, grad_b)
+            x, t, p = step_views[c]
+            _forward_into(scratch, weights_t, biases, x, p)
+            _backprop_into(scratch, weights, x, p, t, grad_w, grad_b)
             step += 1
-            _adam_step(theta, grad, m, v, step, config.learning_rate)
-        mean_loss = loss_sum / steps
-
+            adam.step(theta, step, lr)
+            if c == n - 1:  # the chunk's losses, one row per step
+                _cross_entropy_into(probs[:n], ts[:n], logs[:n], per_row[:n], losses[s - c + 1 : s + 2])
+        # accumulate adds row by row: the sum in step order
+        mean_loss = np.add.accumulate(losses, axis=0)[-1] / steps
+        loss_ok, params_ok = np.isfinite(mean_loss), np.isfinite(theta).all(axis=1)
+        accuracy = _early_stop_accuracy(arch, theta, early_stop)
         staying = []
-        for k, mb in enumerate(members):
-            try:
-                if not np.isfinite(mean_loss[k]):
-                    raise NumericError(f"non-finite training loss at epoch {epoch}")
-                if not np.isfinite(theta[k]).all():
-                    raise NumericError(f"non-finite parameters at epoch {epoch}")
-                acc, _ = evaluate(_params_view(arch, theta[k]), mb.early_stop)
-            except (ValueError, ArithmeticError) as exc:
-                outcomes[mb.slot] = exc
+        for j, mb in enumerate(members):
+            failed = "training loss" if not loss_ok[j] else None if params_ok[j] else "parameters"
+            if failed:
+                outcomes[mb.slot] = NumericError(f"non-finite {failed} at epoch {epoch}")
                 continue
-            mb.epochs.append(
-                EpochStats(epoch=epoch, train_loss=float(mean_loss[k]), early_stop_accuracy=acc)
-            )
+            acc = float(accuracy[j])
+            mb.epochs.append(EpochStats(epoch, float(mean_loss[j]), acc))
             if acc > mb.best_acc:
-                np.copyto(best[k], theta[k])
-                mb.best_acc, mb.best_epoch = acc, epoch
-                mb.stale = 0
+                np.copyto(best[j], theta[j])
+                mb.best_acc, mb.best_epoch, mb.stale = acc, epoch, 0
             else:
                 mb.stale += 1
             if mb.stale >= max(config.patience, 1) or epoch == config.max_epochs - 1:
                 history = TrainHistory(tuple(mb.epochs), mb.best_epoch, mb.best_acc)
-                outcomes[mb.slot] = (_params_view(arch, best[k].copy()), history)
+                outcomes[mb.slot] = (_params_view(arch, best[j].copy()), history)
             else:
-                staying.append(k)
+                staying.append(j)
         if not staying:
             break
         if len(staying) < len(members):
-            members = [members[k] for k in staying]
-            theta, m, v, best = theta[staying], m[staying], v[staying], best[staying]
+            members = [members[j] for j in staying]
+            theta, best = theta[staying], best[staying]
+            adam.mv = adam.mv[:, staying]
+            adam.resize()
             if normalize:
                 means, stds = means[staying], stds[staying]
     return outcomes
@@ -559,14 +597,9 @@ def train_with_early_stopping(
     init: ModelParams | None = None,
 ) -> tuple[ModelParams, TrainHistory]:
     """Train on (features, soft targets), keeping the weights of the epoch
-    with the best hard accuracy on ``early_stop``, through :func:`train_job`.
-
-    Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
-    once ``patience`` consecutive epochs fail to improve the early-stop
-    accuracy, or at ``max_epochs``. When ``init`` is given, training continues
-    from those weights instead of a fresh seeded initialization. A blow-up
-    raises NumericError.
-    """
+    with the best hard accuracy on ``early_stop``, through :func:`train_job`
+    (see :func:`train_lockstep`); from ``init`` when it is given. A blow-up
+    raises NumericError."""
     return train_job(arch, TrainJob(features, targets, early_stop, config, init))
 
 
@@ -579,15 +612,22 @@ def train_job(arch: ArchSpec, job: TrainJob) -> tuple[ModelParams, TrainHistory]
     return outcome
 
 
-def evaluate(params: ModelParams, table: DataTable) -> tuple[float, np.ndarray]:
-    """Hard accuracy and the true-by-predicted confusion count matrix."""
+def _check_scoring(arch: ArchSpec, table: DataTable) -> None:
+    """The checks :func:`evaluate` makes of a table before it scores a model."""
     if not table.fully_labelled:
         raise ValueError("evaluate requires a labelled table")
     if len(table) == 0:
         raise ValueError("evaluate requires a non-empty table")
-    c = table.catalog.size
-    if c != params.arch.output_dim:
+    if table.catalog.size != arch.output_dim:
         raise ValueError("catalog size does not match model output dim")
+    if table.dim != arch.input_dim:
+        raise ValueError(f"feature dim {table.dim} does not match model input {arch.input_dim}")
+
+
+def evaluate(params: ModelParams, table: DataTable) -> tuple[float, np.ndarray]:
+    """Hard accuracy and the true-by-predicted confusion count matrix."""
+    _check_scoring(params.arch, table)
+    c = table.catalog.size
     probs = forward(params, table.features)
     preds = probs.argmax(axis=1)
     confusion = np.zeros((c, c), dtype=np.int64)
