@@ -317,8 +317,8 @@ def _run_worker_group(task) -> list[_CellOutput]:
 # Cells trained in one lockstep group at most. Memory grows with every cell
 # in flight, while past about eight members a stacked training step gets
 # little cheaper per model: on a 2-core x86 host, per model and step, about
-# 80 us alone, 30 at eight members and 24 at sixteen for softmax regression,
-# and 145, 57 and 55 us for hidden layers (32, 16).
+# 40 us alone, 18 at eight members and 16 at sixteen for softmax regression,
+# and 99, 42 and 41 us for hidden layers (32, 16) (medians, BENCH_7.json).
 _GROUP_CELLS = 8
 
 

@@ -463,7 +463,7 @@ def _early_stop_accuracy(arch: ArchSpec, theta: np.ndarray, groups: list[tuple])
     :func:`evaluate` gives it: one stacked forward per group."""
     accuracy = np.empty(theta.shape[0])
     for pos, x, labels, scratch, probs in groups:
-        weights, biases = _layer_views(arch, theta if pos.size == theta.shape[0] else theta[pos])
+        weights, biases = _layer_views(arch, theta[pos])
         _forward_into(scratch, [w.mT for w in weights], [b[:, None, :] for b in biases], x, probs)
         accuracy[pos] = np.count_nonzero(probs.argmax(axis=-1) == labels, axis=-1) / labels.shape[-1]
     return accuracy

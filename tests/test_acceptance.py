@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -209,6 +210,18 @@ def test_criterion_3_protocol_invariants(monkeypatch):
     )
 
 
+# The byte-identity oracle: the first 16 hex digits of the sha256 of each
+# output of the default seed-0 experiment, as `scripts/run_benchmark.py
+# --seed 0` prints them and ROADMAP.md lists them.
+DEFAULT_OUTPUT_HASHES = {
+    "baseline summary.csv": "2e993d3a725362d5",
+    "baseline runs.csv": "088d6e765a0c8512",
+    "chain summary.csv": "0a2a926b37e74162",
+    "chain runs.csv": "add22e12004d5b34",
+    "chain traces.csv": "7d9214a59019afab",
+}
+
+
 def test_criterion_4_experiment_determinism(tmp_path):
     t0 = time.perf_counter()
     outputs = {}
@@ -218,20 +231,25 @@ def test_criterion_4_experiment_determinism(tmp_path):
         run_baseline_sweep(ExperimentConfig(out_dir=str(base_dir)))
         run_chain_experiment(ExperimentConfig(out_dir=str(chain_dir)))
         outputs[attempt] = {
-            "baseline summary.csv": (base_dir / "summary.csv").read_bytes(),
-            "baseline traces.csv": (base_dir / "traces.csv").read_bytes(),
-            "chain summary.csv": (chain_dir / "summary.csv").read_bytes(),
-            "chain traces.csv": (chain_dir / "traces.csv").read_bytes(),
+            f"{mode} {name}": (tmp_path / attempt / mode / name).read_bytes()
+            for mode in ("baseline", "chain")
+            for name in ("summary.csv", "runs.csv", "traces.csv")
         }
     mismatched = [
         name for name in outputs["first"] if outputs["first"][name] != outputs["second"][name]
     ]
+    moved = [
+        name
+        for name, digest in DEFAULT_OUTPUT_HASHES.items()
+        if hashlib.sha256(outputs["first"][name]).hexdigest()[:16] != digest
+    ]
     elapsed = time.perf_counter() - t0
     check(
         "4 full-default-experiment-determinism",
-        not mismatched,
-        f"two executions byte-identical, {elapsed:.0f}s"
-        + (f"; mismatched: {mismatched}" if mismatched else ""),
+        not mismatched and not moved,
+        f"two executions byte-identical and the first on the pinned hashes, {elapsed:.0f}s"
+        + (f"; mismatched: {mismatched}" if mismatched else "")
+        + (f"; off the pinned hashes: {moved}" if moved else ""),
     )
 
 

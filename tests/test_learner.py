@@ -413,9 +413,9 @@ class TestLockstep:
     trainer per member."""
 
     @staticmethod
-    def jobs(hidden, k):
+    def jobs(hidden, k, steps=15):
         arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
-        cfg = TrainConfig(learning_rate=3e-3, steps_per_epoch=15, max_epochs=12, patience=2)
+        cfg = TrainConfig(learning_rate=3e-3, steps_per_epoch=steps, max_epochs=12, patience=2)
         jobs = []
         for j in range(k):
             lab, es = _three_class_problem(seed=10 + j)
@@ -456,6 +456,49 @@ class TestLockstep:
             self.assert_matches_reference(arch, job, outcome)
         if k >= 3:  # members left the group at different epochs
             assert len({len(history.epochs) for _, history in outcomes}) > 1
+
+    @pytest.mark.parametrize("hidden", [(), (32, 16)])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("steps", [16, 17, 40])
+    def test_losses_taken_per_gather_chunk(self, hidden, k, steps):
+        # the loss is taken once per 16-step gather: epochs of exactly one
+        # chunk, of a chunk and one step, and of two chunks and a part
+        arch, jobs = self.jobs(hidden, k, steps=steps)
+        outcomes = train_lockstep(arch, jobs)
+        for job, outcome in zip(jobs, outcomes):
+            self.assert_matches_reference(arch, job, outcome)
+
+    def test_early_stop_tables_of_every_kind_in_one_group(self):
+        # valid members whose early-stop tables have three row counts beside
+        # members whose tables evaluate rejects: each of those fails alone,
+        # with the error evaluate gives for its table
+        arch, jobs = self.jobs((), 5)
+
+        def head(table, n):
+            return table_from(table.catalog, table.features[:n], table.labels[:n], table.ids[:n])
+
+        jobs[1] = replace(jobs[1], early_stop=head(jobs[1].early_stop, 11))
+        jobs[4] = replace(jobs[4], early_stop=head(jobs[4].early_stop, 5))
+        es = jobs[0].early_stop
+        bad = [
+            table_from(ClassCatalog(("a", "b", "c", "d")), es.features, es.labels),
+            head(es, 0),
+            table_from(es.catalog, es.features[:, :4], es.labels),
+        ]
+        jobs += [replace(jobs[0], early_stop=table) for table in bad]
+        outcomes = train_lockstep(arch, jobs)
+        assert [str(o) for o in outcomes[5:]] == [
+            "catalog size does not match model output dim",
+            "evaluate requires a non-empty table",
+            "feature dim 4 does not match model input 5",
+        ]
+        for table, outcome in zip(bad, outcomes[5:]):
+            with pytest.raises(ValueError) as expected:
+                evaluate(init_params(arch, 0), table)
+            assert isinstance(outcome, ValueError) and str(outcome) == str(expected.value)
+        assert len({len(job.early_stop) for job in jobs[:5]}) == 3
+        for j in range(5):
+            self.assert_matches_reference(arch, jobs[j], outcomes[j])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blown_up_member_fails_alone(self):
