@@ -1,7 +1,6 @@
 """Iterative teacher-student pseudo-labelling chains for tabular classifiers."""
 
 from .dataset import (
-    DEFAULT_CLASS_NAMES,
     ClassCatalog,
     DataTable,
     Normalizer,
@@ -18,14 +17,12 @@ from .dataset import (
     write_table,
 )
 from .learner import (
-    AdamState,
     ArchSpec,
     ModelParams,
     NumericError,
     TrainConfig,
     TrainHistory,
     TrainJob,
-    adam_update,
     backward,
     evaluate,
     forward,

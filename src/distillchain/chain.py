@@ -64,7 +64,6 @@ class IterationRecord:
     pseudo_agreement: float | None
     confusion: np.ndarray
     model: ModelParams | None = None
-    checkpoint_ref: str | None = None
     pseudo_labels: PseudoLabels | None = None
 
 

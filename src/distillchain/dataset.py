@@ -16,9 +16,6 @@ import numpy as np
 
 UNLABELLED = -1
 
-# Nine-way tissue catalog used as the default for file ingestion.
-DEFAULT_CLASS_NAMES = ("ADI", "BACK", "DEB", "LYM", "MUC", "MUS", "NORM", "STR", "TUM")
-
 
 class TableParseError(ValueError):
     """Malformed table file; message names the offending line."""
@@ -46,10 +43,6 @@ class ClassCatalog:
             return self.names.index(name)
         except ValueError:
             raise ValueError(f"unknown class name {name!r}") from None
-
-    @staticmethod
-    def default() -> "ClassCatalog":
-        return ClassCatalog(DEFAULT_CLASS_NAMES)
 
     @staticmethod
     def generic(count: int) -> "ClassCatalog":
@@ -248,15 +241,6 @@ class SplitSpec:
 
 
 @dataclass(frozen=True)
-class SplitAudit:
-    seed: int
-    n_total: int
-    n_labelled: int
-    n_early_stop: int
-    n_pool: int
-
-
-@dataclass(frozen=True)
 class SplitResult:
     """Disjoint labelled / early-stop tables and an unlabelled pool view
     covering the input."""
@@ -264,7 +248,6 @@ class SplitResult:
     labelled: DataTable
     early_stop: DataTable
     pool: PoolView
-    audit: SplitAudit
 
     def normalized(self, table: DataTable) -> DataTable:
         """``table`` (validation or test) through the normalizer the pool is
@@ -429,13 +412,6 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
         labelled=subtable(labelled_ids),
         early_stop=subtable(early_ids),
         pool=PoolView(train.catalog, train.features, pool_rows, pool_ids),
-        audit=SplitAudit(
-            seed=spec.seed,
-            n_total=n,
-            n_labelled=int(labelled_ids.size),
-            n_early_stop=int(early_ids.size),
-            n_pool=int(pool_ids.size),
-        ),
     )
     return result, PoolTruth(train.catalog, pool_ids, train.labels[pool_rows])
 

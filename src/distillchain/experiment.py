@@ -11,8 +11,10 @@ numpy SeedSequence spawn keys, and (fraction, run) cells are independent, so
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -51,6 +53,8 @@ _ROLE_CHAIN = 3
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    kind: ClassVar[str] = "synthetic"  # the value of the ``source`` key
+
     classes: int = 9
     per_class: int = 900
     dim: int = 16
@@ -59,6 +63,8 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class DataFiles:
+    kind: ClassVar[str] = "files"
+
     train: str
     validation: str
     test: str
@@ -106,6 +112,142 @@ class ExperimentConfig:
             raise ValueError("early_stop_fraction must be in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+
+_SOURCES = {source.kind: source for source in (SyntheticSpec, DataFiles)}
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
+        return True
+    if text.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def _parse_int_or_none(text: str) -> int | None:
+    return None if text.lower() == "none" else int(text)
+
+
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
+    if text.lower() in ("", "none"):
+        return ()
+    return tuple(int(v) for v in text.split(","))
+
+
+def _parse_float_tuple(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# The configuration schema, the one source of the config file's keys, the
+# CLI flags, build_config and the config_resolved.cfg echo, in echo order:
+# key -> (parser of its text, dotted attribute path into ExperimentConfig,
+# help). A ``source.*`` path is a field of the source class that ``source``
+# selects, and is read and echoed only under that source.
+CONFIG_KEYS: dict[str, tuple] = {
+    "source": (str, "source.kind", "dataset source: synthetic or files"),
+    "synthetic.classes": (int, "source.classes", "number of synthetic classes"),
+    "synthetic.per_class": (int, "source.per_class", "samples per class before the 8:1:1 split"),
+    "synthetic.dim": (int, "source.dim", "feature dimension"),
+    "synthetic.spread": (float, "source.spread", "per-class Gaussian standard deviation"),
+    "data.train": (str, "source.train", "training table CSV (with .classes sidecar)"),
+    "data.validation": (str, "source.validation", "validation table CSV"),
+    "data.test": (str, "source.test", "test table CSV"),
+    "fractions": (_parse_float_tuple, "fractions", "labelled fractions to sweep"),
+    "runs": (int, "runs", "repeat runs per fraction"),
+    "early_stop_fraction": (float, "early_stop_fraction", "held-out reserve for early stopping"),
+    "balance_labelled": (_parse_bool, "balance_labelled", "class-balance the labelled draw"),
+    "arch.hidden": (_parse_int_tuple, "arch_hidden", "hidden layer widths; none = softmax regression"),
+    "seed": (int, "seed", "master seed"),
+    "out": (str, "out_dir", "output directory"),
+    "jobs": (int, "jobs", "parallel (fraction, run) cells"),
+    "dump_pseudo_labels": (_parse_bool, "dump_pseudo_labels", "write per-iteration pseudo-label CSVs"),
+    "save_models": (_parse_bool, "save_models", "write per-iteration model checkpoints"),
+    "chain.iterations": (int, "chain.iterations", "students per chain"),
+    "chain.fresh_init": (_parse_bool, "chain.fresh_init_per_student", "fresh seeded init per student"),
+    "chain.per_class_cap": (
+        _parse_int_or_none, "chain.distill.per_class_cap",
+        "keep at most this many pseudo-labels per predicted class",
+    ),
+    "chain.top_probs": (
+        _parse_int_or_none, "chain.distill.top_probs", "keep only this many probabilities per pseudo-label"
+    ),
+}
+# the TrainConfig keys, whose key prefix is their attribute path
+CONFIG_KEYS.update(
+    (f"{prefix}.{name}", (parse, f"{prefix}.{name}", help_text))
+    for prefix in ("train", "chain.pretrain", "chain.finetune")
+    for name, parse, help_text in (
+        ("learning_rate", float, "Adam learning rate"),
+        ("batch_size", int, "minibatch size"),
+        ("steps_per_epoch", int, "minibatches per epoch (constant epoch size)"),
+        ("max_epochs", int, "epoch budget"),
+        ("patience", int, "non-improving epochs tolerated"),
+    )
+)
+
+
+def build_config(values: dict[str, str]) -> ExperimentConfig:
+    """The ExperimentConfig of ``values`` (CONFIG_KEYS key -> text): the
+    dataclass defaults, overridden by each given value. Every text is
+    parsed, a field of the source not selected too. Raises ValueError."""
+    parsed = {}
+    for key, text in values.items():
+        parse, path, _ = CONFIG_KEYS[key]
+        try:
+            parsed[path] = parse(text)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"bad value for {key}: {text!r} ({exc})") from None
+    kind = parsed.pop("source.kind", SyntheticSpec.kind)
+    if kind not in _SOURCES:
+        raise ValueError(f"source must be synthetic or files, got {kind!r}")
+    source_type = _SOURCES[kind]
+    required = {f"source.{f.name}" for f in fields(source_type) if f.default is MISSING}
+    missing = [key for key, (_, path, _) in CONFIG_KEYS.items() if path in required and not parsed.get(path)]
+    if missing:
+        raise ValueError(f"source = {kind} requires {', '.join(missing)}")
+    names = {f"source.{f.name}": f.name for f in fields(source_type)}
+    source = source_type(**{names[path]: value for path, value in parsed.items() if path in names})
+    rest = {path: value for path, value in parsed.items() if not path.startswith("source.")}
+    return _replaced(ExperimentConfig(source=source), rest)
+
+
+def _replaced(obj, values: dict[str, object]):
+    """``obj`` with the attribute at each dotted path of ``values`` set; each
+    dataclass on a path is rebuilt, and so validated, once."""
+    changes, nested = {}, {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            changes[head] = value
+    for head, sub in nested.items():
+        changes[head] = _replaced(getattr(obj, head), sub)
+    return replace(obj, **changes)
+
+
+def _fmt_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(_fmt_value(v) for v in value) if value else "none"
+    if value is None:
+        return "none"
+    return str(value)
+
+
+def config_to_lines(cfg: ExperimentConfig) -> list[str]:
+    """Flat ``key = value`` echo of every setting, written next to results so
+    each run records exactly what produced it; build_config reads it back
+    to an equal config."""
+    return [
+        f"{key} = {_fmt_value(attrgetter(path)(cfg))}"
+        for key, (_, path, _) in CONFIG_KEYS.items()
+        if not path.startswith("source.") or hasattr(cfg.source, path.removeprefix("source."))
+    ]
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -442,22 +584,24 @@ def run_chain_experiment(
     Fractions without a pool (labelled_fraction 1.0) become skip rows. When a
     baseline summary.csv path is given, its best mean test accuracy becomes
     the reference line of the chain chart; otherwise the chart falls back to
-    the best mean teacher accuracy from this experiment's own traces.
+    the best mean teacher accuracy from this experiment's own traces. The
+    summary is read before the sweep, so a file that is missing or is not a
+    summary.csv fails it before any cell runs.
     """
+    baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     summary, traces, confusions, catalog = _sweep(cfg, _chain_cells)
-    reference = _chart_reference(traces, baseline_summary)
+    reference = _chart_reference(traces, baseline)
     emit_outputs(summary, traces, cfg.out_dir, confusions, catalog, reference, config_to_lines(cfg))
     return summary
 
 
-def _chart_reference(traces: list[TraceRow], baseline_summary: Path | str | None) -> float | None:
-    """The chain chart's reference line: the best mean baseline test accuracy
-    in ``baseline_summary`` when it has one, else the best mean teacher test
-    accuracy of ``traces``."""
-    reference = best_baseline_mean(baseline_summary) if baseline_summary else None
-    if reference is not None:
-        return reference
+def _chart_reference(traces: list[TraceRow], baseline: float | None) -> float | None:
+    """The chain chart's reference line: ``baseline``, the best mean
+    baseline test accuracy of a summary, when there is one, else the best
+    mean teacher test accuracy of ``traces``."""
+    if baseline is not None:
+        return baseline
     by_fraction: dict[float, list[float]] = {}
     for t in traces:
         if t.iteration == 0:
@@ -465,64 +609,3 @@ def _chart_reference(traces: list[TraceRow], baseline_summary: Path | str | None
     means = [float(np.mean(v)) for v in by_fraction.values()]
     return max(means) if means else None
 
-
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(_fmt_value(v) for v in value) if value else "none"
-    if value is None:
-        return "none"
-    return str(value)
-
-
-def config_to_lines(cfg: ExperimentConfig) -> list[str]:
-    """Flat ``key = value`` echo of every setting, written next to results so
-    each run records exactly what produced it."""
-    lines = []
-    if isinstance(cfg.source, SyntheticSpec):
-        lines += [
-            "source = synthetic",
-            f"synthetic.classes = {cfg.source.classes}",
-            f"synthetic.per_class = {cfg.source.per_class}",
-            f"synthetic.dim = {cfg.source.dim}",
-            f"synthetic.spread = {_fmt_value(cfg.source.spread)}",
-        ]
-    else:
-        lines += [
-            "source = files",
-            f"data.train = {cfg.source.train}",
-            f"data.validation = {cfg.source.validation}",
-            f"data.test = {cfg.source.test}",
-        ]
-    lines += [
-        f"fractions = {_fmt_value(cfg.fractions)}",
-        f"runs = {cfg.runs}",
-        f"early_stop_fraction = {_fmt_value(cfg.early_stop_fraction)}",
-        f"balance_labelled = {_fmt_value(cfg.balance_labelled)}",
-        f"arch.hidden = {_fmt_value(cfg.arch_hidden)}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out_dir}",
-        f"jobs = {cfg.jobs}",
-        f"dump_pseudo_labels = {_fmt_value(cfg.dump_pseudo_labels)}",
-        f"save_models = {_fmt_value(cfg.save_models)}",
-        f"chain.iterations = {cfg.chain.iterations}",
-        f"chain.fresh_init = {_fmt_value(cfg.chain.fresh_init_per_student)}",
-        f"chain.per_class_cap = {_fmt_value(cfg.chain.distill.per_class_cap)}",
-        f"chain.top_probs = {_fmt_value(cfg.chain.distill.top_probs)}",
-    ]
-    for prefix, tc in (
-        ("train", cfg.train),
-        ("chain.pretrain", cfg.chain.pretrain),
-        ("chain.finetune", cfg.chain.finetune),
-    ):
-        lines += [
-            f"{prefix}.learning_rate = {_fmt_value(tc.learning_rate)}",
-            f"{prefix}.batch_size = {tc.batch_size}",
-            f"{prefix}.steps_per_epoch = {tc.steps_per_epoch}",
-            f"{prefix}.max_epochs = {tc.max_epochs}",
-            f"{prefix}.patience = {tc.patience}",
-        ]
-    return lines

@@ -22,8 +22,6 @@ ADAM_EPS = 1e-8
 
 LOG_CLAMP = 1e-12
 
-INIT_SCHEME = "uniform-fan-in"
-
 
 class NumericError(ArithmeticError):
     """A training computation produced non-finite values."""
@@ -71,28 +69,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class AdamState:
-    """First/second moment estimates congruent to ModelParams plus the step
-    counter."""
-
-    m_weights: tuple[np.ndarray, ...]
-    m_biases: tuple[np.ndarray, ...]
-    v_weights: tuple[np.ndarray, ...]
-    v_biases: tuple[np.ndarray, ...]
-    t: int = 0
-
-    @staticmethod
-    def zeros(params: ModelParams) -> "AdamState":
-        return AdamState(
-            m_weights=tuple(np.zeros_like(w) for w in params.weights),
-            m_biases=tuple(np.zeros_like(b) for b in params.biases),
-            v_weights=tuple(np.zeros_like(w) for w in params.weights),
-            v_biases=tuple(np.zeros_like(b) for b in params.biases),
-            t=0,
-        )
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings; the epoch size is a fixed number of minibatch
     steps regardless of dataset size."""
@@ -127,7 +103,6 @@ class TrainHistory:
     epochs: tuple[EpochStats, ...] = ()
     best_epoch: int | None = None
     best_accuracy: float | None = None
-    init_scheme: str = INIT_SCHEME
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
@@ -314,28 +289,6 @@ class _Adam:
         g2 += ADAM_EPS
         g /= g2
         theta -= g
-
-
-def adam_update(
-    params: ModelParams,
-    grads: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]],
-    state: AdamState,
-    learning_rate: float,
-) -> tuple[ModelParams, AdamState]:
-    """One Adam step with bias correction; returns fresh params and state."""
-    arch = params.arch
-    theta = _flatten(params.weights, params.biases)
-    adam = _Adam(theta)
-    adam.mv[0] = _flatten(state.m_weights, state.m_biases)
-    adam.mv[1] = _flatten(state.v_weights, state.v_biases)
-    adam.grad[...] = _flatten(*grads)
-    t = state.t + 1
-    adam.step(theta, t, learning_rate)
-    if not np.isfinite(theta).all():
-        raise NumericError("non-finite parameter update")
-    m_w, m_b = _layer_views(arch, adam.mv[0])
-    v_w, v_b = _layer_views(arch, adam.mv[1])
-    return _params_view(arch, theta), AdamState(m_w, m_b, v_w, v_b, t=t)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -172,20 +172,13 @@ def read_traces_csv(path: Path | str) -> list[TraceRow]:
 
 def best_baseline_mean(summary_path: Path | str) -> float | None:
     """Largest mean baseline test accuracy in a summary file, for the
-    reference line of the chain chart."""
-    path = Path(summary_path)
-    if not path.exists():
-        return None
-    best = None
-    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if parts[0] == "baseline" and parts[2] == "test_accuracy" and parts[3]:
-            value = float(parts[3])
-            if best is None or value > best:
-                best = value
-    return best
+    reference line of the chain chart; None when it has no such row."""
+    means = [
+        float(fields[3])
+        for fields in _data_lines(summary_path, SUMMARY_HEADER, "summary")
+        if fields[0] == "baseline" and fields[2] == "test_accuracy" and fields[3]
+    ]
+    return max(means, default=None)
 
 
 def render_chain_svg(

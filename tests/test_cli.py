@@ -3,15 +3,30 @@ import sys
 
 import pytest
 
-from distillchain import read_table
-from distillchain.cli import build_config, main, parse_config_file, _defaults
-from distillchain.experiment import DataFiles, SyntheticSpec
+from distillchain import (
+    ChainConfig,
+    DistillConfig,
+    ExperimentConfig,
+    TrainConfig,
+    generate_synthetic,
+    read_table,
+    run_baseline_sweep,
+    write_table,
+)
+from distillchain.cli import ConfigError, _make_parser, _resolve_config, main, parse_config_file
+from distillchain.experiment import CONFIG_KEYS, DataFiles, SyntheticSpec, build_config, config_to_lines
+from distillchain.reports import SUMMARY_HEADER
 
 
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "distillchain.cli", *args], capture_output=True, text=True
     )
+
+
+def resolve(*argv):
+    """The ExperimentConfig the CLI resolves for ``baseline`` with ``argv``."""
+    return _resolve_config(_make_parser().parse_args(["baseline", *argv]))
 
 
 FAST = [
@@ -43,13 +58,12 @@ arch.hidden = 8,4
     def test_unknown_key_names_line(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seed = 1\nnot_a_key = 2\n")
-        from distillchain.cli import ConfigError
-
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_file(cfg)
 
     def test_build_config_round_trips_defaults(self):
-        cfg = build_config(_defaults())
+        cfg = build_config(dict(line.split(" = ") for line in config_to_lines(ExperimentConfig())))
+        assert cfg == build_config({}) == resolve() == ExperimentConfig()
         assert isinstance(cfg.source, SyntheticSpec)
         assert cfg.fractions == (0.0025, 0.005, 0.01, 0.05, 0.20, 1.0)
         assert cfg.runs == 5
@@ -57,15 +71,139 @@ arch.hidden = 8,4
         assert cfg.chain.distill.per_class_cap == 4000
 
     def test_files_source_requires_paths(self):
-        flat = _defaults()
-        flat["source"] = "files"
-        from distillchain.cli import ConfigError
-
         with pytest.raises(ConfigError, match="data.train"):
-            build_config(flat)
-        flat.update({"data.train": "a.csv", "data.validation": "b.csv", "data.test": "c.csv"})
-        cfg = build_config(flat)
-        assert isinstance(cfg.source, DataFiles)
+            resolve("--source", "files")
+        with pytest.raises(ConfigError, match="requires data.test$"):
+            resolve("--source", "files", "--data.train", "a.csv", "--data.validation", "b.csv", "--data.test", "")
+        cfg = resolve(
+            "--source", "files", "--data.train", "a.csv", "--data.validation", "b.csv", "--data.test", "c.csv"
+        )
+        assert cfg.source == DataFiles("a.csv", "b.csv", "c.csv")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--runs", "zero"), "bad value for runs"),
+            (("--runs", "0"), "runs must be >= 1"),
+            (("--fractions", "0.5,0.2"), "strictly increasing"),
+            (("--fractions", ""), "bad value for fractions"),
+            (("--source", "tables"), "source must be synthetic or files"),
+            (("--balance_labelled", "maybe"), "expected a boolean"),
+            (("--arch.hidden", "8,x"), "bad value for arch.hidden"),
+            (("--chain.per_class_cap", "0"), "per_class_cap must be positive"),
+            (("--chain.pretrain.learning_rate", "-1"), "learning_rate must be positive"),
+            (("--chain.iterations", "0"), "iterations must be >= 1"),
+            (("--synthetic.dim", "2.5"), "bad value for synthetic.dim"),
+            # every value is parsed, also a field of the source not selected
+            (
+                ("--source", "files", "--data.train", "a.csv", "--data.validation", "b.csv",
+                 "--data.test", "c.csv", "--synthetic.spread", "wide"),
+                "bad value for synthetic.spread",
+            ),
+            (("--no_such_key", "1"), "unrecognized arguments"),
+        ],
+    )
+    def test_invalid_values_are_config_errors(self, argv, message):
+        with pytest.raises(ConfigError, match=message):
+            resolve(*argv)
+
+
+# The default echo, byte for byte: config_resolved.cfg of a run with no
+# config file and no flags.
+DEFAULT_ECHO = """\
+source = synthetic
+synthetic.classes = 9
+synthetic.per_class = 900
+synthetic.dim = 16
+synthetic.spread = 0.9
+fractions = 0.0025,0.005,0.01,0.05,0.2,1.0
+runs = 5
+early_stop_fraction = 0.01
+balance_labelled = false
+arch.hidden = none
+seed = 0
+out = results
+jobs = 1
+dump_pseudo_labels = false
+save_models = false
+chain.iterations = 5
+chain.fresh_init = true
+chain.per_class_cap = 4000
+chain.top_probs = none
+train.learning_rate = 0.001
+train.batch_size = 32
+train.steps_per_epoch = 100
+train.max_epochs = 200
+train.patience = 20
+chain.pretrain.learning_rate = 0.001
+chain.pretrain.batch_size = 32
+chain.pretrain.steps_per_epoch = 100
+chain.pretrain.max_epochs = 200
+chain.pretrain.patience = 20
+chain.finetune.learning_rate = 0.0003
+chain.finetune.batch_size = 32
+chain.finetune.steps_per_epoch = 100
+chain.finetune.max_epochs = 60
+chain.finetune.patience = 10
+"""
+
+
+class TestSchema:
+    def test_default_echo(self):
+        assert "\n".join(config_to_lines(ExperimentConfig())) + "\n" == DEFAULT_ECHO
+
+    @pytest.mark.parametrize("command", ["synth", "baseline", "chain", "report"])
+    def test_help_lists_every_key(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        flags = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+        assert len(CONFIG_KEYS) == 37
+        assert {f"--{key}" for key in CONFIG_KEYS} <= flags
+
+    def test_every_key_round_trips_through_the_echo(self, tmp_path):
+        # every key set away from its default under each source it applies
+        # to, echoed by a sweep and read back through --config
+        paths = [str(tmp_path / f"{name}.csv") for name in ("train", "validation", "test")]
+        for path, table in zip(paths, generate_synthetic(3, 30, 3, 0.4, seed=2)):
+            write_table(path, table)
+        short = TrainConfig(learning_rate=2e-3, batch_size=8, steps_per_epoch=3, max_epochs=2, patience=1)
+        common = dict(
+            fractions=(0.2, 0.5),
+            runs=1,
+            early_stop_fraction=0.1,
+            balance_labelled=True,
+            arch_hidden=(4, 3),
+            seed=7,
+            jobs=2,
+            dump_pseudo_labels=True,
+            save_models=True,
+            train=short,
+            chain=ChainConfig(
+                iterations=1,
+                distill=DistillConfig(per_class_cap=None, top_probs=2),
+                pretrain=TrainConfig(learning_rate=5e-4, batch_size=4, steps_per_epoch=2, max_epochs=3, patience=2),
+                finetune=TrainConfig(learning_rate=1e-4, batch_size=16, steps_per_epoch=4, max_epochs=1, patience=3),
+                fresh_init_per_student=False,
+            ),
+        )
+        defaults = dict(line.split(" = ") for line in DEFAULT_ECHO.splitlines())
+        echoed = set()
+        for name, source in (
+            ("synthetic", SyntheticSpec(classes=3, per_class=30, dim=3, spread=0.4)),
+            ("files", DataFiles(*paths)),
+        ):
+            cfg = ExperimentConfig(source=source, out_dir=str(tmp_path / name), **common)
+            run_baseline_sweep(cfg)
+            written = tmp_path / name / "config_resolved.cfg"
+            lines = written.read_text().splitlines()
+            assert lines == config_to_lines(cfg)
+            values = dict(line.split(" = ") for line in lines)
+            at_default = [key for key in values if values[key] == defaults.get(key)]
+            assert at_default == (["source"] if name == "synthetic" else [])
+            assert resolve("--config", str(written)) == cfg
+            echoed |= values.keys()
+        assert echoed == set(CONFIG_KEYS)
 
 
 class TestCliCommands:
@@ -136,3 +274,26 @@ class TestCliCommands:
 
     def test_report_without_runs_exits_one(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
+
+    def test_baseline_summary_sets_the_reference_line(self, tmp_path):
+        base, out = tmp_path / "base", tmp_path / "out"
+        assert main(["baseline", *FAST, "--fractions", "0.2,0.5", "--seed", "3", "--out", str(base)]) == 0
+        rows = [line.split(",") for line in (base / "summary.csv").read_text().splitlines()[1:]]
+        best = max(float(r[3]) for r in rows if r[0] == "baseline" and r[2] == "test_accuracy")
+        for command in ("chain", "report"):
+            assert main([command, *FAST, "--seed", "3", "--out", str(out), "--baseline-summary", str(base / "summary.csv")]) == 0
+            assert f"best baseline mean test accuracy {best:.4f}<" in (out / "chain_curves.svg").read_text()
+
+    @pytest.mark.parametrize("command", ["chain", "report"])
+    def test_bad_baseline_summary_exits_one_naming_it(self, tmp_path, capsys, command):
+        # a path that is missing or is not a summary.csv fails before the
+        # sweep instead of falling back to the teacher mean
+        done = tmp_path / "done"
+        assert main(["chain", *FAST, "--seed", "3", "--out", str(done)]) == 0
+        out = tmp_path / "fresh" if command == "chain" else done
+        capsys.readouterr()
+        for bad in (tmp_path / "does_not_exist.csv", done / "runs.csv", done / "traces.csv"):
+            assert main([command, *FAST, "--seed", "3", "--out", str(out), "--baseline-summary", str(bad)]) == 1
+            assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
+        assert (done / "runs.csv").read_text().splitlines()[0] != SUMMARY_HEADER

@@ -21,7 +21,6 @@ from distillchain import (
 )
 from distillchain import dataset
 from distillchain.dataset import (
-    DEFAULT_CLASS_NAMES,
     UNLABELLED,
     _fisher_yates,
     synthetic_class_means,
@@ -30,10 +29,13 @@ from distillchain.dataset import (
 from conftest import reaches_labels, table_from
 
 
+TISSUE_CLASSES = ("ADI", "BACK", "DEB", "LYM", "MUC", "MUS", "NORM", "STR", "TUM")
+
+
 class TestClassCatalog:
-    def test_default_is_the_nine_tissue_classes(self):
-        catalog = ClassCatalog.default()
-        assert catalog.names == DEFAULT_CLASS_NAMES
+    def test_nine_tissue_classes_index_in_order(self):
+        catalog = ClassCatalog(TISSUE_CLASSES)
+        assert catalog.names == TISSUE_CLASSES
         assert catalog.size == 9
         assert catalog.index("TUM") == 8
 
@@ -210,7 +212,7 @@ class TestTableIO:
     def test_tum_row_maps_to_last_class_index(self, tmp_path):
         path = tmp_path / "nine.csv"
         path.write_text("id,label,f0,f1\n7,TUM,0.1,0.2\n")
-        path.with_suffix(".classes").write_text(",".join(DEFAULT_CLASS_NAMES) + "\n")
+        path.with_suffix(".classes").write_text(",".join(TISSUE_CLASSES) + "\n")
         table = read_table(path)
         assert table.ids.tolist() == [7]
         assert table.labels.tolist() == [8]
@@ -548,15 +550,15 @@ class TestMakeSplits:
     def test_floor_arithmetic_sizes(self):
         train = _labelled_table(1000)
         result, _ = make_splits(train, SplitSpec(labelled_fraction=0.01, early_stop_fraction=0.01, seed=4))
-        assert result.audit.n_early_stop == 10
-        assert result.audit.n_labelled == 10
-        assert result.audit.n_pool == 980
+        assert len(result.early_stop) == 10
+        assert len(result.labelled) == 10
+        assert len(result.pool) == 980
 
     def test_full_fraction_empties_the_pool(self):
         train = _labelled_table(1000)
         result, _ = make_splits(train, SplitSpec(labelled_fraction=1.0, early_stop_fraction=0.01, seed=4))
-        assert result.audit.n_pool == 0
-        assert result.audit.n_labelled == 990
+        assert len(result.pool) == 0
+        assert len(result.labelled) == 990
 
     def test_zero_early_stop_fraction_is_infeasible(self):
         train = _labelled_table(1000)

@@ -187,7 +187,7 @@ def test_prepared_cells_hold_no_copy_of_the_pool(role):
     finally:
         tracemalloc.stop()
     assert len(prepared) == len(cells) and not skipped
-    pool_matrix = prepared[0][2].audit.n_pool * dataset[0].dim * 8
+    pool_matrix = len(prepared[0][2].pool) * dataset[0].dim * 8
     assert grown < len(cells) * pool_matrix
 
 

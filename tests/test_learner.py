@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distillchain import (
-    AdamState,
     ArchSpec,
     ClassCatalog,
     NumericError,
     TrainConfig,
-    adam_update,
     backward,
     evaluate,
     forward,
@@ -31,7 +29,10 @@ from distillchain.learner import (
     ModelParams,
     TrainHistory,
     TrainJob,
+    _Adam,
     _BatchStream,
+    _flatten,
+    train_job,
     train_lockstep,
 )
 
@@ -166,34 +167,34 @@ class TestAdamUpdate:
     def test_first_step_magnitude(self):
         # entry 0.5 with gradient 0.2: the first bias-corrected step moves by
         # almost exactly the learning rate
-        params = params_from([[[0.5], [0.0]]], [[0.0, 0.0]], 1, (), 2)
-        grads = ((np.array([[0.2], [0.0]]),), (np.zeros(2),))
-        state = AdamState.zeros(params)
-        new_params, new_state = adam_update(params, grads, state, learning_rate=0.001)
-        assert new_params.weights[0][0, 0] == pytest.approx(0.499, abs=1e-6)
-        assert new_state.t == 1
+        theta = np.array([0.5, 0.0, 0.0, 0.0])  # weights (2, 1), then biases (2,)
+        adam = _Adam(theta)
+        adam.grad[...] = [0.2, 0.0, 0.0, 0.0]
+        adam.step(theta, 1, learning_rate=0.001)
+        assert theta[0] == pytest.approx(0.499, abs=1e-6)
+        assert theta[1:].tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_gradient_changes_nothing(self):
         params = init_params(ArchSpec(input_dim=2, hidden=(3,), output_dim=2), 1)
-        grads = (
-            tuple(np.zeros_like(w) for w in params.weights),
-            tuple(np.zeros_like(b) for b in params.biases),
-        )
-        new_params, new_state = adam_update(params, grads, AdamState.zeros(params), 0.01)
-        for a, b in zip(new_params.weights, params.weights):
-            assert np.array_equal(a, b)
-        assert new_state.t == 1
-        assert all((v >= 0).all() for v in new_state.v_weights)
+        theta = _flatten(params.weights, params.biases)
+        before = theta.copy()
+        adam = _Adam(theta)
+        adam.grad[...] = 0.0
+        adam.step(theta, 1, 0.01)
+        assert np.array_equal(theta, before)
+        assert (adam.v >= 0).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_update_raises(self):
-        params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 1)
-        grads = (
-            (np.full_like(params.weights[0], np.inf),),
-            (np.zeros_like(params.biases[0]),),
-        )
-        with pytest.raises(NumericError):
-            adam_update(params, grads, AdamState.zeros(params), 0.01)
+    def test_non_finite_update_raises(self, two_class_catalog):
+        # huge soft targets over huge features: the first step's loss is
+        # finite, its gradient overflows to infinity and the update to NaN
+        arch = ArchSpec(input_dim=2, hidden=(), output_dim=2)
+        es = table_from(two_class_catalog, [[0.0, 0.0], [1.0, 1.0]], labels=[0, 1])
+        features = np.full((4, 2), 1e10)
+        targets = np.tile([1e300, 0.0], (4, 1))
+        cfg = TrainConfig(steps_per_epoch=1, max_epochs=1, seed=1)
+        with pytest.raises(NumericError, match="non-finite parameters at epoch 0"):
+            train_job(arch, TrainJob(features, targets, es, cfg))
 
 
 def _blob_problem(seed=0):
@@ -260,7 +261,7 @@ class TestTrainWithEarlyStopping:
 
 # ---------------------------------------------------------------------------
 # The per-step trainer the fused engine replaced, kept as the reference: every
-# step gathers its batch by index, builds fresh ModelParams and AdamState,
+# step gathers its batch by index, builds fresh ModelParams and Adam moments,
 # updates each layer's arrays separately and scores the step with the mean
 # cross-entropy as ndarray.mean computes it.
 
@@ -289,8 +290,9 @@ def reference_backprop(params, probs, targets, activations, pre_acts):
     return tuple(grad_w), tuple(grad_b)
 
 
-def reference_adam_update(params, grads, state, learning_rate):
-    t = state.t + 1
+def reference_adam_update(params, grads, moments, t, learning_rate):
+    """Adam step ``t`` layer by layer; ``moments`` is (m_weights, m_biases,
+    v_weights, v_biases). Returns fresh params and moments."""
     bc1 = 1.0 - 0.9**t
     bc2 = 1.0 - 0.999**t
 
@@ -302,23 +304,20 @@ def reference_adam_update(params, grads, state, learning_rate):
             raise NumericError("non-finite parameter update")
         return theta_new, m_new, v_new
 
-    w = [step(*a) for a in zip(params.weights, grads[0], state.m_weights, state.v_weights)]
-    b = [step(*a) for a in zip(params.biases, grads[1], state.m_biases, state.v_biases)]
+    m_w, m_b, v_w, v_b = moments
+    w = [step(*a) for a in zip(params.weights, grads[0], m_w, v_w)]
+    b = [step(*a) for a in zip(params.biases, grads[1], m_b, v_b)]
     return (
         ModelParams(arch=params.arch, weights=tuple(x[0] for x in w), biases=tuple(x[0] for x in b)),
-        AdamState(
-            m_weights=tuple(x[1] for x in w),
-            m_biases=tuple(x[1] for x in b),
-            v_weights=tuple(x[2] for x in w),
-            v_biases=tuple(x[2] for x in b),
-            t=t,
-        ),
+        (tuple(x[1] for x in w), tuple(x[1] for x in b), tuple(x[2] for x in w), tuple(x[2] for x in b)),
     )
 
 
 def reference_train(arch, features, targets, early_stop, config, init=None):
     params = init if init is not None else init_params(arch, config.seed)
-    state = AdamState.zeros(params)
+    zeros_w = tuple(np.zeros_like(w) for w in params.weights)
+    zeros_b = tuple(np.zeros_like(b) for b in params.biases)
+    moments, t = (zeros_w, zeros_b, zeros_w, zeros_b), 0
     rng = np.random.default_rng(config.seed)
     order, cursor = rng.permutation(len(features)), 0
     best_params, best_acc, best_epoch, epochs, stale = params, -1.0, -1, [], 0
@@ -335,7 +334,8 @@ def reference_train(arch, features, targets, early_stop, config, init=None):
             probs, activations, pre_acts = reference_forward_cached(params, xb)
             loss_sum += float(-(tb * np.log(np.maximum(probs, 1e-12))).sum(axis=1).mean())
             grads = reference_backprop(params, probs, tb, activations, pre_acts)
-            params, state = reference_adam_update(params, grads, state, config.learning_rate)
+            t += 1
+            params, moments = reference_adam_update(params, grads, moments, t, config.learning_rate)
         mean_loss = loss_sum / config.steps_per_epoch
         acc, _ = evaluate(params, early_stop)
         epochs.append(EpochStats(epoch=epoch, train_loss=mean_loss, early_stop_accuracy=acc))
