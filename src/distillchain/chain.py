@@ -229,7 +229,7 @@ def run_chains(
     arch: ArchSpec,
     cfgs: Sequence[ChainConfig],
     keep_pseudo_labels: bool = False,
-) -> list[ChainResult | ChainAborted | ValueError]:
+) -> list[ChainResult | ChainAborted]:
     """Run one teacher-student chain per (splits, truth, validation, test) cell,
     advancing all of them phase by phase: every teacher trains in one
     lockstep group, then per iteration each cell pseudo-labels and filters
@@ -238,9 +238,9 @@ def run_chains(
     alone would.
 
     ``cfgs`` holds one ChainConfig per cell; they must agree except in
-    ``seed``. The outcome per cell is its ChainResult, or the ChainAborted
-    (carrying the completed records) that ended that cell alone, or a
-    ValueError for a cell whose validation or test table is unlabelled.
+    ``seed``, and every validation and test table must be fully labelled.
+    The outcome per cell is its ChainResult, or the ChainAborted (carrying
+    the completed records) that ended that cell alone.
     Students' pseudo-labels stay on their records only with
     ``keep_pseudo_labels``.
     """
@@ -248,14 +248,10 @@ def run_chains(
         raise ValueError("run_chains needs one ChainConfig per cell")
     if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
         raise ValueError("chain cells must share their ChainConfig except seed")
-    outcomes: list[ChainResult | ChainAborted | ValueError | None] = [None] * len(cells)
-    live: list[_Chain] = []
-    for slot, (cell, cfg) in enumerate(zip(cells, cfgs)):
-        _, _, validation, test = cell
-        if not validation.fully_labelled or not test.fully_labelled:
-            outcomes[slot] = ValueError("validation and test tables must be labelled")
-        else:
-            live.append(_Chain(slot, cell, cfg))
+    if any(not validation.fully_labelled or not test.fully_labelled for _, _, validation, test in cells):
+        raise ValueError("validation and test tables must be labelled")
+    outcomes: list[ChainResult | ChainAborted | None] = [None] * len(cells)
+    live = [_Chain(slot, cell, cfg) for slot, (cell, cfg) in enumerate(zip(cells, cfgs))]
 
     def abort(chain: _Chain, exc: Exception) -> None:
         aborted = ChainAborted(

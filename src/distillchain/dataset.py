@@ -38,12 +38,6 @@ class ClassCatalog:
     def size(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown class name {name!r}") from None
-
     @staticmethod
     def generic(count: int) -> "ClassCatalog":
         return ClassCatalog(tuple(f"c{i}" for i in range(count)))
@@ -601,9 +595,8 @@ def _rejected_row(ids: np.ndarray, features: np.ndarray, linenos: np.ndarray) ->
     )
 
 
-def read_table(path: Path | str, catalog: ClassCatalog | None = None) -> DataTable:
-    """Read a CSV table; the catalog comes from the ``.classes`` sidecar
-    unless one is passed explicitly.
+def read_table(path: Path | str) -> DataTable:
+    """Read a CSV table; the catalog comes from the ``.classes`` sidecar.
 
     Data lines are parsed in blocks of ``_BLOCK_LINES``, each in a few batched
     steps, with the same ``int``/``float`` builtins a per-line parse would
@@ -613,8 +606,7 @@ def read_table(path: Path | str, catalog: ClassCatalog | None = None) -> DataTab
     with a non-finite feature, then with a negative id, then repeating an id.
     """
     path = Path(path)
-    if catalog is None:
-        catalog = _read_catalog(classes_path(path))
+    catalog = _read_catalog(classes_path(path))
     label_of = {name: i for i, name in enumerate(catalog.names)}
     label_of[""] = UNLABELLED
     with path.open(encoding="utf-8") as f:

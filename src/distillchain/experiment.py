@@ -20,6 +20,7 @@ import numpy as np
 
 from .chain import ChainAborted, ChainConfig, run_chains
 from .dataset import (
+    UNLABELLED,
     DataTable,
     SplitSpec,
     generate_synthetic,
@@ -37,9 +38,8 @@ from .reports import (
     fraction_tag,
     render_chain_svg,
     write_confusion_csv,
-    write_runs_csv,
+    write_rows,
     write_summary_csv,
-    write_traces_csv,
 )
 
 DEFAULT_FRACTIONS = (0.0025, 0.005, 0.01, 0.05, 0.20, 1.0)
@@ -260,7 +260,8 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
     """Generate the synthetic tables (seeded from the master seed) or load
     the configured CSV files, whose ``.classes`` sidecars must agree: labels
     are encoded by catalog index, so a reordered catalog would silently
-    score validation or test labels as other classes."""
+    score validation or test labels as other classes. Validation and test
+    must be fully labelled, since every cell is scored on them."""
     if isinstance(cfg.source, SyntheticSpec):
         s = cfg.source
         return generate_synthetic(
@@ -278,6 +279,9 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
                 f"class catalog of {path} ({','.join(table.catalog.names)}) differs from "
                 f"that of {files.train} ({','.join(tables[0].catalog.names)})"
             )
+        if not table.fully_labelled:
+            sid = table.ids[np.argmax(table.labels == UNLABELLED)]
+            raise ValueError(f"{path}: sample id {sid} has no label; validation and test must be labelled")
     return tables
 
 
@@ -378,8 +382,6 @@ def _chain_cells(
         if isinstance(result, ChainAborted):
             outputs[slot] = _skipped(bases, result)
             continue
-        if isinstance(result, Exception):
-            raise result
         outputs[slot] = _chain_output(cfg, bases, splits, result)
     return [outputs[slot] for slot in range(len(cells))]
 
@@ -534,8 +536,8 @@ def emit_outputs(
         out.mkdir(parents=True, exist_ok=True)
         written = [out / "summary.csv", out / "runs.csv", out / "traces.csv"]
         write_summary_csv(written[0], summary)
-        write_runs_csv(written[1], summary.details)
-        write_traces_csv(written[2], traces)
+        write_rows(written[1], RunRow, sorted(summary.details, key=attrgetter("fraction", "mode", "run")))
+        write_rows(written[2], TraceRow, sorted(traces, key=attrgetter("fraction", "run", "iteration")))
         for fraction, run, confusion in sorted(
             confusions or [], key=lambda c: (c[0], c[1])
         ):
@@ -585,8 +587,8 @@ def run_chain_experiment(
     baseline summary.csv path is given, its best mean test accuracy becomes
     the reference line of the chain chart; otherwise the chart falls back to
     the best mean teacher accuracy from this experiment's own traces. The
-    summary is read before the sweep, so a file that is missing or is not a
-    summary.csv fails it before any cell runs.
+    summary is read before the sweep, so a file that is missing, is not a
+    summary.csv or has no baseline row fails it before any cell runs.
     """
     baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)

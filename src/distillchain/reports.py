@@ -1,22 +1,20 @@
 """Result row schema and deterministic file emission.
 
-Every writer formats floats with ``repr`` and sorts rows canonically, so two
-runs with the same configuration and master seed produce byte-identical
-files regardless of worker parallelism.
+Each row dataclass is its CSV file's schema: its field names, in order, are
+the header and the columns. Floats are written with ``repr`` and rows sorted
+canonically, so two runs with the same configuration and master seed
+produce byte-identical files regardless of worker parallelism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .dataset import ClassCatalog
-
-TRACES_HEADER = "run,fraction,iteration,val_accuracy,test_accuracy,pseudo_count,pseudo_agreement"
-RUNS_HEADER = "mode,fraction,run,seed,status,iteration,val_accuracy,test_accuracy"
-SUMMARY_HEADER = "mode,fraction,metric,mean,std,min,max,n,note"
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -73,49 +71,69 @@ class RunSummary:
     details: tuple[RunRow, ...]
 
 
-def _fmt(x: float | int | None) -> str:
+SUMMARY_HEADER = ",".join(f.name for f in fields(SummaryCell))
+
+
+def _fmt(x: str | float | int | None) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
+
+
+def _parser(hint):
+    """The parser of a column's text for a field typed ``hint``; an optional
+    field reads the empty text as None."""
+    args = get_args(hint)
+    if type(None) not in args:
+        return hint
+    (base,) = (a for a in args if a is not type(None))
+    return lambda text: None if text == "" else base(text)
 
 
 def fraction_tag(fraction: float) -> str:
     return format(fraction, "g")
 
 
+def write_rows(path: Path | str, cls, rows) -> None:
+    """Write ``rows``, instances of the row dataclass ``cls``, in the given
+    order under ``cls``'s header, each field formatted by ``_fmt``."""
+    names = [f.name for f in fields(cls)]
+    lines = [",".join(names)]
+    lines += (",".join(_fmt(getattr(r, name)) for name in names) for r in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_rows(path: Path | str, cls) -> list:
+    """The ``cls`` rows of a file ``write_rows`` wrote: each column parsed by
+    its field's declared type, blank lines skipped. A bad header, a wrong
+    field count or a value that does not parse raises ValueError naming the
+    file and line."""
+    hints = get_type_hints(cls)
+    header = ",".join(f.name for f in fields(cls))
+    parsers = [_parser(hints[f.name]) for f in fields(cls)]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: line 1: expected the header {header}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        texts = line.split(",")
+        if len(texts) != len(parsers):
+            raise ValueError(f"{path}: line {lineno}: expected {len(parsers)} fields, got {len(texts)}")
+        try:
+            rows.append(cls(*(parse(text) for parse, text in zip(parsers, texts))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return rows
+
+
 def write_summary_csv(path: Path | str, summary: RunSummary) -> None:
-    lines = [SUMMARY_HEADER]
-    for c in summary.cells:
-        lines.append(
-            f"{c.mode},{_fmt(c.fraction)},{c.metric},{_fmt(c.mean)},{_fmt(c.std)},"
-            f"{_fmt(c.min)},{_fmt(c.max)},{c.n},{c.note}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_runs_csv(path: Path | str, rows: list[RunRow] | tuple[RunRow, ...]) -> None:
-    ordered = sorted(rows, key=lambda r: (r.fraction, r.mode, r.run))
-    lines = [RUNS_HEADER]
-    for r in ordered:
-        iteration = "" if r.iteration is None else str(r.iteration)
-        lines.append(
-            f"{r.mode},{_fmt(r.fraction)},{r.run},{r.seed},{r.status},{iteration},"
-            f"{_fmt(r.val_accuracy)},{_fmt(r.test_accuracy)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_traces_csv(path: Path | str, traces: list[TraceRow] | tuple[TraceRow, ...]) -> None:
-    ordered = sorted(traces, key=lambda t: (t.fraction, t.run, t.iteration))
-    lines = [TRACES_HEADER]
-    for t in ordered:
-        lines.append(
-            f"{t.run},{_fmt(t.fraction)},{t.iteration},{_fmt(t.val_accuracy)},"
-            f"{_fmt(t.test_accuracy)},{t.pseudo_count},{_fmt(t.pseudo_agreement)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_rows(path, SummaryCell, summary.cells)
 
 
 def write_confusion_csv(path: Path | str, catalog: ClassCatalog, confusion: np.ndarray) -> None:
@@ -125,60 +143,26 @@ def write_confusion_csv(path: Path | str, catalog: ClassCatalog, confusion: np.n
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _data_lines(path: Path | str, header: str, kind: str) -> list[list[str]]:
-    """The fields of each non-blank line after ``header``, the file's first."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != header:
-        raise ValueError(f"{path}: unexpected {kind} header")
-    return [line.split(",") for line in lines[1:] if line]
-
-
 def read_runs_csv(path: Path | str) -> list[RunRow]:
-    rows = []
-    for fields in _data_lines(path, RUNS_HEADER, "runs"):
-        mode, fraction, run, seed, status, iteration, val, test = fields
-        rows.append(
-            RunRow(
-                mode=mode,
-                fraction=float(fraction),
-                run=int(run),
-                seed=int(seed),
-                status=status,
-                iteration=None if iteration == "" else int(iteration),
-                val_accuracy=None if val == "" else float(val),
-                test_accuracy=None if test == "" else float(test),
-            )
-        )
-    return rows
+    return read_rows(path, RunRow)
 
 
 def read_traces_csv(path: Path | str) -> list[TraceRow]:
-    rows = []
-    for fields in _data_lines(path, TRACES_HEADER, "traces"):
-        run, fraction, iteration, val, test, count, agreement = fields
-        rows.append(
-            TraceRow(
-                run=int(run),
-                fraction=float(fraction),
-                iteration=int(iteration),
-                val_accuracy=float(val),
-                test_accuracy=float(test),
-                pseudo_count=int(count),
-                pseudo_agreement=None if agreement == "" else float(agreement),
-            )
-        )
-    return rows
+    return read_rows(path, TraceRow)
 
 
-def best_baseline_mean(summary_path: Path | str) -> float | None:
+def best_baseline_mean(summary_path: Path | str) -> float:
     """Largest mean baseline test accuracy in a summary file, for the
-    reference line of the chain chart; None when it has no such row."""
+    reference line of the chain chart; a summary without one, such as a
+    chain sweep's own, raises ValueError naming the file."""
     means = [
-        float(fields[3])
-        for fields in _data_lines(summary_path, SUMMARY_HEADER, "summary")
-        if fields[0] == "baseline" and fields[2] == "test_accuracy" and fields[3]
+        c.mean
+        for c in read_rows(summary_path, SummaryCell)
+        if c.mode == "baseline" and c.metric == "test_accuracy" and c.mean is not None
     ]
-    return max(means, default=None)
+    if not means:
+        raise ValueError(f"{summary_path}: no baseline test_accuracy mean; not a baseline sweep's summary")
+    return max(means)
 
 
 def render_chain_svg(

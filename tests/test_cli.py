@@ -286,13 +286,15 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["chain", "report"])
     def test_bad_baseline_summary_exits_one_naming_it(self, tmp_path, capsys, command):
-        # a path that is missing or is not a summary.csv fails before the
-        # sweep instead of falling back to the teacher mean
+        # a path that is missing, is not a summary.csv or is a summary
+        # without baseline rows (a chain sweep's own) fails before the sweep
+        # instead of falling back to the teacher mean
         done = tmp_path / "done"
         assert main(["chain", *FAST, "--seed", "3", "--out", str(done)]) == 0
         out = tmp_path / "fresh" if command == "chain" else done
         capsys.readouterr()
-        for bad in (tmp_path / "does_not_exist.csv", done / "runs.csv", done / "traces.csv"):
+        bads = (tmp_path / "does_not_exist.csv", *(done / name for name in ("runs.csv", "traces.csv", "summary.csv")))
+        for bad in bads:
             assert main([command, *FAST, "--seed", "3", "--out", str(out), "--baseline-summary", str(bad)]) == 1
             assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "fresh").exists()

@@ -37,7 +37,7 @@ class TestClassCatalog:
         catalog = ClassCatalog(TISSUE_CLASSES)
         assert catalog.names == TISSUE_CLASSES
         assert catalog.size == 9
-        assert catalog.index("TUM") == 8
+        assert catalog.names.index("TUM") == 8
 
     def test_rejects_duplicates_and_singletons(self):
         with pytest.raises(ValueError):
@@ -361,7 +361,7 @@ def reference_read_table(path, catalog):
             label = UNLABELLED
         else:
             try:
-                label = catalog.index(name)
+                label = catalog.names.index(name)
             except ValueError:
                 raise TableParseError(
                     f"{path}: line {lineno}: label {name!r} not in catalog"
@@ -403,9 +403,9 @@ def reference_read_table(path, catalog):
         raise TableParseError(message) from exc
 
 
-def outcome(read, path, catalog):
+def outcome(read, path):
     try:
-        table = read(path, catalog)
+        table = read(path)
     except ValueError as exc:
         return type(exc), str(exc)
     return table.features.shape, table.ids.tobytes(), table.features.tobytes(), table.labels.tobytes()
@@ -414,9 +414,10 @@ def outcome(read, path, catalog):
 def assert_reads_like_the_reference(path, text, block_lines):
     path.write_bytes(text.encode("utf-8"))
     catalog = ClassCatalog(("a", "b", "TUM"))
-    want = outcome(reference_read_table, path, catalog)
+    path.with_suffix(".classes").write_text(",".join(catalog.names) + "\n", encoding="utf-8")
+    want = outcome(lambda p: reference_read_table(p, catalog), path)
     with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
-        got = outcome(read_table, path, catalog)
+        got = outcome(read_table, path)
     assert got == want
 
 

@@ -29,6 +29,7 @@ from distillchain import (
 )
 from distillchain.dataset import ClassCatalog
 from distillchain.reports import (
+    SUMMARY_HEADER,
     read_runs_csv,
     read_traces_csv,
     render_chain_svg,
@@ -121,13 +122,35 @@ def test_files_source_reads_each_table_once(tmp_path, monkeypatch, sweep):
         write_table(path, table)
     calls = []
 
-    def counting_read_table(path, catalog=None):
+    def counting_read_table(path):
         calls.append(path)
-        return read_table(path, catalog)
+        return read_table(path)
 
     monkeypatch.setattr(experiment, "read_table", counting_read_table)
     sweep(tiny_config(tmp_path, source=DataFiles(*paths), fractions=(0.2,), runs=1))
     assert sorted(calls) == sorted(paths)
+
+
+@pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
+@pytest.mark.parametrize("unlabelled", ["validation", "test"])
+def test_unlabelled_scoring_table_fails_before_training(tmp_path, monkeypatch, sweep, unlabelled):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("train", "validation", "test")}
+    for (name, path), table in zip(paths.items(), generate_synthetic(3, 40, 3, 0.4, seed=11)):
+        if name == unlabelled:
+            labels = table.labels.copy()
+            labels[3] = -1
+            table, sid = replace(table, labels=labels), int(table.ids[3])
+        write_table(path, table)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained with an unlabelled scoring table")
+
+    for module in (chain, experiment):
+        monkeypatch.setattr(module, "train_lockstep", no_training)
+    cfg = tiny_config(tmp_path, source=DataFiles(*map(str, paths.values())))
+    with pytest.raises(ValueError) as excinfo:
+        sweep(cfg)
+    assert str(excinfo.value).startswith(f"{paths[unlabelled]}: sample id {sid} has no label")
 
 
 def test_mismatched_class_sidecars_are_rejected(tmp_path):
@@ -318,12 +341,18 @@ class TestChainExperiment:
 
 
 class TestEmitOutputs:
-    def test_traces_header_is_exact(self, tmp_path):
+    def test_headers_are_exact(self, tmp_path):
         traces = [TraceRow(0, 0.1, 0, 0.5, 0.5, 0, None)]
         summary = aggregate_runs([row("chain_best", 0.1, 0, 0.5, 0.5)])
         emit_outputs(summary, traces, tmp_path, catalog=ClassCatalog(("a", "b")))
-        lines = (tmp_path / "traces.csv").read_text().splitlines()
-        assert lines[0] == "run,fraction,iteration,val_accuracy,test_accuracy,pseudo_count,pseudo_agreement"
+        headers = {
+            "summary.csv": "mode,fraction,metric,mean,std,min,max,n,note",
+            "runs.csv": "mode,fraction,run,seed,status,iteration,val_accuracy,test_accuracy",
+            "traces.csv": "run,fraction,iteration,val_accuracy,test_accuracy,pseudo_count,pseudo_agreement",
+        }
+        for name, header in headers.items():
+            assert (tmp_path / name).read_text().splitlines()[0] == header
+        assert SUMMARY_HEADER == headers["summary.csv"]
 
     def test_svg_polyline_per_run_per_panel(self):
         traces = [

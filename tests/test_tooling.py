@@ -1,10 +1,20 @@
 """Guards for the tools that drive the package from outside it."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+# The benchmark's code that imports distillchain by name. The oracle catches
+# only OSError and ValueError, so a renamed import crashes the benchmark
+# instead of failing its check.
+IMPORTERS = (
+    "perfbench/oracle.py", "perfbench/child.py", "perfbench/workloads.py", "scripts/run_benchmark.py",
+)
 
 
 def test_traced_benchmark_targets_resolve():
@@ -18,3 +28,20 @@ def test_traced_benchmark_targets_resolve():
         module = importlib.import_module(f"distillchain.{module_name}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"distillchain.{module_name} lacks {missing}"
+
+
+@pytest.mark.parametrize("importer", IMPORTERS)
+def test_benchmark_imports_resolve(importer):
+    tree = ast.parse((ROOT / importer).read_text(encoding="utf-8"))
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "distillchain"
+        for alias in node.names
+    ]
+    assert imports
+    missing = [
+        f"{module}.{name}" for module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, f"{importer} imports {missing}"
