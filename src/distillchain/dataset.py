@@ -7,7 +7,7 @@ repeated calls are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator
@@ -50,14 +50,12 @@ def _frozen_view(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _lookup(ids: np.ndarray, wanted: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """Index into ``ids`` (ascending, or ascending in ``order``) of each of
-    ``wanted``; raises ValueError naming the first id that is not there."""
+def _lookup(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index into ascending ``ids`` of each of ``wanted``; raises ValueError
+    naming the first id that is not there."""
     wanted = np.asarray(wanted, dtype=np.int64)
-    rows = np.searchsorted(ids, wanted, sorter=order)
+    rows = np.searchsorted(ids, wanted)
     found = rows < ids.shape[0]
-    if order is not None:
-        rows[found] = order[rows[found]]
     found[found] = ids[rows[found]] == wanted[found]
     if not found.all():
         raise ValueError(f"sample id {wanted[~found][0]} not present in table")
@@ -73,8 +71,6 @@ class DataTable:
     ids: np.ndarray
     features: np.ndarray
     labels: np.ndarray | None
-    # True when ids are strictly ascending, as in every table make_splits builds
-    ascending: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = np.ascontiguousarray(self.ids, dtype=np.int64)
@@ -88,10 +84,8 @@ class DataTable:
         if ids.size and ids.min() < 0:
             raise ValueError("sample ids must be non-negative")
         # strictly ascending ids (the usual case) are unique without a sort
-        ascending = bool((ids[1:] > ids[:-1]).all())
-        if not ascending and np.unique(ids).size != ids.size:
+        if not (ids[1:] > ids[:-1]).all() and np.unique(ids).size != ids.size:
             raise ValueError("sample ids must be unique within a table")
-        object.__setattr__(self, "ascending", ascending)
         object.__setattr__(self, "ids", _frozen_view(ids))
         object.__setattr__(self, "features", _frozen_view(features))
         if self.labels is not None:
@@ -112,11 +106,6 @@ class DataTable:
     @property
     def fully_labelled(self) -> bool:
         return self.labels is not None and (len(self) == 0 or self.labels.min() >= 0)
-
-    def rows_of(self, ids: np.ndarray) -> np.ndarray:
-        """Row index of each of ``ids``; raises ValueError naming the first
-        id that is not in the table."""
-        return _lookup(self.ids, ids, None if self.ascending else np.argsort(self.ids))
 
 
 @dataclass(frozen=True)
@@ -374,26 +363,27 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
             f"requested sizes infeasible: {n_early} early-stop + {n_labelled} labelled > {n}"
         )
 
+    # draws are on ranks, positions in ascending-id order: the shuffles sort
+    # their input, so they draw what they would on the ids themselves
+    by_id = np.argsort(train.ids, kind="stable")  # rank -> row
+    ranked_labels = train.labels[by_id]
     rng = np.random.default_rng(spec.seed)
     for _ in range(10_000):
-        order = _fisher_yates(train.ids, rng)
-        early_ids = order[:n_early]
-        present = np.unique(train.labels[train.rows_of(early_ids)])
-        if present.size == c:
+        order = _fisher_yates(np.arange(n), rng)
+        early = order[:n_early]
+        if np.unique(ranked_labels[early]).size == c:
             break
     else:
         raise RuntimeError("could not draw an early-stop set covering every class")
 
-    remainder_ids = order[n_early:]
+    remainder = order[n_early:]
     if spec.balance_labelled:
-        labelled_ids = _balanced_draw(train, remainder_ids, n_labelled, rng)
+        labelled = _balanced_draw(train.catalog, ranked_labels, remainder, n_labelled, rng)
     else:
-        shuffled = _fisher_yates(remainder_ids, rng)
-        labelled_ids = shuffled[:n_labelled]
-    pool_ids = np.setdiff1d(remainder_ids, labelled_ids)  # ascending
+        labelled = _fisher_yates(remainder, rng)[:n_labelled]
 
-    def subtable(id_subset: np.ndarray) -> DataTable:
-        rows = train.rows_of(np.sort(id_subset))
+    def subtable(ranks: np.ndarray) -> DataTable:
+        rows = by_id[np.sort(ranks)]
         return DataTable(
             catalog=train.catalog,
             ids=train.ids[rows],
@@ -401,32 +391,34 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
             labels=train.labels[rows],
         )
 
-    pool_rows = train.rows_of(pool_ids)
+    pool_rows = by_id[np.setdiff1d(remainder, labelled)]  # ascending ids
+    pool_ids = train.ids[pool_rows]
     result = SplitResult(
-        labelled=subtable(labelled_ids),
-        early_stop=subtable(early_ids),
+        labelled=subtable(labelled),
+        early_stop=subtable(early),
         pool=PoolView(train.catalog, train.features, pool_rows, pool_ids),
     )
     return result, PoolTruth(train.catalog, pool_ids, train.labels[pool_rows])
 
 
 def _balanced_draw(
-    train: DataTable,
-    candidate_ids: np.ndarray,
+    catalog: ClassCatalog,
+    ranked_labels: np.ndarray,
+    candidates: np.ndarray,
     n_labelled: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw as-even-as-possible per-class quotas from the candidates."""
-    c = train.catalog.size
+    """Draw as-even-as-possible per-class quotas from the candidate ranks."""
+    c = catalog.size
     quotas = np.full(c, n_labelled // c, dtype=np.int64)
     quotas[: n_labelled % c] += 1
-    labels = train.labels[train.rows_of(candidate_ids)]
+    labels = ranked_labels[candidates]
     chosen: list[np.ndarray] = []
     for cls in range(c):
-        members = candidate_ids[labels == cls]
+        members = candidates[labels == cls]
         if members.size < quotas[cls]:
             raise ValueError(
-                f"class {train.catalog.names[cls]!r} has {members.size} candidates, "
+                f"class {catalog.names[cls]!r} has {members.size} candidates, "
                 f"needs {quotas[cls]} for a balanced labelled set"
             )
         shuffled = _fisher_yates(members, rng)

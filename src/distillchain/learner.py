@@ -377,6 +377,8 @@ class _Member:
             raise ValueError("normalizer dim does not match the features")
         if t.shape != (n, arch.output_dim):
             raise ValueError("targets shape does not match features and output dim")
+        if not (np.isfinite(t).all() and t.min() >= 0.0 and (abs(t.sum(axis=1) - 1.0) <= 1e-9).all()):
+            raise ValueError("targets must be finite, non-negative rows that sum to 1")
         if not job.early_stop.fully_labelled:
             raise ValueError("early-stop table must be labelled")
         _check_scoring(arch, job.early_stop)

@@ -3,10 +3,15 @@ import pytest
 
 from distillchain import (
     ArchSpec,
+    ChainConfig,
     ClassCatalog,
     DataTable,
+    DistillConfig,
+    ExperimentConfig,
     PoolTruth,
     PoolView,
+    SyntheticSpec,
+    TrainConfig,
     backward,
     forward,
     init_params,
@@ -27,6 +32,28 @@ def table_from(catalog, features, labels=None, ids=None):
     ids = np.arange(n) if ids is None else np.asarray(ids)
     labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     return DataTable(catalog=catalog, ids=ids, features=features, labels=labels)
+
+
+def tiny_config(tmp_path, **overrides):
+    """A seeded chain sweep small enough to run in well under a second."""
+    fast = TrainConfig(max_epochs=3, steps_per_epoch=10, patience=3)
+    settings = dict(
+        source=SyntheticSpec(classes=3, per_class=40, dim=3, spread=0.4),
+        fractions=(0.2, 1.0),
+        runs=2,
+        early_stop_fraction=0.1,
+        train=fast,
+        chain=ChainConfig(
+            iterations=2,
+            distill=DistillConfig(per_class_cap=None),
+            pretrain=fast,
+            finetune=fast,
+        ),
+        seed=11,
+        out_dir=str(tmp_path / "out"),
+    )
+    settings.update(overrides)
+    return ExperimentConfig(**settings)
 
 
 def pool_from(catalog, features, ids=None):

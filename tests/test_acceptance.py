@@ -33,7 +33,7 @@ from distillchain import (
 from distillchain import chain as chain_module
 from distillchain.reports import read_runs_csv, read_traces_csv
 
-from conftest import gradcheck_case, max_relative_error, reaches_labels, table_from
+from conftest import gradcheck_case, max_relative_error, reaches_labels, table_from, tiny_config
 
 
 def check(name: str, passed: bool, detail: str = ""):
@@ -252,6 +252,23 @@ def test_criterion_4_experiment_determinism(tmp_path):
         + (f"; off the pinned hashes: {moved}" if moved else ""),
     )
 
+
+# The trained weights' oracle: the first 16 hex digits of the sha256 of the
+# model_*.json checkpoints (names and bytes, in name order) of a tiny seeded
+# chain sweep, per arch.hidden. The CSVs above see a weight only when it flips
+# a prediction; a checkpoint holds every float exactly.
+CHECKPOINT_HASHES = {(): "4040be0258bda898", (4,): "083ea42294b4e7aa"}
+
+
+@pytest.mark.parametrize("hidden", list(CHECKPOINT_HASHES))
+def test_checkpoints_on_the_pinned_weights(tmp_path, hidden):
+    run_chain_experiment(tiny_config(tmp_path, fractions=(0.2,), arch_hidden=hidden, save_models=True))
+    paths = sorted((tmp_path / "out").glob("model_*.json"))
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert len(paths) == 6  # 2 runs x the teacher and 2 students
+    assert digest.hexdigest()[:16] == CHECKPOINT_HASHES[hidden]
 
 def test_criterion_5_baseline_trend(tmp_path):
     t0 = time.perf_counter()

@@ -129,7 +129,7 @@ class TestTrainStudent:
             ntest = splits.normalized(test)
             # ground truth comes from the original table, not the hidden pool
             train, _, _ = generate_synthetic(classes=3, per_class=60, dim=3, spread=0.6, seed=seed)
-            truth = train.labels[train.rows_of(splits.pool.ids)]
+            truth = train.labels[splits.pool.rows]
             oracle = PseudoLabels(splits.pool.ids, one_hot(truth, 3))
             cfg = ChainConfig(
                 iterations=1,

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from distillchain import (
     ClassCatalog,
     DataTable,
+    PoolTruth,
     PoolView,
+    SplitResult,
     SplitSpec,
     TableParseError,
     generate_synthetic,
@@ -56,30 +59,17 @@ class TestDataTable:
         with pytest.raises(ValueError, match="unique"):
             table_from(two_class_catalog, np.zeros((len(ids), 1)), ids=ids)
 
-    @pytest.mark.parametrize("ascending", [True, False])
-    def test_rows_of_matches_argsort_lookup(self, two_class_catalog, ascending):
-        # reference: the argsort + searchsorted lookup every table used to do
-        def reference_rows_of(table_ids, ids):
-            order = np.argsort(table_ids)
-            pos = np.searchsorted(table_ids, ids, sorter=order)
-            found = pos < order.size
-            found[found] = table_ids[order[pos[found]]] == ids[found]
-            return order[pos], found
-
+    def test_pool_positions_find_each_id_and_name_the_first_unknown(self, two_class_catalog):
         rng = np.random.default_rng(0)
         for n in (0, 1, 2, 50):
             ids = np.sort(rng.choice(200, size=n, replace=False))
-            if not ascending:
-                ids = rng.permutation(ids)
-            table = table_from(two_class_catalog, np.zeros((n, 1)), ids=ids)
-            queries = rng.permutation(table.ids.copy())[: n // 2]
-            want, found = reference_rows_of(table.ids, queries)
-            assert found.all()
-            assert np.array_equal(table.rows_of(queries), want)
-            assert np.array_equal(table.ids[table.rows_of(queries)], queries)
+            pool = PoolView(two_class_catalog, np.zeros((n, 1)), np.arange(n), ids)
+            queries = rng.permutation(ids)[: n // 2]
+            want = [np.flatnonzero(ids == q)[0] for q in queries]
+            assert pool.positions(queries).tolist() == want
             for unknown in (-1, 200, *np.setdiff1d(np.arange(200), ids)[:3]):
                 with pytest.raises(ValueError, match=f"sample id {unknown} not present"):
-                    table.rows_of(np.append(queries, unknown))
+                    pool.positions(np.append(queries, unknown))
 
     def test_rejects_out_of_range_labels(self, two_class_catalog):
         with pytest.raises(ValueError):
@@ -547,6 +537,97 @@ class TestFisherYates:
             assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def reference_make_splits(train, spec):
+    """make_splits as it drew in sample-id space: it shuffled the ids and
+    mapped every piece back to rows with an argsort lookup."""
+    by_id = np.argsort(train.ids)
+
+    def rows_of(ids):
+        return by_id[np.searchsorted(train.ids, ids, sorter=by_id)]
+
+    if not train.fully_labelled:
+        raise ValueError("make_splits requires a fully labelled training table")
+    n = len(train)
+    c = train.catalog.size
+    n_early = int(spec.early_stop_fraction * n)
+    if n_early < c:
+        raise ValueError(
+            f"early-stop set of {n_early} cannot cover {c} classes; "
+            "increase early_stop_fraction or the table size"
+        )
+    class_counts = np.bincount(train.labels, minlength=c)
+    if np.any(class_counts == 0):
+        missing = [train.catalog.names[i] for i in np.flatnonzero(class_counts == 0)]
+        raise ValueError(f"training table has no samples for classes {missing}")
+    n_labelled = n - n_early if spec.labelled_fraction == 1.0 else int(spec.labelled_fraction * n)
+    if n_labelled < 1:
+        raise ValueError("labelled_fraction yields an empty labelled set")
+    if n_early + n_labelled > n:
+        raise ValueError(
+            f"requested sizes infeasible: {n_early} early-stop + {n_labelled} labelled > {n}"
+        )
+
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(10_000):
+        order = _fisher_yates(train.ids, rng)
+        early_ids = order[:n_early]
+        if np.unique(train.labels[rows_of(early_ids)]).size == c:
+            break
+    else:
+        raise RuntimeError("could not draw an early-stop set covering every class")
+    remainder_ids = order[n_early:]
+    if spec.balance_labelled:
+        quotas = np.full(c, n_labelled // c, dtype=np.int64)
+        quotas[: n_labelled % c] += 1
+        labels = train.labels[rows_of(remainder_ids)]
+        chosen = []
+        for cls in range(c):
+            members = remainder_ids[labels == cls]
+            if members.size < quotas[cls]:
+                raise ValueError(
+                    f"class {train.catalog.names[cls]!r} has {members.size} candidates, "
+                    f"needs {quotas[cls]} for a balanced labelled set"
+                )
+            chosen.append(_fisher_yates(members, rng)[: quotas[cls]])
+        labelled_ids = np.concatenate(chosen)
+    else:
+        labelled_ids = _fisher_yates(remainder_ids, rng)[:n_labelled]
+    pool_ids = np.setdiff1d(remainder_ids, labelled_ids)
+    pool_rows = rows_of(pool_ids)
+
+    def subtable(id_subset):
+        rows = rows_of(np.sort(id_subset))
+        return table_from(train.catalog, train.features[rows], train.labels[rows], train.ids[rows])
+
+    pool = PoolView(train.catalog, train.features, pool_rows, pool_ids)
+    return (
+        SplitResult(subtable(labelled_ids), subtable(early_ids), pool),
+        PoolTruth(train.catalog, pool_ids, train.labels[pool_rows]),
+    )
+
+
+def _split_arrays(splits, truth):
+    tables = (splits.labelled, splits.early_stop)
+    return [
+        *(getattr(t, name) for t in tables for name in ("ids", "features", "labels")),
+        splits.pool.rows, splits.pool.ids, truth.ids, truth.labels,
+    ]
+
+
+def _id_layouts(train, seed):
+    """``train`` as it is (ids ascending from 0), with its rows shuffled, and
+    with sparse random ids in no order."""
+    rng = np.random.default_rng(seed)
+    n = len(train)
+    perm = rng.permutation(n)
+    sparse = rng.choice(50 * n, size=n, replace=False)
+    return {
+        "ascending": train,
+        "shuffled": table_from(train.catalog, train.features[perm], train.labels[perm], train.ids[perm]),
+        "sparse": table_from(train.catalog, train.features, train.labels, sparse),
+    }
+
+
 class TestMakeSplits:
     def test_floor_arithmetic_sizes(self):
         train = _labelled_table(1000)
@@ -641,6 +722,32 @@ class TestMakeSplits:
         assert raw.pool.features().tobytes() == train.features[pool.rows].tobytes()
         assert result.normalized(train).features.tobytes() == norm.apply(train).features.tobytes()
         assert raw.normalized(train) is train
+
+    @pytest.mark.parametrize("layout", ["ascending", "shuffled", "sparse"])
+    def test_rank_draw_matches_the_id_space_draw(self, layout):
+        catalog = ClassCatalog(("a", "b", "c"))
+        skewed = table_from(catalog, np.arange(240.0).reshape(120, 2), [0] * 100 + [1] * 12 + [2] * 8)
+        tables = [_labelled_table(n, catalog_size=c, seed=n + c) for n, c in ((60, 2), (300, 4), (900, 9))]
+        outcomes = []
+        for base in (skewed, *tables):
+            train = _id_layouts(base, len(base))[layout]
+            for fraction, early, balanced, seed in itertools.product(
+                (0.005, 0.05, 0.3, 0.85, 1.0), (0.02, 0.1), (False, True), (0, 7)
+            ):
+                spec = SplitSpec(fraction, early, seed=seed, balance_labelled=balanced)
+                try:
+                    want = _split_arrays(*reference_make_splits(train, spec))
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        make_splits(train, spec)
+                    assert str(got.value) == str(exc)
+                    outcomes.append(str(exc))
+                    continue
+                got = _split_arrays(*make_splits(train, spec))
+                assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+                outcomes.append("split")
+        errors = [o for o in outcomes if o != "split"]  # balanced draws fail on the skewed table
+        assert len(outcomes) - len(errors) >= 80 and sum("candidates" in e for e in errors) >= 20
 
     def test_missing_class_in_train_rejected(self):
         catalog = ClassCatalog(("a", "b", "c"))

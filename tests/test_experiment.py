@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from distillchain import (
-    ChainConfig,
     DataFiles,
-    DistillConfig,
     ExperimentConfig,
     RunRow,
     SyntheticSpec,
@@ -35,26 +33,7 @@ from distillchain.reports import (
     render_chain_svg,
 )
 
-
-def tiny_config(tmp_path, **overrides):
-    fast = TrainConfig(max_epochs=3, steps_per_epoch=10, patience=3)
-    settings = dict(
-        source=SyntheticSpec(classes=3, per_class=40, dim=3, spread=0.4),
-        fractions=(0.2, 1.0),
-        runs=2,
-        early_stop_fraction=0.1,
-        train=fast,
-        chain=ChainConfig(
-            iterations=2,
-            distill=DistillConfig(per_class_cap=None),
-            pretrain=fast,
-            finetune=fast,
-        ),
-        seed=11,
-        out_dir=str(tmp_path / "out"),
-    )
-    settings.update(overrides)
-    return ExperimentConfig(**settings)
+from conftest import tiny_config
 
 
 def row(mode, fraction, run, val, test, status="ok"):

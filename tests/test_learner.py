@@ -186,13 +186,13 @@ class TestAdamUpdate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_update_raises(self, two_class_catalog):
-        # huge soft targets over huge features: the first step's loss is
-        # finite, its gradient overflows to infinity and the update to NaN
+        # huge features against one-hot targets the model gets wrong, at a
+        # huge learning rate: the first step's loss is finite, its update is not
         arch = ArchSpec(input_dim=2, hidden=(), output_dim=2)
         es = table_from(two_class_catalog, [[0.0, 0.0], [1.0, 1.0]], labels=[0, 1])
         features = np.full((4, 2), 1e10)
-        targets = np.tile([1e300, 0.0], (4, 1))
-        cfg = TrainConfig(steps_per_epoch=1, max_epochs=1, seed=1)
+        targets = np.tile([0.0, 1.0], (4, 1))
+        cfg = TrainConfig(learning_rate=1e300, steps_per_epoch=1, max_epochs=1, seed=1)
         with pytest.raises(NumericError, match="non-finite parameters at epoch 0"):
             train_job(arch, TrainJob(features, targets, es, cfg))
 
@@ -527,6 +527,26 @@ class TestLockstep:
         assert isinstance(outcomes[0], ValueError)
         assert "early-stop table must be labelled" in str(outcomes[0])
         for j in (1, 2):
+            self.assert_matches_reference(arch, jobs[j], outcomes[j])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1e300, 0.0, 0.0],  # finite, far from a probability row
+            [np.nan, 0.5, 0.5],
+            [-0.5, 1.0, 0.5],
+            [1.0, 0.5, 0.5],  # sums to 2
+        ],
+    )
+    def test_bad_targets_fail_alone(self, bad):
+        arch, jobs = self.jobs((), 3)
+        targets = jobs[1].targets.copy()
+        targets[3] = bad
+        jobs[1] = replace(jobs[1], targets=targets)
+        outcomes = train_lockstep(arch, jobs)
+        assert isinstance(outcomes[1], ValueError)
+        assert "targets must be finite, non-negative rows that sum to 1" in str(outcomes[1])
+        for j in (0, 2):
             self.assert_matches_reference(arch, jobs[j], outcomes[j])
 
     def test_a_group_of_invalid_members_returns_each_error(self):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,12 @@ def test_benchmark_imports_resolve(importer):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{importer} imports {missing}"
+
+
+def test_numpy_floor_has_the_array_attributes_the_code_uses():
+    # ndarray.mT arrived in NumPy 2.0; read with a regex, as tomllib is
+    # missing before Python 3.11
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert floor, "pyproject.toml declares no numpy floor"
+    uses_mt = any(".mT" in path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py"))
+    assert not uses_mt or (int(floor[1]), int(floor[2])) >= (2, 0)
