@@ -3,8 +3,9 @@
 The teacher is trained on the small labelled set; each student is pretrained
 on filtered soft pseudo-labels for the pool and then fine-tuned on the
 original labelled set, after which it pseudo-labels the pool for the next
-student. Iteration 0 is the teacher; the returned best iteration maximizes
-validation accuracy.
+student. Iteration 0 is the teacher, so a chain of zero iterations is the
+supervised baseline; the returned best iteration maximizes validation
+accuracy.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -331,11 +331,12 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
 
     The early-stop set is drawn first, uniformly at random with size
     floor(early_stop_fraction * N); draws missing a class are rejected and
-    redrawn so accuracy-based early stopping never sees an absent class. The
-    labelled set of size floor(labelled_fraction * N) is then drawn from the
-    remainder (class-balanced only when requested); everything else becomes
-    the pool: a view of ``train``'s feature matrix without labels. Its labels
-    are the returned :class:`PoolTruth`.
+    redrawn, at most 10,000 times (then ValueError), so accuracy-based early
+    stopping never sees an absent class. The labelled set of size
+    floor(labelled_fraction * N) is then drawn from the remainder
+    (class-balanced only when requested); everything else becomes the pool:
+    a view of ``train``'s feature matrix without labels. Its labels are the
+    returned :class:`PoolTruth`.
     """
     if not train.fully_labelled:
         raise ValueError("make_splits requires a fully labelled training table")
@@ -374,7 +375,11 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
         if np.unique(ranked_labels[early]).size == c:
             break
     else:
-        raise RuntimeError("could not draw an early-stop set covering every class")
+        lacked = [train.catalog.names[i] for i in np.setdiff1d(np.arange(c), ranked_labels[early])]
+        raise ValueError(
+            f"no early-stop draw of {n_early} rows covered every class in 10000 tries; "
+            f"the last lacked classes {lacked}"
+        )
 
     remainder = order[n_early:]
     if spec.balance_labelled:

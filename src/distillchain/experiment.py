@@ -10,6 +10,7 @@ numpy SeedSequence spawn keys, and (fraction, run) cells are independent, so
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
@@ -28,7 +29,7 @@ from .dataset import (
     normalize_splits,
     read_table,
 )
-from .learner import ArchSpec, TrainConfig, TrainJob, evaluate, one_hot, save_model, train_lockstep
+from .learner import ArchSpec, TrainConfig, save_model
 from .reports import (
     RunRow,
     RunSummary,
@@ -112,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("early_stop_fraction must be in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.chain.iterations < 1:
+            raise ValueError("chain.iterations must be >= 1")
 
 
 _SOURCES = {source.kind: source for source in (SyntheticSpec, DataFiles)}
@@ -292,6 +295,11 @@ class _CellOutput:
     confusions: tuple[tuple[float, int, np.ndarray], ...] = ()
 
 
+# All that tells the two sweeps apart: a cell's seed role and row modes, the
+# chain it runs (the baseline's has no students), and its output function.
+_Sweep = tuple[int, tuple[str, ...], ChainConfig, Callable[..., _CellOutput]]
+
+
 def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
     status = "skipped: " + str(exc).replace(",", ";").replace("\n", " ")
     return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
@@ -324,71 +332,52 @@ def _prepare_cells(dataset, cfg, cells, role, modes):
     return prepared, skipped
 
 
-def _baseline_cells(
+def _run_cells(
     dataset: tuple[DataTable, DataTable, DataTable],
     cfg: ExperimentConfig,
     cells: list[tuple[int, int]],
+    sweep: _Sweep,
 ) -> list[_CellOutput]:
-    """Baseline (f_idx, run) cells, every trainable one in one lockstep
-    group; a cell whose split or training fails becomes a skip row.
-    Validation and test are normalized per cell after training."""
+    """(f_idx, run) cells of ``sweep``: every trainable cell's chain advanced
+    together by ``run_chains``, and each outcome turned into the cell's
+    output by the sweep's output function. A cell whose split fails, or
+    whose chain has students but an empty pool, becomes skip rows."""
+    role, modes, chain_cfg, output = sweep
     train, val, test = dataset
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    prepared, outputs = _prepare_cells(dataset, cfg, cells, _ROLE_TRAIN, ("baseline",))
-    jobs = [
-        TrainJob(
-            splits.labelled.features,
-            one_hot(splits.labelled.labels, arch.output_dim),
-            splits.early_stop,
-            replace(cfg.train, seed=bases[0].seed),
-        )
-        for _, bases, splits, _ in prepared
-    ]
-    for (slot, bases, splits, _), outcome in zip(prepared, train_lockstep(arch, jobs)):
-        if isinstance(outcome, Exception):
-            outputs[slot] = _skipped(bases, outcome)
-            continue
-        params, _ = outcome
-        val_acc, _ = evaluate(params, splits.normalized(val))
-        test_acc, confusion = evaluate(params, splits.normalized(test))
-        row = replace(bases[0], val_accuracy=val_acc, test_accuracy=test_acc)
-        outputs[slot] = _CellOutput(rows=(row,), confusions=((row.fraction, row.run, confusion),))
-    return [outputs[slot] for slot in range(len(cells))]
-
-
-def _chain_cells(
-    dataset: tuple[DataTable, DataTable, DataTable],
-    cfg: ExperimentConfig,
-    cells: list[tuple[int, int]],
-) -> list[_CellOutput]:
-    """Chain (f_idx, run) cells, every one with a pool advanced together by
-    ``run_chains``; a cell whose split or chain fails becomes skip rows."""
-    train, val, test = dataset
-    arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    prepared, outputs = _prepare_cells(
-        dataset, cfg, cells, _ROLE_CHAIN, ("chain_best", "chain_final")
-    )
-    for slot, bases, splits, _ in prepared:
-        if len(splits.pool) == 0:
-            outputs[slot] = _skipped(bases, ValueError("empty pool"))
-    prepared = [cell for cell in prepared if cell[0] not in outputs]
+    prepared, outputs = _prepare_cells(dataset, cfg, cells, role, modes)
+    if chain_cfg.iterations > 0:
+        for slot, bases, splits, _ in prepared:
+            if len(splits.pool) == 0:
+                outputs[slot] = _skipped(bases, ValueError("empty pool"))
+        prepared = [cell for cell in prepared if cell[0] not in outputs]
     results = run_chains(
         [(splits, truth, val, test) for _, _, splits, truth in prepared],
         arch,
-        [replace(cfg.chain, seed=bases[0].seed) for _, bases, _, _ in prepared],
+        [replace(chain_cfg, seed=bases[0].seed) for _, bases, _, _ in prepared],
         keep_pseudo_labels=cfg.dump_pseudo_labels,
     )
     for (slot, bases, splits, _), result in zip(prepared, results):
-        if isinstance(result, ChainAborted):
-            outputs[slot] = _skipped(bases, result)
-            continue
-        outputs[slot] = _chain_output(cfg, bases, splits, result)
+        outputs[slot] = output(cfg, bases, splits, result)
     return [outputs[slot] for slot in range(len(cells))]
+
+
+def _baseline_output(cfg, bases, splits, result) -> _CellOutput:
+    """The row and confusion of one teacher trained alone, plus its optional
+    checkpoint; a failed teacher's skip row names its training error."""
+    if isinstance(result, ChainAborted):
+        return _skipped(bases, result.__cause__)
+    (teacher,) = result.records
+    row = replace(bases[0], val_accuracy=teacher.val_accuracy, test_accuracy=teacher.test_accuracy)
+    _write_cell_artifacts(cfg, row.fraction, row.run, splits, result)
+    return _CellOutput(rows=(row,), confusions=((row.fraction, row.run, teacher.confusion),))
 
 
 def _chain_output(cfg, bases, splits, result) -> _CellOutput:
     """Rows, traces and the best member's confusion of one finished chain,
-    plus its optional files."""
+    plus its optional files; an aborted chain's skip rows name the abort."""
+    if isinstance(result, ChainAborted):
+        return _skipped(bases, result)
     fraction, run = bases[0].fraction, bases[0].run
     best = result.records[result.best_iteration]
     rows = tuple(
@@ -453,9 +442,9 @@ def _init_worker(cfg: ExperimentConfig) -> None:
 
 
 def _run_worker_group(task) -> list[_CellOutput]:
-    run_group, cells = task
+    sweep, cells = task
     assert _WORKER_CFG is not None and _WORKER_DATASET is not None
-    return run_group(_WORKER_DATASET, _WORKER_CFG, cells)
+    return _run_cells(_WORKER_DATASET, _WORKER_CFG, cells, sweep)
 
 
 # Cells trained in one lockstep group at most. Memory grows with every cell
@@ -475,20 +464,20 @@ def _cell_groups(cells: list, jobs: int) -> list[list]:
 
 
 def _execute_cells(
-    cfg: ExperimentConfig, run_group, dataset: tuple[DataTable, DataTable, DataTable]
+    cfg: ExperimentConfig, sweep: _Sweep, dataset: tuple[DataTable, DataTable, DataTable]
 ) -> list[_CellOutput]:
-    """Run every (fraction, run) cell through ``run_group`` in lockstep
-    groups from ``_cell_groups``: one after another at jobs = 1, otherwise
-    shared out to the workers, each of which loads its own copy of the
-    dataset instead of receiving ``dataset``."""
+    """Run every (fraction, run) cell of ``sweep`` in lockstep groups from
+    ``_cell_groups``: one after another at jobs = 1, otherwise shared out
+    to the workers, each of which loads its own copy of the dataset instead
+    of receiving ``dataset``."""
     cells = [(f_idx, run) for f_idx in range(len(cfg.fractions)) for run in range(cfg.runs)]
     groups = _cell_groups(cells, cfg.jobs)
     if cfg.jobs == 1:
-        return [out for group in groups for out in run_group(dataset, cfg, group)]
+        return [out for group in groups for out in _run_cells(dataset, cfg, group, sweep)]
     with ProcessPoolExecutor(
         max_workers=min(cfg.jobs, len(groups)), initializer=_init_worker, initargs=(cfg,)
     ) as pool:
-        tasks = [(run_group, group) for group in groups]
+        tasks = [(sweep, group) for group in groups]
         return [out for outputs in pool.map(_run_worker_group, tasks) for out in outputs]
 
 
@@ -558,11 +547,12 @@ def emit_outputs(
         raise OSError(f"cannot write outputs under {out}: {exc}") from exc
 
 
-def _sweep(cfg: ExperimentConfig, run_group):
-    """Every cell of ``cfg`` through ``run_group``: the summary of their rows,
+def _sweep(cfg: ExperimentConfig, sweep: _Sweep):
+    """Every cell of ``cfg`` run as ``sweep``: the summary of their rows,
     their traces and confusions, and the dataset's catalog."""
     dataset = prepare_dataset(cfg)
-    outputs = _execute_cells(cfg, run_group, dataset)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    outputs = _execute_cells(cfg, sweep, dataset)
     summary = aggregate_runs([r for cell in outputs for r in cell.rows])
     traces = [t for cell in outputs for t in cell.traces]
     confusions = [c for cell in outputs for c in cell.confusions]
@@ -570,9 +560,11 @@ def _sweep(cfg: ExperimentConfig, run_group):
 
 
 def run_baseline_sweep(cfg: ExperimentConfig) -> RunSummary:
-    """Teacher-only sweep: fresh seeded split per (fraction, run), training on
-    the labelled subset alone, evaluated on validation and test."""
-    summary, _, confusions, catalog = _sweep(cfg, _baseline_cells)
+    """Teacher-only sweep: per (fraction, run), a chain without students on a
+    fresh seeded split, so its teacher trains with ``cfg.train`` on the
+    labelled subset alone and is evaluated on validation and test."""
+    teacher = ChainConfig(iterations=0, finetune=cfg.train)
+    summary, _, confusions, catalog = _sweep(cfg, (_ROLE_TRAIN, ("baseline",), teacher, _baseline_output))
     emit_outputs(summary, [], cfg.out_dir, confusions, catalog, config_lines=config_to_lines(cfg))
     return summary
 
@@ -591,8 +583,8 @@ def run_chain_experiment(
     summary.csv or has no baseline row fails it before any cell runs.
     """
     baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    summary, traces, confusions, catalog = _sweep(cfg, _chain_cells)
+    sweep = (_ROLE_CHAIN, ("chain_best", "chain_final"), cfg.chain, _chain_output)
+    summary, traces, confusions, catalog = _sweep(cfg, sweep)
     reference = _chart_reference(traces, baseline)
     emit_outputs(summary, traces, cfg.out_dir, confusions, catalog, reference, config_to_lines(cfg))
     return summary

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from distillchain import (
     TrainConfig,
     backward,
     forward,
+    generate_synthetic,
     init_params,
     soft_cross_entropy,
 )
@@ -54,6 +57,16 @@ def tiny_config(tmp_path, **overrides):
     )
     settings.update(overrides)
     return ExperimentConfig(**settings)
+
+
+def rare_class_tables():
+    """Train, validation and test of 4 classes whose 200-row train table
+    holds one row each of classes 1-3, so that no 4-row early-stop draw
+    (early_stop_fraction = 0.02) covers every class."""
+    train, validation, test = generate_synthetic(4, 63, 3, 0.4, seed=11)
+    labels = np.zeros(len(train), dtype=np.int64)
+    labels[[40, 90, 160]] = (1, 2, 3)
+    return replace(train, labels=labels), validation, test
 
 
 def pool_from(catalog, features, ids=None):

@@ -304,6 +304,16 @@ class TestRunChains:
                 got.records, reference_chain_records(*cell, arch, cfg)
             )
 
+    @pytest.mark.parametrize("hidden", [(), (4,)])
+    def test_a_chain_without_students_is_its_teacher(self, hidden):
+        # the baseline sweep runs its cells as chains of zero students
+        cells, arch, cfgs = self.cells(hidden)
+        teachers = run_chains(cells, arch, [replace(cfg, iterations=0) for cfg in cfgs])
+        chains = run_chains(cells, arch, cfgs)
+        for got, want in zip(teachers, chains, strict=True):
+            assert (got.best_iteration, got.seeds) == (0, want.seeds[:1])
+            assert_same_records(got.records, want.records[:1])
+
     def test_pseudo_labels_kept_only_on_request(self):
         cells, arch, cfgs = self.cells()
         kept = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)

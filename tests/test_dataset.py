@@ -1,3 +1,4 @@
+import ast
 import itertools
 import tracemalloc
 from unittest import mock
@@ -29,7 +30,7 @@ from distillchain.dataset import (
     synthetic_class_means,
 )
 
-from conftest import reaches_labels, table_from
+from conftest import rare_class_tables, reaches_labels, table_from
 
 
 TISSUE_CLASSES = ("ADI", "BACK", "DEB", "LYM", "MUC", "MUS", "NORM", "STR", "TUM")
@@ -574,7 +575,11 @@ def reference_make_splits(train, spec):
         if np.unique(train.labels[rows_of(early_ids)]).size == c:
             break
     else:
-        raise RuntimeError("could not draw an early-stop set covering every class")
+        lacked = [train.catalog.names[i] for i in np.setdiff1d(np.arange(c), train.labels[rows_of(early_ids)])]
+        raise ValueError(
+            f"no early-stop draw of {n_early} rows covered every class in 10000 tries; "
+            f"the last lacked classes {lacked}"
+        )
     remainder_ids = order[n_early:]
     if spec.balance_labelled:
         quotas = np.full(c, n_labelled // c, dtype=np.int64)
@@ -759,6 +764,16 @@ class TestMakeSplits:
         )
         with pytest.raises(ValueError, match="no samples"):
             make_splits(table, SplitSpec(labelled_fraction=0.2, early_stop_fraction=0.1, seed=0))
+
+    def test_uncoverable_early_stop_draw_is_a_value_error(self):
+        # 10,000 rejected draws end in a ValueError that a sweep turns into
+        # a skipped cell, naming the draw's size and the classes it lacked
+        train = rare_class_tables()[0]
+        assert len(train) == 200 and np.bincount(train.labels).tolist() == [197, 1, 1, 1]
+        with pytest.raises(ValueError, match="no early-stop draw of 4 rows covered every class") as excinfo:
+            make_splits(train, SplitSpec(labelled_fraction=0.2, early_stop_fraction=0.02, seed=0))
+        lacked = ast.literal_eval(str(excinfo.value).partition("the last lacked classes ")[2])
+        assert lacked and set(lacked) <= {"c1", "c2", "c3"}
 
 
 class TestNormalize:

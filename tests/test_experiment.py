@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from distillchain import (
+    ChainConfig,
     DataFiles,
     ExperimentConfig,
     RunRow,
@@ -15,6 +16,7 @@ from distillchain import (
     chain,
     derive_seed,
     emit_outputs,
+    evaluate,
     experiment,
     filter_pseudo_labels,
     generate_synthetic,
@@ -28,12 +30,13 @@ from distillchain import (
 from distillchain.dataset import ClassCatalog
 from distillchain.reports import (
     SUMMARY_HEADER,
+    fraction_tag,
     read_runs_csv,
     read_traces_csv,
     render_chain_svg,
 )
 
-from conftest import tiny_config
+from conftest import rare_class_tables, tiny_config
 
 
 def row(mode, fraction, run, val, test, status="ok"):
@@ -124,12 +127,25 @@ def test_unlabelled_scoring_table_fails_before_training(tmp_path, monkeypatch, s
     def no_training(*args, **kwargs):
         raise AssertionError("trained with an unlabelled scoring table")
 
-    for module in (chain, experiment):
-        monkeypatch.setattr(module, "train_lockstep", no_training)
+    # both sweeps train only through run_chains
+    monkeypatch.setattr(chain, "train_lockstep", no_training)
     cfg = tiny_config(tmp_path, source=DataFiles(*map(str, paths.values())))
     with pytest.raises(ValueError) as excinfo:
         sweep(cfg)
     assert str(excinfo.value).startswith(f"{paths[unlabelled]}: sample id {sid} has no label")
+
+
+@pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
+def test_uncoverable_early_stop_draw_is_skipped_not_crashed(tmp_path, sweep):
+    paths = [str(tmp_path / f"{name}.csv") for name in ("train", "validation", "test")]
+    for path, table in zip(paths, rare_class_tables()):
+        write_table(path, table)
+    cfg = tiny_config(
+        tmp_path, source=DataFiles(*paths), fractions=(0.2,), runs=1, early_stop_fraction=0.02
+    )
+    summary = sweep(cfg)
+    assert summary.details
+    assert all(r.status.startswith("skipped: no early-stop draw of 4 rows") for r in summary.details)
 
 
 def test_mismatched_class_sidecars_are_rejected(tmp_path):
@@ -228,6 +244,25 @@ class TestBaselineSweep:
         assert len(summary.details) == 4
         assert all(r.status.startswith("skipped: non-finite") for r in summary.details)
         assert "skipped:" in (tmp_path / "out" / "runs.csv").read_text()
+
+    def test_model_checkpoints_score_their_rows(self, tmp_path):
+        cfg = tiny_config(tmp_path, fractions=(0.001, 0.2, 1.0), save_models=True)
+        summary = run_baseline_sweep(cfg)
+        out = tmp_path / "out"
+        dataset = experiment.prepare_dataset(cfg)
+        ok = [r for r in summary.details if r.ok]
+        assert len(ok) == 4 and len(summary.details) == 6
+        assert sorted(p.name for p in out.glob("model_*.json")) == sorted(
+            f"model_{fraction_tag(r.fraction)}_{r.run}_iter0.json" for r in ok
+        )
+        for r in ok:
+            params, seed = load_model(out / f"model_{fraction_tag(r.fraction)}_{r.run}_iter0.json")
+            cell = (cfg.fractions.index(r.fraction), r.run)
+            [(_, _, splits, _)], _ = experiment._prepare_cells(
+                dataset, cfg, [cell], experiment._ROLE_TRAIN, ("baseline",)
+            )
+            assert seed == r.seed
+            assert evaluate(params, splits.normalized(dataset[2]))[0] == r.test_accuracy
 
 
 class TestChainExperiment:
@@ -366,3 +401,12 @@ class TestExperimentConfigValidation:
             tiny_config(tmp_path, runs=0)
         with pytest.raises(ValueError):
             tiny_config(tmp_path, jobs=0)
+
+    def test_a_chain_needs_a_student(self):
+        # a chain without students is the baseline's teacher alone; a chain
+        # sweep of one is refused
+        assert ChainConfig(iterations=0).iterations == 0
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            ChainConfig(iterations=-1)
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            ExperimentConfig(chain=ChainConfig(iterations=0))

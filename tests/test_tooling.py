@@ -4,9 +4,12 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
+
+from distillchain.experiment import build_config, config_to_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -18,12 +21,23 @@ IMPORTERS = (
 )
 
 
+def load_by_path(name, path):
+    """The module of the file at ``path``, registered as ``name`` first: a
+    dataclass looks its module up in sys.modules while it is built."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_by_path("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+
+
 def test_traced_benchmark_targets_resolve():
     # perfbench's tracer looks each target up by name in its module when it
     # installs, so a deleted or renamed function breaks the traced benchmark
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_by_path("perfbench_tracing", TRACING)
     assert tracing.TARGETS
     for module_name, names in tracing.TARGETS.items():
         module = importlib.import_module(f"distillchain.{module_name}")
@@ -46,6 +60,16 @@ def test_benchmark_imports_resolve(importer):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{importer} imports {missing}"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_benchmark_workload_configs_build_and_echo(name, jobs):
+    # every benchmark child builds its workload's ExperimentConfig, so a
+    # validation rule that refuses one crashes the whole benchmark
+    cfg = WORKLOADS.experiment_config(WORKLOADS.WORKLOADS[name], 0, "out", "data", jobs)
+    assert cfg.jobs == jobs
+    assert build_config(dict(line.split(" = ", 1) for line in config_to_lines(cfg))) == cfg
 
 
 def test_numpy_floor_has_the_array_attributes_the_code_uses():
