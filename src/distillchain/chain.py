@@ -125,7 +125,7 @@ def _pretrain_job(
         splits.early_stop,
         replace(cfg.pretrain, seed=student_seed),
         init=start,
-        rows=pool.rows[pool.positions(teacher_labels.ids)],
+        rows=pool.rows[teacher_labels.positions],
         normalizer=pool.normalizer,
     )
 

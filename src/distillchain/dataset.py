@@ -50,18 +50,6 @@ def _frozen_view(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _lookup(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Index into ascending ``ids`` of each of ``wanted``; raises ValueError
-    naming the first id that is not there."""
-    wanted = np.asarray(wanted, dtype=np.int64)
-    rows = np.searchsorted(ids, wanted)
-    found = rows < ids.shape[0]
-    found[found] = ids[rows[found]] == wanted[found]
-    if not found.all():
-        raise ValueError(f"sample id {wanted[~found][0]} not present in table")
-    return rows
-
-
 @dataclass(frozen=True)
 class DataTable:
     """Immutable table of identified feature vectors sharing one catalog;
@@ -148,7 +136,9 @@ class Normalizer:
 class PoolView:
     """A split's unlabelled pool, read in place: ``rows`` of the ``source``
     feature matrix (the train table's, shared by every split of it), listed
-    by ascending ``ids``, and read through ``normalizer`` (None: as stored).
+    by strictly ascending ``ids``, so that position order is id order (the
+    per-class cap's tie-break relies on it), and read through ``normalizer``
+    (None: as stored).
 
     A pool holds no labels, so nothing that is given one can reach the
     pool's truth: :func:`make_splits` hands that out as a separate
@@ -175,11 +165,6 @@ class PoolView:
     def __len__(self) -> int:
         return int(self.ids.shape[0])
 
-    def positions(self, ids: np.ndarray) -> np.ndarray:
-        """Position in the pool of each of ``ids``; raises ValueError naming
-        the first id that is not in it."""
-        return _lookup(self.ids, ids)
-
     def features(self) -> np.ndarray:
         """The whole pool's features in id order, normalized: a fresh array."""
         gathered = self.source[self.rows]
@@ -188,17 +173,11 @@ class PoolView:
 
 @dataclass(frozen=True)
 class PoolTruth:
-    """The withheld labels of a pool, one per id of its ascending ``ids``:
-    what only the pseudo-label diagnostics read."""
+    """The withheld labels of a pool, one per pool position: what only the
+    pseudo-label diagnostics read."""
 
     catalog: ClassCatalog
-    ids: np.ndarray
     labels: np.ndarray
-
-    def labels_of(self, ids: np.ndarray) -> np.ndarray:
-        """The true label of each of ``ids``; raises ValueError naming the
-        first id that is not in the pool."""
-        return self.labels[_lookup(self.ids, ids)]
 
 
 @dataclass(frozen=True)
@@ -397,13 +376,12 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
         )
 
     pool_rows = by_id[np.setdiff1d(remainder, labelled)]  # ascending ids
-    pool_ids = train.ids[pool_rows]
     result = SplitResult(
         labelled=subtable(labelled),
         early_stop=subtable(early),
-        pool=PoolView(train.catalog, train.features, pool_rows, pool_ids),
+        pool=PoolView(train.catalog, train.features, pool_rows, train.ids[pool_rows]),
     )
-    return result, PoolTruth(train.catalog, pool_ids, train.labels[pool_rows])
+    return result, PoolTruth(train.catalog, train.labels[pool_rows])
 
 
 def _balanced_draw(

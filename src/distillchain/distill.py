@@ -17,28 +17,31 @@ from .learner import ModelParams, forward
 class PseudoLabels:
     """Soft class-probability targets for pool samples, one row per sample.
 
-    ``ids`` (n,) and ``soft`` (n, C) are given; ``top`` (n,) is the predicted
-    class (lowest index on ties) and ``confidence`` (n,) its probability. All
+    ``positions`` (n,), each sample's position in its pool (non-negative),
+    and ``soft`` (n, C) are given; ``top`` (n,) is the predicted class
+    (lowest index on ties) and ``confidence`` (n,) its probability. All
     four arrays are read-only views; the caller's own arrays stay writable.
     """
 
-    ids: np.ndarray
+    positions: np.ndarray
     soft: np.ndarray
     top: np.ndarray = field(init=False)
     confidence: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        ids = np.ascontiguousarray(self.ids, dtype=np.int64)
+        positions = np.ascontiguousarray(self.positions, dtype=np.int64)
         soft = np.ascontiguousarray(self.soft, dtype=np.float64)
-        if soft.ndim != 2 or ids.shape != (soft.shape[0],):
-            raise ValueError("soft must be (n, C) with one id per row")
+        if soft.ndim != 2 or positions.shape != (soft.shape[0],):
+            raise ValueError("soft must be (n, C) with one position per row")
+        if positions.size and positions.min() < 0:
+            raise ValueError(f"pool position {positions.min()} is negative")
         top = soft.argmax(axis=1)
         confidence = soft[np.arange(soft.shape[0]), top]
-        for name, arr in (("ids", ids), ("soft", soft), ("top", top), ("confidence", confidence)):
+        for name, arr in (("positions", positions), ("soft", soft), ("top", top), ("confidence", confidence)):
             object.__setattr__(self, name, _frozen_view(arr))
 
     def __len__(self) -> int:
-        return int(self.ids.shape[0])
+        return int(self.positions.shape[0])
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class DistillConfig:
 
 
 def pseudo_label_pool(model: ModelParams, pool: PoolView) -> PseudoLabels:
-    """Pseudo-labels for every pool sample, ordered by ascending sample id.
+    """Pseudo-labels for every pool sample, in pool order.
 
     The whole pool is gathered and normalized into one scratch matrix and
     labelled by one forward pass: a pass over row blocks would give other
@@ -71,7 +74,7 @@ def pseudo_label_pool(model: ModelParams, pool: PoolView) -> PseudoLabels:
         raise ValueError(
             f"pool dim {pool.source.shape[1]} does not match model input {model.arch.input_dim}"
         )
-    return PseudoLabels(pool.ids, forward(model, pool.features()))
+    return PseudoLabels(np.arange(len(pool)), forward(model, pool.features()))
 
 
 def keep_top_probabilities(labels: PseudoLabels, keep: int) -> PseudoLabels:
@@ -92,27 +95,28 @@ def keep_top_probabilities(labels: PseudoLabels, keep: int) -> PseudoLabels:
     truncated = np.zeros_like(labels.soft)
     truncated[rows, survivors] = labels.soft[rows, survivors]
     truncated /= truncated.sum(axis=1, keepdims=True)
-    return PseudoLabels(labels.ids, truncated)
+    return PseudoLabels(labels.positions, truncated)
 
 
 def keep_most_confident_per_class(
     labels: PseudoLabels, cap: int | None, catalog: ClassCatalog
 ) -> PseudoLabels:
     """Retain at most ``cap`` samples per predicted class, most confident
-    first; ties break by ascending sample id. Output is grouped in catalog
-    class order."""
+    first; ties break by ascending pool position, which is ascending sample
+    id because a PoolView's ids are strictly ascending. Output is grouped in
+    catalog class order."""
     if cap is not None and cap < 1:
         raise ValueError("cap must be positive or None")
     if labels.soft.shape[1] != catalog.size:
         raise ValueError(
             f"pseudo-labels have {labels.soft.shape[1]} classes, catalog has {catalog.size}"
         )
-    order = np.lexsort((labels.ids, -labels.confidence, labels.top))
+    order = np.lexsort((labels.positions, -labels.confidence, labels.top))
     if cap is not None:
         grouped = labels.top[order]
         rank_in_class = np.arange(order.size) - np.searchsorted(grouped, grouped)
         order = order[rank_in_class < cap]
-    return PseudoLabels(labels.ids[order], labels.soft[order])
+    return PseudoLabels(labels.positions[order], labels.soft[order])
 
 
 def filter_pseudo_labels(
@@ -135,7 +139,7 @@ def pseudo_label_quality(
     per-true-class agreement vector (0 for classes absent from the scored
     labels).
     """
-    true_class = truth.labels_of(labels.ids)
+    true_class = truth.labels[labels.positions]
     c = truth.catalog.size
     totals = np.bincount(true_class, minlength=c)
     hits = np.bincount(true_class[labels.top == true_class], minlength=c)

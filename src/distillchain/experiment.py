@@ -263,8 +263,9 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
     """Generate the synthetic tables (seeded from the master seed) or load
     the configured CSV files, whose ``.classes`` sidecars must agree: labels
     are encoded by catalog index, so a reordered catalog would silently
-    score validation or test labels as other classes. Validation and test
-    must be fully labelled, since every cell is scored on them."""
+    score validation or test labels as other classes. All three must be
+    fully labelled: every split is drawn from train, and every cell is
+    scored on validation and test."""
     if isinstance(cfg.source, SyntheticSpec):
         s = cfg.source
         return generate_synthetic(
@@ -276,7 +277,7 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
         )
     files = cfg.source
     tables = (read_table(files.train), read_table(files.validation), read_table(files.test))
-    for path, table in zip((files.validation, files.test), tables[1:]):
+    for path, table in zip((files.train, files.validation, files.test), tables):
         if table.catalog != tables[0].catalog:
             raise ValueError(
                 f"class catalog of {path} ({','.join(table.catalog.names)}) differs from "
@@ -284,7 +285,7 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
             )
         if not table.fully_labelled:
             sid = table.ids[np.argmax(table.labels == UNLABELLED)]
-            raise ValueError(f"{path}: sample id {sid} has no label; validation and test must be labelled")
+            raise ValueError(f"{path}: sample id {sid} has no label; train, validation and test must be labelled")
     return tables
 
 
@@ -422,7 +423,7 @@ def _write_cell_artifacts(cfg, fraction, run, splits, result) -> None:
             lines += [
                 f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
                 for sid, top, conf, soft in zip(
-                    labels.ids.tolist(), labels.top.tolist(),
+                    splits.pool.ids[labels.positions].tolist(), labels.top.tolist(),
                     labels.confidence.tolist(), labels.soft.tolist(),
                 )
             ]

@@ -78,12 +78,9 @@ def pool_from(catalog, features, ids=None):
     return PoolView(catalog, features, rows, ids[rows])
 
 
-def truth_from(catalog, labels, ids=None):
-    """A pool truth of ``labels``, one id per label."""
-    labels = np.asarray(labels, dtype=np.int64)
-    ids = np.arange(labels.shape[0]) if ids is None else np.asarray(ids)
-    order = np.argsort(ids)
-    return PoolTruth(catalog, ids[order], labels[order])
+def truth_from(catalog, labels):
+    """A pool truth of ``labels``, one per pool position."""
+    return PoolTruth(catalog, np.asarray(labels, dtype=np.int64))
 
 
 def reachable(*roots):

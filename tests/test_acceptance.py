@@ -70,9 +70,9 @@ def _brute_force_cap(labels, cap, num_classes):
     kept = []
     for cls in range(num_classes):
         members = [i for i in range(len(labels)) if labels.top[i] == cls]
-        members.sort(key=lambda i: (-labels.confidence[i], labels.ids[i]))
+        members.sort(key=lambda i: (-labels.confidence[i], labels.positions[i]))
         kept.extend(members[:cap])
-    return [(int(labels.ids[i]), int(labels.top[i])) for i in kept]
+    return [(int(labels.positions[i]), int(labels.top[i])) for i in kept]
 
 
 def test_criterion_2_filter_oracle_equivalence():
@@ -99,7 +99,7 @@ def test_criterion_2_filter_oracle_equivalence():
         catalog = ClassCatalog(tuple(f"c{i}" for i in range(c)))
         fast = keep_most_confident_per_class(labels, cap, catalog)
         brute = _brute_force_cap(labels, cap, c)
-        assert list(zip(fast.ids.tolist(), fast.top.tolist())) == brute
+        assert list(zip(fast.positions.tolist(), fast.top.tolist())) == brute
     elapsed = time.perf_counter() - t0
     check(
         "2 filter-brute-force-equivalence",
@@ -116,7 +116,7 @@ def _mini_chain(seed, relabel=0):
         train, SplitSpec(labelled_fraction=0.25, early_stop_fraction=0.1, seed=seed)
     )
     splits = normalize_splits(splits)
-    truth = PoolTruth(truth.catalog, truth.ids, (truth.labels + relabel) % 3)
+    truth = PoolTruth(truth.catalog, (truth.labels + relabel) % 3)
     fast = TrainConfig(max_epochs=2, steps_per_epoch=5, batch_size=8, patience=2)
     cfg = ChainConfig(
         iterations=2, distill=DistillConfig(per_class_cap=None),
@@ -154,8 +154,8 @@ def test_criterion_3_protocol_invariants(monkeypatch):
         kept = keep_most_confident_per_class(
             labels, cap, ClassCatalog(tuple(f"c{i}" for i in range(c)))
         )
-        assert np.isin(kept.ids, labels.ids).all()
-        dropped_mask = ~np.isin(labels.ids, kept.ids)
+        assert np.isin(kept.positions, labels.positions).all()
+        dropped_mask = ~np.isin(labels.positions, kept.positions)
         for cls in range(c):
             mine = kept.confidence[kept.top == cls]
             assert mine.size <= cap
@@ -198,7 +198,7 @@ def test_criterion_3_protocol_invariants(monkeypatch):
         assert len(handed["train_lockstep"]) == 5  # teacher, then pretrain and finetune x 2
         assert not reaches_labels(handed.values(), truth.labels, train.labels)
         assert reaches_labels([truth], truth.labels)  # the check sees what it looks for
-        uniform = PseudoLabels(splits.pool.ids, np.full((len(splits.pool), 3), 1.0 / 3.0))
+        uniform = PseudoLabels(np.arange(len(splits.pool)), np.full((len(splits.pool), 3), 1.0 / 3.0))
         agreement, _ = pseudo_label_quality(uniform, truth)
         assert 0.0 <= agreement <= 1.0
 

@@ -96,7 +96,7 @@ class TestTrainStudent:
             finetune=cfg.finetune,
             seed=3,
         )
-        fake = PseudoLabels(splits.pool.ids, np.full((len(splits.pool), 3), 1.0 / 3.0))
+        fake = PseudoLabels(np.arange(len(splits.pool)), np.full((len(splits.pool), 3), 1.0 / 3.0))
         student = train_student(arch, fake, splits, cfg, student_seed=17)
 
         direct, _ = train_with_early_stopping(
@@ -112,7 +112,7 @@ class TestTrainStudent:
     def test_deterministic(self):
         splits, _, _, _, arch = small_problem(seed=5)
         fake = PseudoLabels(
-            splits.pool.ids, np.tile([0.7, 0.2, 0.1], (len(splits.pool), 1))
+            np.arange(len(splits.pool)), np.tile([0.7, 0.2, 0.1], (len(splits.pool), 1))
         )
         cfg = quick_chain_config(seed=5)
         a = train_student(arch, fake, splits, cfg, student_seed=2)
@@ -130,7 +130,7 @@ class TestTrainStudent:
             # ground truth comes from the original table, not the hidden pool
             train, _, _ = generate_synthetic(classes=3, per_class=60, dim=3, spread=0.6, seed=seed)
             truth = train.labels[splits.pool.rows]
-            oracle = PseudoLabels(splits.pool.ids, one_hot(truth, 3))
+            oracle = PseudoLabels(np.arange(len(splits.pool)), one_hot(truth, 3))
             cfg = ChainConfig(
                 iterations=1,
                 distill=DistillConfig(per_class_cap=None),
@@ -188,7 +188,7 @@ class TestRunChain:
         # changes the scored agreement and nothing a chain trains or records
         splits, truth, val, test, arch = small_problem(seed=9, labelled=0.1, spread=0.6)
         cfg = quick_chain_config(iterations=3, seed=9)
-        relabelled = PoolTruth(truth.catalog, truth.ids, (truth.labels + 1) % 3)
+        relabelled = PoolTruth(truth.catalog, (truth.labels + 1) % 3)
         a = run_chain(splits, truth, val, test, arch, cfg)
         b = run_chain(splits, relabelled, val, test, arch, cfg)
         assert [r.pseudo_agreement for r in a.records] != [r.pseudo_agreement for r in b.records]
@@ -226,20 +226,20 @@ def assert_same_records(got, want):
             assert np.array_equal(x, y)
         assert (a.pseudo_labels is None) == (b.pseudo_labels is None)
         if a.pseudo_labels is not None:
-            assert np.array_equal(a.pseudo_labels.ids, b.pseudo_labels.ids)
+            assert np.array_equal(a.pseudo_labels.positions, b.pseudo_labels.positions)
             assert np.array_equal(a.pseudo_labels.soft, b.pseudo_labels.soft)
 
 
 def reference_student(arch, labels, splits, cfg, seed, warm_start):
     """A student as it was trained before lockstep: pretrained on a
-    normalized copy of the pool rows its pseudo-labels name, looked up id by
-    id, then fine-tuned."""
+    normalized copy of the pool rows its pseudo-labels name, looked up
+    position by position, then fine-tuned."""
     start = warm_start
     if cfg.fresh_init_per_student or warm_start is None:
         start = init_params(arch, seed)
     pool, norm = splits.pool, splits.pool.normalizer
-    row_of = dict(zip(pool.ids.tolist(), pool.rows.tolist()))
-    pool_x = (pool.source[[row_of[sid] for sid in labels.ids.tolist()]] - norm.mean) / norm.std
+    rows = pool.rows.tolist()
+    pool_x = (pool.source[[rows[pos] for pos in labels.positions.tolist()]] - norm.mean) / norm.std
     pretrained, _ = train_with_early_stopping(
         arch, pool_x, labels.soft, splits.early_stop, replace(cfg.pretrain, seed=seed), init=start
     )

@@ -60,18 +60,6 @@ class TestDataTable:
         with pytest.raises(ValueError, match="unique"):
             table_from(two_class_catalog, np.zeros((len(ids), 1)), ids=ids)
 
-    def test_pool_positions_find_each_id_and_name_the_first_unknown(self, two_class_catalog):
-        rng = np.random.default_rng(0)
-        for n in (0, 1, 2, 50):
-            ids = np.sort(rng.choice(200, size=n, replace=False))
-            pool = PoolView(two_class_catalog, np.zeros((n, 1)), np.arange(n), ids)
-            queries = rng.permutation(ids)[: n // 2]
-            want = [np.flatnonzero(ids == q)[0] for q in queries]
-            assert pool.positions(queries).tolist() == want
-            for unknown in (-1, 200, *np.setdiff1d(np.arange(200), ids)[:3]):
-                with pytest.raises(ValueError, match=f"sample id {unknown} not present"):
-                    pool.positions(np.append(queries, unknown))
-
     def test_rejects_out_of_range_labels(self, two_class_catalog):
         with pytest.raises(ValueError):
             table_from(two_class_catalog, [[0.0]], labels=[2])
@@ -607,7 +595,7 @@ def reference_make_splits(train, spec):
     pool = PoolView(train.catalog, train.features, pool_rows, pool_ids)
     return (
         SplitResult(subtable(labelled_ids), subtable(early_ids), pool),
-        PoolTruth(train.catalog, pool_ids, train.labels[pool_rows]),
+        PoolTruth(train.catalog, train.labels[pool_rows]),
     )
 
 
@@ -615,7 +603,7 @@ def _split_arrays(splits, truth):
     tables = (splits.labelled, splits.early_stop)
     return [
         *(getattr(t, name) for t in tables for name in ("ids", "features", "labels")),
-        splits.pool.rows, splits.pool.ids, truth.ids, truth.labels,
+        splits.pool.rows, splits.pool.ids, truth.labels,
     ]
 
 
@@ -708,7 +696,7 @@ class TestMakeSplits:
         assert not reaches_labels([pool], train.labels, truth.labels)
         assert np.may_share_memory(pool.source, train.features)  # read in place
         assert np.array_equal(pool.ids, train.ids[pool.rows])
-        assert np.array_equal(truth.ids, pool.ids)
+        assert truth.labels.shape == (len(pool),)  # one per pool position
         assert np.array_equal(truth.labels, train.labels[pool.rows])
 
     def test_normalize_splits_fits_on_the_labelled_set(self):

@@ -7,35 +7,40 @@ from hypothesis import strategies as st
 
 from distillchain import (
     ArchSpec,
+    ChainConfig,
     ClassCatalog,
     DistillConfig,
     Normalizer,
     PoolView,
     PseudoLabels,
+    SplitSpec,
     filter_pseudo_labels,
+    generate_synthetic,
     init_params,
     keep_most_confident_per_class,
     keep_top_probabilities,
+    make_splits,
     pseudo_label_pool,
     pseudo_label_quality,
+    train_student,
 )
 from distillchain.learner import ModelParams, forward
 
 from conftest import pool_from, truth_from
 
 
-def labels_of(ids, rows):
-    return PseudoLabels(np.asarray(ids), np.asarray(rows, dtype=np.float64))
+def labels_at(positions, rows):
+    return PseudoLabels(np.asarray(positions), np.asarray(rows, dtype=np.float64))
 
 
-def random_labels(rng, n, c, id_offset=0):
+def random_labels(rng, n, c):
     raw = rng.exponential(1.0, (n, c))
     soft = raw / raw.sum(axis=1, keepdims=True)
-    return PseudoLabels(np.arange(id_offset, id_offset + n), soft)
+    return PseudoLabels(np.arange(n), soft)
 
 
 def as_pairs(labels):
-    return list(zip(labels.ids.tolist(), labels.top.tolist()))
+    return list(zip(labels.positions.tolist(), labels.top.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +58,13 @@ def brute_force_truncate(soft, keep):
 
 
 def brute_force_cap(labels, cap, num_classes):
-    """(id, top class) pairs kept, in output order."""
+    """(position, top class) pairs kept, in output order."""
     kept = []
     for cls in range(num_classes):
         members = [i for i in range(len(labels)) if labels.top[i] == cls]
-        members.sort(key=lambda i: (-labels.confidence[i], labels.ids[i]))
+        members.sort(key=lambda i: (-labels.confidence[i], labels.positions[i]))
         kept.extend(members if cap is None else members[:cap])
-    return [(int(labels.ids[i]), int(labels.top[i])) for i in kept]
+    return [(int(labels.positions[i]), int(labels.top[i])) for i in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +75,16 @@ def brute_force_cap(labels, cap, num_classes):
 
 @dataclass(frozen=True)
 class ReferenceLabel:
-    sample_id: int
+    position: int
     soft: np.ndarray
     top_class: int
     confidence: float
 
     @staticmethod
-    def from_probs(sample_id, probs):
+    def from_probs(position, probs):
         soft = np.asarray(probs, dtype=np.float64)
         top = int(soft.argmax())
-        return ReferenceLabel(int(sample_id), soft, top, float(soft[top]))
+        return ReferenceLabel(int(position), soft, top, float(soft[top]))
 
 
 def reference_keep_top(label, keep):
@@ -90,7 +95,7 @@ def reference_keep_top(label, keep):
     truncated = np.zeros(c, dtype=np.float64)
     truncated[survivors] = label.soft[survivors]
     truncated /= truncated.sum()
-    return ReferenceLabel.from_probs(label.sample_id, truncated)
+    return ReferenceLabel.from_probs(label.position, truncated)
 
 
 def reference_cap(labels, cap, num_classes):
@@ -99,13 +104,13 @@ def reference_cap(labels, cap, num_classes):
         by_class[label.top_class].append(label)
     kept = []
     for members in by_class:
-        members.sort(key=lambda p: (-p.confidence, p.sample_id))
+        members.sort(key=lambda p: (-p.confidence, p.position))
         kept.extend(members if cap is None else members[:cap])
     return kept
 
 
-def reference_filter(ids, soft, config, num_classes):
-    labels = [ReferenceLabel.from_probs(i, row) for i, row in zip(ids, soft)]
+def reference_filter(positions, soft, config, num_classes):
+    labels = [ReferenceLabel.from_probs(i, row) for i, row in zip(positions, soft)]
     if config.top_probs is not None:
         labels = [reference_keep_top(p, config.top_probs) for p in labels]
     return reference_cap(labels, config.per_class_cap, num_classes)
@@ -113,26 +118,26 @@ def reference_filter(ids, soft, config, num_classes):
 
 def tied_matrix(seed, n, c):
     """Row-stochastic matrix with ties inside rows (coarse values) and
-    between rows (duplicated rows), under shuffled sample ids."""
+    between rows (duplicated rows), under shuffled, sparse pool positions."""
     rng = np.random.default_rng(seed)
     raw = np.round(rng.exponential(1.0, (n, c)) * 3.0) + 1.0
     raw[: n // 2] = rng.exponential(1.0, (n // 2, c))
     dup = rng.integers(0, n, n // 4)
     raw[rng.integers(0, n, n // 4)] = raw[dup]
-    ids = rng.permutation(3 * n)[:n]
-    return ids, raw / raw.sum(axis=1, keepdims=True)
+    positions = rng.permutation(3 * n)[:n]
+    return positions, raw / raw.sum(axis=1, keepdims=True)
 
 
 class TestMatchesPerSampleReference:
     @pytest.mark.parametrize("per_class_cap", [None, 1, 7])
     @pytest.mark.parametrize("seed,c", [(0, 2), (1, 3), (2, 5), (3, 9), (4, 12)])
     def test_bit_identical(self, seed, c, per_class_cap):
-        ids, soft = tied_matrix(seed, 120, c)
+        positions, soft = tied_matrix(seed, 120, c)
         for top_probs in (None, 1, min(3, c), c - 1, c):
             config = DistillConfig(per_class_cap=per_class_cap, top_probs=top_probs)
-            expected = reference_filter(ids, soft, config, c)
-            got = filter_pseudo_labels(PseudoLabels(ids, soft), config, ClassCatalog.generic(c))
-            assert got.ids.tolist() == [p.sample_id for p in expected]
+            expected = reference_filter(positions, soft, config, c)
+            got = filter_pseudo_labels(PseudoLabels(positions, soft), config, ClassCatalog.generic(c))
+            assert got.positions.tolist() == [p.position for p in expected]
             assert got.top.tolist() == [p.top_class for p in expected]
             assert got.confidence.tolist() == [p.confidence for p in expected]
             assert np.array_equal(got.soft, np.array([p.soft for p in expected]).reshape(-1, c))
@@ -160,12 +165,13 @@ class TestPseudoLabelPool:
         assert labels.top.tolist() == [0, 0, 0, 0]  # tie broken by lowest class index
         assert labels.confidence.tolist() == pytest.approx([1.0 / 9.0] * 4)
 
-    def test_ids_are_the_pool_ids_ascending(self, two_class_catalog):
+    def test_positions_are_the_pool_in_ascending_id_order(self, two_class_catalog):
         rng = np.random.default_rng(0)
         pool = pool_from(two_class_catalog, rng.normal(size=(5, 2)), ids=[9, 2, 5, 7, 0])
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 1)
         labels = pseudo_label_pool(params, pool)
-        assert labels.ids.tolist() == [0, 2, 5, 7, 9]
+        assert labels.positions.tolist() == [0, 1, 2, 3, 4]
+        assert pool.ids[labels.positions].tolist() == [0, 2, 5, 7, 9]
 
     def test_ascending_pool_gives_the_same_bytes_as_a_shuffled_one(self, two_class_catalog):
         # the same rows read from a source matrix in id order and from a
@@ -181,7 +187,7 @@ class TestPseudoLabelPool:
             )
             for rows in (np.arange(5), shuffle)
         ]
-        assert labels[0].ids.tobytes() == labels[1].ids.tobytes() == ids.tobytes()
+        assert labels[0].positions.tobytes() == labels[1].positions.tobytes() == np.arange(5).tobytes()
         assert labels[0].soft.tobytes() == labels[1].soft.tobytes()
 
     def test_reads_its_rows_of_the_source_through_the_normalizer(self, two_class_catalog):
@@ -195,7 +201,7 @@ class TestPseudoLabelPool:
         params = init_params(ArchSpec(input_dim=3, hidden=(4,), output_dim=2), 3)
         labels = pseudo_label_pool(params, pool)
         copied = (source[rows] - norm.mean) / norm.std
-        assert labels.ids.tolist() == [1, 3, 4, 8, 10, 11]
+        assert pool.ids[labels.positions].tolist() == [1, 3, 4, 8, 10, 11]
         assert labels.soft.tobytes() == forward(params, copied).tobytes()
 
     def test_dimension_mismatch(self, two_class_catalog):
@@ -207,21 +213,21 @@ class TestPseudoLabelPool:
 
 class TestKeepTopProbabilities:
     def test_keep_all_is_identity(self):
-        labels = labels_of([1], [[0.5, 0.3, 0.2]])
+        labels = labels_at([1], [[0.5, 0.3, 0.2]])
         assert keep_top_probabilities(labels, 3) is labels
 
     def test_documented_example(self):
-        out = keep_top_probabilities(labels_of([0], [[0.5, 0.3, 0.15, 0.05]]), 2)
+        out = keep_top_probabilities(labels_at([0], [[0.5, 0.3, 0.15, 0.05]]), 2)
         assert out.soft[0].tolist() == pytest.approx([0.625, 0.375, 0.0, 0.0], abs=1e-12)
         assert out.top[0] == 0
         assert out.confidence[0] == pytest.approx(0.625)
 
     def test_keep_one_is_one_hot(self):
-        out = keep_top_probabilities(labels_of([0], [[0.2, 0.5, 0.3]]), 1)
+        out = keep_top_probabilities(labels_at([0], [[0.2, 0.5, 0.3]]), 1)
         assert out.soft[0].tolist() == [0.0, 1.0, 0.0]
 
     def test_boundary_tie_keeps_lower_class_index(self):
-        out = keep_top_probabilities(labels_of([0], [[0.4, 0.3, 0.3]]), 2)
+        out = keep_top_probabilities(labels_at([0], [[0.4, 0.3, 0.3]]), 2)
         # classes 1 and 2 tie at 0.3; class 1 survives
         assert out.soft[0, 1] > 0.0
         assert out.soft[0, 2] == 0.0
@@ -250,12 +256,12 @@ class TestKeepMostConfidentPerClass:
         rng = np.random.default_rng(4)
         labels = random_labels(rng, 10, 2)
         out = keep_most_confident_per_class(labels, 100, two_class_catalog)
-        assert sorted(out.ids.tolist()) == sorted(labels.ids.tolist())
+        assert sorted(out.positions.tolist()) == sorted(labels.positions.tolist())
         assert as_pairs(out) == brute_force_cap(labels, 100, 2)
 
     def test_documented_five_sample_case(self, two_class_catalog):
         confidences = {1: (0.9, 0.1), 2: (0.6, 0.4), 3: (0.2, 0.8), 4: (0.45, 0.55), 5: (0.7, 0.3)}
-        labels = labels_of(list(confidences), list(confidences.values()))
+        labels = labels_at(list(confidences), list(confidences.values()))
         out = keep_most_confident_per_class(labels, 1, two_class_catalog)
         assert as_pairs(out) == [(1, 0), (3, 1)]
 
@@ -282,8 +288,8 @@ class TestKeepMostConfidentPerClass:
         catalog = ClassCatalog(tuple(f"x{i}" for i in range(c)))
         labels = random_labels(rng, int(rng.integers(0, 40)), c)
         out = keep_most_confident_per_class(labels, cap, catalog)
-        dropped_mask = ~np.isin(labels.ids, out.ids)
-        assert np.isin(out.ids, labels.ids).all()
+        dropped_mask = ~np.isin(labels.positions, out.positions)
+        assert np.isin(out.positions, labels.positions).all()
         for cls in range(c):
             kept = out.confidence[out.top == cls]
             dropped = labels.confidence[(labels.top == cls) & dropped_mask]
@@ -295,8 +301,8 @@ class TestKeepMostConfidentPerClass:
         rng = np.random.default_rng(8)
         labels = random_labels(rng, 30, 2)
         a = keep_most_confident_per_class(labels, 5, two_class_catalog)
-        b = keep_most_confident_per_class(PseudoLabels(labels.ids, labels.soft), 5, two_class_catalog)
-        assert a.ids.tolist() == b.ids.tolist()
+        b = keep_most_confident_per_class(PseudoLabels(labels.positions, labels.soft), 5, two_class_catalog)
+        assert a.positions.tolist() == b.positions.tolist()
         assert a.confidence.tolist() == b.confidence.tolist()
 
 
@@ -307,22 +313,22 @@ class TestFilterComposition:
         out = filter_pseudo_labels(
             labels, DistillConfig(per_class_cap=None, top_probs=2), two_class_catalog
         )
-        assert sorted(out.ids.tolist()) == sorted(labels.ids.tolist())
-        by_id = np.argsort(out.ids)  # labels.ids is 0..n-1
-        assert np.abs(out.soft[by_id] - labels.soft).max() < 1e-12
+        assert sorted(out.positions.tolist()) == sorted(labels.positions.tolist())
+        by_position = np.argsort(out.positions)  # labels.positions is 0..n-1
+        assert np.abs(out.soft[by_position] - labels.soft).max() < 1e-12
 
 
 class TestPseudoLabelQuality:
     def test_perfect_agreement(self, two_class_catalog):
         truth = truth_from(two_class_catalog, [0, 1, 1])
-        labels = labels_of([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
+        labels = labels_at([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
         agreement, per_class = pseudo_label_quality(labels, truth)
         assert agreement == 1.0
         assert per_class.tolist() == [1.0, 1.0]
 
     def test_two_of_three_agree(self, two_class_catalog):
         truth = truth_from(two_class_catalog, [0, 1, 1])
-        labels = labels_of([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
+        labels = labels_at([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3]])
         agreement, _ = pseudo_label_quality(labels, truth)
         assert agreement == pytest.approx(2.0 / 3.0, abs=1e-4)
 
@@ -339,15 +345,22 @@ class TestPseudoLabelQuality:
         recombined = float((per_class * counts).sum() / counts.sum())
         assert agreement == pytest.approx(recombined, abs=1e-12)
 
-    def test_unknown_id_rejected(self, two_class_catalog):
-        truth = truth_from(two_class_catalog, [0])
-        with pytest.raises(ValueError, match="not present"):
-            pseudo_label_quality(labels_of([5], [[1.0, 0.0]]), truth)
+    def test_positions_outside_the_pool_raise(self):
+        # a negative position would wrap as an index, so it fails when the
+        # labels are built; one past the end fails where it indexes the pool
+        with pytest.raises(ValueError, match="pool position -1 is negative"):
+            labels_at([0, -1], [[1.0, 0.0], [0.0, 1.0]])
+        train, _, _ = generate_synthetic(classes=2, per_class=20, dim=2, spread=0.4, seed=0)
+        splits, truth = make_splits(train, SplitSpec(labelled_fraction=0.5, early_stop_fraction=0.1))
+        past_end = labels_at([len(splits.pool)], [[1.0, 0.0]])
+        with pytest.raises(IndexError):
+            pseudo_label_quality(past_end, truth)
+        with pytest.raises(IndexError):
+            train_student(ArchSpec(2, (), 2), past_end, splits, ChainConfig(), student_seed=0)
 
-    def test_reads_the_truth_of_the_labelled_ids_in_any_order(self, two_class_catalog):
-        truth = truth_from(two_class_catalog, [1, 0, 1, 1], ids=[30, 10, 20, 40])
-        labels = labels_of([40, 10], [[0.2, 0.8], [0.1, 0.9]])
-        assert truth.labels_of(labels.ids).tolist() == [1, 0]
+    def test_reads_the_truth_of_the_labelled_positions_in_any_order(self, two_class_catalog):
+        truth = truth_from(two_class_catalog, [0, 1, 1, 1])
+        labels = labels_at([3, 0], [[0.2, 0.8], [0.1, 0.9]])
         agreement, per_class = pseudo_label_quality(labels, truth)
         assert agreement == 0.5
         assert per_class.tolist() == [0.0, 1.0]
@@ -355,11 +368,11 @@ class TestPseudoLabelQuality:
 
 class TestPseudoLabels:
     def test_leaves_the_callers_arrays_writable(self):
-        ids = np.arange(3)
+        positions = np.arange(3)
         soft = np.full((3, 2), 0.5)
-        labels = PseudoLabels(ids, soft)
-        assert ids.flags.writeable and soft.flags.writeable
-        for arr in (labels.ids, labels.soft, labels.top, labels.confidence):
+        labels = PseudoLabels(positions, soft)
+        assert positions.flags.writeable and soft.flags.writeable
+        for arr in (labels.positions, labels.soft, labels.top, labels.confidence):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
-        ids[0] = 7  # the caller's arrays are still theirs
+        positions[0] = 7  # the caller's arrays are still theirs

@@ -114,8 +114,8 @@ def test_files_source_reads_each_table_once(tmp_path, monkeypatch, sweep):
 
 
 @pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
-@pytest.mark.parametrize("unlabelled", ["validation", "test"])
-def test_unlabelled_scoring_table_fails_before_training(tmp_path, monkeypatch, sweep, unlabelled):
+@pytest.mark.parametrize("unlabelled", ["train", "validation", "test"])
+def test_unlabelled_table_fails_before_training(tmp_path, monkeypatch, sweep, unlabelled):
     paths = {name: tmp_path / f"{name}.csv" for name in ("train", "validation", "test")}
     for (name, path), table in zip(paths.items(), generate_synthetic(3, 40, 3, 0.4, seed=11)):
         if name == unlabelled:
@@ -125,7 +125,7 @@ def test_unlabelled_scoring_table_fails_before_training(tmp_path, monkeypatch, s
         write_table(path, table)
 
     def no_training(*args, **kwargs):
-        raise AssertionError("trained with an unlabelled scoring table")
+        raise AssertionError("trained with an unlabelled table")
 
     # both sweeps train only through run_chains
     monkeypatch.setattr(chain, "train_lockstep", no_training)
@@ -336,7 +336,7 @@ class TestChainExperiment:
             lines = ["sample_id,top_class,confidence,p0,p1,p2"] + [
                 f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
                 for sid, top, conf, soft in zip(
-                    labels.ids.tolist(), labels.top.tolist(),
+                    splits.pool.ids[labels.positions].tolist(), labels.top.tolist(),
                     labels.confidence.tolist(), labels.soft.tolist(),
                 )
             ]

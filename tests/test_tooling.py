@@ -3,13 +3,18 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from distillchain.experiment import build_config, config_to_lines
+
+from conftest import tiny_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -43,6 +48,39 @@ def test_traced_benchmark_targets_resolve():
         module = importlib.import_module(f"distillchain.{module_name}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"distillchain.{module_name} lacks {missing}"
+
+
+# A chain sweep of the config echoed in argv[1], traced as perfbench traces
+# it; prints the trace summary as JSON.
+TRACED_SWEEP = """
+import json, sys
+from distillchain.experiment import build_config, run_chain_experiment
+from tracing import Tracer, summarize
+cfg = build_config(dict(line.split(" = ", 1) for line in json.loads(sys.argv[1])))
+tracer = Tracer()
+tracer.install()
+run_chain_experiment(cfg)
+print(json.dumps(summarize(tracer.spans)))
+"""
+
+
+def test_traced_benchmark_counters_read_the_sweep(tmp_path):
+    # the tracer's counters bind the traced functions' arguments by name and
+    # size their results, so a renamed parameter or a lost __len__ crashes
+    # the traced benchmark; a subprocess, as install rebinds module globals
+    # for the rest of its process
+    lines = config_to_lines(tiny_config(tmp_path))
+    path = os.pathsep.join(str(ROOT / d) for d in ("src", "perfbench"))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_SWEEP, json.dumps(lines)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(done.stdout)
+    assert trace["distill.pseudo_label_pool"]["rows"] > 0
+    assert trace["distill.filter_pseudo_labels"]["rows_in"] > 0
+    assert trace["distill.filter_pseudo_labels"]["rows_out"] > 0
+    assert trace["experiment.emit_outputs"]["bytes"] > 0
 
 
 @pytest.mark.parametrize("importer", IMPORTERS)
