@@ -239,9 +239,8 @@ def run_chains(
     alone would.
 
     ``cfgs`` holds one ChainConfig per cell; they must agree except in
-    ``seed``, and every validation and test table must be fully labelled.
-    The outcome per cell is its ChainResult, or the ChainAborted (carrying
-    the completed records) that ended that cell alone.
+    ``seed``. The outcome per cell is its ChainResult, or the ChainAborted
+    (carrying the completed records) that ended that cell alone.
     Students' pseudo-labels stay on their records only with
     ``keep_pseudo_labels``.
     """
@@ -249,8 +248,6 @@ def run_chains(
         raise ValueError("run_chains needs one ChainConfig per cell")
     if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
         raise ValueError("chain cells must share their ChainConfig except seed")
-    if any(not validation.fully_labelled or not test.fully_labelled for _, _, validation, test in cells):
-        raise ValueError("validation and test tables must be labelled")
     outcomes: list[ChainResult | ChainAborted | None] = [None] * len(cells)
     live = [_Chain(slot, cell, cfg) for slot, (cell, cfg) in enumerate(zip(cells, cfgs))]
 

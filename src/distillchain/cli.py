@@ -3,7 +3,7 @@
 Configuration is line-oriented ``key = value`` with ``#`` comments and dotted
 section keys, the keys of ``experiment.CONFIG_KEYS``; every key is also
 exposed as a CLI flag of the same name, and flags take precedence over the
-file. Exit codes: 0 success, 1 invalid config, 2 runtime failure.
+file. Exit codes: 0 success, 1 invalid config or input file, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataset import write_table
+from .dataset import TableParseError, write_table
 from .experiment import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"chain sweep done: {len(summary.details)} cells -> {cfg.out_dir}")
         elif args.command == "report":
             _cmd_report(cfg, baseline_summary)
-    except ConfigError as exc:
+    except (ConfigError, TableParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -14,8 +14,6 @@ from typing import Iterator
 
 import numpy as np
 
-UNLABELLED = -1
-
 
 class TableParseError(ValueError):
     """Malformed table file; message names the offending line."""
@@ -52,13 +50,13 @@ def _frozen_view(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DataTable:
-    """Immutable table of identified feature vectors sharing one catalog;
-    ``labels`` is None for a table without labels."""
+    """Immutable table of identified feature vectors sharing one catalog,
+    every row labelled: ``labels`` holds one catalog index per row."""
 
     catalog: ClassCatalog
     ids: np.ndarray
     features: np.ndarray
-    labels: np.ndarray | None
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
         ids = np.ascontiguousarray(self.ids, dtype=np.int64)
@@ -74,15 +72,15 @@ class DataTable:
         # strictly ascending ids (the usual case) are unique without a sort
         if not (ids[1:] > ids[:-1]).all() and np.unique(ids).size != ids.size:
             raise ValueError("sample ids must be unique within a table")
-        object.__setattr__(self, "ids", _frozen_view(ids))
-        object.__setattr__(self, "features", _frozen_view(features))
-        if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-            if labels.shape != (ids.shape[0],):
-                raise ValueError("labels shape does not match row count")
-            if labels.size and (labels.min() < UNLABELLED or labels.max() >= self.catalog.size):
-                raise ValueError(f"labels outside [0, {self.catalog.size})")
-            object.__setattr__(self, "labels", _frozen_view(labels))
+        if self.labels is None:
+            raise ValueError("labels are required; every row must be labelled")
+        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        if labels.shape != ids.shape:
+            raise ValueError("labels shape does not match row count")
+        if labels.size and (labels.min() < 0 or labels.max() >= self.catalog.size):
+            raise ValueError(f"labels outside [0, {self.catalog.size})")
+        for name, arr in (("ids", ids), ("features", features), ("labels", labels)):
+            object.__setattr__(self, name, _frozen_view(arr))
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -90,10 +88,6 @@ class DataTable:
     @property
     def dim(self) -> int:
         return int(self.features.shape[1])
-
-    @property
-    def fully_labelled(self) -> bool:
-        return self.labels is not None and (len(self) == 0 or self.labels.min() >= 0)
 
 
 @dataclass(frozen=True)
@@ -110,10 +104,8 @@ class Normalizer:
             raise ValueError("mean and std must be 1-D arrays of equal length")
         if np.any(std <= 0.0):
             raise ValueError("std entries must be strictly positive")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        object.__setattr__(self, "mean", _frozen_view(mean))
+        object.__setattr__(self, "std", _frozen_view(std))
 
     def __call__(self, features: np.ndarray) -> np.ndarray:
         """A normalized copy of (n, d) ``features``: the mean subtracted into
@@ -317,8 +309,6 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
     a view of ``train``'s feature matrix without labels. Its labels are the
     returned :class:`PoolTruth`.
     """
-    if not train.fully_labelled:
-        raise ValueError("make_splits requires a fully labelled training table")
     n = len(train)
     c = train.catalog.size
     n_early = int(spec.early_stop_fraction * n)
@@ -451,8 +441,7 @@ def write_table(path: Path | str, table: DataTable) -> None:
     """Write a table as CSV plus its ``.classes`` catalog sidecar; floats are
     written with ``repr``, so they read back bit-exactly."""
     path = Path(path)
-    names = (*table.catalog.names, "")  # UNLABELLED (-1) picks the empty name
-    labels = np.full(len(table), UNLABELLED) if table.labels is None else table.labels
+    names = table.catalog.names
     with path.open("w", encoding="utf-8") as f:
         f.write("id,label," + ",".join(f"f{j}" for j in range(table.dim)) + "\n")
         for start in range(0, len(table), _BLOCK_LINES):
@@ -461,7 +450,7 @@ def write_table(path: Path | str, table: DataTable) -> None:
                 f"{sid},{names[label]}," + ",".join(map(repr, row)) + "\n"
                 for sid, label, row in zip(
                     table.ids[block].tolist(),
-                    labels[block].tolist(),
+                    table.labels[block].tolist(),
                     table.features[block].tolist(),
                 )
             )
@@ -514,9 +503,8 @@ def _raise_first_bad_line(
         except ValueError:
             raise TableParseError(f"{path}: line {lineno}: bad id {parts[0]!r}") from None
         if parts[1] not in label_of:
-            raise TableParseError(
-                f"{path}: line {lineno}: label {parts[1]!r} not in catalog"
-            )
+            why = f"label {parts[1]!r} not in catalog" if parts[1] else "no label; every row must be labelled"
+            raise TableParseError(f"{path}: line {lineno}: {why}")
         try:
             for v in parts[2:]:
                 float(v)
@@ -576,14 +564,14 @@ def read_table(path: Path | str) -> DataTable:
     Data lines are parsed in blocks of ``_BLOCK_LINES``, each in a few batched
     steps, with the same ``int``/``float`` builtins a per-line parse would
     use. A bad table raises TableParseError naming the file and line: the
-    first line, in file order, whose field count, id, label or features (in
-    that order) do not parse; once the whole file has parsed, the first row
-    with a non-finite feature, then with a negative id, then repeating an id.
+    first line, in file order, whose field count, id, label (an empty one
+    too: every row is labelled) or features (in that order) do not parse;
+    once the whole file has parsed, the first row with a non-finite feature,
+    then with a negative id, then repeating an id.
     """
     path = Path(path)
     catalog = _read_catalog(classes_path(path))
     label_of = {name: i for i, name in enumerate(catalog.names)}
-    label_of[""] = UNLABELLED
     with path.open(encoding="utf-8") as f:
         blocks = _line_blocks(f)
         start, lines = next(blocks, (1, []))

@@ -21,9 +21,9 @@ import numpy as np
 
 from .chain import ChainAborted, ChainConfig, run_chains
 from .dataset import (
-    UNLABELLED,
     DataTable,
     SplitSpec,
+    TableParseError,
     generate_synthetic,
     make_splits,
     normalize_splits,
@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ValueError("seed must be non-negative")
         if self.chain.iterations < 1:
             raise ValueError("chain.iterations must be >= 1")
+        if any(width < 1 for width in self.arch_hidden):
+            raise ValueError("arch.hidden widths must be positive")
 
 
 _SOURCES = {source.kind: source for source in (SyntheticSpec, DataFiles)}
@@ -261,11 +263,11 @@ def derive_seed(master: int, *key: int) -> int:
 
 def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTable]:
     """Generate the synthetic tables (seeded from the master seed) or load
-    the configured CSV files, whose ``.classes`` sidecars must agree: labels
-    are encoded by catalog index, so a reordered catalog would silently
-    score validation or test labels as other classes. All three must be
-    fully labelled: every split is drawn from train, and every cell is
-    scored on validation and test."""
+    the configured CSV files, every row labelled (read_table rejects an
+    empty label). Their ``.classes`` sidecars must agree, else a
+    TableParseError: labels are encoded by catalog index, so a reordered
+    catalog would silently score validation or test labels as other
+    classes."""
     if isinstance(cfg.source, SyntheticSpec):
         s = cfg.source
         return generate_synthetic(
@@ -279,13 +281,10 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
     tables = (read_table(files.train), read_table(files.validation), read_table(files.test))
     for path, table in zip((files.train, files.validation, files.test), tables):
         if table.catalog != tables[0].catalog:
-            raise ValueError(
+            raise TableParseError(
                 f"class catalog of {path} ({','.join(table.catalog.names)}) differs from "
                 f"that of {files.train} ({','.join(tables[0].catalog.names)})"
             )
-        if not table.fully_labelled:
-            sid = table.ids[np.argmax(table.labels == UNLABELLED)]
-            raise ValueError(f"{path}: sample id {sid} has no label; train, validation and test must be labelled")
     return tables
 
 

@@ -379,8 +379,6 @@ class _Member:
             raise ValueError("targets shape does not match features and output dim")
         if not (np.isfinite(t).all() and t.min() >= 0.0 and (abs(t.sum(axis=1) - 1.0) <= 1e-9).all()):
             raise ValueError("targets must be finite, non-negative rows that sum to 1")
-        if not job.early_stop.fully_labelled:
-            raise ValueError("early-stop table must be labelled")
         _check_scoring(arch, job.early_stop)
         init = job.init if job.init is not None else init_params(arch, job.config.seed)
         if init.arch != arch:
@@ -569,8 +567,6 @@ def train_job(arch: ArchSpec, job: TrainJob) -> tuple[ModelParams, TrainHistory]
 
 def _check_scoring(arch: ArchSpec, table: DataTable) -> None:
     """The checks :func:`evaluate` makes of a table before it scores a model."""
-    if not table.fully_labelled:
-        raise ValueError("evaluate requires a labelled table")
     if len(table) == 0:
         raise ValueError("evaluate requires a non-empty table")
     if table.catalog.size != arch.output_dim:

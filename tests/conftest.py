@@ -28,13 +28,21 @@ def two_class_catalog():
     return ClassCatalog(("neg", "pos"))
 
 
-def table_from(catalog, features, labels=None, ids=None):
+def table_from(catalog, features, labels, ids=None):
     """Small-table builder for tests."""
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     ids = np.arange(n) if ids is None else np.asarray(ids)
-    labels = None if labels is None else np.asarray(labels, dtype=np.int64)
     return DataTable(catalog=catalog, ids=ids, features=features, labels=labels)
+
+
+def blank_label(path, lineno):
+    """Empty the label field of line ``lineno`` (from 1) of the CSV at ``path``."""
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[lineno - 1].split(",")
+    fields[1] = ""
+    lines[lineno - 1] = ",".join(fields)
+    path.write_text("".join(lines))
 
 
 def tiny_config(tmp_path, **overrides):

@@ -28,7 +28,6 @@ from distillchain import (
     pseudo_label_pool,
     pseudo_label_quality,
 )
-from distillchain import chain as chain_module
 
 
 def record(i, val, test=0.0):
@@ -337,16 +336,6 @@ class TestRunChains:
         for j in (0, 2, 3):
             want = run_chain(*cells[j], arch, cfgs[j])
             assert_same_records(results[j].records, want.records)
-
-    def test_unlabelled_scoring_table_raises_before_training(self, monkeypatch):
-        cells, arch, cfgs = self.cells()
-        splits, truth, val, test = cells[1]
-        labels = test.labels.copy()
-        labels[0] = -1
-        cells[1] = (splits, truth, val, replace(test, labels=labels))
-        monkeypatch.setattr(chain_module, "train_lockstep", lambda *a: pytest.fail("trained"))
-        with pytest.raises(ValueError, match="validation and test tables must be labelled"):
-            run_chains(cells, arch, cfgs)
 
     def test_cells_must_share_config_except_seed(self):
         cells, arch, cfgs = self.cells()

@@ -17,6 +17,8 @@ from distillchain.cli import ConfigError, _make_parser, _resolve_config, main, p
 from distillchain.experiment import CONFIG_KEYS, DataFiles, SyntheticSpec, build_config, config_to_lines
 from distillchain.reports import SUMMARY_HEADER
 
+from conftest import blank_label
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -90,6 +92,7 @@ arch.hidden = 8,4
             (("--source", "tables"), "source must be synthetic or files"),
             (("--balance_labelled", "maybe"), "expected a boolean"),
             (("--arch.hidden", "8,x"), "bad value for arch.hidden"),
+            (("--arch.hidden", "8,0"), "arch.hidden widths must be positive"),
             (("--chain.per_class_cap", "0"), "per_class_cap must be positive"),
             (("--chain.pretrain.learning_rate", "-1"), "learning_rate must be positive"),
             (("--chain.iterations", "0"), "iterations must be >= 1"),
@@ -254,6 +257,25 @@ class TestCliCommands:
         assert run_cli("baseline", "--config", str(tmp_path / "missing.cfg")).returncode == 1
         assert run_cli("baseline", "--fractions", "0.5,0.2").returncode == 1
         assert run_cli("nonsense").returncode == 1
+        out = tmp_path / "out"  # a bad value fails before the sweep makes its out dir
+        assert run_cli("baseline", "--arch.hidden", "0", "--out", str(out)).returncode == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["no label", "catalog"])
+    def test_bad_input_file_exits_one_naming_it(self, tmp_path, capsys, fault):
+        paths = [tmp_path / f"{name}.csv" for name in ("train", "validation", "test")]
+        for path, table in zip(paths, generate_synthetic(3, 40, 3, 0.4, seed=11)):
+            write_table(path, table)
+        train, validation, test = paths
+        if fault == "no label":
+            blank_label(train, 3)
+            want = f"error: {train}: line 3: no label; every row must be labelled\n"
+        else:
+            test.with_suffix(".classes").write_text("c2,c1,c0\n")
+            want = f"error: class catalog of {test} (c2,c1,c0) differs from that of {train} (c0,c1,c2)\n"
+        files = ["--data.train", str(train), "--data.validation", str(validation), "--data.test", str(test)]
+        assert main(["chain", *FAST, "--source", "files", *files, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == want  # not "invalid configuration"
 
     def test_runtime_failure_exits_two(self, tmp_path):
         blocked = tmp_path / "blocked"

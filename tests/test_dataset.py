@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from distillchain import (
     ClassCatalog,
     DataTable,
+    Normalizer,
     PoolTruth,
     PoolView,
     SplitResult,
@@ -24,11 +25,7 @@ from distillchain import (
     write_table,
 )
 from distillchain import dataset
-from distillchain.dataset import (
-    UNLABELLED,
-    _fisher_yates,
-    synthetic_class_means,
-)
+from distillchain.dataset import _fisher_yates, synthetic_class_means
 
 from conftest import rare_class_tables, reaches_labels, table_from
 
@@ -58,11 +55,12 @@ class TestDataTable:
     @pytest.mark.parametrize("ids", [[1, 2, 2, 3], [3, 1, 3], [5, 5], [4, 0, 9, 0]])
     def test_rejects_duplicates_sorted_or_not(self, two_class_catalog, ids):
         with pytest.raises(ValueError, match="unique"):
-            table_from(two_class_catalog, np.zeros((len(ids), 1)), ids=ids)
+            table_from(two_class_catalog, np.zeros((len(ids), 1)), np.zeros(len(ids)), ids=ids)
 
-    def test_rejects_out_of_range_labels(self, two_class_catalog):
-        with pytest.raises(ValueError):
-            table_from(two_class_catalog, [[0.0]], labels=[2])
+    @pytest.mark.parametrize("labels, why", [([2], "outside"), ([-1], "outside"), (None, "required")])
+    def test_rejects_missing_and_out_of_range_labels(self, two_class_catalog, labels, why):
+        with pytest.raises(ValueError, match=why):
+            table_from(two_class_catalog, [[0.0]], labels=labels)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_features(self, two_class_catalog, bad):
@@ -179,15 +177,6 @@ class TestTableIO:
         assert np.array_equal(back.features, table.features)
         assert np.array_equal(back.labels, table.labels)
 
-    def test_unlabelled_rows_round_trip_empty(self, tmp_path, two_class_catalog):
-        table = table_from(two_class_catalog, [[1.0], [2.0]], labels=[0, -1])
-        path = tmp_path / "u.csv"
-        write_table(path, table)
-        text = path.read_text()
-        assert text.splitlines()[2].startswith("1,,")
-        back = read_table(path)
-        assert back.labels.tolist() == [0, -1]
-
     def test_tum_row_maps_to_last_class_index(self, tmp_path):
         path = tmp_path / "nine.csv"
         path.write_text("id,label,f0,f1\n7,TUM,0.1,0.2\n")
@@ -279,8 +268,7 @@ def reference_write_table(path, table):
     d = table.dim
     lines = ["id,label," + ",".join(f"f{j}" for j in range(d))]
     for i in range(len(table)):
-        label = UNLABELLED if table.labels is None else int(table.labels[i])
-        name = "" if label == UNLABELLED else table.catalog.names[label]
+        name = table.catalog.names[int(table.labels[i])]
         lines.append(f"{int(table.ids[i])},{name}," + ",".join(repr(float(v)) for v in table.features[i]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     path.with_suffix(".classes").write_text(",".join(table.catalog.names) + "\n", encoding="utf-8")
@@ -288,7 +276,7 @@ def reference_write_table(path, table):
 
 class TestWriteTable:
     @pytest.mark.parametrize("block_lines", [3, dataset._BLOCK_LINES])
-    @pytest.mark.parametrize("kind", ["labelled", "unlabelled rows", "no labels", "empty"])
+    @pytest.mark.parametrize("kind", ["labelled", "empty"])
     def test_same_bytes_as_the_per_sample_writer(self, tmp_path, block_lines, kind):
         catalog = ClassCatalog(("a", "b", "TUM"))
         specials = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 0.1, 1 / 3]
@@ -296,11 +284,9 @@ class TestWriteTable:
         features = np.concatenate([np.array(specials).reshape(4, 2), rng.normal(size=(4, 2)) * 1e5])
         ids = np.array([0, 2**63 - 1, 2**62, 17, 10**15, 1, 3, 5])
         labels = np.array([0, 1, 2, 2, 1, 0, 1, 2])
-        if kind == "unlabelled rows":
-            labels[[1, 4, 7]] = UNLABELLED
         if kind == "empty":
             features, ids, labels = features[:0], ids[:0], labels[:0]
-        table = table_from(catalog, features, labels=None if kind == "no labels" else labels, ids=ids)
+        table = table_from(catalog, features, labels=labels, ids=ids)
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         reference_write_table(want, table)
         with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
@@ -337,14 +323,13 @@ def reference_read_table(path, catalog):
             raise TableParseError(f"{path}: line {lineno}: bad id {parts[0]!r}") from None
         name = parts[1]
         if name == "":
-            label = UNLABELLED
-        else:
-            try:
-                label = catalog.names.index(name)
-            except ValueError:
-                raise TableParseError(
-                    f"{path}: line {lineno}: label {name!r} not in catalog"
-                ) from None
+            raise TableParseError(f"{path}: line {lineno}: no label; every row must be labelled")
+        try:
+            label = catalog.names.index(name)
+        except ValueError:
+            raise TableParseError(
+                f"{path}: line {lineno}: label {name!r} not in catalog"
+            ) from None
         try:
             row = [float(v) for v in parts[2:]]
         except ValueError:
@@ -401,7 +386,7 @@ def assert_reads_like_the_reference(path, text, block_lines):
 
 
 ID_TOKENS = ["0", "1", "2", "3", "7", "12", "-1", " 4", "5 ", "1_0", "+6", "\u0668", "x", "", "1.0"]
-LABEL_TOKENS = ["a", "b", "TUM", "", "c", " a", "A"]
+LABEL_TOKENS = ["a", "b", "TUM", "", "c", " a", "A"]  # the first 3 are well formed
 GOOD_FEATURES = ["1.0", "-0.0", "2.5e-3", "5e-324", "1e308", " 4 ", "1_0", "-7", "+.5", "1E2"]
 BAD_FEATURES = ["nan", "-inf", "1e999", "Infinity", "x", "", "0x1", "1__0", "\u0663.5"]
 SEPARATORS = ["\n"] * 6 + ["\r\n", "\r", "\f", "\v", "\x85", "\u2028", "\x1c", "\n\n"]
@@ -425,7 +410,7 @@ def csv_texts(draw):
             lines.append("")
             continue
         sid = draw(st.sampled_from([*ID_TOKENS, str(n)])) if draw(rare) else str(n + step * i)
-        label = draw(st.sampled_from(LABEL_TOKENS[4:] if draw(rare) else LABEL_TOKENS[:4]))
+        label = draw(st.sampled_from(LABEL_TOKENS[3:] if draw(rare) else LABEL_TOKENS[:3]))
         feats = [
             draw(st.sampled_from(BAD_FEATURES if draw(rare) else GOOD_FEATURES)) for _ in range(d)
         ]
@@ -534,8 +519,6 @@ def reference_make_splits(train, spec):
     def rows_of(ids):
         return by_id[np.searchsorted(train.ids, ids, sorter=by_id)]
 
-    if not train.fully_labelled:
-        raise ValueError("make_splits requires a fully labelled training table")
     n = len(train)
     c = train.catalog.size
     n_early = int(spec.early_stop_fraction * n)
@@ -789,11 +772,11 @@ class TestNormalize:
     def test_apply_is_bit_identical_to_subtract_then_divide(self, two_class_catalog):
         rng = np.random.default_rng(5)
         ref = table_from(two_class_catalog, rng.normal(3.0, 2.5, (300, 5)), labels=rng.integers(0, 2, 300))
-        target = table_from(two_class_catalog, rng.normal(-1.0, 40.0, (200, 5)))
+        target = table_from(two_class_catalog, rng.normal(-1.0, 40.0, (200, 5)), np.zeros(200))
         norm, [out] = normalize(ref, [target])
         assert out.features.tobytes() == ((target.features - norm.mean) / norm.std).tobytes()
         assert norm(target.features).tobytes() == out.features.tobytes()
-        assert np.array_equal(out.ids, target.ids) and out.labels is None
+        assert np.array_equal(out.ids, target.ids) and np.array_equal(out.labels, target.labels)
 
     def test_dimension_mismatch_rejected(self, two_class_catalog):
         ref = table_from(two_class_catalog, [[0.0], [2.0]], labels=[0, 1])
@@ -805,3 +788,12 @@ class TestNormalize:
         ref = table_from(two_class_catalog, np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
             normalize(ref, [])
+
+    def test_normalizer_leaves_the_callers_arrays_writable(self):
+        mean, std = np.zeros(3), np.ones(3)
+        norm = Normalizer(mean, std)
+        assert mean.flags.writeable and std.flags.writeable
+        for arr in (norm.mean, norm.std):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+        mean[0] = 5.0  # the caller's array is still theirs

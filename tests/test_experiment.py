@@ -10,6 +10,7 @@ from distillchain import (
     ExperimentConfig,
     RunRow,
     SyntheticSpec,
+    TableParseError,
     TraceRow,
     TrainConfig,
     aggregate_runs,
@@ -36,7 +37,7 @@ from distillchain.reports import (
     render_chain_svg,
 )
 
-from conftest import rare_class_tables, tiny_config
+from conftest import blank_label, rare_class_tables, tiny_config
 
 
 def row(mode, fraction, run, val, test, status="ok"):
@@ -117,12 +118,9 @@ def test_files_source_reads_each_table_once(tmp_path, monkeypatch, sweep):
 @pytest.mark.parametrize("unlabelled", ["train", "validation", "test"])
 def test_unlabelled_table_fails_before_training(tmp_path, monkeypatch, sweep, unlabelled):
     paths = {name: tmp_path / f"{name}.csv" for name in ("train", "validation", "test")}
-    for (name, path), table in zip(paths.items(), generate_synthetic(3, 40, 3, 0.4, seed=11)):
-        if name == unlabelled:
-            labels = table.labels.copy()
-            labels[3] = -1
-            table, sid = replace(table, labels=labels), int(table.ids[3])
+    for path, table in zip(paths.values(), generate_synthetic(3, 40, 3, 0.4, seed=11)):
         write_table(path, table)
+    blank_label(paths[unlabelled], 4)
 
     def no_training(*args, **kwargs):
         raise AssertionError("trained with an unlabelled table")
@@ -130,9 +128,9 @@ def test_unlabelled_table_fails_before_training(tmp_path, monkeypatch, sweep, un
     # both sweeps train only through run_chains
     monkeypatch.setattr(chain, "train_lockstep", no_training)
     cfg = tiny_config(tmp_path, source=DataFiles(*map(str, paths.values())))
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(TableParseError) as excinfo:
         sweep(cfg)
-    assert str(excinfo.value).startswith(f"{paths[unlabelled]}: sample id {sid} has no label")
+    assert str(excinfo.value) == f"{paths[unlabelled]}: line 4: no label; every row must be labelled"
 
 
 @pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])

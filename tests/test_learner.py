@@ -521,11 +521,11 @@ class TestLockstep:
 
     def test_invalid_member_fails_alone(self):
         arch, jobs = self.jobs((), 3)
-        hidden_es = replace(jobs[0].early_stop, labels=None)
-        jobs[0] = replace(jobs[0], early_stop=hidden_es)
+        four_class_es = replace(jobs[0].early_stop, catalog=ClassCatalog(("a", "b", "c", "d")))
+        jobs[0] = replace(jobs[0], early_stop=four_class_es)
         outcomes = train_lockstep(arch, jobs)
         assert isinstance(outcomes[0], ValueError)
-        assert "early-stop table must be labelled" in str(outcomes[0])
+        assert "catalog size does not match model output dim" in str(outcomes[0])
         for j in (1, 2):
             self.assert_matches_reference(arch, jobs[j], outcomes[j])
 
@@ -551,10 +551,11 @@ class TestLockstep:
 
     def test_a_group_of_invalid_members_returns_each_error(self):
         arch, jobs = self.jobs((), 2)
-        jobs = [replace(job, early_stop=replace(job.early_stop, labels=None)) for job in jobs]
+        four_class = ClassCatalog(("a", "b", "c", "d"))
+        jobs = [replace(job, early_stop=replace(job.early_stop, catalog=four_class)) for job in jobs]
         outcomes = train_lockstep(arch, jobs)
         assert [type(o) for o in outcomes] == [ValueError, ValueError]
-        assert all("early-stop table must be labelled" in str(o) for o in outcomes)
+        assert all("catalog size does not match model output dim" in str(o) for o in outcomes)
 
     @pytest.mark.parametrize("bad", [-1, 144])
     def test_rows_outside_the_matrix_fail_alone(self, bad):
@@ -665,12 +666,6 @@ class TestEvaluate:
         params = params_from([[[0.0], [0.0]]], [[0.0, 0.0]], 1, (), 2)
         _, confusion = evaluate(params, table)
         assert confusion.tolist() == [[0, 0], [1, 0]]  # predicted class 0
-
-    def test_unlabelled_table_rejected(self, two_class_catalog):
-        unlabelled = table_from(two_class_catalog, [[0.0]])
-        params = init_params(ArchSpec(input_dim=1, hidden=(), output_dim=2), 0)
-        with pytest.raises(ValueError, match="labelled"):
-            evaluate(params, unlabelled)
 
 
 class TestCheckpoints:

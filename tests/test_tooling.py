@@ -1,6 +1,7 @@
 """Guards for the tools that drive the package from outside it."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -81,6 +82,30 @@ def test_traced_benchmark_counters_read_the_sweep(tmp_path):
     assert trace["distill.filter_pseudo_labels"]["rows_in"] > 0
     assert trace["distill.filter_pseudo_labels"]["rows_out"] > 0
     assert trace["experiment.emit_outputs"]["bytes"] > 0
+
+
+# The output hashes `scripts/run_benchmark.py --fast --seed 0` prints: the
+# first 16 hex digits of the sha256 of each file it writes.
+FAST_HASHES = {
+    "baseline/summary.csv": "23f1e85a50a8ceef",
+    "baseline/runs.csv": "318ab6efa6ce4e50",
+    "chain/summary.csv": "718f78e31e3c95f6",
+    "chain/runs.csv": "f123f18bbc20a5e6",
+    "chain/traces.csv": "98d6692123441a64",
+}
+
+
+def test_fast_benchmark_prints_the_hashes_of_its_files(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"), "--fast", "--seed", "0", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    hashes = done.stdout.partition("output hashes:\n")[2].splitlines()
+    printed = dict(line.strip().split(": ") for line in hashes)
+    assert printed == FAST_HASHES
+    for name, digest in printed.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("importer", IMPORTERS)
