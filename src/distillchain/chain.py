@@ -10,7 +10,7 @@ accuracy.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -78,11 +78,12 @@ class ChainResult:
 
 class ChainAborted(RuntimeError):
     """A chain member failed to train; completed iteration records survive
-    on the exception."""
+    on the exception, and the error that ended the chain is its cause."""
 
-    def __init__(self, message: str, records: tuple[IterationRecord, ...]):
-        super().__init__(message)
+    def __init__(self, cause: Exception, records: tuple[IterationRecord, ...]):
+        super().__init__(f"chain aborted at iteration {len(records)}: {cause}")
         self.records = records
+        self.__cause__ = cause
 
 
 def select_best(records: list[IterationRecord] | tuple[IterationRecord, ...]) -> int:
@@ -91,43 +92,6 @@ def select_best(records: list[IterationRecord] | tuple[IterationRecord, ...]) ->
     if not records:
         raise ValueError("select_best needs at least one record")
     return max(range(len(records)), key=lambda i: records[i].val_accuracy)
-
-
-def _student_start(
-    arch: ArchSpec, cfg: ChainConfig, student_seed: int, warm_start: ModelParams | None
-) -> ModelParams:
-    if cfg.fresh_init_per_student or warm_start is None:
-        return init_params(arch, student_seed)
-    return warm_start
-
-
-def _check_student_inputs(teacher_labels: PseudoLabels, splits: SplitResult) -> None:
-    if not teacher_labels:
-        raise ValueError("train_student needs a non-empty pseudo-label set")
-    if len(splits.labelled) == 0:
-        raise ValueError("train_student needs a non-empty labelled set")
-
-
-def _pretrain_job(
-    teacher_labels: PseudoLabels,
-    splits: SplitResult,
-    cfg: ChainConfig,
-    student_seed: int,
-    start: ModelParams,
-) -> TrainJob:
-    """Phase 1 of a student: the pool rows the pseudo-labels name, in their
-    order, against their soft targets, read in place from the pool's source
-    matrix."""
-    pool = splits.pool
-    return TrainJob(
-        pool.source,
-        teacher_labels.soft,
-        splits.early_stop,
-        replace(cfg.pretrain, seed=student_seed),
-        init=start,
-        rows=pool.rows[teacher_labels.positions],
-        normalizer=pool.normalizer,
-    )
 
 
 def _finetune_job(
@@ -145,6 +109,36 @@ def _finetune_job(
     )
 
 
+def _student(
+    arch: ArchSpec,
+    labels: PseudoLabels,
+    splits: SplitResult,
+    cfg: ChainConfig,
+    seed: int,
+    warm_start: ModelParams | None,
+) -> Generator[TrainJob, ModelParams, ModelParams]:
+    """A student's two phases as a generator: it yields the pretraining job
+    (the pool rows the pseudo-labels name, in their order, read in place
+    against their soft targets), is sent its trained params, yields the
+    fine-tuning job from them and returns the params it is sent back."""
+    if not labels:
+        raise ValueError("train_student needs a non-empty pseudo-label set")
+    start = warm_start
+    if cfg.fresh_init_per_student or warm_start is None:
+        start = init_params(arch, seed)
+    pool = splits.pool
+    pretrained = yield TrainJob(
+        pool.source,
+        labels.soft,
+        splits.early_stop,
+        replace(cfg.pretrain, seed=seed),
+        init=start,
+        rows=pool.rows[labels.positions],
+        normalizer=pool.normalizer,
+    )
+    return (yield _finetune_job(arch, splits, cfg, seed, pretrained))
+
+
 def train_student(
     arch: ArchSpec,
     teacher_labels: PseudoLabels,
@@ -160,69 +154,60 @@ def train_student(
     the same held-out accuracy set. With ``fresh_init_per_student`` the
     student starts from a fresh seeded init, otherwise from ``warm_start``.
     """
-    _check_student_inputs(teacher_labels, splits)
-    start = _student_start(arch, cfg, student_seed, warm_start)
-    pretrained, _ = train_job(arch, _pretrain_job(teacher_labels, splits, cfg, student_seed, start))
-    tuned, _ = train_job(arch, _finetune_job(arch, splits, cfg, student_seed, pretrained))
-    return tuned
+    student = _student(arch, teacher_labels, splits, cfg, student_seed, warm_start)
+    try:
+        job = next(student)
+        while True:
+            job = student.send(train_job(arch, job)[0])
+    except StopIteration as done:
+        return done.value
 
 
 # (splits, the pool's truth, validation and test as stored)
 ChainCell = tuple[SplitResult, PoolTruth, DataTable, DataTable]
 
 
-class _Chain:
-    """One cell's chain in flight: its tables, seeds, records so far, and the
-    latest member with the pseudo-labels it gave the pool. The pool's truth
+def _chain(
+    arch: ArchSpec,
+    cell: ChainCell,
+    cfg: ChainConfig,
+    records: list[IterationRecord],
+    keep_pseudo_labels: bool,
+) -> Generator[TrainJob, ModelParams, ChainResult]:
+    """One cell's chain as a generator of training jobs, each sent back its
+    trained params: the teacher's job, then per iteration the latest member
+    pseudo-labels the pool and the student's two jobs follow on the filtered
+    labels. Each member is scored on validation and test, normalized for the
+    scoring alone, and its record appended to ``records``; a student keeps
+    its pseudo-labels only with ``keep_pseudo_labels``. The pool's truth
     goes to the diagnostics alone."""
-
-    def __init__(self, slot: int, cell: ChainCell, cfg: ChainConfig):
-        self.slot = slot
-        self.splits, self.truth, self.validation, self.test = cell
-        self.cfg = cfg
-        self.seeds = tuple(cfg.seed + i for i in range(cfg.iterations + 1))
-        self.records: list[IterationRecord] = []
-        self.model: ModelParams | None = None
-        self.labels: PseudoLabels | None = None
-        self.agreement: float | None = None
-
-    def student_job(self, arch: ArchSpec) -> TrainJob:
-        """Pseudo-label the pool with the latest member, filter the labels
-        and return the next student's pretraining job."""
-        pool = self.splits.pool
-        raw = pseudo_label_pool(self.model, pool)
-        self.labels = filter_pseudo_labels(raw, self.cfg.distill, pool.catalog)
-        self.agreement = pseudo_label_quality(self.labels, self.truth)[0] if self.labels else None
-        _check_student_inputs(self.labels, self.splits)
-        seed = self.seeds[len(self.records)]
-        start = _student_start(arch, self.cfg, seed, self.model)
-        return _pretrain_job(self.labels, self.splits, self.cfg, seed, start)
-
-    def finetune_job(self, arch: ArchSpec) -> TrainJob:
-        """The teacher's job, or the latest student's second phase."""
-        seed = self.seeds[len(self.records)]
-        return _finetune_job(arch, self.splits, self.cfg, seed, self.model)
-
-    def record(self, keep_pseudo_labels: bool) -> None:
-        """Score the latest member and append its record; a student's
-        pseudo-labels stay on it only with ``keep_pseudo_labels``. Validation
-        and test are normalized for the scoring alone."""
-        val_acc, _ = evaluate(self.model, self.splits.normalized(self.validation))
-        test_acc, confusion = evaluate(self.model, self.splits.normalized(self.test))
-        labels = self.labels
-        self.records.append(
+    splits, truth, validation, test = cell
+    pool = splits.pool
+    seeds = tuple(cfg.seed + i for i in range(cfg.iterations + 1))
+    labels, agreement = None, None
+    model = yield _finetune_job(arch, splits, cfg, seeds[0], None)
+    for i, seed in enumerate(seeds):
+        if i:
+            # the unfiltered labels are not bound, so they die with the filter
+            labels = filter_pseudo_labels(pseudo_label_pool(model, pool), cfg.distill, pool.catalog)
+            agreement = pseudo_label_quality(labels, truth)[0] if labels else None
+            model = yield from _student(arch, labels, splits, cfg, seed, model)
+        val_acc, _ = evaluate(model, splits.normalized(validation))
+        test_acc, confusion = evaluate(model, splits.normalized(test))
+        records.append(
             IterationRecord(
-                iteration=len(self.records),
+                iteration=i,
                 val_accuracy=val_acc,
                 test_accuracy=test_acc,
                 pseudo_count=0 if labels is None else len(labels),
-                pseudo_agreement=self.agreement,
+                pseudo_agreement=agreement,
                 confusion=confusion,
-                model=self.model,
+                model=model,
                 pseudo_labels=labels if keep_pseudo_labels else None,
             )
         )
-        self.labels = None
+        labels = None
+    return ChainResult(tuple(records), select_best(records), cfg, seeds)
 
 
 def run_chains(
@@ -231,16 +216,17 @@ def run_chains(
     cfgs: Sequence[ChainConfig],
     keep_pseudo_labels: bool = False,
 ) -> list[ChainResult | ChainAborted]:
-    """Run one teacher-student chain per (splits, truth, validation, test) cell,
-    advancing all of them phase by phase: every teacher trains in one
-    lockstep group, then per iteration each cell pseudo-labels and filters
-    its pool, every student pretrains in one group and every student
-    fine-tunes in one group. Each cell comes out exactly as its chain run
-    alone would.
+    """Run one teacher-student chain per (splits, truth, validation, test) cell:
+    each round trains every live chain's next job in one lockstep group and
+    sends each chain its trained params. The chains share their phase order,
+    so a round holds one phase: every teacher, then per iteration every
+    student's pretraining and every student's fine-tuning. Each cell comes
+    out exactly as its chain run alone would.
 
     ``cfgs`` holds one ChainConfig per cell; they must agree except in
     ``seed``. The outcome per cell is its ChainResult, or the ChainAborted
-    (carrying the completed records) that ended that cell alone.
+    (carrying the completed records) that ended that cell alone, from a
+    ValueError or ArithmeticError its chain raised or its training returned.
     Students' pseudo-labels stay on their records only with
     ``keep_pseudo_labels``.
     """
@@ -248,58 +234,30 @@ def run_chains(
         raise ValueError("run_chains needs one ChainConfig per cell")
     if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
         raise ValueError("chain cells must share their ChainConfig except seed")
+    records: list[list[IterationRecord]] = [[] for _ in cells]
+    chains = [_chain(arch, *args, keep_pseudo_labels) for args in zip(cells, cfgs, records)]
     outcomes: list[ChainResult | ChainAborted | None] = [None] * len(cells)
-    live = [_Chain(slot, cell, cfg) for slot, (cell, cfg) in enumerate(zip(cells, cfgs))]
-
-    def abort(chain: _Chain, exc: Exception) -> None:
-        aborted = ChainAborted(
-            f"chain aborted at iteration {len(chain.records)}: {exc}", tuple(chain.records)
-        )
-        aborted.__cause__ = exc
-        outcomes[chain.slot] = aborted
-
-    def each(chains: list[_Chain], action) -> tuple[list[_Chain], list]:
-        """``action`` per chain: the chains it succeeded for with its
-        results; the chains it raised for abort."""
-        survivors, results = [], []
-        for chain in chains:
+    # what each live chain is sent next: None to start it, then its last
+    # job's params, or the error that ended that job, thrown into it
+    pending: dict[int, ModelParams | Exception | None] = dict.fromkeys(range(len(cells)))
+    while True:
+        # the last round's jobs die here, before the chains make the next
+        slots, jobs = [], []
+        for slot, sent in pending.items():
+            chain = chains[slot]
+            step = chain.throw if isinstance(sent, Exception) else chain.send
             try:
-                results.append(action(chain))
+                jobs.append(step(sent))
+            except StopIteration as done:
+                outcomes[slot] = done.value
             except (ValueError, ArithmeticError) as exc:
-                abort(chain, exc)
+                outcomes[slot] = ChainAborted(exc, tuple(records[slot]))
             else:
-                survivors.append(chain)
-        return survivors, results
-
-    def train(chains: list[_Chain], jobs: list[TrainJob]) -> list[_Chain]:
-        """One lockstep phase: each chain's job trains its latest member;
-        the chains whose job failed abort."""
-        survivors = []
-        for chain, outcome in zip(chains, train_lockstep(arch, jobs)):
-            if isinstance(outcome, Exception):
-                abort(chain, outcome)
-            else:
-                chain.model = outcome[0]
-                survivors.append(chain)
-        return survivors
-
-    def finetune_and_record(chains: list[_Chain]) -> list[_Chain]:
-        chains = train(chains, [c.finetune_job(arch) for c in chains])
-        return each(chains, lambda c: c.record(keep_pseudo_labels))[0]
-
-    live = finetune_and_record(live)
-    for _ in range(cfgs[0].iterations if cfgs else 0):
-        # the pretraining jobs die with their phase
-        live = train(*each(live, lambda c: c.student_job(arch)))
-        live = finetune_and_record(live)
-    for chain in live:
-        outcomes[chain.slot] = ChainResult(
-            records=tuple(chain.records),
-            best_iteration=select_best(chain.records),
-            config=chain.cfg,
-            seeds=chain.seeds,
-        )
-    return outcomes
+                slots.append(slot)
+        if not jobs:
+            return outcomes
+        trained = train_lockstep(arch, jobs)
+        pending = {s: o if isinstance(o, Exception) else o[0] for s, o in zip(slots, trained)}
 
 
 def run_chain(

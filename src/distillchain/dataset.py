@@ -31,6 +31,8 @@ class ClassCatalog:
             raise ValueError("catalog needs at least 2 classes")
         if len(set(self.names)) != len(self.names):
             raise ValueError("class names must be unique")
+        if not all(self.names):
+            raise ValueError("class names must be non-empty")
 
     @property
     def size(self) -> int:

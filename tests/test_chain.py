@@ -9,6 +9,7 @@ from distillchain import (
     ChainConfig,
     DistillConfig,
     IterationRecord,
+    NumericError,
     PoolTruth,
     PseudoLabels,
     SplitSpec,
@@ -20,6 +21,7 @@ from distillchain import (
     run_chain,
     run_chains,
     select_best,
+    train_lockstep,
     train_student,
     train_with_early_stopping,
     evaluate,
@@ -28,6 +30,7 @@ from distillchain import (
     pseudo_label_pool,
     pseudo_label_quality,
 )
+from distillchain import chain
 
 
 def record(i, val, test=0.0):
@@ -336,6 +339,30 @@ class TestRunChains:
         for j in (0, 2, 3):
             want = run_chain(*cells[j], arch, cfgs[j])
             assert_same_records(results[j].records, want.records)
+
+    def test_training_failure_aborts_its_cell_alone(self, monkeypatch):
+        # cell 1's student fails to pretrain at iteration 2 (the fourth
+        # lockstep round); the error is thrown into its chain alone
+        cells, arch, cfgs = self.cells()
+        boom, sizes = NumericError("boom"), []
+
+        def failing_lockstep(arch, jobs):
+            sizes.append(len(jobs))
+            outcomes = train_lockstep(arch, jobs)
+            if len(sizes) == 4:
+                outcomes[1] = boom
+            return outcomes
+
+        monkeypatch.setattr(chain, "train_lockstep", failing_lockstep)
+        results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
+        monkeypatch.undo()
+        assert sizes == [3, 3, 3, 3, 2, 2, 2]
+        assert isinstance(results[1], ChainAborted)
+        assert str(results[1]) == "chain aborted at iteration 2: boom"
+        assert results[1].__cause__ is boom
+        assert_same_records(results[1].records, run_chain(*cells[1], arch, cfgs[1]).records[:2])
+        for j in (0, 2):
+            assert_same_records(results[j].records, run_chain(*cells[j], arch, cfgs[j]).records)
 
     def test_cells_must_share_config_except_seed(self):
         cells, arch, cfgs = self.cells()

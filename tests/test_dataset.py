@@ -45,6 +45,8 @@ class TestClassCatalog:
             ClassCatalog(("a", "a"))
         with pytest.raises(ValueError):
             ClassCatalog(("only",))
+        with pytest.raises(ValueError, match="non-empty"):
+            ClassCatalog(("a", ""))
 
 
 class TestDataTable:
@@ -224,6 +226,8 @@ class TestTableIO:
             ("\n", "line 1: catalog needs at least 2 classes"),
             ("only\n", "line 1: catalog needs at least 2 classes"),
             ("a, b,a\nc,d\n", "line 1: class names must be unique"),
+            # an empty name would read a row with no label as that class
+            ("a,,b\n", "line 1: class names must be non-empty"),
         ],
     )
     def test_bad_sidecar_names_the_sidecar(self, tmp_path, sidecar, why):

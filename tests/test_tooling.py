@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from distillchain.experiment import build_config, config_to_lines
+from distillchain.reports import TraceRow, read_rows
 
 from conftest import tiny_config
 
@@ -82,6 +84,14 @@ def test_traced_benchmark_counters_read_the_sweep(tmp_path):
     assert trace["distill.filter_pseudo_labels"]["rows_in"] > 0
     assert trace["distill.filter_pseudo_labels"]["rows_out"] > 0
     assert trace["experiment.emit_outputs"]["bytes"] > 0
+    # every member is scored twice and every student pseudo-labels the pool
+    # once, so a traced function called where the tracer cannot rebind it
+    # shows as a missing call
+    traces = read_rows(tmp_path / "out" / "traces.csv", TraceRow)
+    students = sum(row.iteration > 0 for row in traces)
+    assert trace["learner.evaluate"]["calls"] == 2 * len(traces)
+    assert trace["distill.pseudo_label_pool"]["calls"] == students
+    assert trace["distill.pseudo_label_quality"]["calls"] == students
 
 
 # The output hashes `scripts/run_benchmark.py --fast --seed 0` prints: the
@@ -95,17 +105,59 @@ FAST_HASHES = {
 }
 
 
-def test_fast_benchmark_prints_the_hashes_of_its_files(tmp_path):
+def fast_benchmark_hashes(out, host_env=None):
+    """The output hashes `scripts/run_benchmark.py --fast --seed 0` prints
+    when run in a child process with ``host_env`` added to its environment,
+    each checked against the file it names."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"), "--fast", "--seed", "0", "--out", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"), "--fast", "--seed", "0", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **(host_env or {})},
+        capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     hashes = done.stdout.partition("output hashes:\n")[2].splitlines()
     printed = dict(line.strip().split(": ") for line in hashes)
-    assert printed == FAST_HASHES
     for name, digest in printed.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] == digest
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] == digest
+    return printed
+
+
+def simulated_avx2_host():
+    """The environment under which a child process computes as an x86-64
+    AVX2 host would: numpy without the dispatch targets above X86_V3 that
+    the running host enables (numpy reads NPY_DISABLE_CPU_FEATURES at import),
+    and OpenBLAS on its Haswell kernels (a DYNAMIC_ARCH build honours
+    OPENBLAS_CORETYPE). None off x86-64, on a host without X86_V3, or on a
+    numpy that names no X86_V3 dispatch target."""
+    umath = importlib.import_module("numpy._core._multiarray_umath")
+    dispatch, enabled = umath.__cpu_dispatch__, umath.__cpu_features__
+    x86 = platform.machine().lower() in ("x86_64", "amd64")
+    if not (x86 and enabled.get("X86_V3") and "X86_V3" in dispatch):
+        return None
+    above = [target for target in dispatch[dispatch.index("X86_V3") + 1 :] if enabled.get(target)]
+    return {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": ",".join(above)}
+
+
+def test_fast_benchmark_prints_the_hashes_of_its_files(tmp_path):
+    assert fast_benchmark_hashes(tmp_path) == FAST_HASHES
+
+
+def test_fast_benchmark_hashes_hold_on_a_simulated_avx2_host(tmp_path):
+    # the weights depend on numpy's dispatch level and OpenBLAS's kernel;
+    # the pinned CSVs must not
+    env = simulated_avx2_host()
+    if env is None:
+        pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target")
+    # the child must see the targets as off, or it checks this host again
+    seen = subprocess.run(
+        [sys.executable, "-c", "import json, numpy._core._multiarray_umath as m; print(json.dumps(m.__cpu_features__))"],
+        env={**os.environ, **env}, capture_output=True, text=True, timeout=60,
+    )
+    assert seen.returncode == 0, seen.stderr
+    features = json.loads(seen.stdout)
+    off = [name for name in env["NPY_DISABLE_CPU_FEATURES"].split(",") if name]
+    assert features["X86_V3"] and not any(features[name] for name in off)
+    assert fast_benchmark_hashes(tmp_path, env) == FAST_HASHES
 
 
 @pytest.mark.parametrize("importer", IMPORTERS)
