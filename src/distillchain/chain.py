@@ -11,7 +11,7 @@ accuracy.
 from __future__ import annotations
 
 from collections.abc import Generator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,13 +43,10 @@ class ChainConfig:
     pretrain: TrainConfig = field(default_factory=TrainConfig)
     finetune: TrainConfig = field(default_factory=TrainConfig)
     fresh_init_per_student: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,9 @@ def _finetune_job(
         lab.features,
         one_hot(lab.labels, arch.output_dim),
         splits.early_stop,
-        replace(cfg.finetune, seed=seed),
+        cfg.finetune,
         init=init,
+        seed=seed,
     )
 
 
@@ -131,10 +129,11 @@ def _student(
         pool.source,
         labels.soft,
         splits.early_stop,
-        replace(cfg.pretrain, seed=seed),
+        cfg.pretrain,
         init=start,
         rows=pool.rows[labels.positions],
         normalizer=pool.normalizer,
+        seed=seed,
     )
     return (yield _finetune_job(arch, splits, cfg, seed, pretrained))
 
@@ -144,7 +143,7 @@ def train_student(
     teacher_labels: PseudoLabels,
     splits: SplitResult,
     cfg: ChainConfig,
-    student_seed: int,
+    seed: int = 0,
     warm_start: ModelParams | None = None,
 ) -> ModelParams:
     """Two-phase student: pretrain on soft pseudo-labels for the pool, then
@@ -154,7 +153,7 @@ def train_student(
     the same held-out accuracy set. With ``fresh_init_per_student`` the
     student starts from a fresh seeded init, otherwise from ``warm_start``.
     """
-    student = _student(arch, teacher_labels, splits, cfg, student_seed, warm_start)
+    student = _student(arch, teacher_labels, splits, cfg, seed, warm_start)
     try:
         job = next(student)
         while True:
@@ -163,8 +162,8 @@ def train_student(
         return done.value
 
 
-# (splits, the pool's truth, validation and test as stored)
-ChainCell = tuple[SplitResult, PoolTruth, DataTable, DataTable]
+# (splits, the pool's truth, validation and test as stored, the chain's seed)
+ChainCell = tuple[SplitResult, PoolTruth, DataTable, DataTable, int]
 
 
 def _chain(
@@ -181,9 +180,9 @@ def _chain(
     scoring alone, and its record appended to ``records``; a student keeps
     its pseudo-labels only with ``keep_pseudo_labels``. The pool's truth
     goes to the diagnostics alone."""
-    splits, truth, validation, test = cell
+    splits, truth, validation, test, seed = cell
     pool = splits.pool
-    seeds = tuple(cfg.seed + i for i in range(cfg.iterations + 1))
+    seeds = tuple(range(seed, seed + cfg.iterations + 1))
     labels, agreement = None, None
     model = yield _finetune_job(arch, splits, cfg, seeds[0], None)
     for i, seed in enumerate(seeds):
@@ -213,29 +212,25 @@ def _chain(
 def run_chains(
     cells: Sequence[ChainCell],
     arch: ArchSpec,
-    cfgs: Sequence[ChainConfig],
+    cfg: ChainConfig,
     keep_pseudo_labels: bool = False,
 ) -> list[ChainResult | ChainAborted]:
-    """Run one teacher-student chain per (splits, truth, validation, test) cell:
-    each round trains every live chain's next job in one lockstep group and
-    sends each chain its trained params. The chains share their phase order,
-    so a round holds one phase: every teacher, then per iteration every
-    student's pretraining and every student's fine-tuning. Each cell comes
-    out exactly as its chain run alone would.
+    """Run one teacher-student chain of ``cfg`` per (splits, truth,
+    validation, test, seed) cell: each round trains every live chain's next
+    job in one lockstep group and sends each chain its trained params. The
+    chains share their phase order, so a round holds one phase: every
+    teacher, then per iteration every student's pretraining and every
+    student's fine-tuning. Each cell comes out exactly as its chain run
+    alone would.
 
-    ``cfgs`` holds one ChainConfig per cell; they must agree except in
-    ``seed``. The outcome per cell is its ChainResult, or the ChainAborted
-    (carrying the completed records) that ended that cell alone, from a
-    ValueError or ArithmeticError its chain raised or its training returned.
-    Students' pseudo-labels stay on their records only with
-    ``keep_pseudo_labels``.
+    The outcome per cell is its ChainResult, or the ChainAborted (carrying
+    the completed records) that ended that cell alone, from a ValueError or
+    ArithmeticError its chain raised or its training returned (a negative
+    seed fails its first job). Students' pseudo-labels stay on their
+    records only with ``keep_pseudo_labels``.
     """
-    if len(cells) != len(cfgs):
-        raise ValueError("run_chains needs one ChainConfig per cell")
-    if any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs[1:]):
-        raise ValueError("chain cells must share their ChainConfig except seed")
     records: list[list[IterationRecord]] = [[] for _ in cells]
-    chains = [_chain(arch, *args, keep_pseudo_labels) for args in zip(cells, cfgs, records)]
+    chains = [_chain(arch, cell, cfg, rec, keep_pseudo_labels) for cell, rec in zip(cells, records)]
     outcomes: list[ChainResult | ChainAborted | None] = [None] * len(cells)
     # what each live chain is sent next: None to start it, then its last
     # job's params, or the error that ended that job, thrown into it
@@ -267,18 +262,19 @@ def run_chain(
     test: DataTable,
     arch: ArchSpec,
     cfg: ChainConfig,
+    seed: int = 0,
 ) -> ChainResult:
     """Run the full teacher-student loop and pick the best iteration by
     validation accuracy: the one-cell case of :func:`run_chains`, raising
     its error instead of returning it. Students keep their pseudo-labels on
     their records.
 
-    Per-iteration seeds are cfg.seed + iteration index. Test accuracy is
+    Per-iteration seeds are ``seed`` + iteration index. Test accuracy is
     recorded for reporting but never consulted by the selection. A training
     failure raises ChainAborted carrying the completed records.
     """
     (outcome,) = run_chains(
-        [(splits, truth, validation, test)], arch, [cfg], keep_pseudo_labels=True
+        [(splits, truth, validation, test, seed)], arch, cfg, keep_pseudo_labels=True
     )
     if isinstance(outcome, Exception):
         raise outcome

@@ -33,6 +33,10 @@ class ClassCatalog:
             raise ValueError("class names must be unique")
         if not all(self.names):
             raise ValueError("class names must be non-empty")
+        # what a table file can carry: write_table joins names with commas
+        # and read_table splits lines and strips sidecar names
+        if any("," in n or n.splitlines() != [n] or n.strip() != n for n in self.names):
+            raise ValueError("class names must hold no comma or line break, nor edge whitespace")
 
     @property
     def size(self) -> int:

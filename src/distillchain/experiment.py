@@ -105,6 +105,9 @@ class ExperimentConfig:
             raise ValueError("fractions must lie in (0, 1]")
         if any(b <= a for a, b in zip(self.fractions, self.fractions[1:])):
             raise ValueError("fractions must be strictly increasing")
+        # a cell's files are named by its fraction's tag
+        if len({fraction_tag(f) for f in self.fractions}) != len(self.fractions):
+            raise ValueError("fractions must differ in their output tags (6 significant digits)")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
@@ -117,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("chain.iterations must be >= 1")
         if any(width < 1 for width in self.arch_hidden):
             raise ValueError("arch.hidden widths must be positive")
+        for fraction in self.fractions:  # SplitSpec's rules, before any cell runs
+            SplitSpec(fraction, self.early_stop_fraction)
 
 
 _SOURCES = {source.kind: source for source in (SyntheticSpec, DataFiles)}
@@ -352,9 +357,9 @@ def _run_cells(
                 outputs[slot] = _skipped(bases, ValueError("empty pool"))
         prepared = [cell for cell in prepared if cell[0] not in outputs]
     results = run_chains(
-        [(splits, truth, val, test) for _, _, splits, truth in prepared],
+        [(splits, truth, val, test, bases[0].seed) for _, bases, splits, truth in prepared],
         arch,
-        [replace(chain_cfg, seed=bases[0].seed) for _, bases, _, _ in prepared],
+        chain_cfg,
         keep_pseudo_labels=cfg.dump_pseudo_labels,
     )
     for (slot, bases, splits, _), result in zip(prepared, results):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +78,6 @@ class TrainConfig:
     steps_per_epoch: int = 100
     max_epochs: int = 200
     patience: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -330,8 +329,8 @@ class _BatchStream:
 @dataclass(frozen=True)
 class TrainJob:
     """One model to train: features, soft targets, the early-stop table, the
-    optimization settings, and the starting weights (a fresh seeded init
-    from ``config.seed`` when ``init`` is None).
+    optimization settings, and the starting weights (a fresh init from
+    ``seed`` when ``init`` is None); ``seed`` also seeds the minibatch order.
 
     With ``rows``, the training set is those rows of ``features``, in the
     order of ``targets``, read in place; with ``normalizer``, rows are
@@ -346,6 +345,7 @@ class TrainJob:
     init: ModelParams | None = None
     rows: np.ndarray | None = None
     normalizer: Normalizer | None = None
+    seed: int = 0
 
 
 TrainOutcome = tuple[ModelParams, TrainHistory] | ValueError | ArithmeticError
@@ -380,13 +380,13 @@ class _Member:
         if not (np.isfinite(t).all() and t.min() >= 0.0 and (abs(t.sum(axis=1) - 1.0) <= 1e-9).all()):
             raise ValueError("targets must be finite, non-negative rows that sum to 1")
         _check_scoring(arch, job.early_stop)
-        init = job.init if job.init is not None else init_params(arch, job.config.seed)
+        init = job.init if job.init is not None else init_params(arch, job.seed)
         if init.arch != arch:
             raise ValueError("initial params do not match the architecture")
         self.slot = slot
         self.x, self.t, self.rows, self.normalizer = x, t, rows, job.normalizer
         self.early_stop, self.init = job.early_stop, init
-        self.stream = _BatchStream(n, np.random.default_rng(job.config.seed))
+        self.stream = _BatchStream(n, np.random.default_rng(job.seed))
         self.epochs: list[EpochStats] = []
         self.best_acc, self.best_epoch, self.stale = -1.0, -1, 0
 
@@ -435,7 +435,7 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     group when it stops by patience or its epoch fails (non-finite loss or
     params: NumericError). The outcome per job is ``(params, history)`` or
     the ValueError/ArithmeticError that ended that job alone. All jobs must
-    share their TrainConfig except ``seed``.
+    share their TrainConfig.
 
     Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
     once ``patience`` consecutive epochs fail to improve the early-stop
@@ -445,8 +445,8 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     if not jobs:
         return []
     config = jobs[0].config
-    if any(replace(job.config, seed=config.seed) != config for job in jobs):
-        raise ValueError("lockstep jobs must share their TrainConfig except seed")
+    if any(job.config != config for job in jobs):
+        raise ValueError("lockstep jobs must share their TrainConfig")
     outcomes: list[TrainOutcome | None] = [None] * len(jobs)
     members: list[_Member] = []
     for slot, job in enumerate(jobs):
@@ -548,12 +548,13 @@ def train_with_early_stopping(
     early_stop: DataTable,
     config: TrainConfig,
     init: ModelParams | None = None,
+    seed: int = 0,
 ) -> tuple[ModelParams, TrainHistory]:
     """Train on (features, soft targets), keeping the weights of the epoch
     with the best hard accuracy on ``early_stop``, through :func:`train_job`
-    (see :func:`train_lockstep`); from ``init`` when it is given. A blow-up
-    raises NumericError."""
-    return train_job(arch, TrainJob(features, targets, early_stop, config, init))
+    (see :func:`train_lockstep`); from ``init`` when it is given, else from
+    a fresh init of ``seed``. A blow-up raises NumericError."""
+    return train_job(arch, TrainJob(features, targets, early_stop, config, init, seed=seed))
 
 
 def train_job(arch: ArchSpec, job: TrainJob) -> tuple[ModelParams, TrainHistory]:

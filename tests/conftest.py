@@ -1,3 +1,5 @@
+import importlib
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +67,22 @@ def tiny_config(tmp_path, **overrides):
     )
     settings.update(overrides)
     return ExperimentConfig(**settings)
+
+
+def simulated_avx2_host():
+    """The environment under which a child process computes as an x86-64
+    AVX2 host would: numpy without the dispatch targets above X86_V3 that
+    the running host enables (numpy reads NPY_DISABLE_CPU_FEATURES at import),
+    and OpenBLAS on its Haswell kernels (a DYNAMIC_ARCH build honours
+    OPENBLAS_CORETYPE). None off x86-64, on a host without X86_V3, or on a
+    numpy that names no X86_V3 dispatch target."""
+    umath = importlib.import_module("numpy._core._multiarray_umath")
+    dispatch, enabled = umath.__cpu_dispatch__, umath.__cpu_features__
+    x86 = platform.machine().lower() in ("x86_64", "amd64")
+    if not (x86 and enabled.get("X86_V3") and "X86_V3" in dispatch):
+        return None
+    above = [target for target in dispatch[dispatch.index("X86_V3") + 1 :] if enabled.get(target)]
+    return {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": ",".join(above)}
 
 
 def rare_class_tables():

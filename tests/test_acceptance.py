@@ -4,7 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +35,19 @@ from distillchain import (
     run_chain_experiment,
 )
 from distillchain import chain as chain_module
+from distillchain.experiment import config_to_lines
 from distillchain.reports import read_runs_csv, read_traces_csv
 
-from conftest import gradcheck_case, max_relative_error, reaches_labels, table_from, tiny_config
+from conftest import (
+    gradcheck_case,
+    max_relative_error,
+    reaches_labels,
+    simulated_avx2_host,
+    table_from,
+    tiny_config,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def check(name: str, passed: bool, detail: str = ""):
@@ -120,10 +134,10 @@ def _mini_chain(seed, relabel=0):
     fast = TrainConfig(max_epochs=2, steps_per_epoch=5, batch_size=8, patience=2)
     cfg = ChainConfig(
         iterations=2, distill=DistillConfig(per_class_cap=None),
-        pretrain=fast, finetune=fast, seed=seed,
+        pretrain=fast, finetune=fast,
     )
     arch = ArchSpec(input_dim=2, hidden=(), output_dim=3)
-    return train, splits, truth, run_chain(splits, truth, val, test, arch, cfg)
+    return train, splits, truth, run_chain(splits, truth, val, test, arch, cfg, seed)
 
 
 def test_criterion_3_protocol_invariants(monkeypatch):
@@ -256,19 +270,50 @@ def test_criterion_4_experiment_determinism(tmp_path):
 # The trained weights' oracle: the first 16 hex digits of the sha256 of the
 # model_*.json checkpoints (names and bytes, in name order) of a tiny seeded
 # chain sweep, per arch.hidden. The CSVs above see a weight only when it flips
-# a prediction; a checkpoint holds every float exactly.
+# a prediction; a checkpoint holds every float exactly. Weights hold per host
+# kind (README, "Seeds and determinism"): these pins belong to numpy
+# dispatching up to AVX512_SPR with OpenBLAS on its SkylakeX kernels.
 CHECKPOINT_HASHES = {(): "4040be0258bda898", (4,): "083ea42294b4e7aa"}
+# The same sweep on a simulated AVX2 host (conftest.simulated_avx2_host):
+# numpy with X86_V4, AVX512_ICL and AVX512_SPR off, OpenBLAS on Haswell.
+AVX2_CHECKPOINT_HASHES = {(): "5de7f0b44dd3d5b4", (4,): "a7accb6b63ceaeb6"}
 
 
-@pytest.mark.parametrize("hidden", list(CHECKPOINT_HASHES))
-def test_checkpoints_on_the_pinned_weights(tmp_path, hidden):
-    run_chain_experiment(tiny_config(tmp_path, fractions=(0.2,), arch_hidden=hidden, save_models=True))
-    paths = sorted((tmp_path / "out").glob("model_*.json"))
+def checkpoint_sweep(tmp_path, hidden):
+    return tiny_config(tmp_path, fractions=(0.2,), arch_hidden=hidden, save_models=True)
+
+
+def checkpoint_digest(out):
+    paths = sorted(out.glob("model_*.json"))
     digest = hashlib.sha256()
     for path in paths:
         digest.update(path.name.encode() + b"\n" + path.read_bytes())
     assert len(paths) == 6  # 2 runs x the teacher and 2 students
-    assert digest.hexdigest()[:16] == CHECKPOINT_HASHES[hidden]
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("hidden", list(CHECKPOINT_HASHES))
+def test_checkpoints_on_the_pinned_weights(tmp_path, hidden):
+    run_chain_experiment(checkpoint_sweep(tmp_path, hidden))
+    assert checkpoint_digest(tmp_path / "out") == CHECKPOINT_HASHES[hidden]
+
+
+@pytest.mark.parametrize("hidden", list(AVX2_CHECKPOINT_HASHES))
+def test_checkpoints_on_the_pinned_weights_of_a_simulated_avx2_host(tmp_path, hidden):
+    env = simulated_avx2_host()
+    if env is None:
+        pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target")
+    # the CLI in a child process, fed the sweep's resolved configuration
+    config = tmp_path / "sweep.cfg"
+    config.write_text("\n".join(config_to_lines(checkpoint_sweep(tmp_path, hidden))) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "distillchain.cli", "chain", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert checkpoint_digest(tmp_path / "out") == AVX2_CHECKPOINT_HASHES[hidden]
+
 
 def test_criterion_5_baseline_trend(tmp_path):
     t0 = time.perf_counter()

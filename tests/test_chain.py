@@ -55,14 +55,13 @@ def small_problem(seed=0, classes=3, per_class=60, dim=3, spread=0.25, labelled=
     return normalize_splits(splits), truth, val, test, arch
 
 
-def quick_chain_config(iterations=2, seed=0, **distill):
+def quick_chain_config(iterations=2, **distill):
     fast = TrainConfig(max_epochs=4, steps_per_epoch=20, patience=4)
     return ChainConfig(
         iterations=iterations,
         distill=DistillConfig(**distill) if distill else DistillConfig(per_class_cap=None),
         pretrain=fast,
         finetune=fast,
-        seed=seed,
     )
 
 
@@ -86,27 +85,27 @@ class TestTrainStudent:
         splits, _, _, _, arch = small_problem()
         with pytest.raises(ValueError, match="non-empty pseudo-label"):
             empty = PseudoLabels(np.empty(0, dtype=np.int64), np.empty((0, 3)))
-            train_student(arch, empty, splits, quick_chain_config(), student_seed=0)
+            train_student(arch, empty, splits, quick_chain_config(), seed=0)
 
     def test_zero_pretrain_equals_finetune_only(self):
         splits, _, _, _, arch = small_problem(seed=3)
-        cfg = quick_chain_config(seed=3)
+        cfg = quick_chain_config()
         cfg = ChainConfig(
             iterations=1,
             distill=cfg.distill,
             pretrain=TrainConfig(max_epochs=0),
             finetune=cfg.finetune,
-            seed=3,
         )
         fake = PseudoLabels(np.arange(len(splits.pool)), np.full((len(splits.pool), 3), 1.0 / 3.0))
-        student = train_student(arch, fake, splits, cfg, student_seed=17)
+        student = train_student(arch, fake, splits, cfg, seed=17)
 
         direct, _ = train_with_early_stopping(
             arch,
             splits.labelled.features,
             one_hot(splits.labelled.labels, 3),
             splits.early_stop,
-            replace(cfg.finetune, seed=17),
+            cfg.finetune,
+            seed=17,
         )
         for a, b in zip((*student.weights, *student.biases), (*direct.weights, *direct.biases)):
             assert np.array_equal(a, b)
@@ -116,9 +115,9 @@ class TestTrainStudent:
         fake = PseudoLabels(
             np.arange(len(splits.pool)), np.tile([0.7, 0.2, 0.1], (len(splits.pool), 1))
         )
-        cfg = quick_chain_config(seed=5)
-        a = train_student(arch, fake, splits, cfg, student_seed=2)
-        b = train_student(arch, fake, splits, cfg, student_seed=2)
+        cfg = quick_chain_config()
+        a = train_student(arch, fake, splits, cfg, seed=2)
+        b = train_student(arch, fake, splits, cfg, seed=2)
         for wa, wb in zip((*a.weights, *a.biases), (*b.weights, *b.biases)):
             assert np.array_equal(wa, wb)
 
@@ -138,16 +137,16 @@ class TestTrainStudent:
                 distill=DistillConfig(per_class_cap=None),
                 pretrain=TrainConfig(max_epochs=40, patience=10),
                 finetune=TrainConfig(max_epochs=40, patience=10, learning_rate=3e-4),
-                seed=seed,
             )
             teacher, _ = train_with_early_stopping(
                 arch,
                 splits.labelled.features,
                 one_hot(splits.labelled.labels, 3),
                 splits.early_stop,
-                replace(cfg.finetune, seed=seed),
+                cfg.finetune,
+                seed=seed,
             )
-            student = train_student(arch, oracle, splits, cfg, student_seed=seed + 100)
+            student = train_student(arch, oracle, splits, cfg, seed=seed + 100)
             teacher_accs.append(evaluate(teacher, ntest)[0])
             student_accs.append(evaluate(student, ntest)[0])
         assert np.mean(student_accs) >= np.mean(teacher_accs)
@@ -158,8 +157,8 @@ class TestRunChain:
         # 48 training samples: 4 early-stop + 24 labelled leave a 20-sample pool
         splits, truth, val, test, arch = small_problem(seed=1, per_class=20, labelled=0.5, early=0.1)
         assert len(splits.pool) == 20
-        cfg = quick_chain_config(iterations=1, seed=1)
-        result = run_chain(splits, truth, val, test, arch, cfg)
+        cfg = quick_chain_config(iterations=1)
+        result = run_chain(splits, truth, val, test, arch, cfg, seed=1)
         assert len(result.records) == 2
         assert result.records[0].pseudo_count == 0
         assert result.records[0].pseudo_agreement is None
@@ -168,20 +167,20 @@ class TestRunChain:
 
     def test_selection_dominance(self):
         splits, truth, val, test, arch = small_problem(seed=2)
-        result = run_chain(splits, truth, val, test, arch, quick_chain_config(seed=2))
+        result = run_chain(splits, truth, val, test, arch, quick_chain_config(), seed=2)
         best = result.records[result.best_iteration]
         assert best.val_accuracy >= result.records[0].val_accuracy
         assert result.best_iteration == select_best(result.records)
 
     def test_iterations_are_contiguous(self):
         splits, truth, val, test, arch = small_problem(seed=4)
-        result = run_chain(splits, truth, val, test, arch, quick_chain_config(iterations=3, seed=4))
+        result = run_chain(splits, truth, val, test, arch, quick_chain_config(iterations=3), seed=4)
         assert [r.iteration for r in result.records] == [0, 1, 2, 3]
 
     def test_pool_membership_is_stable_across_iterations(self):
         splits, truth, val, test, arch = small_problem(seed=6)
         before_ids = splits.pool.ids.copy()
-        run_chain(splits, truth, val, test, arch, quick_chain_config(iterations=2, seed=6))
+        run_chain(splits, truth, val, test, arch, quick_chain_config(iterations=2), seed=6)
         assert np.array_equal(splits.pool.ids, before_ids)
         assert not hasattr(splits.pool, "labels")
 
@@ -189,19 +188,19 @@ class TestRunChain:
         # the pool's truth reaches the diagnostics alone: relabelling it
         # changes the scored agreement and nothing a chain trains or records
         splits, truth, val, test, arch = small_problem(seed=9, labelled=0.1, spread=0.6)
-        cfg = quick_chain_config(iterations=3, seed=9)
+        cfg = quick_chain_config(iterations=3)
         relabelled = PoolTruth(truth.catalog, (truth.labels + 1) % 3)
-        a = run_chain(splits, truth, val, test, arch, cfg)
-        b = run_chain(splits, relabelled, val, test, arch, cfg)
+        a = run_chain(splits, truth, val, test, arch, cfg, seed=9)
+        b = run_chain(splits, relabelled, val, test, arch, cfg, seed=9)
         assert [r.pseudo_agreement for r in a.records] != [r.pseudo_agreement for r in b.records]
         unscored = [replace(r, pseudo_agreement=None) for r in b.records]
         assert_same_records([replace(r, pseudo_agreement=None) for r in a.records], unscored)
 
     def test_deterministic_end_to_end(self):
         splits, truth, val, test, arch = small_problem(seed=7)
-        cfg = quick_chain_config(iterations=2, seed=7)
-        r1 = run_chain(splits, truth, val, test, arch, cfg)
-        r2 = run_chain(splits, truth, val, test, arch, cfg)
+        cfg = quick_chain_config(iterations=2)
+        r1 = run_chain(splits, truth, val, test, arch, cfg, seed=7)
+        r2 = run_chain(splits, truth, val, test, arch, cfg, seed=7)
         assert [(r.val_accuracy, r.test_accuracy) for r in r1.records] == [
             (r.val_accuracy, r.test_accuracy) for r in r2.records
         ]
@@ -211,7 +210,7 @@ class TestRunChain:
         splits, truth, val, test, arch = small_problem(seed=8, labelled=1.0)
         assert len(splits.pool) == 0
         with pytest.raises(ChainAborted) as excinfo:
-            run_chain(splits, truth, val, test, arch, quick_chain_config(seed=8))
+            run_chain(splits, truth, val, test, arch, quick_chain_config(), seed=8)
         assert len(excinfo.value.records) == 1  # the teacher survived
         assert excinfo.value.records[0].iteration == 0
 
@@ -243,26 +242,26 @@ def reference_student(arch, labels, splits, cfg, seed, warm_start):
     rows = pool.rows.tolist()
     pool_x = (pool.source[[rows[pos] for pos in labels.positions.tolist()]] - norm.mean) / norm.std
     pretrained, _ = train_with_early_stopping(
-        arch, pool_x, labels.soft, splits.early_stop, replace(cfg.pretrain, seed=seed), init=start
+        arch, pool_x, labels.soft, splits.early_stop, cfg.pretrain, init=start, seed=seed
     )
     lab = splits.labelled
     tuned, _ = train_with_early_stopping(
         arch, lab.features, one_hot(lab.labels, arch.output_dim), splits.early_stop,
-        replace(cfg.finetune, seed=seed), init=pretrained,
+        cfg.finetune, init=pretrained, seed=seed,
     )
     return tuned
 
 
-def reference_chain_records(splits, truth, validation, test, arch, cfg):
+def reference_chain_records(splits, truth, validation, test, seed, arch, cfg):
     """The chain loop as it ran one cell at a time before lockstep: a
     teacher, then per iteration pseudo-labels, filtering and one student,
     each member scored on validation and test normalized up front."""
     validation, test = (splits.pool.normalizer.apply(t) for t in (validation, test))
-    seeds = [cfg.seed + i for i in range(cfg.iterations + 1)]
+    seeds = [seed + i for i in range(cfg.iterations + 1)]
     lab = splits.labelled
     model, _ = train_with_early_stopping(
         arch, lab.features, one_hot(lab.labels, arch.output_dim), splits.early_stop,
-        replace(cfg.finetune, seed=seeds[0]),
+        cfg.finetune, seed=seeds[0],
     )
     records = []
     labels, agreement = None, None
@@ -282,22 +281,28 @@ def reference_chain_records(splits, truth, validation, test, arch, cfg):
     return records
 
 
+def run_alone(cell, arch, cfg):
+    """``run_chain`` on one (splits, truth, validation, test, seed) cell."""
+    *tables, seed = cell
+    return run_chain(*tables, arch, cfg, seed)
+
+
 class TestRunChains:
     @staticmethod
     def cells(hidden=()):
-        cells, cfgs = [], []
+        cells = []
         for seed, labelled in ((11, 0.05), (12, 0.2), (13, 0.1)):
             splits, truth, val, test, arch = small_problem(seed=seed, labelled=labelled, spread=0.6)
-            cells.append((splits, truth, val, test))
-            cfgs.append(quick_chain_config(iterations=3, seed=seed, per_class_cap=20))
-        return cells, ArchSpec(input_dim=3, hidden=hidden, output_dim=3), cfgs
+            cells.append((splits, truth, val, test, seed))
+        cfg = quick_chain_config(iterations=3, per_class_cap=20)
+        return cells, ArchSpec(input_dim=3, hidden=hidden, output_dim=3), cfg
 
     @pytest.mark.parametrize("hidden", [(), (8,)])
     def test_equals_one_run_chain_per_cell(self, hidden):
-        cells, arch, cfgs = self.cells(hidden)
-        results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
-        for cell, cfg, got in zip(cells, cfgs, results):
-            want = run_chain(*cell, arch, cfg)
+        cells, arch, cfg = self.cells(hidden)
+        results = run_chains(cells, arch, cfg, keep_pseudo_labels=True)
+        for cell, got in zip(cells, results):
+            want = run_alone(cell, arch, cfg)
             assert (got.best_iteration, got.seeds, got.config) == (
                 want.best_iteration, want.seeds, want.config
             )
@@ -309,41 +314,49 @@ class TestRunChains:
     @pytest.mark.parametrize("hidden", [(), (4,)])
     def test_a_chain_without_students_is_its_teacher(self, hidden):
         # the baseline sweep runs its cells as chains of zero students
-        cells, arch, cfgs = self.cells(hidden)
-        teachers = run_chains(cells, arch, [replace(cfg, iterations=0) for cfg in cfgs])
-        chains = run_chains(cells, arch, cfgs)
+        cells, arch, cfg = self.cells(hidden)
+        teachers = run_chains(cells, arch, replace(cfg, iterations=0))
+        chains = run_chains(cells, arch, cfg)
         for got, want in zip(teachers, chains, strict=True):
             assert (got.best_iteration, got.seeds) == (0, want.seeds[:1])
             assert_same_records(got.records, want.records[:1])
 
     def test_pseudo_labels_kept_only_on_request(self):
-        cells, arch, cfgs = self.cells()
-        kept = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
-        dropped = run_chains(cells, arch, cfgs)
+        cells, arch, cfg = self.cells()
+        kept = run_chains(cells, arch, cfg, keep_pseudo_labels=True)
+        dropped = run_chains(cells, arch, cfg)
         for a, b in zip(kept, dropped):
             assert all(rec.pseudo_labels is None for rec in b.records)
             assert all(rec.pseudo_labels is not None for rec in a.records[1:])
             assert [r.pseudo_count for r in a.records] == [r.pseudo_count for r in b.records]
 
     def test_failing_cell_aborts_alone(self):
-        cells, arch, cfgs = self.cells()
-        empty_pool = small_problem(seed=8, labelled=1.0)[:4]
+        cells, arch, cfg = self.cells()
+        empty_pool = (*small_problem(seed=8, labelled=1.0)[:4], 8)
         cells.insert(1, empty_pool)
-        cfgs.insert(1, quick_chain_config(iterations=3, seed=8, per_class_cap=20))
-        results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
+        results = run_chains(cells, arch, cfg, keep_pseudo_labels=True)
         with pytest.raises(ChainAborted) as alone:
-            run_chain(*empty_pool, arch, cfgs[1])
+            run_alone(empty_pool, arch, cfg)
         assert isinstance(results[1], ChainAborted)
         assert str(results[1]) == str(alone.value)
         assert_same_records(results[1].records, alone.value.records)
         for j in (0, 2, 3):
-            want = run_chain(*cells[j], arch, cfgs[j])
+            want = run_alone(cells[j], arch, cfg)
             assert_same_records(results[j].records, want.records)
+
+    def test_negative_seed_aborts_its_cell_alone(self):
+        cells, arch, cfg = self.cells()
+        cells[1] = (*cells[1][:4], -1)
+        results = run_chains(cells, arch, cfg, keep_pseudo_labels=True)
+        assert isinstance(results[1], ChainAborted)
+        assert results[1].records == () and isinstance(results[1].__cause__, ValueError)
+        for j in (0, 2):
+            assert_same_records(results[j].records, run_alone(cells[j], arch, cfg).records)
 
     def test_training_failure_aborts_its_cell_alone(self, monkeypatch):
         # cell 1's student fails to pretrain at iteration 2 (the fourth
         # lockstep round); the error is thrown into its chain alone
-        cells, arch, cfgs = self.cells()
+        cells, arch, cfg = self.cells()
         boom, sizes = NumericError("boom"), []
 
         def failing_lockstep(arch, jobs):
@@ -354,18 +367,12 @@ class TestRunChains:
             return outcomes
 
         monkeypatch.setattr(chain, "train_lockstep", failing_lockstep)
-        results = run_chains(cells, arch, cfgs, keep_pseudo_labels=True)
+        results = run_chains(cells, arch, cfg, keep_pseudo_labels=True)
         monkeypatch.undo()
         assert sizes == [3, 3, 3, 3, 2, 2, 2]
         assert isinstance(results[1], ChainAborted)
         assert str(results[1]) == "chain aborted at iteration 2: boom"
         assert results[1].__cause__ is boom
-        assert_same_records(results[1].records, run_chain(*cells[1], arch, cfgs[1]).records[:2])
+        assert_same_records(results[1].records, run_alone(cells[1], arch, cfg).records[:2])
         for j in (0, 2):
-            assert_same_records(results[j].records, run_chain(*cells[j], arch, cfgs[j]).records)
-
-    def test_cells_must_share_config_except_seed(self):
-        cells, arch, cfgs = self.cells()
-        cfgs[2] = ChainConfig(iterations=1, seed=13)
-        with pytest.raises(ValueError, match="except seed"):
-            run_chains(cells, arch, cfgs)
+            assert_same_records(results[j].records, run_alone(cells[j], arch, cfg).records)

@@ -88,6 +88,8 @@ arch.hidden = 8,4
             (("--runs", "zero"), "bad value for runs"),
             (("--runs", "0"), "runs must be >= 1"),
             (("--fractions", "0.5,0.2"), "strictly increasing"),
+            (("--fractions", "0.05,0.05000001"), "fractions must differ in their output tags"),
+            (("--fractions", "0.99", "--early_stop_fraction", "0.05"), "must not exceed 1"),
             (("--fractions", ""), "bad value for fractions"),
             (("--source", "tables"), "source must be synthetic or files"),
             (("--balance_labelled", "maybe"), "expected a boolean"),
@@ -259,6 +261,8 @@ class TestCliCommands:
         assert run_cli("nonsense").returncode == 1
         out = tmp_path / "out"  # a bad value fails before the sweep makes its out dir
         assert run_cli("baseline", "--arch.hidden", "0", "--out", str(out)).returncode == 1
+        no_reserve = ("--fractions", "0.99", "--early_stop_fraction", "0.05")
+        assert run_cli("chain", *no_reserve, "--out", str(out)).returncode == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["no label", "catalog"])

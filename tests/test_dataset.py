@@ -47,6 +47,10 @@ class TestClassCatalog:
             ClassCatalog(("only",))
         with pytest.raises(ValueError, match="non-empty"):
             ClassCatalog(("a", ""))
+        # names a table file cannot carry
+        for names in (("a,b", "c"), (" a", "b"), ("a", "b\t"), ("a\nb", "c"), ("a\x85b", "c"), ("a\u2028", "b")):
+            with pytest.raises(ValueError, match="no comma or line break"):
+                ClassCatalog(names)
 
 
 class TestDataTable:
@@ -177,6 +181,32 @@ class TestTableIO:
         assert back.catalog.names == table.catalog.names
         assert np.array_equal(back.ids, table.ids)
         assert np.array_equal(back.features, table.features)
+        assert np.array_equal(back.labels, table.labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        names=st.lists(
+            st.text(
+                st.one_of(st.sampled_from("a ,\n\r\t\x85\x1c\u2028"), st.characters(codec="utf-8")),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    def test_every_catalog_round_trips(self, tmp_path_factory, names):
+        # a catalog refuses its names, or a table of it reads back as written
+        try:
+            catalog = ClassCatalog(tuple(names))
+        except ValueError:
+            return
+        table = table_from(catalog, np.arange(len(names), dtype=np.float64)[:, None], np.arange(len(names)))
+        path = tmp_path_factory.mktemp("catalog") / "t.csv"
+        write_table(path, table)
+        back = read_table(path)
+        assert back.catalog == catalog
         assert np.array_equal(back.labels, table.labels)
 
     def test_tum_row_maps_to_last_class_index(self, tmp_path):

@@ -356,7 +356,7 @@ class TestPseudoLabelQuality:
         with pytest.raises(IndexError):
             pseudo_label_quality(past_end, truth)
         with pytest.raises(IndexError):
-            train_student(ArchSpec(2, (), 2), past_end, splits, ChainConfig(), student_seed=0)
+            train_student(ArchSpec(2, (), 2), past_end, splits, ChainConfig(), seed=0)
 
     def test_reads_the_truth_of_the_labelled_positions_in_any_order(self, two_class_catalog):
         truth = truth_from(two_class_catalog, [0, 1, 1, 1])

@@ -393,6 +393,14 @@ class TestExperimentConfigValidation:
             tiny_config(tmp_path, fractions=(0.5, 0.2))
         with pytest.raises(ValueError):
             tiny_config(tmp_path, fractions=(0.2, 1.5))
+        # both would write confusion_0.05_0.csv, the second over the first
+        with pytest.raises(ValueError, match="fractions must differ in their output tags"):
+            tiny_config(tmp_path, fractions=(0.05, 0.05000001))
+        assert tiny_config(tmp_path, fractions=(0.05, 0.050001)).fractions == (0.05, 0.050001)
+        # no room for the reserve; 1.0 means "everything after the reserve"
+        with pytest.raises(ValueError, match=r"labelled_fraction \+ early_stop_fraction must not exceed 1"):
+            tiny_config(tmp_path, fractions=(0.2, 0.99), early_stop_fraction=0.05)
+        assert tiny_config(tmp_path, fractions=(1.0,), early_stop_fraction=0.05).fractions == (1.0,)
 
     def test_runs_and_jobs_bounds(self, tmp_path):
         with pytest.raises(ValueError):

@@ -192,9 +192,9 @@ class TestAdamUpdate:
         es = table_from(two_class_catalog, [[0.0, 0.0], [1.0, 1.0]], labels=[0, 1])
         features = np.full((4, 2), 1e10)
         targets = np.tile([0.0, 1.0], (4, 1))
-        cfg = TrainConfig(learning_rate=1e300, steps_per_epoch=1, max_epochs=1, seed=1)
+        cfg = TrainConfig(learning_rate=1e300, steps_per_epoch=1, max_epochs=1)
         with pytest.raises(NumericError, match="non-finite parameters at epoch 0"):
-            train_job(arch, TrainJob(features, targets, es, cfg))
+            train_job(arch, TrainJob(features, targets, es, cfg, seed=1))
 
 
 def _blob_problem(seed=0):
@@ -208,9 +208,9 @@ class TestTrainWithEarlyStopping:
     def test_zero_epochs_returns_initial_params(self, two_class_catalog):
         arch = ArchSpec(input_dim=2, hidden=(), output_dim=2)
         es = table_from(two_class_catalog, [[0.0, 0.0], [1.0, 1.0]], labels=[0, 1])
-        cfg = TrainConfig(max_epochs=0, seed=3)
+        cfg = TrainConfig(max_epochs=0)
         params, history = train_with_early_stopping(
-            arch, np.zeros((4, 2)), np.full((4, 2), 0.5), es, cfg
+            arch, np.zeros((4, 2)), np.full((4, 2), 0.5), es, cfg, seed=3
         )
         fresh = init_params(arch, 3)
         for a, b in zip(params.weights, fresh.weights):
@@ -221,16 +221,16 @@ class TestTrainWithEarlyStopping:
     def test_separable_blobs_reach_perfect_early_stop_accuracy(self):
         lab, es, _, _ = _blob_problem()
         arch = ArchSpec(input_dim=2, hidden=(), output_dim=2)
-        cfg = TrainConfig(max_epochs=50, seed=1)
-        _, history = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg)
+        cfg = TrainConfig(max_epochs=50)
+        _, history = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg, seed=1)
         assert history.best_accuracy == 1.0
         assert len(history.epochs) <= 50
 
     def test_best_accuracy_is_max_of_history(self):
         lab, es, _, _ = _blob_problem(seed=5)
         arch = ArchSpec(input_dim=2, hidden=(4,), output_dim=2)
-        cfg = TrainConfig(max_epochs=12, patience=30, seed=2)
-        _, history = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg)
+        cfg = TrainConfig(max_epochs=12, patience=30)
+        _, history = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg, seed=2)
         accs = [e.early_stop_accuracy for e in history.epochs]
         assert history.best_accuracy == max(accs)
         assert history.best_epoch == accs.index(max(accs))
@@ -238,9 +238,9 @@ class TestTrainWithEarlyStopping:
     def test_training_is_deterministic(self):
         lab, es, _, _ = _blob_problem(seed=9)
         arch = ArchSpec(input_dim=2, hidden=(3,), output_dim=2)
-        cfg = TrainConfig(max_epochs=8, seed=13)
-        p1, h1 = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg)
-        p2, h2 = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg)
+        cfg = TrainConfig(max_epochs=8)
+        p1, h1 = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg, seed=13)
+        p2, h2 = train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 2), es, cfg, seed=13)
         for a, b in zip((*p1.weights, *p1.biases), (*p2.weights, *p2.biases)):
             assert np.array_equal(a, b)
         assert h1 == h2
@@ -251,9 +251,9 @@ class TestTrainWithEarlyStopping:
         arch = ArchSpec(input_dim=2, hidden=(), output_dim=2)
         for seed in range(6):
             lab, es, _, _ = _blob_problem(seed=seed)
-            cfg = TrainConfig(max_epochs=10, patience=50, seed=seed, steps_per_epoch=20)
+            cfg = TrainConfig(max_epochs=10, patience=50, steps_per_epoch=20)
             params, history = train_with_early_stopping(
-                arch, lab.features, one_hot(lab.labels, 2), es, cfg
+                arch, lab.features, one_hot(lab.labels, 2), es, cfg, seed=seed
             )
             best_acc, _ = evaluate(params, es)
             assert best_acc >= history.epochs[-1].early_stop_accuracy
@@ -313,12 +313,12 @@ def reference_adam_update(params, grads, moments, t, learning_rate):
     )
 
 
-def reference_train(arch, features, targets, early_stop, config, init=None):
-    params = init if init is not None else init_params(arch, config.seed)
+def reference_train(arch, features, targets, early_stop, config, init=None, seed=0):
+    params = init if init is not None else init_params(arch, seed)
     zeros_w = tuple(np.zeros_like(w) for w in params.weights)
     zeros_b = tuple(np.zeros_like(b) for b in params.biases)
     moments, t = (zeros_w, zeros_b, zeros_w, zeros_b), 0
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     order, cursor = rng.permutation(len(features)), 0
     best_params, best_acc, best_epoch, epochs, stale = params, -1.0, -1, [], 0
     for epoch in range(config.max_epochs):
@@ -371,13 +371,13 @@ class TestMatchesPerStepReference:
         x, t = lab.features[:rows], random_simplex(np.random.default_rng(3), (len(lab), 3))[:rows]
         arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
         cfg = TrainConfig(
-            learning_rate=3e-3, steps_per_epoch=15, max_epochs=max_epochs, patience=patience, seed=4
+            learning_rate=3e-3, steps_per_epoch=15, max_epochs=max_epochs, patience=patience
         )
         init = None
         if warm:
-            init, _ = reference_train(arch, x, t, es, replace(cfg, max_epochs=2, seed=9))
-        got, got_history = train_with_early_stopping(arch, x, t, es, cfg, init=init)
-        want, want_history = reference_train(arch, x, t, es, cfg, init=init)
+            init, _ = reference_train(arch, x, t, es, replace(cfg, max_epochs=2), seed=9)
+        got, got_history = train_with_early_stopping(arch, x, t, es, cfg, init=init, seed=4)
+        want, want_history = reference_train(arch, x, t, es, cfg, init=init, seed=4)
         assert got_history == want_history
         stopped_by_patience = len(got_history.epochs) < max_epochs
         assert stopped_by_patience == (patience < max_epochs)
@@ -388,7 +388,7 @@ class TestMatchesPerStepReference:
     def test_mid_epoch_blow_up_raises(self):
         lab, es = _three_class_problem(seed=0)
         arch = ArchSpec(input_dim=5, hidden=(4,), output_dim=3)
-        cfg = TrainConfig(learning_rate=1e300, max_epochs=3, seed=0)
+        cfg = TrainConfig(learning_rate=1e300, max_epochs=3)
         with pytest.raises(NumericError):
             train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 3), es, cfg)
 
@@ -398,7 +398,7 @@ class TestMatchesPerStepReference:
         # an infinite learning rate leaves non-finite weights behind
         lab, es = _three_class_problem(seed=0)
         arch = ArchSpec(input_dim=5, hidden=(), output_dim=3)
-        cfg = TrainConfig(learning_rate=np.inf, steps_per_epoch=1, max_epochs=1, seed=0)
+        cfg = TrainConfig(learning_rate=np.inf, steps_per_epoch=1, max_epochs=1)
         with pytest.raises(NumericError):
             train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 3), es, cfg)
 
@@ -424,14 +424,14 @@ class TestLockstep:
             t = random_simplex(np.random.default_rng(j), (len(lab), 3))[:rows]
             init = None
             if j == 2:  # continues from init=
-                init, _ = reference_train(arch, x, t, es, replace(cfg, max_epochs=2, seed=99))
+                init, _ = reference_train(arch, x, t, es, replace(cfg, max_epochs=2), seed=99)
             if j >= 3:  # reads its rows of a raw matrix in place, normalizing them
                 raw, _, _ = generate_synthetic(classes=3, per_class=60, dim=5, spread=0.9 + j, seed=j)
                 norm, _ = normalize(raw, [])
                 rows = np.random.default_rng(j).choice(len(raw), size=len(t))  # with repeats
-                jobs.append(TrainJob(raw.features, t, es, replace(cfg, seed=j), rows=rows, normalizer=norm))
+                jobs.append(TrainJob(raw.features, t, es, cfg, rows=rows, normalizer=norm, seed=j))
                 continue
-            jobs.append(TrainJob(x, t, es, replace(cfg, seed=j), init=init))
+            jobs.append(TrainJob(x, t, es, cfg, init=init, seed=j))
         return arch, jobs
 
     @staticmethod
@@ -440,7 +440,7 @@ class TestLockstep:
         if job.rows is not None:  # the rows copied out and normalized up front
             x = (x[job.rows] - job.normalizer.mean) / job.normalizer.std
         want, want_history = reference_train(
-            arch, x, job.targets, job.early_stop, job.config, init=job.init
+            arch, x, job.targets, job.early_stop, job.config, init=job.init, seed=job.seed
         )
         got, got_history = outcome
         assert got_history == want_history
@@ -514,7 +514,7 @@ class TestLockstep:
         with pytest.raises(NumericError, match="non-finite training loss at epoch 0"):
             job = jobs[1]
             train_with_early_stopping(
-                arch, job.features, job.targets, job.early_stop, job.config, init=job.init
+                arch, job.features, job.targets, job.early_stop, job.config, init=job.init, seed=job.seed
             )
         for j in (0, 2):
             self.assert_matches_reference(arch, jobs[j], outcomes[j])
@@ -578,6 +578,8 @@ class TestLockstep:
             (3, "features", np.float64(1.0), "non-empty 2-D"),  # and one with
             (3, "rows", np.int64(0), "rows must index"),
             (3, "rows", np.zeros(0, dtype=np.int64), "rows must index"),
+            (1, "seed", -1, "non-negative"),  # numpy's generator refuses it
+            (2, "seed", -1, "non-negative"),  # also for a job with init=
         ],
     )
     def test_malformed_features_or_rows_fail_alone(self, bad, field, value, message):
@@ -592,7 +594,7 @@ class TestLockstep:
     def test_members_must_share_config_except_seed(self):
         arch, jobs = self.jobs((), 2)
         jobs[1] = replace(jobs[1], config=replace(jobs[1].config, learning_rate=1e-2))
-        with pytest.raises(ValueError, match="except seed"):
+        with pytest.raises(ValueError, match="must share their TrainConfig$"):
             train_lockstep(arch, jobs)
 
     def test_zero_epochs_returns_each_start(self):
@@ -600,7 +602,7 @@ class TestLockstep:
         jobs = [replace(job, config=replace(job.config, max_epochs=0)) for job in jobs]
         outcomes = train_lockstep(arch, jobs)
         assert outcomes[2][0] is jobs[2].init
-        assert_same_params(outcomes[0][0], init_params(arch, jobs[0].config.seed))
+        assert_same_params(outcomes[0][0], init_params(arch, jobs[0].seed))
         assert all(history == TrainHistory() for _, history in outcomes)
 
 
@@ -683,7 +685,7 @@ class TestCheckpoints:
 class TestSyntheticSanity:
     def test_spread_limits_bracket_accuracy(self):
         arch = ArchSpec(input_dim=2, hidden=(), output_dim=3)
-        cfg = TrainConfig(max_epochs=40, seed=0)
+        cfg = TrainConfig(max_epochs=40)
 
         def trained_accuracy(spread):
             train, _, test = generate_synthetic(classes=3, per_class=200, dim=2, spread=spread, seed=2)

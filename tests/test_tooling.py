@@ -6,7 +6,6 @@ import importlib
 import importlib.util
 import json
 import os
-import platform
 import re
 import subprocess
 import sys
@@ -17,7 +16,7 @@ import pytest
 from distillchain.experiment import build_config, config_to_lines
 from distillchain.reports import TraceRow, read_rows
 
-from conftest import tiny_config
+from conftest import simulated_avx2_host, tiny_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -120,22 +119,6 @@ def fast_benchmark_hashes(out, host_env=None):
     for name, digest in printed.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] == digest
     return printed
-
-
-def simulated_avx2_host():
-    """The environment under which a child process computes as an x86-64
-    AVX2 host would: numpy without the dispatch targets above X86_V3 that
-    the running host enables (numpy reads NPY_DISABLE_CPU_FEATURES at import),
-    and OpenBLAS on its Haswell kernels (a DYNAMIC_ARCH build honours
-    OPENBLAS_CORETYPE). None off x86-64, on a host without X86_V3, or on a
-    numpy that names no X86_V3 dispatch target."""
-    umath = importlib.import_module("numpy._core._multiarray_umath")
-    dispatch, enabled = umath.__cpu_dispatch__, umath.__cpu_features__
-    x86 = platform.machine().lower() in ("x86_64", "amd64")
-    if not (x86 and enabled.get("X86_V3") and "X86_V3" in dispatch):
-        return None
-    above = [target for target in dispatch[dispatch.index("X86_V3") + 1 :] if enabled.get(target)]
-    return {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": ",".join(above)}
 
 
 def test_fast_benchmark_prints_the_hashes_of_its_files(tmp_path):
