@@ -88,6 +88,11 @@ class DataTable:
         for name, arr in (("ids", ids), ("features", features), ("labels", labels)):
             object.__setattr__(self, name, _frozen_view(arr))
 
+    def __reduce__(self):
+        # unpickled arrays are writable, so a copy (a worker process's) is
+        # rebuilt, and so checked and frozen, by the constructor
+        return DataTable, (self.catalog, self.ids, self.features, self.labels)
+
     def __len__(self) -> int:
         return int(self.ids.shape[0])
 

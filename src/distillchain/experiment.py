@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import ClassVar
@@ -62,6 +63,13 @@ class SyntheticSpec:
     spread: float = 0.9
 
 
+def _check_echoable(key: str, text: str) -> None:
+    """What the config_resolved.cfg echo can carry: the config file reader
+    splits lines, cuts each at its first ``#`` and strips the value."""
+    if "#" in text or len(text.splitlines()) > 1 or text.strip() != text:
+        raise ValueError(f"{key} must hold no '#' or line break, nor edge whitespace: {text!r}")
+
+
 @dataclass(frozen=True)
 class DataFiles:
     kind: ClassVar[str] = "files"
@@ -69,6 +77,10 @@ class DataFiles:
     train: str
     validation: str
     test: str
+
+    def __post_init__(self) -> None:
+        for name in ("train", "validation", "test"):
+            _check_echoable(f"data.{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,7 @@ class ExperimentConfig:
             raise ValueError("arch.hidden widths must be positive")
         for fraction in self.fractions:  # SplitSpec's rules, before any cell runs
             SplitSpec(fraction, self.early_stop_fraction)
+        _check_echoable("out", self.out_dir)
 
 
 _SOURCES = {source.kind: source for source in (SyntheticSpec, DataFiles)}
@@ -340,8 +353,8 @@ def _prepare_cells(dataset, cfg, cells, role, modes):
 def _run_cells(
     dataset: tuple[DataTable, DataTable, DataTable],
     cfg: ExperimentConfig,
-    cells: list[tuple[int, int]],
     sweep: _Sweep,
+    cells: list[tuple[int, int]],
 ) -> list[_CellOutput]:
     """(f_idx, run) cells of ``sweep``: every trainable cell's chain advanced
     together by ``run_chains``, and each outcome turned into the cell's
@@ -436,22 +449,6 @@ def _write_cell_artifacts(cfg, fraction, run, splits, result) -> None:
             )
 
 
-_WORKER_DATASET: tuple[DataTable, DataTable, DataTable] | None = None
-_WORKER_CFG: ExperimentConfig | None = None
-
-
-def _init_worker(cfg: ExperimentConfig) -> None:
-    global _WORKER_DATASET, _WORKER_CFG
-    _WORKER_CFG = cfg
-    _WORKER_DATASET = prepare_dataset(cfg)
-
-
-def _run_worker_group(task) -> list[_CellOutput]:
-    sweep, cells = task
-    assert _WORKER_CFG is not None and _WORKER_DATASET is not None
-    return _run_cells(_WORKER_DATASET, _WORKER_CFG, cells, sweep)
-
-
 # Cells trained in one lockstep group at most. Memory grows with every cell
 # in flight, while past about eight members a stacked training step gets
 # little cheaper per model: on a 2-core x86 host, per model and step, about
@@ -472,18 +469,16 @@ def _execute_cells(
     cfg: ExperimentConfig, sweep: _Sweep, dataset: tuple[DataTable, DataTable, DataTable]
 ) -> list[_CellOutput]:
     """Run every (fraction, run) cell of ``sweep`` in lockstep groups from
-    ``_cell_groups``: one after another at jobs = 1, otherwise shared out
-    to the workers, each of which loads its own copy of the dataset instead
-    of receiving ``dataset``."""
+    ``_cell_groups``, each by one ``_run_cells`` on ``dataset``: one group
+    after another at jobs = 1, otherwise shared out to worker processes,
+    which receive the tables by pickle and read no input."""
     cells = [(f_idx, run) for f_idx in range(len(cfg.fractions)) for run in range(cfg.runs)]
     groups = _cell_groups(cells, cfg.jobs)
+    run = partial(_run_cells, dataset, cfg, sweep)
     if cfg.jobs == 1:
-        return [out for group in groups for out in _run_cells(dataset, cfg, group, sweep)]
-    with ProcessPoolExecutor(
-        max_workers=min(cfg.jobs, len(groups)), initializer=_init_worker, initargs=(cfg,)
-    ) as pool:
-        tasks = [(sweep, group) for group in groups]
-        return [out for outputs in pool.map(_run_worker_group, tasks) for out in outputs]
+        return [out for outputs in map(run, groups) for out in outputs]
+    with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(groups))) as pool:
+        return [out for outputs in pool.map(run, groups) for out in outputs]
 
 
 def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:

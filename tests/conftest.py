@@ -1,5 +1,9 @@
+import functools
 import importlib
+import os
 import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -69,20 +73,58 @@ def tiny_config(tmp_path, **overrides):
     return ExperimentConfig(**settings)
 
 
-def simulated_avx2_host():
-    """The environment under which a child process computes as an x86-64
-    AVX2 host would: numpy without the dispatch targets above X86_V3 that
-    the running host enables (numpy reads NPY_DISABLE_CPU_FEATURES at import),
-    and OpenBLAS on its Haswell kernels (a DYNAMIC_ARCH build honours
-    OPENBLAS_CORETYPE). None off x86-64, on a host without X86_V3, or on a
-    numpy that names no X86_V3 dispatch target."""
+# Prints the core numpy's bundled OpenBLAS runs, read back through the
+# library's own scipy_openblas_get_corename64_, or nothing when no library
+# under numpy.libs exports it.
+_CORE_NAME = """
+import ctypes, pathlib, numpy
+for lib in sorted((pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+    corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+        print(corename().decode())
+        break
+"""
+
+
+def openblas_core(host_env=None):
+    """The OpenBLAS core a child process reports that it runs with
+    ``host_env`` added to its environment, or None when its OpenBLAS does
+    not report one. A DYNAMIC_ARCH build may run another core than
+    OPENBLAS_CORETYPE asks for."""
+    done = subprocess.run(
+        [sys.executable, "-c", _CORE_NAME],
+        env={**os.environ, **(host_env or {})}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip() or None
+
+
+def numpy_x86_v3():
+    """The environment under which a child's numpy dispatches no higher than
+    X86_V3: the targets above it that the running host enables, disabled
+    (numpy reads NPY_DISABLE_CPU_FEATURES at import). None off x86-64, on a
+    host without X86_V3, or on a numpy that names no X86_V3 dispatch target."""
     umath = importlib.import_module("numpy._core._multiarray_umath")
     dispatch, enabled = umath.__cpu_dispatch__, umath.__cpu_features__
     x86 = platform.machine().lower() in ("x86_64", "amd64")
     if not (x86 and enabled.get("X86_V3") and "X86_V3" in dispatch):
         return None
     above = [target for target in dispatch[dispatch.index("X86_V3") + 1 :] if enabled.get(target)]
-    return {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": ",".join(above)}
+    return {"NPY_DISABLE_CPU_FEATURES": ",".join(above)}
+
+
+@functools.cache
+def simulated_avx2_host():
+    """The environment under which a child process computes as an x86-64
+    AVX2 host would: numpy at X86_V3 (numpy_x86_v3) and OpenBLAS on its
+    Haswell kernels. None where numpy_x86_v3 is, or when the child's
+    OpenBLAS does not report Haswell as the core it runs."""
+    numpy_env = numpy_x86_v3()
+    if numpy_env is None:
+        return None
+    env = {"OPENBLAS_CORETYPE": "Haswell", **numpy_env}
+    return env if openblas_core(env) == "Haswell" else None
 
 
 def rare_class_tables():

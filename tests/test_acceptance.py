@@ -302,7 +302,7 @@ def test_checkpoints_on_the_pinned_weights(tmp_path, hidden):
 def test_checkpoints_on_the_pinned_weights_of_a_simulated_avx2_host(tmp_path, hidden):
     env = simulated_avx2_host()
     if env is None:
-        pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target")
+        pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target and OpenBLAS's Haswell kernels")
     # the CLI in a child process, fed the sweep's resolved configuration
     config = tmp_path / "sweep.cfg"
     config.write_text("\n".join(config_to_lines(checkpoint_sweep(tmp_path, hidden))) + "\n")

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,10 @@ def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "distillchain.cli", *args], capture_output=True, text=True
     )
+
+
+# A files source whose paths need not exist: build_config does not read them.
+FILES = {"source": "files", "data.train": "a.csv", "data.validation": "b.csv", "data.test": "c.csv"}
 
 
 def resolve(*argv):
@@ -81,6 +86,26 @@ arch.hidden = 8,4
             "--source", "files", "--data.train", "a.csv", "--data.validation", "b.csv", "--data.test", "c.csv"
         )
         assert cfg.source == DataFiles("a.csv", "b.csv", "c.csv")
+
+    @pytest.mark.parametrize("key", ["out", "data.train", "data.validation", "data.test"])
+    @pytest.mark.parametrize("text", ["r#1", " r", "r\t", "r\n1", "r\u20281"])
+    def test_texts_the_echo_cannot_carry_are_rejected_by_key(self, key, text):
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must hold no '#' or line break"):
+            build_config({**FILES, key: text})
+
+    @pytest.mark.parametrize("key", ["out", "data.train"])
+    @pytest.mark.parametrize("text", ["r#1", "r 1", "a=b", "r/ü x", " r", "r\n1", "", "c:\\r;1"])
+    def test_an_accepted_config_reads_back_from_its_echo(self, tmp_path, key, text):
+        # the config file reader cuts a line at its first '#' and strips the
+        # value, so the echo of any config built must survive both
+        try:
+            cfg = build_config({**FILES, key: text})
+        except ValueError as exc:
+            assert key in str(exc)
+            return
+        echo = tmp_path / "config_resolved.cfg"
+        echo.write_text("\n".join(config_to_lines(cfg)) + "\n", encoding="utf-8")
+        assert build_config(parse_config_file(echo)) == cfg
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -264,6 +289,12 @@ class TestCliCommands:
         no_reserve = ("--fractions", "0.99", "--early_stop_fraction", "0.05")
         assert run_cli("chain", *no_reserve, "--out", str(out)).returncode == 1
         assert not out.exists()
+
+    def test_an_out_dir_the_echo_cannot_carry_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["chain", *FAST, "--out", "r#1"]) == 1
+        assert "error: out must hold no '#'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("fault", ["no label", "catalog"])
     def test_bad_input_file_exits_one_naming_it(self, tmp_path, capsys, fault):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -90,6 +91,18 @@ class TestDataTable:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
         np.random.default_rng(0).shuffle(ids)  # the caller's array is still theirs
+
+    def test_an_unpickled_table_is_equal_and_read_only(self, two_class_catalog):
+        # a sweep's worker processes receive their tables by pickle
+        table = table_from(two_class_catalog, [[0.5, 1.0], [2.0, -1.0], [0.0, 3.0]], labels=[1, 0, 1], ids=[4, 2, 9])
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy.catalog == table.catalog
+        for name in ("ids", "features", "labels"):
+            arr = getattr(copy, name)
+            assert np.array_equal(arr, getattr(table, name)) and arr.dtype == getattr(table, name).dtype
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
     @pytest.mark.parametrize(
         "rows,ids,why",

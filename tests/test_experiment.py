@@ -28,7 +28,7 @@ from distillchain import (
     run_chain_experiment,
     write_table,
 )
-from distillchain.dataset import ClassCatalog
+from distillchain.dataset import ClassCatalog, classes_path
 from distillchain.reports import (
     SUMMARY_HEADER,
     fraction_tag,
@@ -112,6 +112,40 @@ def test_files_source_reads_each_table_once(tmp_path, monkeypatch, sweep):
     monkeypatch.setattr(experiment, "read_table", counting_read_table)
     sweep(tiny_config(tmp_path, source=DataFiles(*paths), fractions=(0.2,), runs=1))
     assert sorted(calls) == sorted(paths)
+
+
+@pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
+def test_workers_read_no_input_file(tmp_path, monkeypatch, sweep):
+    # the tables and their sidecars are deleted as soon as the sweep has
+    # read them, so a worker process that reads the inputs again fails
+    paths = [tmp_path / f"{name}.csv" for name in ("train", "validation", "test")]
+
+    def write_inputs():
+        for path, table in zip(paths, generate_synthetic(3, 40, 3, 0.4, seed=11)):
+            write_table(path, table)
+
+    written = {}
+    for jobs in (1, 2):
+        write_inputs()
+        out = tmp_path / f"jobs{jobs}"
+        cfg = tiny_config(out, source=DataFiles(*map(str, paths)), fractions=(0.1, 0.2, 1.0), jobs=jobs)
+        if jobs == 2:
+            read_once = experiment.prepare_dataset
+
+            def read_then_delete(cfg):
+                dataset = read_once(cfg)
+                for path in paths:
+                    path.unlink()
+                    classes_path(path).unlink()
+                return dataset
+
+            monkeypatch.setattr(experiment, "prepare_dataset", read_then_delete)
+        sweep(cfg)
+        written[jobs] = {
+            p.name: p.read_bytes() for p in sorted((out / "out").iterdir()) if p.name != "config_resolved.cfg"
+        }
+    assert not any(path.exists() or classes_path(path).exists() for path in paths)
+    assert "runs.csv" in written[1] and written[2] == written[1]
 
 
 @pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])

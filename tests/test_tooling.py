@@ -16,7 +16,7 @@ import pytest
 from distillchain.experiment import build_config, config_to_lines
 from distillchain.reports import TraceRow, read_rows
 
-from conftest import simulated_avx2_host, tiny_config
+from conftest import numpy_x86_v3, openblas_core, simulated_avx2_host, tiny_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -125,12 +125,23 @@ def test_fast_benchmark_prints_the_hashes_of_its_files(tmp_path):
     assert fast_benchmark_hashes(tmp_path) == FAST_HASHES
 
 
+def test_openblas_reports_the_core_it_runs():
+    # OPENBLAS_CORETYPE is a request that a DYNAMIC_ARCH OpenBLAS may map to
+    # another core; what runs is read back from the library in the child
+    if numpy_x86_v3() is None:
+        pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target")
+    core = openblas_core({"OPENBLAS_CORETYPE": "Haswell"})
+    if core is None:
+        pytest.skip("numpy's OpenBLAS does not report its core")
+    assert core == "Haswell"
+
+
 def test_fast_benchmark_hashes_hold_on_a_simulated_avx2_host(tmp_path):
     # the weights depend on numpy's dispatch level and OpenBLAS's kernel;
     # the pinned CSVs must not
     env = simulated_avx2_host()
     if env is None:
-        pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target")
+        pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target and OpenBLAS's Haswell kernels")
     # the child must see the targets as off, or it checks this host again
     seen = subprocess.run(
         [sys.executable, "-c", "import json, numpy._core._multiarray_umath as m; print(json.dumps(m.__cpu_features__))"],
