@@ -22,7 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import numpy_x86_v3, openblas_core  # noqa: E402
+from conftest import host_kind, numpy_x86_v3  # noqa: E402
 
 CORES = ("SkylakeX", "Haswell", "Sandybridge", "Prescott")
 TESTS = ("tests/test_learner.py", "tests/test_chain.py")
@@ -54,7 +54,7 @@ def main() -> int:
     print(f"{'requested':<14} {'reported':<12} {'coverage':<40} tests")
     any_failed, uncovered = False, []
     for requested, env in hosts:
-        reported = openblas_core(env) or "unknown"
+        reported = host_kind(env)[1]
         summary, ok = run_tests(env)
         any_failed |= not ok
         if "OPENBLAS_CORETYPE" not in env:

@@ -4,8 +4,10 @@
 Baseline labelled-fraction sweep, then the teacher-student chain sweep with
 the baseline's best mean as the chart reference, into <out>/baseline and
 <out>/chain. The printed table compares the teacher with the best selected
-chain iteration per fraction; the last lines are the output hashes that
-pin the results byte for byte (first 16 hex digits of sha256).
+chain iteration per fraction; the last lines name the host kind (numpy's
+highest enabled dispatch target and OpenBLAS's core, scripts/host_kind.py)
+and the output hashes that pin the results byte for byte (first 16 hex
+digits of sha256).
 """
 
 import argparse
@@ -17,6 +19,7 @@ import numpy as np
 
 from distillchain import ExperimentConfig, SyntheticSpec, run_baseline_sweep, run_chain_experiment
 from distillchain.reports import read_runs_csv, read_traces_csv
+from host_kind import host_kind
 
 # The outputs whose hashes are the byte-identity oracle of a seeded run.
 HASHED = (
@@ -69,7 +72,9 @@ def main() -> None:
         t_mean, b_mean = float(np.mean(teacher)), float(np.mean(best[fraction]))
         print(f"{fraction:8g}  {t_mean:12.4f}  {b_mean:15.4f}  {b_mean - t_mean:+.4f}")
 
-    print("\noutput hashes:")
+    # trained weights differ between host kinds, so the hashes name theirs
+    print("\nhost: numpy {}, OpenBLAS {}".format(*host_kind()))
+    print("output hashes:")
     for name in HASHED:
         print(f"  {name}: {hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]}")
 

@@ -278,12 +278,8 @@ def generate_synthetic(
     scale (closest pair at distance 2), so ``spread`` alone controls
     difficulty. Requires per_class >= 10 so every split is non-empty.
     """
-    if classes < 2:
-        raise ValueError("classes must be >= 2")
     if per_class < 10:
         raise ValueError("per_class must be >= 10 for non-empty 8:1:1 splits")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
     if not spread > 0.0:
         raise ValueError("spread must be positive")
 
@@ -441,8 +437,6 @@ def normalize_splits(splits: SplitResult) -> SplitResult:
 # the per-row Python objects of one block at a time are alive.
 _BLOCK_LINES = 4096
 
-_INT64 = range(-(2**63), 2**63)  # the ids a table's int64 array can hold
-
 
 def classes_path(path: Path | str) -> Path:
     return Path(path).with_suffix(".classes")
@@ -495,57 +489,44 @@ def _line_blocks(f: Iterator[str]) -> Iterator[tuple[int, list[str]]]:
         lineno += len(lines)
 
 
-def _raise_first_bad_line(
-    path: Path, start: int, lines: list[str], d: int, label_of: dict[str, int]
-) -> None:
-    """Raise TableParseError for the first bad line of ``lines`` (numbered from
-    ``start``), checking its field count, then id, then label, then features."""
-    for lineno, line in enumerate(lines, start):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 2:
-            raise TableParseError(
-                f"{path}: line {lineno}: expected {d + 2} fields, got {len(parts)}"
-            )
-        try:
-            if int(parts[0]) not in _INT64:
-                raise ValueError
-        except ValueError:
-            raise TableParseError(f"{path}: line {lineno}: bad id {parts[0]!r}") from None
-        if parts[1] not in label_of:
-            why = f"label {parts[1]!r} not in catalog" if parts[1] else "no label; every row must be labelled"
-            raise TableParseError(f"{path}: line {lineno}: {why}")
-        try:
-            for v in parts[2:]:
-                float(v)
-        except ValueError:
-            raise TableParseError(f"{path}: line {lineno}: non-numeric feature") from None
-
-
 def _parse_block(
     path: Path, start: int, lines: list[str], d: int, label_of: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Line numbers, ids, labels and (n, d) features of the non-blank
-    ``lines``, numbered from ``start``; blank lines are skipped."""
+    ``lines``, numbered from ``start``; blank lines are skipped.
+
+    A block that fails is parsed again in halves, the first half first, so
+    that its first line that fails alone raises the TableParseError, naming
+    the first of its field count, id, label and features that fails."""
     rows = list(filter(None, lines))
     if len(rows) == len(lines):
         linenos = np.arange(start, start + len(lines))
     else:
         linenos = start + np.flatnonzero(list(map(bool, lines)))
     n, width = len(rows), d + 2
+    # why a one-line block fails: the reason of the step under way
+    why = lambda fields: f"expected {width} fields, got {len(fields)}"
     try:
         if set(map(str.count, rows, repeat(","))) - {width - 1}:  # a row of other width
             raise ValueError("wrong field count")
         tokens = ",".join(rows).split(",") if rows else []
-        ids = np.fromiter(map(int, tokens[::width]), np.int64, n)
+        why = lambda fields: f"bad id {fields[0]!r}"
+        ids = np.fromiter(map(int, tokens[::width]), np.int64, n)  # OverflowError past int64
+        why = lambda fields: (
+            f"label {fields[1]!r} not in catalog" if fields[1] else "no label; every row must be labelled"
+        )
         labels = np.fromiter(map(label_of.__getitem__, tokens[1::width]), np.int64, n)
+        why = lambda fields: "non-numeric feature"
         del tokens[::width]  # the ids; the labels now recur every width - 1
         del tokens[:: width - 1]
         features = np.fromiter(map(float, tokens), np.float64, n * d).reshape(n, d)
     except (ValueError, KeyError, OverflowError):
-        _raise_first_bad_line(path, start, lines, d, label_of)
-        raise
+        if n == 1:
+            raise TableParseError(f"{path}: line {linenos[0]}: {why(rows[0].split(','))}") from None
+        half = len(lines) // 2
+        parsed = [_parse_block(path, start, lines[:half], d, label_of)]
+        parsed.append(_parse_block(path, start + half, lines[half:], d, label_of))
+        return tuple(map(np.concatenate, zip(*parsed)))
     return linenos, ids, labels, features
 
 

@@ -124,8 +124,6 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if not 0.0 <= self.early_stop_fraction < 1.0:
-            raise ValueError("early_stop_fraction must be in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.chain.iterations < 1:
@@ -323,11 +321,14 @@ def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
     return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
 
 
-def _prepare_cells(dataset, cfg, cells, role, modes):
-    """Each (f_idx, run) cell's base rows, one per mode, seeded by ``role``,
-    with its normalized splits and its pool's truth; a cell whose split fails
-    gets its skip rows instead, keyed by its position in ``cells``. The pool,
-    validation and test are not copied: they are normalized where read."""
+def _prepare_cells(dataset, cfg, sweep, cells):
+    """Each (f_idx, run) cell's base rows, one per mode of ``sweep`` and
+    seeded by its role, with its normalized splits and its pool's truth; a
+    cell whose split fails, or whose pool is empty while the chain has
+    students, gets skip rows instead, keyed by its position in ``cells``.
+    The pool, validation and test are not copied: they are normalized where
+    read."""
+    role, modes, chain_cfg, _ = sweep
     train = dataset[0]
     prepared, skipped = [], {}
     for slot, (f_idx, run) in enumerate(cells):
@@ -342,6 +343,8 @@ def _prepare_cells(dataset, cfg, cells, role, modes):
                 balance_labelled=cfg.balance_labelled,
             )
             splits, truth = make_splits(train, spec)
+            if chain_cfg.iterations > 0 and len(splits.pool) == 0:
+                raise ValueError("empty pool")
             splits = normalize_splits(splits)
         except ValueError as exc:
             skipped[slot] = _skipped(bases, exc)
@@ -358,17 +361,12 @@ def _run_cells(
 ) -> list[_CellOutput]:
     """(f_idx, run) cells of ``sweep``: every trainable cell's chain advanced
     together by ``run_chains``, and each outcome turned into the cell's
-    output by the sweep's output function. A cell whose split fails, or
-    whose chain has students but an empty pool, becomes skip rows."""
-    role, modes, chain_cfg, output = sweep
+    output by the sweep's output function. A cell that ``_prepare_cells``
+    skips becomes its skip rows."""
+    _, _, chain_cfg, output = sweep
     train, val, test = dataset
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    prepared, outputs = _prepare_cells(dataset, cfg, cells, role, modes)
-    if chain_cfg.iterations > 0:
-        for slot, bases, splits, _ in prepared:
-            if len(splits.pool) == 0:
-                outputs[slot] = _skipped(bases, ValueError("empty pool"))
-        prepared = [cell for cell in prepared if cell[0] not in outputs]
+    prepared, outputs = _prepare_cells(dataset, cfg, sweep, cells)
     results = run_chains(
         [(splits, truth, val, test, bases[0].seed) for _, bases, splits, truth in prepared],
         arch,

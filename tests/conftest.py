@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,31 +74,20 @@ def tiny_config(tmp_path, **overrides):
     return ExperimentConfig(**settings)
 
 
-# Prints the core numpy's bundled OpenBLAS runs, read back through the
-# library's own scipy_openblas_get_corename64_, or nothing when no library
-# under numpy.libs exports it.
-_CORE_NAME = """
-import ctypes, pathlib, numpy
-for lib in sorted((pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-    corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-    if corename is not None:
-        corename.restype = ctypes.c_char_p
-        print(corename().decode())
-        break
-"""
+HOST_KIND = Path(__file__).resolve().parents[1] / "scripts" / "host_kind.py"
 
 
-def openblas_core(host_env=None):
-    """The OpenBLAS core a child process reports that it runs with
-    ``host_env`` added to its environment, or None when its OpenBLAS does
-    not report one. A DYNAMIC_ARCH build may run another core than
-    OPENBLAS_CORETYPE asks for."""
+def host_kind(host_env=None):
+    """The host kind, (numpy's highest enabled dispatch target, OpenBLAS
+    core), that a child process reports with ``host_env`` added to its
+    environment (scripts/host_kind.py)."""
     done = subprocess.run(
-        [sys.executable, "-c", _CORE_NAME],
+        [sys.executable, str(HOST_KIND)],
         env={**os.environ, **(host_env or {})}, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip() or None
+    target, core = done.stdout.split()
+    return target, core
 
 
 def numpy_x86_v3():
@@ -124,7 +114,7 @@ def simulated_avx2_host():
     if numpy_env is None:
         return None
     env = {"OPENBLAS_CORETYPE": "Haswell", **numpy_env}
-    return env if openblas_core(env) == "Haswell" else None
+    return env if host_kind(env)[1] == "Haswell" else None
 
 
 def rare_class_tables():

@@ -40,6 +40,7 @@ from distillchain.reports import read_runs_csv, read_traces_csv
 
 from conftest import (
     gradcheck_case,
+    host_kind,
     max_relative_error,
     reaches_labels,
     simulated_avx2_host,
@@ -271,34 +272,42 @@ def test_criterion_4_experiment_determinism(tmp_path):
 # model_*.json checkpoints (names and bytes, in name order) of a tiny seeded
 # chain sweep, per arch.hidden. The CSVs above see a weight only when it flips
 # a prediction; a checkpoint holds every float exactly. Weights hold per host
-# kind (README, "Seeds and determinism"): these pins belong to numpy
-# dispatching up to AVX512_SPR with OpenBLAS on its SkylakeX kernels.
-CHECKPOINT_HASHES = {(): "4040be0258bda898", (4,): "083ea42294b4e7aa"}
-# The same sweep on a simulated AVX2 host (conftest.simulated_avx2_host):
-# numpy with X86_V4, AVX512_ICL and AVX512_SPR off, OpenBLAS on Haswell.
-AVX2_CHECKPOINT_HASHES = {(): "5de7f0b44dd3d5b4", (4,): "a7accb6b63ceaeb6"}
+# kind (README, "Seeds and determinism"), so the pins are keyed by it:
+# (numpy's highest enabled dispatch target, OpenBLAS core), as
+# scripts/host_kind.py reports them. The X86_V3 / Haswell pins are those of a
+# simulated AVX2 host (conftest.simulated_avx2_host).
+CHECKPOINT_HASHES = {
+    ("AVX512_SPR", "SkylakeX"): {(): "4040be0258bda898", (4,): "083ea42294b4e7aa"},
+    ("X86_V3", "Haswell"): {(): "5de7f0b44dd3d5b4", (4,): "a7accb6b63ceaeb6"},
+}
+HIDDEN = [(), (4,)]
 
 
 def checkpoint_sweep(tmp_path, hidden):
     return tiny_config(tmp_path, fractions=(0.2,), arch_hidden=hidden, save_models=True)
 
 
-def checkpoint_digest(out):
+def check_checkpoints(out, kind, hidden):
+    """The checkpoints under ``out`` against the pin of host kind ``kind``."""
     paths = sorted(out.glob("model_*.json"))
     digest = hashlib.sha256()
     for path in paths:
         digest.update(path.name.encode() + b"\n" + path.read_bytes())
     assert len(paths) == 6  # 2 runs x the teacher and 2 students
-    return digest.hexdigest()[:16]
+    computed = digest.hexdigest()[:16]
+    assert kind in CHECKPOINT_HASHES, (
+        f"no weight pins for host kind {kind}; arch.hidden {hidden} gave {computed}"
+    )
+    assert computed == CHECKPOINT_HASHES[kind][hidden]
 
 
-@pytest.mark.parametrize("hidden", list(CHECKPOINT_HASHES))
+@pytest.mark.parametrize("hidden", HIDDEN)
 def test_checkpoints_on_the_pinned_weights(tmp_path, hidden):
     run_chain_experiment(checkpoint_sweep(tmp_path, hidden))
-    assert checkpoint_digest(tmp_path / "out") == CHECKPOINT_HASHES[hidden]
+    check_checkpoints(tmp_path / "out", host_kind(), hidden)
 
 
-@pytest.mark.parametrize("hidden", list(AVX2_CHECKPOINT_HASHES))
+@pytest.mark.parametrize("hidden", HIDDEN)
 def test_checkpoints_on_the_pinned_weights_of_a_simulated_avx2_host(tmp_path, hidden):
     env = simulated_avx2_host()
     if env is None:
@@ -312,7 +321,7 @@ def test_checkpoints_on_the_pinned_weights_of_a_simulated_avx2_host(tmp_path, hi
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert checkpoint_digest(tmp_path / "out") == AVX2_CHECKPOINT_HASHES[hidden]
+    check_checkpoints(tmp_path / "out", host_kind(env), hidden)
 
 
 def test_criterion_5_baseline_trend(tmp_path):

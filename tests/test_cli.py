@@ -288,6 +288,7 @@ class TestCliCommands:
         assert run_cli("baseline", "--arch.hidden", "0", "--out", str(out)).returncode == 1
         no_reserve = ("--fractions", "0.99", "--early_stop_fraction", "0.05")
         assert run_cli("chain", *no_reserve, "--out", str(out)).returncode == 1
+        assert run_cli("chain", "--early_stop_fraction", "1.0", "--out", str(out)).returncode == 1
         assert not out.exists()
 
     def test_an_out_dir_the_echo_cannot_carry_exits_one(self, tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from distillchain import (
     ChainConfig,
     DataFiles,
     ExperimentConfig,
+    NumericError,
     RunRow,
     SyntheticSpec,
     TableParseError,
@@ -26,6 +27,7 @@ from distillchain import (
     read_table,
     run_baseline_sweep,
     run_chain_experiment,
+    train_lockstep,
     write_table,
 )
 from distillchain.dataset import ClassCatalog, classes_path
@@ -232,7 +234,7 @@ def test_prepared_cells_hold_no_copy_of_the_pool(role):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prepared, skipped = experiment._prepare_cells(dataset, cfg, cells, role, ("chain_best",))
+        prepared, skipped = experiment._prepare_cells(dataset, cfg, (role, ("chain_best",), cfg.chain, None), cells)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -290,8 +292,9 @@ class TestBaselineSweep:
         for r in ok:
             params, seed = load_model(out / f"model_{fraction_tag(r.fraction)}_{r.run}_iter0.json")
             cell = (cfg.fractions.index(r.fraction), r.run)
+            teacher = ChainConfig(iterations=0, finetune=cfg.train)
             [(_, _, splits, _)], _ = experiment._prepare_cells(
-                dataset, cfg, [cell], experiment._ROLE_TRAIN, ("baseline",)
+                dataset, cfg, (experiment._ROLE_TRAIN, ("baseline",), teacher, None), [cell]
             )
             assert seed == r.seed
             assert evaluate(params, splits.normalized(dataset[2]))[0] == r.test_accuracy
@@ -308,6 +311,41 @@ class TestChainExperiment:
         assert {r.fraction for r in skipped} == {1.0}
         assert all("empty pool" in r.status for r in skipped)
         assert (tmp_path / "out" / "chain_curves.svg").exists()
+
+    def test_an_aborted_chain_skips_its_cell_alone(self, tmp_path, monkeypatch):
+        # the first pretraining round (the second lockstep call) fails its
+        # first job, cell (0.2, 0)'s, and trains the rest as usual
+        calls = []
+
+        def failing_first_pretraining(arch, jobs):
+            calls.append(len(jobs))
+            if len(calls) != 2:
+                return train_lockstep(arch, jobs)
+            return [NumericError("boom"), *train_lockstep(arch, jobs[1:])]
+
+        run_chain_experiment(tiny_config(tmp_path / "plain"))
+        monkeypatch.setattr(chain, "train_lockstep", failing_first_pretraining)
+        summary = run_chain_experiment(tiny_config(tmp_path / "aborted"))
+        assert calls[:2] == [2, 2]
+        plain, aborted = tmp_path / "plain" / "out", tmp_path / "aborted" / "out"
+
+        def lines(out, name, at, cell):
+            """The lines of ``name`` whose two columns from ``at`` are ``cell``."""
+            rows = (out / name).read_text().splitlines()
+            return [line for line in rows if line.split(",")[at : at + 2] == cell]
+
+        status = "skipped: chain aborted at iteration 1: boom"
+        assert {r.mode: r.status for r in summary.details if (r.fraction, r.run) == (0.2, 0)} == {
+            "chain_best": status, "chain_final": status,
+        }
+        assert lines(aborted, "traces.csv", 0, ["0", "0.2"]) == []
+        assert not (aborted / "confusion_0.2_0.csv").exists()
+        # runs.csv leads with mode, fraction, run; traces.csv with run, fraction
+        for name, at, cell in (("runs.csv", 1, ["0.2", "1"]), ("traces.csv", 0, ["1", "0.2"])):
+            assert lines(aborted, name, at, cell) == lines(plain, name, at, cell) != []
+        assert (aborted / "confusion_0.2_1.csv").read_bytes() == (plain / "confusion_0.2_1.csv").read_bytes()
+        rows = [line.split(",") for line in (aborted / "summary.csv").read_text().splitlines()]
+        assert {tuple(row[-2:]) for row in rows if row[1] == "0.2"} == {("1", "n=1")}
 
     def test_selection_dominance_per_run(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -358,7 +396,7 @@ class TestChainExperiment:
         out = tmp_path / "out"
         dataset = experiment.prepare_dataset(cfg)
         [(_, _, splits, _)], _ = experiment._prepare_cells(
-            dataset, cfg, [(0, 0)], experiment._ROLE_CHAIN, ("chain_best",)
+            dataset, cfg, (experiment._ROLE_CHAIN, ("chain_best",), cfg.chain, None), [(0, 0)]
         )
         for i in range(1, 4):
             model, _ = load_model(out / f"model_0.2_0_iter{i - 1}.json")
@@ -435,6 +473,12 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError, match=r"labelled_fraction \+ early_stop_fraction must not exceed 1"):
             tiny_config(tmp_path, fractions=(0.2, 0.99), early_stop_fraction=0.05)
         assert tiny_config(tmp_path, fractions=(1.0,), early_stop_fraction=0.05).fractions == (1.0,)
+
+    @pytest.mark.parametrize("fraction", [1.0, -0.1])
+    def test_early_stop_fraction_bounds(self, fraction):
+        # SplitSpec's rule, checked for every swept fraction
+        with pytest.raises(ValueError, match=r"early_stop_fraction must be in \[0, 1\)"):
+            ExperimentConfig(early_stop_fraction=fraction)
 
     def test_runs_and_jobs_bounds(self, tmp_path):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ import pytest
 from distillchain.experiment import build_config, config_to_lines
 from distillchain.reports import TraceRow, read_rows
 
-from conftest import numpy_x86_v3, openblas_core, simulated_avx2_host, tiny_config
+from conftest import host_kind, numpy_x86_v3, simulated_avx2_host, tiny_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -107,13 +107,16 @@ FAST_HASHES = {
 def fast_benchmark_hashes(out, host_env=None):
     """The output hashes `scripts/run_benchmark.py --fast --seed 0` prints
     when run in a child process with ``host_env`` added to its environment,
-    each checked against the file it names."""
+    each checked against the file it names, after the host kind it prints
+    is checked against the one a child with ``host_env`` reports."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"), "--fast", "--seed", "0", "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **(host_env or {})},
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    host = re.search(r"^host: numpy (\S+), OpenBLAS (\S+)$", done.stdout, re.MULTILINE)
+    assert host and host.groups() == host_kind(host_env), done.stdout
     hashes = done.stdout.partition("output hashes:\n")[2].splitlines()
     printed = dict(line.strip().split(": ") for line in hashes)
     for name, digest in printed.items():
@@ -130,8 +133,8 @@ def test_openblas_reports_the_core_it_runs():
     # another core; what runs is read back from the library in the child
     if numpy_x86_v3() is None:
         pytest.skip("needs an x86-64 host with numpy's X86_V3 dispatch target")
-    core = openblas_core({"OPENBLAS_CORETYPE": "Haswell"})
-    if core is None:
+    core = host_kind({"OPENBLAS_CORETYPE": "Haswell"})[1]
+    if core == "unknown":
         pytest.skip("numpy's OpenBLAS does not report its core")
     assert core == "Haswell"
 
@@ -151,6 +154,8 @@ def test_fast_benchmark_hashes_hold_on_a_simulated_avx2_host(tmp_path):
     features = json.loads(seen.stdout)
     off = [name for name in env["NPY_DISABLE_CPU_FEATURES"].split(",") if name]
     assert features["X86_V3"] and not any(features[name] for name in off)
+    # so the hashes come from a process on X86_V3 with Haswell kernels
+    assert host_kind(env) == ("X86_V3", "Haswell")
     assert fast_benchmark_hashes(tmp_path, env) == FAST_HASHES
 
 
