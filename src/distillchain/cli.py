@@ -41,7 +41,7 @@ def parse_config_file(path: Path | str) -> dict[str, str]:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -33,10 +33,13 @@ class ClassCatalog:
             raise ValueError("class names must be unique")
         if not all(self.names):
             raise ValueError("class names must be non-empty")
-        # what a table file can carry: write_table joins names with commas
-        # and read_table splits lines and strips sidecar names
-        if any("," in n or n.splitlines() != [n] or n.strip() != n for n in self.names):
-            raise ValueError("class names must hold no comma or line break, nor edge whitespace")
+        # what a table file can carry: write_table joins names with commas,
+        # and read_table drops a sidecar's byte-order mark, splits lines and
+        # strips sidecar names
+        if any("," in n or n.splitlines() != [n] or n.strip() != n or n[0] == "\ufeff" for n in self.names):
+            raise ValueError(
+                "class names must hold no comma or line break, nor edge whitespace or a leading byte-order mark"
+            )
 
     @property
     def size(self) -> int:
@@ -113,6 +116,8 @@ class Normalizer:
         std = np.ascontiguousarray(self.std, dtype=np.float64)
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean and std must be 1-D arrays of equal length")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("mean and std must be finite")
         if np.any(std <= 0.0):
             raise ValueError("std entries must be strictly positive")
         object.__setattr__(self, "mean", _frozen_view(mean))
@@ -465,7 +470,7 @@ def write_table(path: Path | str, table: DataTable) -> None:
 def _read_catalog(sidecar: Path) -> ClassCatalog:
     if not sidecar.exists():
         raise TableParseError(f"missing catalog sidecar {sidecar}")
-    lines = sidecar.read_text(encoding="utf-8").splitlines()
+    lines = sidecar.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     if not lines:
         raise TableParseError(f"{sidecar}: empty catalog sidecar")
     try:
@@ -552,6 +557,7 @@ def _rejected_row(ids: np.ndarray, features: np.ndarray, linenos: np.ndarray) ->
 
 def read_table(path: Path | str) -> DataTable:
     """Read a CSV table; the catalog comes from the ``.classes`` sidecar.
+    A UTF-8 byte-order mark at the start of either file is dropped.
 
     Data lines are parsed in blocks of ``_BLOCK_LINES``, each in a few batched
     steps, with the same ``int``/``float`` builtins a per-line parse would
@@ -569,7 +575,7 @@ def read_table(path: Path | str) -> DataTable:
         start, lines = next(blocks, (1, []))
         if not lines:
             raise TableParseError(f"{path}: empty file")
-        header = lines[0].split(",")
+        header = lines[0].removeprefix("\ufeff").split(",")
         if len(header) < 3 or header[0] != "id" or header[1] != "label":
             raise TableParseError(f"{path}: line 1: header must be id,label,f0,...")
         d = len(header) - 2

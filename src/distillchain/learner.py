@@ -397,31 +397,6 @@ class _Member:
         return picks, picks if self.rows is None else self.rows[picks]
 
 
-def _early_stop_groups(arch: ArchSpec, members: list[_Member]) -> list[tuple]:
-    """Members grouped by early-stop row count: each group's positions,
-    stacked features and labels, and forward buffers."""
-    by_rows: dict[int, list[int]] = {}
-    for k, mb in enumerate(members):
-        by_rows.setdefault(len(mb.early_stop), []).append(k)
-    return [
-        (np.array(pos), np.stack([members[k].early_stop.features for k in pos]),
-         np.stack([members[k].early_stop.labels for k in pos]),
-         _Scratch(arch, (len(pos),), rows, backprop=False), np.empty((len(pos), rows, arch.output_dim)))
-        for rows, pos in by_rows.items()
-    ]
-
-
-def _early_stop_accuracy(arch: ArchSpec, theta: np.ndarray, groups: list[tuple]) -> np.ndarray:
-    """Each member's hard accuracy on its early-stop table, as
-    :func:`evaluate` gives it: one stacked forward per group."""
-    accuracy = np.empty(theta.shape[0])
-    for pos, x, labels, scratch, probs in groups:
-        weights, biases = _layer_views(arch, theta[pos])
-        _forward_into(scratch, [w.mT for w in weights], [b[:, None, :] for b in biases], x, probs)
-        accuracy[pos] = np.count_nonzero(probs.argmax(axis=-1) == labels, axis=-1) / labels.shape[-1]
-    return accuracy
-
-
 def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcome]:
     """Train one model per job in lockstep; each comes out bit-identical,
     weights and history, to training it alone.
@@ -431,11 +406,13 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     all K members, which share the step counter, writing into buffers made
     when the group starts or shrinks. The loss is taken once per 16-step
     gather and summed in step order; the epoch's early-stop accuracies come
-    from one stacked forward per early-stop row count. A member leaves the
-    group when it stops by patience or its epoch fails (non-finite loss or
-    params: NumericError). The outcome per job is ``(params, history)`` or
-    the ValueError/ArithmeticError that ended that job alone. All jobs must
-    share their TrainConfig.
+    from one stacked forward through the step's own weight views. A member
+    leaves the group when it stops by patience or its epoch fails
+    (non-finite loss or params: NumericError). The outcome per job is
+    ``(params, history)`` or the ValueError/ArithmeticError that ended that
+    job alone. All jobs must share their TrainConfig, and the jobs that pass
+    their own checks (:func:`evaluate`'s of their early-stop table among
+    them) must share their early-stop row count, or ValueError is raised.
 
     Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
     once ``patience`` consecutive epochs fail to improve the early-stop
@@ -454,6 +431,8 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             members.append(_Member(slot, arch, job))
         except ValueError as exc:
             outcomes[slot] = exc
+    if len({len(mb.early_stop) for mb in members}) > 1:
+        raise ValueError("lockstep jobs must share their early-stop row count")
     if config.max_epochs == 0 or not members:
         for member in members:
             outcomes[member.slot] = (member.init, TrainHistory())
@@ -484,8 +463,11 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             ts, probs, logs = (np.empty((chunk, k, batch, arch.output_dim)) for _ in range(3))
             # row 0 stays 0.0, the start of each member's in-order loss sum
             losses = np.zeros((steps + 1, k))
-            early_stop = _early_stop_groups(arch, members)
             step_views = list(zip(xs, ts, probs))
+            es_x = np.stack([mb.early_stop.features for mb in members])
+            es_labels = np.stack([mb.early_stop.labels for mb in members])
+            es_scratch = _Scratch(arch, (k,), es_labels.shape[1], backprop=False)
+            es_probs = np.empty((*es_labels.shape, arch.output_dim))
         rows = [mb.epoch_rows(steps, batch) for mb in members]
         for s in range(steps):
             c = s % chunk
@@ -510,7 +492,9 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
         # accumulate adds row by row: the sum in step order
         mean_loss = np.add.accumulate(losses, axis=0)[-1] / steps
         loss_ok, params_ok = np.isfinite(mean_loss), np.isfinite(theta).all(axis=1)
-        accuracy = _early_stop_accuracy(arch, theta, early_stop)
+        # each member's hard accuracy on its early-stop table, as evaluate gives it
+        _forward_into(es_scratch, weights_t, biases, es_x, es_probs)
+        accuracy = np.count_nonzero(es_probs.argmax(axis=-1) == es_labels, axis=-1) / es_labels.shape[1]
         staying = []
         for j, mb in enumerate(members):
             failed = "training loss" if not loss_ok[j] else None if params_ok[j] else "parameters"

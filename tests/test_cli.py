@@ -62,6 +62,11 @@ arch.hidden = 8,4
         assert values["chain.iterations"] == "4"
         assert values["arch.hidden"] == "8,4"
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfsource = synthetic\nseed = 9\n")
+        assert parse_config_file(cfg) == {"source": "synthetic", "seed": "9"}
+
     def test_unknown_key_names_line(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seed = 1\nnot_a_key = 2\n")

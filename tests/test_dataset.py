@@ -53,6 +53,12 @@ class TestClassCatalog:
             with pytest.raises(ValueError, match="no comma or line break"):
                 ClassCatalog(names)
 
+    def test_rejects_a_leading_byte_order_mark(self):
+        # a sidecar drops its byte-order mark, so a first name cannot keep one
+        for names in (("\ufeffa", "b"), ("a", "\ufeffb")):
+            with pytest.raises(ValueError, match="leading byte-order mark"):
+                ClassCatalog(names)
+
 
 class TestDataTable:
     def test_rejects_duplicate_ids(self, two_class_catalog):
@@ -195,6 +201,20 @@ class TestTableIO:
         assert np.array_equal(back.ids, table.ids)
         assert np.array_equal(back.features, table.features)
         assert np.array_equal(back.labels, table.labels)
+
+    @pytest.mark.parametrize("marked", [["t.csv"], ["t.classes"], ["t.csv", "t.classes"]])
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, two_class_catalog, marked):
+        # as spreadsheet programs and editors write one at the start of a file
+        table = table_from(two_class_catalog, [[0.5, -1.0], [2.0, 3.25]], labels=[1, 0], ids=[4, 7])
+        path = tmp_path / "t.csv"
+        write_table(path, table)
+        for name in marked:
+            file = tmp_path / name
+            file.write_bytes(b"\xef\xbb\xbf" + file.read_bytes())
+        back = read_table(path)
+        assert back.catalog == two_class_catalog
+        assert np.array_equal(back.ids, table.ids) and np.array_equal(back.labels, table.labels)
+        assert np.array_equal(back.features, table.features)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -835,6 +855,17 @@ class TestNormalize:
         ref = table_from(two_class_catalog, np.zeros((0, 2)), labels=np.zeros(0, dtype=int))
         with pytest.raises(ValueError, match="empty"):
             normalize(ref, [])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_statistics_rejected(self, two_class_catalog):
+        # finite features whose deviations overflow: an infinite std would
+        # map every feature to 0.0
+        ref = table_from(two_class_catalog, [[1e308], [-1e308]], labels=[0, 1])
+        with pytest.raises(ValueError, match="mean and std must be finite"):
+            normalize(ref, [ref])
+        for mean, std in (([0.0], [np.inf]), ([0.0], [np.nan]), ([np.inf], [1.0]), ([np.nan], [1.0])):
+            with pytest.raises(ValueError, match="mean and std must be finite"):
+                Normalizer(np.array(mean), np.array(std))
 
     def test_normalizer_leaves_the_callers_arrays_writable(self):
         mean, std = np.zeros(3), np.ones(3)

@@ -204,6 +204,17 @@ class TestPseudoLabelPool:
         assert pool.ids[labels.positions].tolist() == [1, 3, 4, 8, 10, 11]
         assert labels.soft.tobytes() == forward(params, copied).tobytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pool_rows_that_overflow_when_normalized_are_rejected(self, two_class_catalog):
+        # a finite source row and a finite normalizer can still give an
+        # infinite feature, which forward's finiteness scan catches
+        source = np.array([[0.5, 1.0], [1e300, 0.0]])
+        norm = Normalizer(mean=np.zeros(2), std=np.full(2, 1e-10))
+        pool = PoolView(two_class_catalog, source, np.arange(2), np.arange(2), norm)
+        params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 0)
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            pseudo_label_pool(params, pool)
+
     def test_dimension_mismatch(self, two_class_catalog):
         pool = pool_from(two_class_catalog, np.ones((2, 3)))
         params = init_params(ArchSpec(input_dim=2, hidden=(), output_dim=2), 0)

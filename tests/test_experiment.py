@@ -182,6 +182,21 @@ def test_uncoverable_early_stop_draw_is_skipped_not_crashed(tmp_path, sweep):
     assert all(r.status.startswith("skipped: no early-stop draw of 4 rows") for r in summary.details)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
+def test_overflowing_labelled_statistics_are_skipped_not_crashed(tmp_path, sweep):
+    # finite features whose deviations from the mean overflow when squared
+    train, validation, test = generate_synthetic(3, 40, 3, 0.4, seed=11)
+    features = train.features.copy()
+    features[:, 0] *= 1e160
+    paths = [str(tmp_path / f"{name}.csv") for name in ("train", "validation", "test")]
+    for path, table in zip(paths, (replace(train, features=features), validation, test)):
+        write_table(path, table)
+    summary = sweep(tiny_config(tmp_path, source=DataFiles(*paths), fractions=(0.2,)))
+    assert summary.details
+    assert all(r.status == "skipped: mean and std must be finite" for r in summary.details)
+
+
 def test_mismatched_class_sidecars_are_rejected(tmp_path):
     paths = [str(tmp_path / f"{name}.csv") for name in ("train", "validation", "test")]
     for path, table in zip(paths, generate_synthetic(3, 40, 3, 0.4, seed=11)):

@@ -468,23 +468,22 @@ class TestLockstep:
         for job, outcome in zip(jobs, outcomes):
             self.assert_matches_reference(arch, job, outcome)
 
+    @staticmethod
+    def head(table, n):
+        return table_from(table.catalog, table.features[:n], table.labels[:n], table.ids[:n])
+
     def test_early_stop_tables_of_every_kind_in_one_group(self):
-        # valid members whose early-stop tables have three row counts beside
-        # members whose tables evaluate rejects: each of those fails alone,
-        # with the error evaluate gives for its table
+        # valid members whose early-stop tables share a row count beside
+        # members whose tables evaluate rejects, at other row counts: each
+        # of those fails alone, with the error evaluate gives for its table
         arch, jobs = self.jobs((), 5)
-
-        def head(table, n):
-            return table_from(table.catalog, table.features[:n], table.labels[:n], table.ids[:n])
-
-        jobs[1] = replace(jobs[1], early_stop=head(jobs[1].early_stop, 11))
-        jobs[4] = replace(jobs[4], early_stop=head(jobs[4].early_stop, 5))
         es = jobs[0].early_stop
         bad = [
             table_from(ClassCatalog(("a", "b", "c", "d")), es.features, es.labels),
-            head(es, 0),
+            self.head(es, 0),
             table_from(es.catalog, es.features[:, :4], es.labels),
         ]
+        jobs = [replace(job, early_stop=self.head(job.early_stop, 11)) for job in jobs]
         jobs += [replace(jobs[0], early_stop=table) for table in bad]
         outcomes = train_lockstep(arch, jobs)
         assert [str(o) for o in outcomes[5:]] == [
@@ -496,9 +495,17 @@ class TestLockstep:
             with pytest.raises(ValueError) as expected:
                 evaluate(init_params(arch, 0), table)
             assert isinstance(outcome, ValueError) and str(outcome) == str(expected.value)
-        assert len({len(job.early_stop) for job in jobs[:5]}) == 3
+        assert [len(job.early_stop) for job in jobs] == [11] * 5 + [14, 0, 14]
         for j in range(5):
             self.assert_matches_reference(arch, jobs[j], outcomes[j])
+
+    @pytest.mark.parametrize("max_epochs", [0, 12])
+    def test_valid_members_must_share_early_stop_row_count(self, max_epochs):
+        arch, jobs = self.jobs((), 3)
+        jobs = [replace(job, config=replace(job.config, max_epochs=max_epochs)) for job in jobs]
+        jobs[1] = replace(jobs[1], early_stop=self.head(jobs[1].early_stop, 11))
+        with pytest.raises(ValueError, match="must share their early-stop row count$"):
+            train_lockstep(arch, jobs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blown_up_member_fails_alone(self):
