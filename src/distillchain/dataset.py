@@ -130,8 +130,9 @@ class Normalizer:
             raise ValueError(
                 f"normalizer dim {self.mean.shape[0]} does not match table dim {features.shape[-1]}"
             )
-        out = features - self.mean
-        out /= self.std
+        with np.errstate(over="ignore"):  # an overflow stays in ``out``, which forward rejects
+            out = features - self.mean
+            out /= self.std
         return out
 
     def apply(self, table: DataTable) -> DataTable:
@@ -353,10 +354,11 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
     for _ in range(10_000):
         order = _fisher_yates(np.arange(n), rng)
         early = order[:n_early]
-        if np.unique(ranked_labels[early]).size == c:
+        covered = np.bincount(ranked_labels[early], minlength=c)
+        if covered.all():
             break
     else:
-        lacked = [train.catalog.names[i] for i in np.setdiff1d(np.arange(c), ranked_labels[early])]
+        lacked = [train.catalog.names[i] for i in np.flatnonzero(covered == 0)]
         raise ValueError(
             f"no early-stop draw of {n_early} rows covered every class in 10000 tries; "
             f"the last lacked classes {lacked}"
@@ -377,7 +379,10 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
             labels=train.labels[rows],
         )
 
-    pool_rows = by_id[np.setdiff1d(remainder, labelled)]  # ascending ids
+    in_pool = np.zeros(n, dtype=bool)
+    in_pool[remainder] = True
+    in_pool[labelled] = False
+    pool_rows = by_id[np.flatnonzero(in_pool)]  # ascending ids
     result = SplitResult(
         labelled=subtable(labelled),
         early_stop=subtable(early),
@@ -421,8 +426,9 @@ def normalize(
     """
     if len(reference) == 0:
         raise ValueError("reference table is empty")
-    mean = reference.features.mean(axis=0)
-    std = reference.features.std(axis=0)
+    with np.errstate(over="ignore"):  # an overflow leaves a std the Normalizer rejects
+        mean = reference.features.mean(axis=0)
+        std = reference.features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     norm = Normalizer(mean=mean, std=std)
     return norm, [norm.apply(t) for t in targets]

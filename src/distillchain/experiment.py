@@ -10,8 +10,8 @@ numpy SeedSequence spawn keys, and (fraction, run) cells are independent, so
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+import itertools
+from collections.abc import Callable, Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .chain import ChainAborted, ChainConfig, run_chains
+from .chain import ChainAborted, ChainConfig, ChainResult, run_chains
 from .dataset import (
     DataTable,
     SplitSpec,
@@ -306,9 +306,13 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
 
 @dataclass(frozen=True)
 class _CellOutput:
+    """A cell's rows and trace rows; a trained cell's also hold its result
+    and its pool's sample ids, from which the parent writes its files."""
+
     rows: tuple[RunRow, ...]
     traces: tuple[TraceRow, ...] = ()
-    confusions: tuple[tuple[float, int, np.ndarray], ...] = ()
+    result: ChainResult | None = None
+    pool_ids: np.ndarray | None = None
 
 
 # All that tells the two sweeps apart: a cell's seed role and row modes, the
@@ -360,9 +364,9 @@ def _run_cells(
     cells: list[tuple[int, int]],
 ) -> list[_CellOutput]:
     """(f_idx, run) cells of ``sweep``: every trainable cell's chain advanced
-    together by ``run_chains``, and each outcome turned into the cell's
-    output by the sweep's output function. A cell that ``_prepare_cells``
-    skips becomes its skip rows."""
+    together by ``run_chains`` and its outcome made the cell's output by the
+    sweep's output function; a cell ``_prepare_cells`` skips gets its skip
+    rows. It runs in a worker at jobs > 1, so it opens no file."""
     _, _, chain_cfg, output = sweep
     train, val, test = dataset
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
@@ -374,24 +378,23 @@ def _run_cells(
         keep_pseudo_labels=cfg.dump_pseudo_labels,
     )
     for (slot, bases, splits, _), result in zip(prepared, results):
-        outputs[slot] = output(cfg, bases, splits, result)
+        outputs[slot] = output(bases, splits.pool.ids, result)
     return [outputs[slot] for slot in range(len(cells))]
 
 
-def _baseline_output(cfg, bases, splits, result) -> _CellOutput:
-    """The row and confusion of one teacher trained alone, plus its optional
-    checkpoint; a failed teacher's skip row names its training error."""
+def _baseline_output(bases, pool_ids, result) -> _CellOutput:
+    """The row and result of one teacher trained alone; a failed teacher's
+    skip row names its training error."""
     if isinstance(result, ChainAborted):
         return _skipped(bases, result.__cause__)
     (teacher,) = result.records
     row = replace(bases[0], val_accuracy=teacher.val_accuracy, test_accuracy=teacher.test_accuracy)
-    _write_cell_artifacts(cfg, row.fraction, row.run, splits, result)
-    return _CellOutput(rows=(row,), confusions=((row.fraction, row.run, teacher.confusion),))
+    return _CellOutput(rows=(row,), result=result, pool_ids=pool_ids)
 
 
-def _chain_output(cfg, bases, splits, result) -> _CellOutput:
-    """Rows, traces and the best member's confusion of one finished chain,
-    plus its optional files; an aborted chain's skip rows name the abort."""
+def _chain_output(bases, pool_ids, result) -> _CellOutput:
+    """Rows, traces and result of one finished chain; an aborted chain's
+    skip rows name the abort."""
     if isinstance(result, ChainAborted):
         return _skipped(bases, result)
     fraction, run = bases[0].fraction, bases[0].run
@@ -417,34 +420,38 @@ def _chain_output(cfg, bases, splits, result) -> _CellOutput:
         )
         for rec in result.records
     )
-    _write_cell_artifacts(cfg, fraction, run, splits, result)
-    return _CellOutput(
-        rows=rows, traces=traces, confusions=((fraction, run, best.confusion),)
-    )
+    return _CellOutput(rows=rows, traces=traces, result=result, pool_ids=pool_ids)
 
 
-def _write_cell_artifacts(cfg, fraction, run, splits, result) -> None:
-    """Optional per-cell files: model checkpoints and pseudo-label dumps."""
+def _write_cell(cfg, catalog, cell: _CellOutput) -> _CellOutput:
+    """A trained cell's files, written by the parent: the confusion of its
+    best member (a baseline's teacher) and, as configured, every member's
+    checkpoint and every student's pseudo-labels. Returns the cell's rows
+    and traces alone, all the sweep keeps of it."""
+    result = cell.result
+    if result is None:
+        return cell
     out = Path(cfg.out_dir)
-    tag = f"{fraction_tag(fraction)}_{run}"
+    tag = f"{fraction_tag(cell.rows[0].fraction)}_{cell.rows[0].run}"
+    write_confusion_csv(out / f"confusion_{tag}.csv", catalog, result.records[result.best_iteration].confusion)
     if cfg.save_models:
         for rec in result.records:
             save_model(out / f"model_{tag}_iter{rec.iteration}.json", rec.model, seed=result.seeds[rec.iteration])
     if cfg.dump_pseudo_labels:
-        c = splits.pool.catalog.size
         for rec in result.records[1:]:
             labels = rec.pseudo_labels
-            lines = ["sample_id,top_class,confidence," + ",".join(f"p{j}" for j in range(c))]
+            lines = ["sample_id,top_class,confidence," + ",".join(f"p{j}" for j in range(catalog.size))]
             lines += [
                 f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
                 for sid, top, conf, soft in zip(
-                    splits.pool.ids[labels.positions].tolist(), labels.top.tolist(),
+                    cell.pool_ids[labels.positions].tolist(), labels.top.tolist(),
                     labels.confidence.tolist(), labels.soft.tolist(),
                 )
             ]
             (out / f"pseudo_{tag}_iter{rec.iteration}.csv").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8"
             )
+    return _CellOutput(rows=cell.rows, traces=cell.traces)
 
 
 # Cells trained in one lockstep group at most. Memory grows with every cell
@@ -465,18 +472,22 @@ def _cell_groups(cells: list, jobs: int) -> list[list]:
 
 def _execute_cells(
     cfg: ExperimentConfig, sweep: _Sweep, dataset: tuple[DataTable, DataTable, DataTable]
-) -> list[_CellOutput]:
-    """Run every (fraction, run) cell of ``sweep`` in lockstep groups from
-    ``_cell_groups``, each by one ``_run_cells`` on ``dataset``: one group
-    after another at jobs = 1, otherwise shared out to worker processes,
-    which receive the tables by pickle and read no input."""
+) -> Iterator[_CellOutput]:
+    """Every (fraction, run) cell of ``sweep``, in order, as each lockstep
+    group of ``_cell_groups`` finishes its ``_run_cells`` on ``dataset``: one
+    after another at jobs = 1, otherwise in worker processes, which receive
+    the tables by pickle and read no input. A group is dropped once its last
+    cell is taken, before the next group is waited for."""
     cells = [(f_idx, run) for f_idx in range(len(cfg.fractions)) for run in range(cfg.runs)]
     groups = _cell_groups(cells, cfg.jobs)
     run = partial(_run_cells, dataset, cfg, sweep)
     if cfg.jobs == 1:
-        return [out for outputs in map(run, groups) for out in outputs]
+        yield from itertools.chain.from_iterable(map(run, groups))
+        return
+    from concurrent.futures import ProcessPoolExecutor  # a jobs = 1 sweep needs no multiprocessing
+
     with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(groups))) as pool:
-        return [out for outputs in pool.map(run, groups) for out in outputs]
+        yield from itertools.chain.from_iterable(pool.map(run, groups))
 
 
 def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:
@@ -510,13 +521,11 @@ def emit_outputs(
     summary: RunSummary,
     traces: list[TraceRow] | tuple[TraceRow, ...],
     out_dir: Path | str,
-    confusions: list[tuple[float, int, np.ndarray]] | None = None,
-    catalog=None,
     baseline_reference: float | None = None,
     config_lines: list[str] | None = None,
 ) -> list[Path]:
-    """Write summary.csv, runs.csv, traces.csv, per-cell confusion matrices,
-    and (when there are traces) chain_curves.svg. Rerunning with identical
+    """Write the sweep-level files: summary.csv, runs.csv, traces.csv and
+    (when there are traces) chain_curves.svg. Rerunning with identical
     inputs rewrites identical bytes."""
     out = Path(out_dir)
     try:
@@ -525,12 +534,6 @@ def emit_outputs(
         write_summary_csv(written[0], summary)
         write_rows(written[1], RunRow, sorted(summary.details, key=attrgetter("fraction", "mode", "run")))
         write_rows(written[2], TraceRow, sorted(traces, key=attrgetter("fraction", "run", "iteration")))
-        for fraction, run, confusion in sorted(
-            confusions or [], key=lambda c: (c[0], c[1])
-        ):
-            path = out / f"confusion_{fraction_tag(fraction)}_{run}.csv"
-            write_confusion_csv(path, catalog, confusion)
-            written.append(path)
         if traces:
             svg = render_chain_svg(traces, baseline_reference=baseline_reference)
             (out / "chain_curves.svg").write_text(svg, encoding="utf-8")
@@ -546,15 +549,17 @@ def emit_outputs(
 
 
 def _sweep(cfg: ExperimentConfig, sweep: _Sweep):
-    """Every cell of ``cfg`` run as ``sweep``: the summary of their rows,
-    their traces and confusions, and the dataset's catalog."""
+    """Every cell of ``cfg`` run as ``sweep``, a trained cell's files written
+    as its group finishes: the summary of the cells' rows, and their traces.
+    A chain keeping more probabilities than there are classes fails first."""
     dataset = prepare_dataset(cfg)
+    catalog = dataset[0].catalog
+    _, _, chain_cfg, _ = sweep
+    if chain_cfg.iterations and (chain_cfg.distill.top_probs or 0) > catalog.size:
+        raise ValueError(f"chain.top_probs ({chain_cfg.distill.top_probs}) exceeds the {catalog.size} classes")
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    outputs = _execute_cells(cfg, sweep, dataset)
-    summary = aggregate_runs([r for cell in outputs for r in cell.rows])
-    traces = [t for cell in outputs for t in cell.traces]
-    confusions = [c for cell in outputs for c in cell.confusions]
-    return summary, traces, confusions, dataset[0].catalog
+    kept = list(map(partial(_write_cell, cfg, catalog), _execute_cells(cfg, sweep, dataset)))
+    return aggregate_runs([r for cell in kept for r in cell.rows]), [t for cell in kept for t in cell.traces]
 
 
 def run_baseline_sweep(cfg: ExperimentConfig) -> RunSummary:
@@ -562,8 +567,8 @@ def run_baseline_sweep(cfg: ExperimentConfig) -> RunSummary:
     fresh seeded split, so its teacher trains with ``cfg.train`` on the
     labelled subset alone and is evaluated on validation and test."""
     teacher = ChainConfig(iterations=0, finetune=cfg.train)
-    summary, _, confusions, catalog = _sweep(cfg, (_ROLE_TRAIN, ("baseline",), teacher, _baseline_output))
-    emit_outputs(summary, [], cfg.out_dir, confusions, catalog, config_lines=config_to_lines(cfg))
+    summary, _ = _sweep(cfg, (_ROLE_TRAIN, ("baseline",), teacher, _baseline_output))
+    emit_outputs(summary, [], cfg.out_dir, config_lines=config_to_lines(cfg))
     return summary
 
 
@@ -582,9 +587,9 @@ def run_chain_experiment(
     """
     baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
     sweep = (_ROLE_CHAIN, ("chain_best", "chain_final"), cfg.chain, _chain_output)
-    summary, traces, confusions, catalog = _sweep(cfg, sweep)
+    summary, traces = _sweep(cfg, sweep)
     reference = _chart_reference(traces, baseline)
-    emit_outputs(summary, traces, cfg.out_dir, confusions, catalog, reference, config_to_lines(cfg))
+    emit_outputs(summary, traces, cfg.out_dir, reference, config_to_lines(cfg))
     return summary
 
 

@@ -80,8 +80,8 @@ class TrainConfig:
     patience: int = 20
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):  # false for nan too
+            raise ValueError("learning_rate must be positive and finite")
         if min(self.batch_size, self.steps_per_epoch) < 1:
             raise ValueError("batch_size and steps_per_epoch must be positive")
         if self.max_epochs < 0 or self.patience < 0:

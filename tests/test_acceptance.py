@@ -240,11 +240,12 @@ DEFAULT_OUTPUT_HASHES = {
 def test_criterion_4_experiment_determinism(tmp_path):
     t0 = time.perf_counter()
     outputs = {}
-    for attempt in ("first", "second"):
+    # the second execution also shows that jobs moves no byte at full scale
+    for attempt, jobs in (("first", 1), ("second", 2)):
         base_dir = tmp_path / attempt / "baseline"
         chain_dir = tmp_path / attempt / "chain"
-        run_baseline_sweep(ExperimentConfig(out_dir=str(base_dir)))
-        run_chain_experiment(ExperimentConfig(out_dir=str(chain_dir)))
+        run_baseline_sweep(ExperimentConfig(out_dir=str(base_dir), jobs=jobs))
+        run_chain_experiment(ExperimentConfig(out_dir=str(chain_dir), jobs=jobs))
         outputs[attempt] = {
             f"{mode} {name}": (tmp_path / attempt / mode / name).read_bytes()
             for mode in ("baseline", "chain")
@@ -262,7 +263,7 @@ def test_criterion_4_experiment_determinism(tmp_path):
     check(
         "4 full-default-experiment-determinism",
         not mismatched and not moved,
-        f"two executions byte-identical and the first on the pinned hashes, {elapsed:.0f}s"
+        f"executions at jobs 1 and 2 byte-identical and the first on the pinned hashes, {elapsed:.0f}s"
         + (f"; mismatched: {mismatched}" if mismatched else "")
         + (f"; off the pinned hashes: {moved}" if moved else ""),
     )

@@ -9,6 +9,7 @@ from distillchain import (
     DistillConfig,
     ExperimentConfig,
     TrainConfig,
+    chain,
     generate_synthetic,
     read_table,
     run_baseline_sweep,
@@ -295,6 +296,42 @@ class TestCliCommands:
         assert run_cli("chain", *no_reserve, "--out", str(out)).returncode == 1
         assert run_cli("chain", "--early_stop_fraction", "1.0", "--out", str(out)).returncode == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("chain", "--chain.finetune.learning_rate", "inf"), "learning_rate must be positive and finite"),
+            (("chain", "--chain.pretrain.learning_rate", "nan"), "learning_rate must be positive and finite"),
+            (("baseline", "--train.learning_rate", "inf"), "learning_rate must be positive and finite"),
+            # the table has 3 classes
+            (("chain", "--chain.top_probs", "4"), "invalid configuration: chain.top_probs (4) exceeds the 3 classes"),
+        ],
+        ids=["finetune_inf", "pretrain_nan", "train_inf", "top_probs"],
+    )
+    def test_a_config_no_cell_can_train_on_exits_one_first(self, tmp_path, monkeypatch, capsys, argv, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(chain, "train_lockstep", no_training)
+        out = tmp_path / "out"
+        assert main([argv[0], *FAST, *argv[1:], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_a_one_job_sweep_imports_no_unused_module(self, tmp_path):
+        # numpy.ma (from np.unique and np.setdiff1d) and the process pool
+        # cost a jobs = 1 sweep import time and serve it nothing
+        unused = ("numpy.ma", "concurrent.futures.process")
+        script = (
+            "import sys\n"
+            "from distillchain.cli import main\n"
+            "for command in ('baseline', 'chain'):\n"
+            f"    assert main([command, *{FAST!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            f"print(sorted(set({unused!r}) & set(sys.modules)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_an_out_dir_the_echo_cannot_carry_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

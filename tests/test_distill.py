@@ -204,7 +204,7 @@ class TestPseudoLabelPool:
         assert pool.ids[labels.positions].tolist() == [1, 3, 4, 8, 10, 11]
         assert labels.soft.tobytes() == forward(params, copied).tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning: the fault is reported
     def test_pool_rows_that_overflow_when_normalized_are_rejected(self, two_class_catalog):
         # a finite source row and a finite normalizer can still give an
         # infinite feature, which forward's finiteness scan catches

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from distillchain import (
     train_lockstep,
     write_table,
 )
-from distillchain.dataset import ClassCatalog, classes_path
+from distillchain.dataset import classes_path
 from distillchain.reports import (
     SUMMARY_HEADER,
     fraction_tag,
@@ -182,7 +183,7 @@ def test_uncoverable_early_stop_draw_is_skipped_not_crashed(tmp_path, sweep):
     assert all(r.status.startswith("skipped: no early-stop draw of 4 rows") for r in summary.details)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no warning: the fault is reported
 @pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
 def test_overflowing_labelled_statistics_are_skipped_not_crashed(tmp_path, sweep):
     # finite features whose deviations from the mean overflow when squared
@@ -237,6 +238,27 @@ def test_cell_groups_are_contiguous_capped_and_one_per_worker():
             assert all(0 < len(group) <= cap for group in groups)
             assert len(groups) == max(min(jobs, n), -(-n // cap))
             assert max(map(len, groups)) - min(map(len, groups)) <= 1
+
+
+@pytest.mark.parametrize("sweep", ["baseline", "chain"])
+def test_a_group_run_writes_no_file(tmp_path, sweep):
+    # a worker's function runs, models and pseudo-labels kept, with no out dir
+    cfg = tiny_config(tmp_path / "absent", save_models=True, dump_pseudo_labels=True)
+    if sweep == "baseline":
+        teacher = ChainConfig(iterations=0, finetune=cfg.train)
+        spec = (experiment._ROLE_TRAIN, ("baseline",), teacher, experiment._baseline_output)
+    else:
+        spec = (experiment._ROLE_CHAIN, ("chain_best", "chain_final"), cfg.chain, experiment._chain_output)
+    cells = [(0, 0), (0, 1), (1, 0)]
+    outputs = experiment._run_cells(experiment.prepare_dataset(cfg), cfg, spec, cells)
+    assert not any(tmp_path.iterdir())
+    assert [(r.fraction, r.run) for out in outputs for r in out.rows[:1]] == [(0.2, 0), (0.2, 1), (1.0, 0)]
+    members = cfg.chain.iterations + 1 if sweep == "chain" else 1
+    for out in outputs[:2]:
+        assert all(r.ok for r in out.rows) and len(out.result.records) == members
+        assert all(rec.pseudo_labels is not None for rec in out.result.records[1:])
+    # a chain has no pool at fraction 1.0, while a teacher trains there
+    assert (outputs[2].result is None) == (sweep == "chain")
 
 
 @pytest.mark.parametrize("role", [experiment._ROLE_CHAIN, experiment._ROLE_TRAIN])
@@ -372,15 +394,23 @@ class TestChainExperiment:
             if r.mode == "chain_best" and r.ok:
                 assert r.val_accuracy >= teachers[(r.fraction, r.run)]
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        cfg1 = tiny_config(tmp_path / "a")
-        cfg2 = tiny_config(tmp_path / "b", jobs=2)
-        run_chain_experiment(cfg1)
-        run_chain_experiment(cfg2)
-        for name in ("summary.csv", "runs.csv", "traces.csv"):
-            assert (tmp_path / "a" / "out" / name).read_bytes() == (
-                tmp_path / "b" / "out" / name
-            ).read_bytes()
+    def test_jobs_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # every file, the per-cell checkpoints and pseudo-label dumps too, is
+        # the same at jobs = 1 and 2, bar the jobs line of the config echo
+        cell_files = dict(save_models=True, dump_pseudo_labels=True)
+        for case, extra in (("plain", {}), ("cell_files", cell_files)):
+            written = []
+            for jobs in (1, 2):
+                (tmp_path / f"{case}{jobs}").mkdir()
+                monkeypatch.chdir(tmp_path / f"{case}{jobs}")  # one relative out dir, one echo
+                run_chain_experiment(tiny_config(tmp_path, out_dir="out", jobs=jobs, **extra))
+                files = {p.name: p.read_bytes() for p in sorted(Path("out").iterdir())}
+                echo = files.pop("config_resolved.cfg").decode().splitlines()
+                written.append((files, [line for line in echo if not line.startswith("jobs = ")]))
+            assert written[0] == written[1]
+            names = written[0][0]
+            assert "runs.csv" in names and "confusion_0.2_1.csv" in names
+            assert ("model_0.2_1_iter2.json" in names and "pseudo_0.2_1_iter2.csv" in names) == bool(extra)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "a")
@@ -443,7 +473,7 @@ class TestEmitOutputs:
     def test_headers_are_exact(self, tmp_path):
         traces = [TraceRow(0, 0.1, 0, 0.5, 0.5, 0, None)]
         summary = aggregate_runs([row("chain_best", 0.1, 0, 0.5, 0.5)])
-        emit_outputs(summary, traces, tmp_path, catalog=ClassCatalog(("a", "b")))
+        emit_outputs(summary, traces, tmp_path)
         headers = {
             "summary.csv": "mode,fraction,metric,mean,std,min,max,n,note",
             "runs.csv": "mode,fraction,run,seed,status,iteration,val_accuracy,test_accuracy",
@@ -469,7 +499,7 @@ class TestEmitOutputs:
         target.write_text("a file, not a directory")
         summary = aggregate_runs([row("baseline", 0.1, 0, 0.5, 0.5)])
         with pytest.raises(OSError, match="blocked"):
-            emit_outputs(summary, [], target, catalog=ClassCatalog(("a", "b")))
+            emit_outputs(summary, [], target)
 
 
 class TestExperimentConfigValidation:

@@ -395,12 +395,13 @@ class TestMatchesPerStepReference:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_weights_after_last_step_are_not_kept(self):
         # the only step's loss is finite (it scores the initial weights), but
-        # an infinite learning rate leaves non-finite weights behind
+        # the largest finite learning rate times a gradient entry above 1
+        # (features scaled by 10) leaves non-finite weights behind
         lab, es = _three_class_problem(seed=0)
         arch = ArchSpec(input_dim=5, hidden=(), output_dim=3)
-        cfg = TrainConfig(learning_rate=np.inf, steps_per_epoch=1, max_epochs=1)
-        with pytest.raises(NumericError):
-            train_with_early_stopping(arch, lab.features, one_hot(lab.labels, 3), es, cfg)
+        cfg = TrainConfig(learning_rate=np.finfo(np.float64).max, steps_per_epoch=1, max_epochs=1)
+        with pytest.raises(NumericError, match="^non-finite parameters at epoch 0$"):
+            train_with_early_stopping(arch, 10 * lab.features, one_hot(lab.labels, 3), es, cfg)
 
 
 def assert_same_params(got, want):
