@@ -132,12 +132,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "synth":
             _cmd_synth(cfg)
-        elif args.command == "baseline":
-            summary = run_baseline_sweep(cfg)
-            print(f"baseline sweep done: {len(summary.details)} cells -> {cfg.out_dir}")
-        elif args.command == "chain":
-            summary = run_chain_experiment(cfg, baseline_summary=baseline_summary)
-            print(f"chain sweep done: {len(summary.details)} cells -> {cfg.out_dir}")
+        elif args.command in ("baseline", "chain"):
+            if args.command == "baseline":
+                summary = run_baseline_sweep(cfg)
+            else:
+                summary = run_chain_experiment(cfg, baseline_summary=baseline_summary)
+            cells = len({(row.fraction, row.run) for row in summary.details})  # a chain cell has two rows
+            print(f"{args.command} sweep done: {cells} cells -> {cfg.out_dir}")
         elif args.command == "report":
             _cmd_report(cfg, baseline_summary)
     except (ConfigError, TableParseError) as exc:

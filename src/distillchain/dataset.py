@@ -309,6 +309,25 @@ def generate_synthetic(
     return tables[0], tables[1], tables[2]
 
 
+def early_stop_size(train: DataTable, early_stop_fraction: float, name: str = "training table") -> int:
+    """The size of ``train``'s early-stop set, floor(early_stop_fraction * N).
+    Raises ValueError when it is smaller than the class count, or when
+    ``train`` (``name`` in the message) has no sample of some class: no
+    early-stop draw could then cover every class."""
+    c = train.catalog.size
+    n_early = int(early_stop_fraction * len(train))
+    if n_early < c:
+        raise ValueError(
+            f"early-stop set of {n_early} cannot cover {c} classes; "
+            "increase early_stop_fraction or the table size"
+        )
+    class_counts = np.bincount(train.labels, minlength=c)
+    if np.any(class_counts == 0):
+        missing = [train.catalog.names[i] for i in np.flatnonzero(class_counts == 0)]
+        raise ValueError(f"{name} has no samples for classes {missing}")
+    return n_early
+
+
 def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTruth]:
     """Carve ``train`` into labelled / early-stop / pool per ``spec``, and
     return the pool's truth apart from the splits.
@@ -324,16 +343,7 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
     """
     n = len(train)
     c = train.catalog.size
-    n_early = int(spec.early_stop_fraction * n)
-    if n_early < c:
-        raise ValueError(
-            f"early-stop set of {n_early} cannot cover {c} classes; "
-            "increase early_stop_fraction or the table size"
-        )
-    class_counts = np.bincount(train.labels, minlength=c)
-    if np.any(class_counts == 0):
-        missing = [train.catalog.names[i] for i in np.flatnonzero(class_counts == 0)]
-        raise ValueError(f"training table has no samples for classes {missing}")
+    n_early = early_stop_size(train, spec.early_stop_fraction)
 
     if spec.labelled_fraction == 1.0:
         n_labelled = n - n_early

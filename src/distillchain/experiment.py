@@ -11,7 +11,7 @@ numpy SeedSequence spawn keys, and (fraction, run) cells are independent, so
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -25,6 +25,7 @@ from .dataset import (
     DataTable,
     SplitSpec,
     TableParseError,
+    early_stop_size,
     generate_synthetic,
     make_splits,
     normalize_splits,
@@ -315,24 +316,22 @@ class _CellOutput:
     pool_ids: np.ndarray | None = None
 
 
-# All that tells the two sweeps apart: a cell's seed role and row modes, the
-# chain it runs (the baseline's has no students), and its output function.
-_Sweep = tuple[int, tuple[str, ...], ChainConfig, Callable[..., _CellOutput]]
-
-
 def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
     status = "skipped: " + str(exc).replace(",", ";").replace("\n", " ")
     return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
 
 
-def _prepare_cells(dataset, cfg, sweep, cells):
-    """Each (f_idx, run) cell's base rows, one per mode of ``sweep`` and
-    seeded by its role, with its normalized splits and its pool's truth; a
-    cell whose split fails, or whose pool is empty while the chain has
-    students, gets skip rows instead, keyed by its position in ``cells``.
-    The pool, validation and test are not copied: they are normalized where
-    read."""
-    role, modes, chain_cfg, _ = sweep
+def _prepare_cells(dataset, cfg, chain_cfg, cells):
+    """Each (f_idx, run) cell's base rows, one per row mode, seeded by its
+    role (a chain without students is the baseline), with its normalized
+    splits and its pool's truth; a cell whose split fails, or whose pool is
+    empty while the chain has students, gets skip rows instead, keyed by its
+    position in ``cells``. The pool, validation and test are not copied:
+    they are normalized where read."""
+    if chain_cfg.iterations:
+        role, modes = _ROLE_CHAIN, ("chain_best", "chain_final")
+    else:
+        role, modes = _ROLE_TRAIN, ("baseline",)
     train = dataset[0]
     prepared, skipped = [], {}
     for slot, (f_idx, run) in enumerate(cells):
@@ -347,7 +346,7 @@ def _prepare_cells(dataset, cfg, sweep, cells):
                 balance_labelled=cfg.balance_labelled,
             )
             splits, truth = make_splits(train, spec)
-            if chain_cfg.iterations > 0 and len(splits.pool) == 0:
+            if chain_cfg.iterations and len(splits.pool) == 0:
                 raise ValueError("empty pool")
             splits = normalize_splits(splits)
         except ValueError as exc:
@@ -360,17 +359,16 @@ def _prepare_cells(dataset, cfg, sweep, cells):
 def _run_cells(
     dataset: tuple[DataTable, DataTable, DataTable],
     cfg: ExperimentConfig,
-    sweep: _Sweep,
+    chain_cfg: ChainConfig,
     cells: list[tuple[int, int]],
 ) -> list[_CellOutput]:
-    """(f_idx, run) cells of ``sweep``: every trainable cell's chain advanced
-    together by ``run_chains`` and its outcome made the cell's output by the
-    sweep's output function; a cell ``_prepare_cells`` skips gets its skip
+    """(f_idx, run) cells, every trainable cell's chain of ``chain_cfg``
+    advanced together by ``run_chains`` and its outcome made the cell's
+    output by ``_cell_output``; a cell ``_prepare_cells`` skips gets its skip
     rows. It runs in a worker at jobs > 1, so it opens no file."""
-    _, _, chain_cfg, output = sweep
     train, val, test = dataset
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    prepared, outputs = _prepare_cells(dataset, cfg, sweep, cells)
+    prepared, outputs = _prepare_cells(dataset, cfg, chain_cfg, cells)
     results = run_chains(
         [(splits, truth, val, test, bases[0].seed) for _, bases, splits, truth in prepared],
         arch,
@@ -378,36 +376,27 @@ def _run_cells(
         keep_pseudo_labels=cfg.dump_pseudo_labels,
     )
     for (slot, bases, splits, _), result in zip(prepared, results):
-        outputs[slot] = output(bases, splits.pool.ids, result)
+        outputs[slot] = _cell_output(bases, splits.pool.ids, result, students=chain_cfg.iterations > 0)
     return [outputs[slot] for slot in range(len(cells))]
 
 
-def _baseline_output(bases, pool_ids, result) -> _CellOutput:
-    """The row and result of one teacher trained alone; a failed teacher's
-    skip row names its training error."""
+def _cell_output(bases, pool_ids, result, students: bool) -> _CellOutput:
+    """Rows, traces and result of one trained cell: each base row takes the
+    best member, then the final member. Without students (the baseline) the
+    one row leaves ``iteration`` empty, the cell has no traces, and a failed
+    teacher's skip row names its training error; a chain's names the abort."""
     if isinstance(result, ChainAborted):
-        return _skipped(bases, result.__cause__)
-    (teacher,) = result.records
-    row = replace(bases[0], val_accuracy=teacher.val_accuracy, test_accuracy=teacher.test_accuracy)
-    return _CellOutput(rows=(row,), result=result, pool_ids=pool_ids)
-
-
-def _chain_output(bases, pool_ids, result) -> _CellOutput:
-    """Rows, traces and result of one finished chain; an aborted chain's
-    skip rows name the abort."""
-    if isinstance(result, ChainAborted):
-        return _skipped(bases, result)
-    fraction, run = bases[0].fraction, bases[0].run
-    best = result.records[result.best_iteration]
+        return _skipped(bases, result if students else result.__cause__)
     rows = tuple(
         replace(
             base,
-            iteration=rec.iteration,
+            iteration=rec.iteration if students else None,
             val_accuracy=rec.val_accuracy,
             test_accuracy=rec.test_accuracy,
         )
-        for base, rec in zip(bases, (best, result.records[-1]))
+        for base, rec in zip(bases, (result.records[result.best_iteration], result.records[-1]))
     )
+    fraction, run = bases[0].fraction, bases[0].run
     traces = tuple(
         TraceRow(
             run=run,
@@ -418,7 +407,7 @@ def _chain_output(bases, pool_ids, result) -> _CellOutput:
             pseudo_count=rec.pseudo_count,
             pseudo_agreement=rec.pseudo_agreement,
         )
-        for rec in result.records
+        for rec in (result.records if students else ())
     )
     return _CellOutput(rows=rows, traces=traces, result=result, pool_ids=pool_ids)
 
@@ -471,16 +460,16 @@ def _cell_groups(cells: list, jobs: int) -> list[list]:
 
 
 def _execute_cells(
-    cfg: ExperimentConfig, sweep: _Sweep, dataset: tuple[DataTable, DataTable, DataTable]
+    cfg: ExperimentConfig, chain_cfg: ChainConfig, dataset: tuple[DataTable, DataTable, DataTable]
 ) -> Iterator[_CellOutput]:
-    """Every (fraction, run) cell of ``sweep``, in order, as each lockstep
-    group of ``_cell_groups`` finishes its ``_run_cells`` on ``dataset``: one
-    after another at jobs = 1, otherwise in worker processes, which receive
-    the tables by pickle and read no input. A group is dropped once its last
+    """Every (fraction, run) cell, a chain of ``chain_cfg``, in order, as
+    each lockstep group of ``_cell_groups`` finishes its ``_run_cells`` on
+    ``dataset``: one after another at jobs = 1, otherwise in worker
+    processes, which receive the tables by pickle and read no input. A group is dropped once its last
     cell is taken, before the next group is waited for."""
     cells = [(f_idx, run) for f_idx in range(len(cfg.fractions)) for run in range(cfg.runs)]
     groups = _cell_groups(cells, cfg.jobs)
-    run = partial(_run_cells, dataset, cfg, sweep)
+    run = partial(_run_cells, dataset, cfg, chain_cfg)
     if cfg.jobs == 1:
         yield from itertools.chain.from_iterable(map(run, groups))
         return
@@ -548,28 +537,31 @@ def emit_outputs(
         raise OSError(f"cannot write outputs under {out}: {exc}") from exc
 
 
-def _sweep(cfg: ExperimentConfig, sweep: _Sweep):
-    """Every cell of ``cfg`` run as ``sweep``, a trained cell's files written
-    as its group finishes: the summary of the cells' rows, and their traces.
-    A chain keeping more probabilities than there are classes fails first."""
+def _sweep(cfg: ExperimentConfig, chain_cfg: ChainConfig, baseline: float | None = None) -> RunSummary:
+    """Every cell of ``cfg`` run as a chain of ``chain_cfg``, a trained
+    cell's files written as its group finishes, then the sweep-level files
+    with ``baseline`` as the chart's reference (see ``_chart_reference``).
+    Faults every cell would hit fail first: a chain keeping more
+    probabilities than there are classes, an early-stop set too small to
+    cover them, or a train table without a sample of one."""
     dataset = prepare_dataset(cfg)
     catalog = dataset[0].catalog
-    _, _, chain_cfg, _ = sweep
     if chain_cfg.iterations and (chain_cfg.distill.top_probs or 0) > catalog.size:
         raise ValueError(f"chain.top_probs ({chain_cfg.distill.top_probs}) exceeds the {catalog.size} classes")
+    early_stop_size(dataset[0], cfg.early_stop_fraction, getattr(cfg.source, "train", "training table"))
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    kept = list(map(partial(_write_cell, cfg, catalog), _execute_cells(cfg, sweep, dataset)))
-    return aggregate_runs([r for cell in kept for r in cell.rows]), [t for cell in kept for t in cell.traces]
+    kept = list(map(partial(_write_cell, cfg, catalog), _execute_cells(cfg, chain_cfg, dataset)))
+    summary = aggregate_runs([r for cell in kept for r in cell.rows])
+    traces = [t for cell in kept for t in cell.traces]
+    emit_outputs(summary, traces, cfg.out_dir, _chart_reference(traces, baseline), config_to_lines(cfg))
+    return summary
 
 
 def run_baseline_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Teacher-only sweep: per (fraction, run), a chain without students on a
     fresh seeded split, so its teacher trains with ``cfg.train`` on the
     labelled subset alone and is evaluated on validation and test."""
-    teacher = ChainConfig(iterations=0, finetune=cfg.train)
-    summary, _ = _sweep(cfg, (_ROLE_TRAIN, ("baseline",), teacher, _baseline_output))
-    emit_outputs(summary, [], cfg.out_dir, config_lines=config_to_lines(cfg))
-    return summary
+    return _sweep(cfg, ChainConfig(iterations=0, finetune=cfg.train))
 
 
 def run_chain_experiment(
@@ -585,12 +577,7 @@ def run_chain_experiment(
     summary is read before the sweep, so a file that is missing, is not a
     summary.csv or has no baseline row fails it before any cell runs.
     """
-    baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
-    sweep = (_ROLE_CHAIN, ("chain_best", "chain_final"), cfg.chain, _chain_output)
-    summary, traces = _sweep(cfg, sweep)
-    reference = _chart_reference(traces, baseline)
-    emit_outputs(summary, traces, cfg.out_dir, reference, config_to_lines(cfg))
-    return summary
+    return _sweep(cfg, cfg.chain, best_baseline_mean(baseline_summary) if baseline_summary else None)
 
 
 def _chart_reference(traces: list[TraceRow], baseline: float | None) -> float | None:

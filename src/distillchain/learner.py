@@ -397,6 +397,9 @@ class _Member:
         return picks, picks if self.rows is None else self.rows[picks]
 
 
+# a blow-up overflows on its way to the per-epoch finiteness check, whose
+# NumericError reports it
+@np.errstate(over="ignore", invalid="ignore")
 def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcome]:
     """Train one model per job in lockstep; each comes out bit-identical,
     weights and history, to training it alone.

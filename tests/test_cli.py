@@ -1,7 +1,9 @@
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from distillchain import (
@@ -44,6 +46,10 @@ FAST = [
     "--chain.iterations", "1", "--chain.pretrain.max_epochs", "2",
     "--chain.finetune.max_epochs", "2", "--chain.per_class_cap", "none",
 ]
+
+
+# what every cell of a 3-class sweep with too small an early-stop reserve would hit
+NO_RESERVE = "early-stop set of 0 cannot cover 3 classes; increase early_stop_fraction or the table size"
 
 
 class TestConfigFile:
@@ -242,6 +248,15 @@ class TestSchema:
         assert echoed == set(CONFIG_KEYS)
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any cell trains."""
+    def train_lockstep(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(chain, "train_lockstep", train_lockstep)
+
+
 class TestCliCommands:
     def test_synth_writes_tables(self, tmp_path):
         out = tmp_path / "data"
@@ -305,18 +320,41 @@ class TestCliCommands:
             (("baseline", "--train.learning_rate", "inf"), "learning_rate must be positive and finite"),
             # the table has 3 classes
             (("chain", "--chain.top_probs", "4"), "invalid configuration: chain.top_probs (4) exceeds the 3 classes"),
+            (("chain", "--early_stop_fraction", "0"), f"invalid configuration: {NO_RESERVE}"),
+            (("baseline", "--early_stop_fraction", "1e-300"), f"invalid configuration: {NO_RESERVE}"),
         ],
-        ids=["finetune_inf", "pretrain_nan", "train_inf", "top_probs"],
+        ids=["finetune_inf", "pretrain_nan", "train_inf", "top_probs", "chain_no_reserve", "baseline_tiny_reserve"],
     )
-    def test_a_config_no_cell_can_train_on_exits_one_first(self, tmp_path, monkeypatch, capsys, argv, message):
-        def no_training(*args, **kwargs):
-            raise AssertionError("a cell trained")
-
-        monkeypatch.setattr(chain, "train_lockstep", no_training)
+    def test_a_config_no_cell_can_train_on_exits_one_first(self, tmp_path, no_training, capsys, argv, message):
         out = tmp_path / "out"
         assert main([argv[0], *FAST, *argv[1:], "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["baseline", "chain"])
+    @pytest.mark.parametrize("fault", ["no reserve", "missing class"])
+    def test_a_train_file_no_cell_can_split_exits_one_first(self, tmp_path, no_training, capsys, command, fault):
+        paths = [tmp_path / f"{name}.csv" for name in ("train", "validation", "test")]
+        train, validation, test = generate_synthetic(3, 40, 3, 0.4, seed=11)
+        if fault == "missing class":
+            train = replace(train, labels=np.where(train.labels == 2, 0, train.labels))
+            message = f"{paths[0]} has no samples for classes ['c2']"
+        else:
+            message = NO_RESERVE
+        for path, table in zip(paths, (train, validation, test)):
+            write_table(path, table)
+        files = ["--source", "files", *(f"--data.{n}={p}" for n, p in zip(("train", "validation", "test"), paths))]
+        reserve = "0.01" if fault == "no reserve" else "0.1"
+        out = tmp_path / "out"
+        assert main([command, *FAST, *files, "--early_stop_fraction", reserve, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+        assert not out.exists()
+
+    def test_the_cell_count_counts_cells_not_rows(self, tmp_path, capsys):
+        for command in ("baseline", "chain"):
+            out = tmp_path / command
+            assert main([command, *FAST, "--fractions", "0.2,0.5", "--runs", "2", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == f"{command} sweep done: 4 cells -> {out}\n"
 
     def test_a_one_job_sweep_imports_no_unused_module(self, tmp_path):
         # numpy.ma (from np.unique and np.setdiff1d) and the process pool

@@ -244,13 +244,9 @@ def test_cell_groups_are_contiguous_capped_and_one_per_worker():
 def test_a_group_run_writes_no_file(tmp_path, sweep):
     # a worker's function runs, models and pseudo-labels kept, with no out dir
     cfg = tiny_config(tmp_path / "absent", save_models=True, dump_pseudo_labels=True)
-    if sweep == "baseline":
-        teacher = ChainConfig(iterations=0, finetune=cfg.train)
-        spec = (experiment._ROLE_TRAIN, ("baseline",), teacher, experiment._baseline_output)
-    else:
-        spec = (experiment._ROLE_CHAIN, ("chain_best", "chain_final"), cfg.chain, experiment._chain_output)
+    chain_cfg = ChainConfig(iterations=0, finetune=cfg.train) if sweep == "baseline" else cfg.chain
     cells = [(0, 0), (0, 1), (1, 0)]
-    outputs = experiment._run_cells(experiment.prepare_dataset(cfg), cfg, spec, cells)
+    outputs = experiment._run_cells(experiment.prepare_dataset(cfg), cfg, chain_cfg, cells)
     assert not any(tmp_path.iterdir())
     assert [(r.fraction, r.run) for out in outputs for r in out.rows[:1]] == [(0.2, 0), (0.2, 1), (1.0, 0)]
     members = cfg.chain.iterations + 1 if sweep == "chain" else 1
@@ -268,10 +264,11 @@ def test_prepared_cells_hold_no_copy_of_the_pool(role):
     cfg = ExperimentConfig(source=SyntheticSpec(classes=3, per_class=1000, dim=16), fractions=(0.01,), runs=4)
     dataset = experiment.prepare_dataset(cfg)
     cells = [(0, run) for run in range(cfg.runs)]
+    chain_cfg = cfg.chain if role == experiment._ROLE_CHAIN else ChainConfig(iterations=0, finetune=cfg.train)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prepared, skipped = experiment._prepare_cells(dataset, cfg, (role, ("chain_best",), cfg.chain, None), cells)
+        prepared, skipped = experiment._prepare_cells(dataset, cfg, chain_cfg, cells)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -307,11 +304,11 @@ class TestBaselineSweep:
         text = (tmp_path / "out" / "runs.csv").read_text()
         assert "skipped:" in text
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the skip rows report it
     def test_training_blow_up_is_skipped_not_crashed(self, tmp_path):
         blow_up = TrainConfig(learning_rate=1e300, max_epochs=3, steps_per_epoch=10)
         cfg = tiny_config(tmp_path, arch_hidden=(4,), train=blow_up)
-        with np.errstate(all="ignore"):
-            summary = run_baseline_sweep(cfg)
+        summary = run_baseline_sweep(cfg)
         assert len(summary.details) == 4
         assert all(r.status.startswith("skipped: non-finite") for r in summary.details)
         assert "skipped:" in (tmp_path / "out" / "runs.csv").read_text()
@@ -330,9 +327,7 @@ class TestBaselineSweep:
             params, seed = load_model(out / f"model_{fraction_tag(r.fraction)}_{r.run}_iter0.json")
             cell = (cfg.fractions.index(r.fraction), r.run)
             teacher = ChainConfig(iterations=0, finetune=cfg.train)
-            [(_, _, splits, _)], _ = experiment._prepare_cells(
-                dataset, cfg, (experiment._ROLE_TRAIN, ("baseline",), teacher, None), [cell]
-            )
+            [(_, _, splits, _)], _ = experiment._prepare_cells(dataset, cfg, teacher, [cell])
             assert seed == r.seed
             assert evaluate(params, splits.normalized(dataset[2]))[0] == r.test_accuracy
 
@@ -440,9 +435,7 @@ class TestChainExperiment:
         # dump did before students kept their pseudo-labels.
         out = tmp_path / "out"
         dataset = experiment.prepare_dataset(cfg)
-        [(_, _, splits, _)], _ = experiment._prepare_cells(
-            dataset, cfg, (experiment._ROLE_CHAIN, ("chain_best",), cfg.chain, None), [(0, 0)]
-        )
+        [(_, _, splits, _)], _ = experiment._prepare_cells(dataset, cfg, cfg.chain, [(0, 0)])
         for i in range(1, 4):
             model, _ = load_model(out / f"model_0.2_0_iter{i - 1}.json")
             labels = filter_pseudo_labels(
