@@ -82,6 +82,9 @@ class ChainAborted(RuntimeError):
         self.records = records
         self.__cause__ = cause
 
+    def __reduce__(self):  # a worker's abort reaches the parent whole, its cause too
+        return type(self), (self.__cause__, self.records)
+
 
 def select_best(records: list[IterationRecord] | tuple[IterationRecord, ...]) -> int:
     """Index of the record with maximum validation accuracy, earliest on

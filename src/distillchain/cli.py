@@ -16,7 +16,6 @@ from .dataset import TableParseError, write_table
 from .experiment import (
     CONFIG_KEYS,
     ExperimentConfig,
-    _chart_reference,
     aggregate_runs,
     build_config,
     prepare_dataset,
@@ -111,9 +110,8 @@ def _cmd_report(cfg: ExperimentConfig, baseline_summary: str | None) -> None:
     if traces_path.exists():
         traces = read_traces_csv(traces_path)
         if traces:
-            reference = _chart_reference(traces, baseline)
             (out / "chain_curves.svg").write_text(
-                render_chain_svg(traces, baseline_reference=reference), encoding="utf-8"
+                render_chain_svg(traces, baseline_reference=baseline), encoding="utf-8"
             )
     print(f"re-aggregated {out / 'summary.csv'}")
 

@@ -309,11 +309,17 @@ def generate_synthetic(
     return tables[0], tables[1], tables[2]
 
 
-def early_stop_size(train: DataTable, early_stop_fraction: float, name: str = "training table") -> int:
+def missing_classes(table: DataTable) -> list[str]:
+    """The names of the catalog classes ``table`` has no row of."""
+    counts = np.bincount(table.labels, minlength=table.catalog.size)
+    return [table.catalog.names[i] for i in np.flatnonzero(counts == 0)]
+
+
+def early_stop_size(train: DataTable, early_stop_fraction: float) -> int:
     """The size of ``train``'s early-stop set, floor(early_stop_fraction * N).
     Raises ValueError when it is smaller than the class count, or when
-    ``train`` (``name`` in the message) has no sample of some class: no
-    early-stop draw could then cover every class."""
+    ``train`` has no sample of some class: no early-stop draw could then
+    cover every class."""
     c = train.catalog.size
     n_early = int(early_stop_fraction * len(train))
     if n_early < c:
@@ -321,10 +327,8 @@ def early_stop_size(train: DataTable, early_stop_fraction: float, name: str = "t
             f"early-stop set of {n_early} cannot cover {c} classes; "
             "increase early_stop_fraction or the table size"
         )
-    class_counts = np.bincount(train.labels, minlength=c)
-    if np.any(class_counts == 0):
-        missing = [train.catalog.names[i] for i in np.flatnonzero(class_counts == 0)]
-        raise ValueError(f"{name} has no samples for classes {missing}")
+    if missing := missing_classes(train):
+        raise ValueError(f"training table has no samples for classes {missing}")
     return n_early
 
 

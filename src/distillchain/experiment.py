@@ -28,6 +28,7 @@ from .dataset import (
     early_stop_size,
     generate_synthetic,
     make_splits,
+    missing_classes,
     normalize_splits,
     read_table,
 )
@@ -281,10 +282,11 @@ def derive_seed(master: int, *key: int) -> int:
 def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTable]:
     """Generate the synthetic tables (seeded from the master seed) or load
     the configured CSV files, every row labelled (read_table rejects an
-    empty label). Their ``.classes`` sidecars must agree, else a
-    TableParseError: labels are encoded by catalog index, so a reordered
-    catalog would silently score validation or test labels as other
-    classes."""
+    empty label). Their ``.classes`` sidecars must agree, and the train
+    table must hold a row of every class, else a TableParseError: labels
+    are encoded by catalog index, so a reordered catalog would silently
+    score validation or test labels as other classes, and no cell's
+    early-stop draw could cover a missing class."""
     if isinstance(cfg.source, SyntheticSpec):
         s = cfg.source
         return generate_synthetic(
@@ -302,58 +304,31 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
                 f"class catalog of {path} ({','.join(table.catalog.names)}) differs from "
                 f"that of {files.train} ({','.join(tables[0].catalog.names)})"
             )
+    if missing := missing_classes(tables[0]):
+        raise TableParseError(f"{files.train} has no samples for classes {missing}")
     return tables
 
 
-@dataclass(frozen=True)
-class _CellOutput:
-    """A cell's rows and trace rows; a trained cell's also hold its result
-    and its pool's sample ids, from which the parent writes its files."""
-
-    rows: tuple[RunRow, ...]
-    traces: tuple[TraceRow, ...] = ()
-    result: ChainResult | None = None
-    pool_ids: np.ndarray | None = None
+def _cell_seed(cfg: ExperimentConfig, chain_cfg: ChainConfig, f_idx: int, run: int) -> int:
+    """A cell's seed, derived under its role: a chain without students is
+    the baseline."""
+    return derive_seed(cfg.seed, _ROLE_CHAIN if chain_cfg.iterations else _ROLE_TRAIN, f_idx, run)
 
 
-def _skipped(bases: tuple[RunRow, ...], exc: Exception) -> _CellOutput:
-    status = "skipped: " + str(exc).replace(",", ";").replace("\n", " ")
-    return _CellOutput(rows=tuple(replace(b, status=status) for b in bases))
-
-
-def _prepare_cells(dataset, cfg, chain_cfg, cells):
-    """Each (f_idx, run) cell's base rows, one per row mode, seeded by its
-    role (a chain without students is the baseline), with its normalized
-    splits and its pool's truth; a cell whose split fails, or whose pool is
-    empty while the chain has students, gets skip rows instead, keyed by its
-    position in ``cells``. The pool, validation and test are not copied:
-    they are normalized where read."""
-    if chain_cfg.iterations:
-        role, modes = _ROLE_CHAIN, ("chain_best", "chain_final")
-    else:
-        role, modes = _ROLE_TRAIN, ("baseline",)
-    train = dataset[0]
-    prepared, skipped = [], {}
-    for slot, (f_idx, run) in enumerate(cells):
-        fraction = cfg.fractions[f_idx]
-        seed = derive_seed(cfg.seed, role, f_idx, run)
-        bases = tuple(RunRow(mode=mode, fraction=fraction, run=run, seed=seed) for mode in modes)
-        try:
-            spec = SplitSpec(
-                labelled_fraction=fraction,
-                early_stop_fraction=cfg.early_stop_fraction,
-                seed=derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run),
-                balance_labelled=cfg.balance_labelled,
-            )
-            splits, truth = make_splits(train, spec)
-            if chain_cfg.iterations and len(splits.pool) == 0:
-                raise ValueError("empty pool")
-            splits = normalize_splits(splits)
-        except ValueError as exc:
-            skipped[slot] = _skipped(bases, exc)
-            continue
-        prepared.append((slot, bases, splits, truth))
-    return prepared, skipped
+def _cell_splits(train: DataTable, cfg: ExperimentConfig, chain_cfg: ChainConfig, f_idx: int, run: int):
+    """A cell's normalized splits and its pool's truth. Raises the
+    ValueError of a failed split, or ``empty pool`` when the chain has
+    students. The pool is not copied: it is normalized where read."""
+    spec = SplitSpec(
+        labelled_fraction=cfg.fractions[f_idx],
+        early_stop_fraction=cfg.early_stop_fraction,
+        seed=derive_seed(cfg.seed, _ROLE_SPLIT, f_idx, run),
+        balance_labelled=cfg.balance_labelled,
+    )
+    splits, truth = make_splits(train, spec)
+    if chain_cfg.iterations and len(splits.pool) == 0:
+        raise ValueError("empty pool")
+    return normalize_splits(splits), truth
 
 
 def _run_cells(
@@ -361,86 +336,83 @@ def _run_cells(
     cfg: ExperimentConfig,
     chain_cfg: ChainConfig,
     cells: list[tuple[int, int]],
-) -> list[_CellOutput]:
-    """(f_idx, run) cells, every trainable cell's chain of ``chain_cfg``
-    advanced together by ``run_chains`` and its outcome made the cell's
-    output by ``_cell_output``; a cell ``_prepare_cells`` skips gets its skip
-    rows. It runs in a worker at jobs > 1, so it opens no file."""
+) -> list[tuple[tuple[int, int], np.ndarray | None, ChainResult | ChainAborted | ValueError]]:
+    """Per (f_idx, run) cell, in order, the cell, its pool's sample ids and
+    its outcome: the ValueError its split raised, or the ChainResult or
+    ChainAborted of its chain of ``chain_cfg``, every trainable cell's chain
+    advanced together by ``run_chains``. It runs in a worker at jobs > 1,
+    so it opens no file and builds no row."""
     train, val, test = dataset
     arch = ArchSpec(input_dim=train.dim, hidden=cfg.arch_hidden, output_dim=train.catalog.size)
-    prepared, outputs = _prepare_cells(dataset, cfg, chain_cfg, cells)
-    results = run_chains(
-        [(splits, truth, val, test, bases[0].seed) for _, bases, splits, truth in prepared],
-        arch,
-        chain_cfg,
-        keep_pseudo_labels=cfg.dump_pseudo_labels,
-    )
-    for (slot, bases, splits, _), result in zip(prepared, results):
-        outputs[slot] = _cell_output(bases, splits.pool.ids, result, students=chain_cfg.iterations > 0)
-    return [outputs[slot] for slot in range(len(cells))]
+    outputs, chains = [], []
+    for cell in cells:
+        try:
+            splits, truth = _cell_splits(train, cfg, chain_cfg, *cell)
+        except ValueError as exc:  # its traceback's frames would keep the cell's tables alive
+            outputs.append((cell, None, exc.with_traceback(None)))
+            continue
+        outputs.append((cell, splits.pool.ids, None))
+        chains.append((splits, truth, val, test, _cell_seed(cfg, chain_cfg, *cell)))
+    results = iter(run_chains(chains, arch, chain_cfg, keep_pseudo_labels=cfg.dump_pseudo_labels))
+    return [(cell, ids, next(results) if outcome is None else outcome) for cell, ids, outcome in outputs]
 
 
-def _cell_output(bases, pool_ids, result, students: bool) -> _CellOutput:
-    """Rows, traces and result of one trained cell: each base row takes the
-    best member, then the final member. Without students (the baseline) the
-    one row leaves ``iteration`` empty, the cell has no traces, and a failed
-    teacher's skip row names its training error; a chain's names the abort."""
-    if isinstance(result, ChainAborted):
-        return _skipped(bases, result if students else result.__cause__)
-    rows = tuple(
-        replace(
-            base,
+def _finish_cell(cfg, chain_cfg, catalog, cell, pool_ids, outcome) -> tuple[list[RunRow], list[TraceRow]]:
+    """A cell's rows and trace rows from its ``_run_cells`` output, with its
+    files written. A chain's cell has rows from its best member and its
+    final member, and a trace row per member; a baseline cell (a chain
+    without students) has one row, from its teacher with ``iteration``
+    left empty, and no traces. A cell that did not train gets skip rows
+    naming its error: its split's, its chain's abort or, for the baseline,
+    the teacher's own. A trained cell writes its best member's confusion
+    and, as configured, every member's checkpoint and every student's
+    pseudo-labels."""
+    f_idx, run = cell
+    fraction, seed = cfg.fractions[f_idx], _cell_seed(cfg, chain_cfg, f_idx, run)
+    students = chain_cfg.iterations > 0
+    modes = ("chain_best", "chain_final") if students else ("baseline",)
+    if isinstance(outcome, Exception):
+        error = outcome.__cause__ if isinstance(outcome, ChainAborted) and not students else outcome
+        status = "skipped: " + str(error).replace(",", ";").replace("\n", " ")
+        return [RunRow(mode, fraction, run, seed, status) for mode in modes], []
+    records, best, seeds = outcome.records, outcome.records[outcome.best_iteration], outcome.seeds
+    rows = [
+        RunRow(
+            mode, fraction, run, seed,
             iteration=rec.iteration if students else None,
             val_accuracy=rec.val_accuracy,
             test_accuracy=rec.test_accuracy,
         )
-        for base, rec in zip(bases, (result.records[result.best_iteration], result.records[-1]))
-    )
-    fraction, run = bases[0].fraction, bases[0].run
-    traces = tuple(
+        for mode, rec in zip(modes, (best, records[-1]))
+    ]
+    traces = [
         TraceRow(
-            run=run,
-            fraction=fraction,
-            iteration=rec.iteration,
-            val_accuracy=rec.val_accuracy,
-            test_accuracy=rec.test_accuracy,
-            pseudo_count=rec.pseudo_count,
-            pseudo_agreement=rec.pseudo_agreement,
+            run, fraction, rec.iteration, rec.val_accuracy, rec.test_accuracy,
+            rec.pseudo_count, rec.pseudo_agreement,
         )
-        for rec in (result.records if students else ())
-    )
-    return _CellOutput(rows=rows, traces=traces, result=result, pool_ids=pool_ids)
-
-
-def _write_cell(cfg, catalog, cell: _CellOutput) -> _CellOutput:
-    """A trained cell's files, written by the parent: the confusion of its
-    best member (a baseline's teacher) and, as configured, every member's
-    checkpoint and every student's pseudo-labels. Returns the cell's rows
-    and traces alone, all the sweep keeps of it."""
-    result = cell.result
-    if result is None:
-        return cell
+        for rec in (records if students else ())
+    ]
     out = Path(cfg.out_dir)
-    tag = f"{fraction_tag(cell.rows[0].fraction)}_{cell.rows[0].run}"
-    write_confusion_csv(out / f"confusion_{tag}.csv", catalog, result.records[result.best_iteration].confusion)
+    tag = f"{fraction_tag(fraction)}_{run}"
+    write_confusion_csv(out / f"confusion_{tag}.csv", catalog, best.confusion)
     if cfg.save_models:
-        for rec in result.records:
-            save_model(out / f"model_{tag}_iter{rec.iteration}.json", rec.model, seed=result.seeds[rec.iteration])
+        for rec in records:
+            save_model(out / f"model_{tag}_iter{rec.iteration}.json", rec.model, seed=seeds[rec.iteration])
     if cfg.dump_pseudo_labels:
-        for rec in result.records[1:]:
+        for rec in records[1:]:
             labels = rec.pseudo_labels
             lines = ["sample_id,top_class,confidence," + ",".join(f"p{j}" for j in range(catalog.size))]
             lines += [
                 f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
                 for sid, top, conf, soft in zip(
-                    cell.pool_ids[labels.positions].tolist(), labels.top.tolist(),
+                    pool_ids[labels.positions].tolist(), labels.top.tolist(),
                     labels.confidence.tolist(), labels.soft.tolist(),
                 )
             ]
             (out / f"pseudo_{tag}_iter{rec.iteration}.csv").write_text(
                 "\n".join(lines) + "\n", encoding="utf-8"
             )
-    return _CellOutput(rows=cell.rows, traces=cell.traces)
+    return rows, traces
 
 
 # Cells trained in one lockstep group at most. Memory grows with every cell
@@ -461,12 +433,13 @@ def _cell_groups(cells: list, jobs: int) -> list[list]:
 
 def _execute_cells(
     cfg: ExperimentConfig, chain_cfg: ChainConfig, dataset: tuple[DataTable, DataTable, DataTable]
-) -> Iterator[_CellOutput]:
-    """Every (fraction, run) cell, a chain of ``chain_cfg``, in order, as
-    each lockstep group of ``_cell_groups`` finishes its ``_run_cells`` on
-    ``dataset``: one after another at jobs = 1, otherwise in worker
-    processes, which receive the tables by pickle and read no input. A group is dropped once its last
-    cell is taken, before the next group is waited for."""
+) -> Iterator[tuple]:
+    """Every (fraction, run) cell's ``_run_cells`` output, a chain of
+    ``chain_cfg`` on ``dataset``, in order, as each lockstep group of
+    ``_cell_groups`` finishes: one after another at jobs = 1, otherwise in
+    worker processes, which receive the tables by pickle and read no input.
+    A group is dropped once its last cell is taken, before the next group
+    is waited for."""
     cells = [(f_idx, run) for f_idx in range(len(cfg.fractions)) for run in range(cfg.runs)]
     groups = _cell_groups(cells, cfg.jobs)
     run = partial(_run_cells, dataset, cfg, chain_cfg)
@@ -538,22 +511,25 @@ def emit_outputs(
 
 
 def _sweep(cfg: ExperimentConfig, chain_cfg: ChainConfig, baseline: float | None = None) -> RunSummary:
-    """Every cell of ``cfg`` run as a chain of ``chain_cfg``, a trained
-    cell's files written as its group finishes, then the sweep-level files
-    with ``baseline`` as the chart's reference (see ``_chart_reference``).
-    Faults every cell would hit fail first: a chain keeping more
-    probabilities than there are classes, an early-stop set too small to
-    cover them, or a train table without a sample of one."""
+    """Every cell of ``cfg`` run as a chain of ``chain_cfg``, its rows,
+    traces and files made by ``_finish_cell`` as its group finishes, then
+    the sweep-level files with ``baseline``, if given, as the chart's
+    reference. Faults every cell would hit fail first: a train file without
+    a sample of some class (in ``prepare_dataset``), a chain keeping more
+    probabilities than there are classes, or an early-stop set too small to
+    cover them."""
     dataset = prepare_dataset(cfg)
     catalog = dataset[0].catalog
     if chain_cfg.iterations and (chain_cfg.distill.top_probs or 0) > catalog.size:
         raise ValueError(f"chain.top_probs ({chain_cfg.distill.top_probs}) exceeds the {catalog.size} classes")
-    early_stop_size(dataset[0], cfg.early_stop_fraction, getattr(cfg.source, "train", "training table"))
+    early_stop_size(dataset[0], cfg.early_stop_fraction)
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    kept = list(map(partial(_write_cell, cfg, catalog), _execute_cells(cfg, chain_cfg, dataset)))
-    summary = aggregate_runs([r for cell in kept for r in cell.rows])
-    traces = [t for cell in kept for t in cell.traces]
-    emit_outputs(summary, traces, cfg.out_dir, _chart_reference(traces, baseline), config_to_lines(cfg))
+    # starmap holds no cell's output past its call, so none outlives its group
+    finish = partial(_finish_cell, cfg, chain_cfg, catalog)
+    finished = list(itertools.starmap(finish, _execute_cells(cfg, chain_cfg, dataset)))
+    summary = aggregate_runs([row for rows, _ in finished for row in rows])
+    traces = [trace for _, cell_traces in finished for trace in cell_traces]
+    emit_outputs(summary, traces, cfg.out_dir, baseline, config_to_lines(cfg))
     return summary
 
 
@@ -578,18 +554,3 @@ def run_chain_experiment(
     summary.csv or has no baseline row fails it before any cell runs.
     """
     return _sweep(cfg, cfg.chain, best_baseline_mean(baseline_summary) if baseline_summary else None)
-
-
-def _chart_reference(traces: list[TraceRow], baseline: float | None) -> float | None:
-    """The chain chart's reference line: ``baseline``, the best mean
-    baseline test accuracy of a summary, when there is one, else the best
-    mean teacher test accuracy of ``traces``."""
-    if baseline is not None:
-        return baseline
-    by_fraction: dict[float, list[float]] = {}
-    for t in traces:
-        if t.iteration == 0:
-            by_fraction.setdefault(t.fraction, []).append(t.test_accuracy)
-    means = [float(np.mean(v)) for v in by_fraction.values()]
-    return max(means) if means else None
-

@@ -170,7 +170,16 @@ def render_chain_svg(
     baseline_reference: float | None = None,
 ) -> str:
     """Line chart of test accuracy per iteration: one panel per fraction, one
-    polyline per run, plus an optional horizontal baseline reference."""
+    polyline per run, plus a horizontal reference line at
+    ``baseline_reference``, the best mean baseline test accuracy of a
+    summary, when given, else at the best mean teacher test accuracy of
+    ``traces``, when they hold a teacher."""
+    if baseline_reference is None:
+        by_fraction: dict[float, list[float]] = {}
+        for t in traces:
+            if t.iteration == 0:
+                by_fraction.setdefault(t.fraction, []).append(t.test_accuracy)
+        baseline_reference = max((float(np.mean(v)) for v in by_fraction.values()), default=None)
     fractions = sorted({t.fraction for t in traces})
     panel_w, panel_h, margin, gap = 280, 240, 46, 24
     width = margin + len(fractions) * (panel_w + gap)

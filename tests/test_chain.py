@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,18 @@ class TestRunChain:
             run_chain(splits, truth, val, test, arch, quick_chain_config(), seed=8)
         assert len(excinfo.value.records) == 1  # the teacher survived
         assert excinfo.value.records[0].iteration == 0
+
+    def test_an_abort_survives_a_pickle_round_trip(self):
+        # a worker process sends its cells' aborts back to the sweep by pickle
+        records = (record(0, 0.5, 0.25), record(1, 0.75, 0.5))
+        sent = ChainAborted(NumericError("non-finite training loss at epoch 0"), records)
+        got = pickle.loads(pickle.dumps(sent))
+        assert type(got) is ChainAborted and str(got) == str(sent)
+        assert type(got.__cause__) is NumericError and str(got.__cause__) == str(sent.__cause__)
+        assert [(r.iteration, r.val_accuracy, r.test_accuracy) for r in got.records] == [
+            (0, 0.5, 0.25), (1, 0.75, 0.5)
+        ]
+        assert all(np.array_equal(a.confusion, b.confusion) for a, b in zip(got.records, records))
 
 
 

@@ -338,16 +338,16 @@ class TestCliCommands:
         train, validation, test = generate_synthetic(3, 40, 3, 0.4, seed=11)
         if fault == "missing class":
             train = replace(train, labels=np.where(train.labels == 2, 0, train.labels))
-            message = f"{paths[0]} has no samples for classes ['c2']"
+            message = f"{paths[0]} has no samples for classes ['c2']"  # a fault of the file
         else:
-            message = NO_RESERVE
+            message = f"invalid configuration: {NO_RESERVE}"
         for path, table in zip(paths, (train, validation, test)):
             write_table(path, table)
         files = ["--source", "files", *(f"--data.{n}={p}" for n, p in zip(("train", "validation", "test"), paths))]
         reserve = "0.01" if fault == "no reserve" else "0.1"
         out = tmp_path / "out"
         assert main([command, *FAST, *files, "--early_stop_fraction", reserve, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_the_cell_count_counts_cells_not_rows(self, tmp_path, capsys):

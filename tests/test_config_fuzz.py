@@ -3,7 +3,10 @@ configuration keys on top of a tiny baseline or chain sweep, from a tiny
 synthetic source or a tiny files source, and runs the CLI in-process. Every
 config either fails before any cell trains (exit 1, no out dir) or runs
 cleanly (exit 0, no warning or stderr text, every row ``ok`` or skipped with
-a reason); the CLI never exits 2.
+a reason, and a ``report`` over the out dir rewrites it byte for byte); the
+CLI never exits 2. A skip reason shared by every row of a sweep of two runs
+is a suspect config fault, and must be a training blow-up: a config no cell
+can train with is to fail before the sweep instead.
 
 Work-size keys (``synthetic.per_class``, ``*.steps_per_epoch``,
 ``*.max_epochs``, ``*.batch_size``, ``arch.hidden``, ``runs``) draw no giant
@@ -44,7 +47,7 @@ def edges(key):
 
 
 TINY = {
-    "fractions": "0.5", "runs": "1", "early_stop_fraction": "0.2", "chain.iterations": "1",
+    "fractions": "0.5", "runs": "2", "early_stop_fraction": "0.2", "chain.iterations": "1",
     **{f"{phase}.{name}": "2" for phase in ("train", "chain.pretrain", "chain.finetune")
        for name in ("max_epochs", "steps_per_epoch")},
 }
@@ -88,3 +91,11 @@ def test_a_config_fails_before_training_or_runs_cleanly(tmp_path_factory, capfd,
         assert err == "" and not caught, (err, [str(w.message) for w in caught])
         rows = read_runs_csv(out / "runs.csv")
         assert rows and all(r.status == "ok" or r.status.startswith("skipped: ") and r.status[9:].strip() for r in rows)
+        statuses = {r.status for r in rows}
+        if len(statuses) == 1 and not rows[0].ok:
+            event("one skip reason in every cell")
+            assert "non-finite" in rows[0].status, rows[0].status
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(["report", f"--out={out}"]) == 0
+        assert capfd.readouterr().err == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written

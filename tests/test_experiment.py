@@ -7,6 +7,7 @@ import pytest
 
 from distillchain import (
     ChainConfig,
+    ChainResult,
     DataFiles,
     ExperimentConfig,
     NumericError,
@@ -228,6 +229,30 @@ def test_lockstep_groups_do_not_change_bytes(tmp_path, sweep, monkeypatch):
     assert all(files == written[1, 8] for files in written.values())
 
 
+@pytest.mark.parametrize("sweep", ["baseline", "chain"])
+def test_aborted_cells_do_not_change_bytes_across_jobs(tmp_path, sweep):
+    # at jobs = 2 every abort comes back from a worker process by pickle
+    blow_up = TrainConfig(learning_rate=1.7976931348623157e308, max_epochs=3, steps_per_epoch=10)
+    written = []
+    for jobs in (1, 2):
+        cfg = tiny_config(tmp_path / str(jobs), jobs=jobs)
+        if sweep == "baseline":
+            run_baseline_sweep(replace(cfg, train=blow_up))
+        else:
+            run_chain_experiment(replace(cfg, chain=replace(cfg.chain, pretrain=blow_up)))
+        out = Path(cfg.out_dir)
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "config_resolved.cfg"})
+    assert written[0] == written[1]
+    # a baseline's skip row names the teacher's own error, a chain's the
+    # abort; a chain has no pool at fraction 1.0
+    blown = "non-finite training loss at epoch 0"
+    statuses = {r.status for r in read_runs_csv(tmp_path / "1" / "out" / "runs.csv")}
+    if sweep == "baseline":
+        assert statuses == {f"skipped: {blown}"}
+    else:
+        assert statuses == {f"skipped: chain aborted at iteration 1: {blown}", "skipped: empty pool"}
+
+
 def test_cell_groups_are_contiguous_capped_and_one_per_worker():
     cap = experiment._GROUP_CELLS
     for n in range(1, 3 * cap + 2):
@@ -246,15 +271,24 @@ def test_a_group_run_writes_no_file(tmp_path, sweep):
     cfg = tiny_config(tmp_path / "absent", save_models=True, dump_pseudo_labels=True)
     chain_cfg = ChainConfig(iterations=0, finetune=cfg.train) if sweep == "baseline" else cfg.chain
     cells = [(0, 0), (0, 1), (1, 0)]
-    outputs = experiment._run_cells(experiment.prepare_dataset(cfg), cfg, chain_cfg, cells)
+    dataset = experiment.prepare_dataset(cfg)
+    outputs = experiment._run_cells(dataset, cfg, chain_cfg, cells)
     assert not any(tmp_path.iterdir())
-    assert [(r.fraction, r.run) for out in outputs for r in out.rows[:1]] == [(0.2, 0), (0.2, 1), (1.0, 0)]
+    assert [output[0] for output in outputs] == cells
+    # each output is its cell's run alone
+    for cell, pool_ids, outcome in outputs:
+        [(_, alone_ids, alone)] = experiment._run_cells(dataset, cfg, chain_cfg, [cell])
+        assert type(outcome) is type(alone) and np.array_equal(pool_ids, alone_ids)
+        if isinstance(alone, ChainResult):
+            assert outcome.seeds == alone.seeds and outcome.seeds[0] == experiment._cell_seed(cfg, chain_cfg, *cell)
+            assert [r.test_accuracy for r in outcome.records] == [r.test_accuracy for r in alone.records]
     members = cfg.chain.iterations + 1 if sweep == "chain" else 1
-    for out in outputs[:2]:
-        assert all(r.ok for r in out.rows) and len(out.result.records) == members
-        assert all(rec.pseudo_labels is not None for rec in out.result.records[1:])
+    for _, _, result in outputs[:2]:
+        assert isinstance(result, ChainResult) and len(result.records) == members
+        assert all(rec.pseudo_labels is not None for rec in result.records[1:])
     # a chain has no pool at fraction 1.0, while a teacher trains there
-    assert (outputs[2].result is None) == (sweep == "chain")
+    _, _, last = outputs[2]
+    assert (str(last) == "empty pool") if sweep == "chain" else isinstance(last, ChainResult)
 
 
 @pytest.mark.parametrize("role", [experiment._ROLE_CHAIN, experiment._ROLE_TRAIN])
@@ -268,12 +302,12 @@ def test_prepared_cells_hold_no_copy_of_the_pool(role):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prepared, skipped = experiment._prepare_cells(dataset, cfg, chain_cfg, cells)
+        prepared = [experiment._cell_splits(dataset[0], cfg, chain_cfg, *cell) for cell in cells]
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(prepared) == len(cells) and not skipped
-    pool_matrix = len(prepared[0][2].pool) * dataset[0].dim * 8
+    assert len(prepared) == len(cells)
+    pool_matrix = len(prepared[0][0].pool) * dataset[0].dim * 8
     assert grown < len(cells) * pool_matrix
 
 
@@ -327,7 +361,7 @@ class TestBaselineSweep:
             params, seed = load_model(out / f"model_{fraction_tag(r.fraction)}_{r.run}_iter0.json")
             cell = (cfg.fractions.index(r.fraction), r.run)
             teacher = ChainConfig(iterations=0, finetune=cfg.train)
-            [(_, _, splits, _)], _ = experiment._prepare_cells(dataset, cfg, teacher, [cell])
+            splits, _ = experiment._cell_splits(dataset[0], cfg, teacher, *cell)
             assert seed == r.seed
             assert evaluate(params, splits.normalized(dataset[2]))[0] == r.test_accuracy
 
@@ -435,7 +469,7 @@ class TestChainExperiment:
         # dump did before students kept their pseudo-labels.
         out = tmp_path / "out"
         dataset = experiment.prepare_dataset(cfg)
-        [(_, _, splits, _)], _ = experiment._prepare_cells(dataset, cfg, cfg.chain, [(0, 0)])
+        splits, _ = experiment._cell_splits(dataset[0], cfg, cfg.chain, 0, 0)
         for i in range(1, 4):
             model, _ = load_model(out / f"model_0.2_0_iter{i - 1}.json")
             labels = filter_pseudo_labels(
