@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from distillchain import ExperimentConfig, SyntheticSpec, run_baseline_sweep, run_chain_experiment
-from distillchain.reports import read_runs_csv, read_traces_csv
+from distillchain.reports import RunRow, TraceRow, read_rows
 from host_kind import host_kind
 
 # The outputs whose hashes are the byte-identity oracle of a seeded run.
@@ -61,9 +61,9 @@ def main() -> None:
     run_chain_experiment(chain_cfg, baseline_summary=out / "baseline" / "summary.csv")
     print(f"chain sweep:    {time.perf_counter() - t1:.0f}s -> {out / 'chain'}")
 
-    traces = read_traces_csv(out / "chain" / "traces.csv")
+    traces = read_rows(out / "chain" / "traces.csv", TraceRow)
     best = {}
-    for row in read_runs_csv(out / "chain" / "runs.csv"):
+    for row in read_rows(out / "chain" / "runs.csv", RunRow):
         if row.mode == "chain_best" and row.ok:
             best.setdefault(row.fraction, []).append(row.test_accuracy)
     print("\nfraction  teacher-test  best-chain-test  gap")

@@ -29,7 +29,6 @@ from .learner import (
     TrainConfig,
     TrainJob,
     evaluate,
-    init_params,
     one_hot,
     train_job,
     train_lockstep,
@@ -110,35 +109,30 @@ def _finetune_job(
     )
 
 
-def _student(
+def _pretrain_job(
     arch: ArchSpec,
     labels: PseudoLabels,
     splits: SplitResult,
     cfg: ChainConfig,
     seed: int,
     warm_start: ModelParams | None,
-) -> Generator[TrainJob, ModelParams, ModelParams]:
-    """A student's two phases as a generator: it yields the pretraining job
-    (the pool rows the pseudo-labels name, in their order, read in place
-    against their soft targets), is sent its trained params, yields the
-    fine-tuning job from them and returns the params it is sent back."""
+) -> TrainJob:
+    """A student's phase 1: the pool rows the pseudo-labels name, in their
+    order, read in place against their soft targets, from a fresh init of
+    ``seed`` or, without ``fresh_init_per_student``, from ``warm_start``."""
     if not labels:
         raise ValueError("train_student needs a non-empty pseudo-label set")
-    start = warm_start
-    if cfg.fresh_init_per_student or warm_start is None:
-        start = init_params(arch, seed)
     pool = splits.pool
-    pretrained = yield TrainJob(
+    return TrainJob(
         pool.source,
         labels.soft,
         splits.early_stop,
         cfg.pretrain,
-        init=start,
+        init=None if cfg.fresh_init_per_student else warm_start,
         rows=pool.rows[labels.positions],
         normalizer=pool.normalizer,
         seed=seed,
     )
-    return (yield _finetune_job(arch, splits, cfg, seed, pretrained))
 
 
 def train_student(
@@ -153,16 +147,12 @@ def train_student(
     fine-tune on the one-hot labelled set from the phase-1 best weights.
 
     The optimizer state is reset between phases; both phases early-stop on
-    the same held-out accuracy set. With ``fresh_init_per_student`` the
-    student starts from a fresh seeded init, otherwise from ``warm_start``.
+    the same held-out accuracy set. With ``fresh_init_per_student`` or no
+    ``warm_start`` the student starts from a fresh init of ``seed``,
+    otherwise from ``warm_start``.
     """
-    student = _student(arch, teacher_labels, splits, cfg, seed, warm_start)
-    try:
-        job = next(student)
-        while True:
-            job = student.send(train_job(arch, job)[0])
-    except StopIteration as done:
-        return done.value
+    pretrained, _ = train_job(arch, _pretrain_job(arch, teacher_labels, splits, cfg, seed, warm_start))
+    return train_job(arch, _finetune_job(arch, splits, cfg, seed, pretrained))[0]
 
 
 # (splits, the pool's truth, validation and test as stored, the chain's seed)
@@ -193,7 +183,8 @@ def _chain(
             # the unfiltered labels are not bound, so they die with the filter
             labels = filter_pseudo_labels(pseudo_label_pool(model, pool), cfg.distill, pool.catalog)
             agreement = pseudo_label_quality(labels, truth)[0] if labels else None
-            model = yield from _student(arch, labels, splits, cfg, seed, model)
+            model = yield _pretrain_job(arch, labels, splits, cfg, seed, model)
+            model = yield _finetune_job(arch, splits, cfg, seed, model)
         val_acc, _ = evaluate(model, splits.normalized(validation))
         test_acc, confusion = evaluate(model, splits.normalized(test))
         records.append(

@@ -18,17 +18,12 @@ from .experiment import (
     ExperimentConfig,
     aggregate_runs,
     build_config,
+    emit_outputs,
     prepare_dataset,
     run_baseline_sweep,
     run_chain_experiment,
 )
-from .reports import (
-    best_baseline_mean,
-    read_runs_csv,
-    read_traces_csv,
-    render_chain_svg,
-    write_summary_csv,
-)
+from .reports import RunRow, TraceRow, best_baseline_mean, read_rows
 
 
 class ConfigError(ValueError):
@@ -99,21 +94,17 @@ def _cmd_synth(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_report(cfg: ExperimentConfig, baseline_summary: str | None) -> None:
+    """Re-aggregate a sweep's runs.csv and rewrite its files through the
+    sweep's own writer; a missing traces.csv counts as no traces, and the
+    resolved config is left as the sweep wrote it."""
     out = Path(cfg.out_dir)
-    runs_path = out / "runs.csv"
+    runs_path, traces_path = out / "runs.csv", out / "traces.csv"
     if not runs_path.exists():
         raise ConfigError(f"no runs.csv under {out}; run a sweep first")
     baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
-    summary = aggregate_runs(read_runs_csv(runs_path))
-    write_summary_csv(out / "summary.csv", summary)
-    traces_path = out / "traces.csv"
-    if traces_path.exists():
-        traces = read_traces_csv(traces_path)
-        if traces:
-            (out / "chain_curves.svg").write_text(
-                render_chain_svg(traces, baseline_reference=baseline), encoding="utf-8"
-            )
-    print(f"re-aggregated {out / 'summary.csv'}")
+    traces = read_rows(traces_path, TraceRow) if traces_path.exists() else []
+    written = emit_outputs(aggregate_runs(read_rows(runs_path, RunRow)), traces, out, baseline)
+    print(f"re-aggregated {written[0]}")
 
 
 def main(argv: list[str] | None = None) -> int:

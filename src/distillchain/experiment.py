@@ -43,7 +43,6 @@ from .reports import (
     render_chain_svg,
     write_confusion_csv,
     write_rows,
-    write_summary_csv,
 )
 
 DEFAULT_FRACTIONS = (0.0025, 0.005, 0.01, 0.05, 0.20, 1.0)
@@ -493,7 +492,7 @@ def emit_outputs(
     try:
         out.mkdir(parents=True, exist_ok=True)
         written = [out / "summary.csv", out / "runs.csv", out / "traces.csv"]
-        write_summary_csv(written[0], summary)
+        write_rows(written[0], SummaryCell, summary.cells)
         write_rows(written[1], RunRow, sorted(summary.details, key=attrgetter("fraction", "mode", "run")))
         write_rows(written[2], TraceRow, sorted(traces, key=attrgetter("fraction", "run", "iteration")))
         if traces:

@@ -132,15 +132,10 @@ def read_rows(path: Path | str, cls) -> list:
     return rows
 
 
+# perfbench/oracle.py imports these three by name; the package itself
+# reads and writes every row file through read_rows and write_rows.
 def write_summary_csv(path: Path | str, summary: RunSummary) -> None:
     write_rows(path, SummaryCell, summary.cells)
-
-
-def write_confusion_csv(path: Path | str, catalog: ClassCatalog, confusion: np.ndarray) -> None:
-    lines = ["true_class," + ",".join(catalog.names)]
-    for i, name in enumerate(catalog.names):
-        lines.append(name + "," + ",".join(str(int(v)) for v in confusion[i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_runs_csv(path: Path | str) -> list[RunRow]:
@@ -149,6 +144,13 @@ def read_runs_csv(path: Path | str) -> list[RunRow]:
 
 def read_traces_csv(path: Path | str) -> list[TraceRow]:
     return read_rows(path, TraceRow)
+
+
+def write_confusion_csv(path: Path | str, catalog: ClassCatalog, confusion: np.ndarray) -> None:
+    lines = ["true_class," + ",".join(catalog.names)]
+    for i, name in enumerate(catalog.names):
+        lines.append(name + "," + ",".join(str(int(v)) for v in confusion[i]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def best_baseline_mean(summary_path: Path | str) -> float:

@@ -36,7 +36,7 @@ from distillchain import (
 )
 from distillchain import chain as chain_module
 from distillchain.experiment import config_to_lines
-from distillchain.reports import read_runs_csv, read_traces_csv
+from distillchain.reports import RunRow, TraceRow, read_rows
 
 from conftest import (
     gradcheck_case,
@@ -363,8 +363,8 @@ def test_criterion_6_chain_benefit(tmp_path):
         ),
     )
     run_chain_experiment(cfg)
-    traces = read_traces_csv(tmp_path / "out" / "traces.csv")
-    rows = read_runs_csv(tmp_path / "out" / "runs.csv")
+    traces = read_rows(tmp_path / "out" / "traces.csv", TraceRow)
+    rows = read_rows(tmp_path / "out" / "runs.csv", RunRow)
     teacher_val = {t.run: t.val_accuracy for t in traces if t.iteration == 0}
     teacher_test = [t.test_accuracy for t in traces if t.iteration == 0]
     best_rows = [r for r in rows if r.mode == "chain_best"]

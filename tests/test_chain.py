@@ -122,6 +122,25 @@ class TestTrainStudent:
         for wa, wb in zip((*a.weights, *a.biases), (*b.weights, *b.biases)):
             assert np.array_equal(wa, wb)
 
+    def test_warm_start_is_the_start_only_without_fresh_init(self):
+        # with fresh_init_per_student, or without a warm_start, a student
+        # starts from init_params(arch, seed); otherwise from warm_start
+        splits, _, _, _, arch = small_problem(seed=5)
+        fake = PseudoLabels(
+            np.arange(len(splits.pool)), np.tile([0.7, 0.2, 0.1], (len(splits.pool), 1))
+        )
+        fresh = quick_chain_config()
+        warm = replace(fresh, fresh_init_per_student=False)
+        other = init_params(arch, 9)
+
+        def same(p, q):
+            return all(np.array_equal(a, b) for a, b in zip((*p.weights, *p.biases), (*q.weights, *q.biases)))
+
+        want = train_student(arch, fake, splits, fresh, seed=2, warm_start=other)
+        assert same(train_student(arch, fake, splits, warm, seed=2), want)
+        assert same(train_student(arch, fake, splits, warm, seed=2, warm_start=init_params(arch, 2)), want)
+        assert not same(train_student(arch, fake, splits, warm, seed=2, warm_start=other), want)
+
     def test_oracle_pseudo_labels_beat_the_teacher(self):
         # a teacher that reveals the pool's truth should give students at
         # least the plain supervised teacher's accuracy, averaged over seeds
@@ -310,9 +329,16 @@ class TestRunChains:
         cfg = quick_chain_config(iterations=3, per_class_cap=20)
         return cells, ArchSpec(input_dim=3, hidden=hidden, output_dim=3), cfg
 
-    @pytest.mark.parametrize("hidden", [(), (8,)])
-    def test_equals_one_run_chain_per_cell(self, hidden):
+    @pytest.mark.parametrize(
+        "hidden, fresh_init",
+        [((), True), ((8,), True), ((), False), ((8,), False)],
+        ids=["hidden0", "hidden1", "hidden0-warm", "hidden1-warm"],
+    )
+    def test_equals_one_run_chain_per_cell(self, hidden, fresh_init):
+        # without fresh_init_per_student each student starts from the last
+        # member's weights, as reference_student does on its own
         cells, arch, cfg = self.cells(hidden)
+        cfg = replace(cfg, fresh_init_per_student=fresh_init)
         results = run_chains(cells, arch, cfg, keep_pseudo_labels=True)
         for cell, got in zip(cells, results):
             want = run_alone(cell, arch, cfg)

@@ -410,6 +410,19 @@ class TestCliCommands:
         assert (out / "summary.csv").read_bytes() == original
         assert (out / "chain_curves.svg").read_bytes() == original_svg
 
+    def test_report_without_traces_writes_their_header_and_no_chart(self, tmp_path):
+        # a missing traces.csv counts as no traces: report writes the
+        # header-only file a baseline sweep writes and draws no chart
+        out = tmp_path / "out"
+        assert main(["chain", *FAST, "--seed", "3", "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in ("runs.csv", "summary.csv", "traces.csv")}
+        for name in ("traces.csv", "chain_curves.svg"):
+            (out / name).unlink()
+        assert main(["report", "--out", str(out)]) == 0
+        assert (out / "traces.csv").read_bytes() == before.pop("traces.csv").splitlines(keepends=True)[0]
+        assert not (out / "chain_curves.svg").exists()
+        assert {name: (out / name).read_bytes() for name in before} == before
+
     def test_report_without_runs_exits_one(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
 

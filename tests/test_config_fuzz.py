@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from distillchain import chain, generate_synthetic, write_table
 from distillchain.cli import main
 from distillchain.experiment import CONFIG_KEYS, _parse_bool, _parse_int_or_none
-from distillchain.reports import read_runs_csv
+from distillchain.reports import RunRow, read_rows
 
 CLASSES = 3
 FLOAT_EDGES = ("0", "1", "-1", "1e-300", "1.7976931348623157e308", "nan", "inf", "-inf")
@@ -89,7 +89,7 @@ def test_a_config_fails_before_training_or_runs_cleanly(tmp_path_factory, capfd,
             assert err.startswith("error: ") and not out.exists() and not trainer.called
             return
         assert err == "" and not caught, (err, [str(w.message) for w in caught])
-        rows = read_runs_csv(out / "runs.csv")
+        rows = read_rows(out / "runs.csv", RunRow)
         assert rows and all(r.status == "ok" or r.status.startswith("skipped: ") and r.status[9:].strip() for r in rows)
         statuses = {r.status for r in rows}
         if len(statuses) == 1 and not rows[0].ok:

@@ -36,8 +36,7 @@ from distillchain.dataset import classes_path
 from distillchain.reports import (
     SUMMARY_HEADER,
     fraction_tag,
-    read_runs_csv,
-    read_traces_csv,
+    read_rows,
     render_chain_svg,
 )
 
@@ -246,7 +245,7 @@ def test_aborted_cells_do_not_change_bytes_across_jobs(tmp_path, sweep):
     # a baseline's skip row names the teacher's own error, a chain's the
     # abort; a chain has no pool at fraction 1.0
     blown = "non-finite training loss at epoch 0"
-    statuses = {r.status for r in read_runs_csv(tmp_path / "1" / "out" / "runs.csv")}
+    statuses = {r.status for r in read_rows(tmp_path / "1" / "out" / "runs.csv", RunRow)}
     if sweep == "baseline":
         assert statuses == {f"skipped: {blown}"}
     else:
@@ -370,7 +369,7 @@ class TestChainExperiment:
     def test_trace_counts_and_skips(self, tmp_path):
         cfg = tiny_config(tmp_path)
         summary = run_chain_experiment(cfg)
-        traces = read_traces_csv(tmp_path / "out" / "traces.csv")
+        traces = read_rows(tmp_path / "out" / "traces.csv", TraceRow)
         # fraction 0.2 runs chains; fraction 1.0 is skipped (empty pool)
         assert len(traces) == cfg.runs * (cfg.chain.iterations + 1)
         skipped = [r for r in summary.details if not r.ok]
@@ -416,8 +415,8 @@ class TestChainExperiment:
     def test_selection_dominance_per_run(self, tmp_path):
         cfg = tiny_config(tmp_path)
         run_chain_experiment(cfg)
-        traces = read_traces_csv(tmp_path / "out" / "traces.csv")
-        runs_rows = read_runs_csv(tmp_path / "out" / "runs.csv")
+        traces = read_rows(tmp_path / "out" / "traces.csv", TraceRow)
+        runs_rows = read_rows(tmp_path / "out" / "runs.csv", RunRow)
         teachers = {(t.fraction, t.run): t.val_accuracy for t in traces if t.iteration == 0}
         for r in runs_rows:
             if r.mode == "chain_best" and r.ok:

@@ -10,7 +10,6 @@ from distillchain.reports import (
     TraceRow,
     best_baseline_mean,
     read_rows,
-    read_runs_csv,
     write_rows,
 )
 
@@ -66,7 +65,7 @@ def test_malformed_results_name_the_file_and_line(tmp_path, capsys, text, where)
     runs = out / "runs.csv"
     runs.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as excinfo:
-        read_runs_csv(runs)
+        read_rows(runs, RunRow)
     assert str(excinfo.value).startswith(f"{runs}: {where}")
     assert main(["report", "--out", str(out)]) == 1
     assert f"{runs}: {where}" in capsys.readouterr().err
