@@ -68,7 +68,6 @@ class IterationRecord:
 class ChainResult:
     records: tuple[IterationRecord, ...]
     best_iteration: int
-    config: ChainConfig
     seeds: tuple[int, ...]
 
 
@@ -200,7 +199,7 @@ def _chain(
             )
         )
         labels = None
-    return ChainResult(tuple(records), select_best(records), cfg, seeds)
+    return ChainResult(tuple(records), select_best(records), seeds)
 
 
 def run_chains(

@@ -103,7 +103,12 @@ def _cmd_report(cfg: ExperimentConfig, baseline_summary: str | None) -> None:
         raise ConfigError(f"no runs.csv under {out}; run a sweep first")
     baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
     traces = read_rows(traces_path, TraceRow) if traces_path.exists() else []
-    written = emit_outputs(aggregate_runs(read_rows(runs_path, RunRow)), traces, out, baseline)
+    rows = read_rows(runs_path, RunRow)
+    try:
+        summary = aggregate_runs(rows)
+    except ValueError as exc:
+        raise ValueError(f"{runs_path}: {exc}") from None
+    written = emit_outputs(summary, traces, out, baseline)
     print(f"re-aggregated {written[0]}")
 
 

@@ -42,6 +42,7 @@ from .reports import (
     fraction_tag,
     render_chain_svg,
     write_confusion_csv,
+    write_csv,
     write_rows,
 )
 
@@ -398,19 +399,11 @@ def _finish_cell(cfg, chain_cfg, catalog, cell, pool_ids, outcome) -> tuple[list
         for rec in records:
             save_model(out / f"model_{tag}_iter{rec.iteration}.json", rec.model, seed=seeds[rec.iteration])
     if cfg.dump_pseudo_labels:
+        header = ["sample_id", "top_class", "confidence", *(f"p{j}" for j in range(catalog.size))]
         for rec in records[1:]:
             labels = rec.pseudo_labels
-            lines = ["sample_id,top_class,confidence," + ",".join(f"p{j}" for j in range(catalog.size))]
-            lines += [
-                f"{sid},{top},{conf!r}," + ",".join(map(repr, soft))
-                for sid, top, conf, soft in zip(
-                    pool_ids[labels.positions].tolist(), labels.top.tolist(),
-                    labels.confidence.tolist(), labels.soft.tolist(),
-                )
-            ]
-            (out / f"pseudo_{tag}_iter{rec.iteration}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+            cols = (pool_ids[labels.positions], labels.top, labels.confidence, *labels.soft.T)
+            write_csv(out / f"pseudo_{tag}_iter{rec.iteration}.csv", header, zip(*(c.tolist() for c in cols)))
     return rows, traces
 
 
@@ -455,7 +448,10 @@ def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:
     """Mean, sample (n-1) std, min, max of validation and test accuracy per
     (mode, fraction) over the non-skipped runs. Cells with a single value
     report std 0 flagged ``n=1``; cells with no usable runs stay visible as
-    ``no data`` warning rows."""
+    ``no data`` warning rows. A repeated (mode, fraction, run) is a ValueError."""
+    keys = [(r.mode, r.fraction, r.run) for r in rows]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated (mode, fraction, run) {max(keys, key=keys.count)}")
     groups: dict[tuple[float, str], list[RunRow]] = {}
     for row in rows:
         groups.setdefault((row.fraction, row.mode), []).append(row)

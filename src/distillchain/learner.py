@@ -145,11 +145,6 @@ def _flatten(weights, biases) -> np.ndarray:
     return np.concatenate(parts, dtype=np.float64)
 
 
-def _params_view(arch: ArchSpec, flat: np.ndarray) -> ModelParams:
-    weights, biases = _layer_views(arch, flat)
-    return ModelParams(arch=arch, weights=weights, biases=biases)
-
-
 class _Scratch:
     """Buffers of one forward (and backprop) pass over ``rows`` rows, for a
     stack of models (``lead`` = (K,)) or one (``lead`` = ())."""
@@ -258,17 +253,13 @@ def backward(
 
 
 class _Adam:
-    """Adam moments of a flat (P,) or stacked (K, P) parameter buffer as one
-    (2, ...) buffer of m over v, and a scratch buffer of that shape whose
-    first half takes the gradient."""
+    """Adam over the moments ``mv`` of a flat (P,) or stacked (K, P)
+    parameter buffer, a (2, ...) view of m over v that it updates in place,
+    with a scratch buffer of that shape whose first half takes the gradient."""
 
-    def __init__(self, theta: np.ndarray):
-        self.mv = np.zeros((2, *theta.shape))
-        self.resize()
-
-    def resize(self) -> None:  # views and scratch to match mv after a compaction
-        self.work = np.empty_like(self.mv)
-        (self.m, self.v), (self.grad, self.scaled) = self.mv, self.work
+    def __init__(self, mv: np.ndarray):
+        self.mv, self.work = mv, np.empty_like(mv)
+        (self.m, self.v), (self.grad, self.scaled) = mv, self.work
 
     def step(self, theta: np.ndarray, t: int, learning_rate: float) -> None:
         """Adam kernel: step ``t`` (from 1) with bias correction from the
@@ -404,18 +395,20 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     """Train one model per job in lockstep; each comes out bit-identical,
     weights and history, to training it alone.
 
-    Params and Adam moments live in stacked (K, P) buffers with per-layer
-    views. Every step runs one stacked forward, backprop and Adam update for
-    all K members, which share the step counter, writing into buffers made
-    when the group starts or shrinks. The loss is taken once per 16-step
-    gather and summed in step order; the epoch's early-stop accuracies come
-    from one stacked forward through the step's own weight views. A member
-    leaves the group when it stops by patience or its epoch fails
-    (non-finite loss or params: NumericError). The outcome per job is
-    ``(params, history)`` or the ValueError/ArithmeticError that ended that
-    job alone. All jobs must share their TrainConfig, and the jobs that pass
-    their own checks (:func:`evaluate`'s of their early-stop table among
-    them) must share their early-stop row count, or ValueError is raised.
+    A member's params, best-epoch params and Adam m and v are its rows of
+    one (4, K, P) state array. Every step runs one stacked forward, backprop
+    and Adam update for all K members, which share the step counter, through
+    views, buffers and normalizer tiles built from the state and the member
+    list when the group starts or shrinks. The loss is taken once per
+    16-step gather and summed in step order; the epoch's early-stop
+    accuracies come from one stacked forward through the step's own weight
+    views. A member leaves the group, by one index into the member list and
+    the state, when it stops by patience or its epoch fails (non-finite loss
+    or params: NumericError). The outcome per job is ``(params, history)``
+    or the ValueError/ArithmeticError that ended that job alone. All jobs
+    must share their TrainConfig, and the jobs that pass their own checks
+    (:func:`evaluate`'s of their early-stop table among them) must share
+    their early-stop row count, or ValueError is raised.
 
     Every epoch runs exactly ``steps_per_epoch`` minibatches. Training stops
     once ``patience`` consecutive epochs fail to improve the early-stop
@@ -443,21 +436,14 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
 
     steps, batch, lr = config.steps_per_epoch, config.batch_size, config.learning_rate
     chunk = min(steps, _GATHER_STEPS)
-    theta = np.stack([_flatten(mb.init.weights, mb.init.biases) for mb in members])
-    best = np.empty_like(theta)
-    adam = _Adam(theta)
-    # one normalization per gather along each member's contiguous block of
-    # the buffer (mean and std tiled over the batch); mean 0 and std 1 leave
-    # the bits of a member without a normalizer as they are
-    norms = [mb.normalizer for mb in members]
-    normalize = any(nm is not None for nm in norms)
-    if normalize:
-        means = np.tile([np.zeros(arch.input_dim) if nm is None else nm.mean for nm in norms], batch)
-        stds = np.tile([np.ones(arch.input_dim) if nm is None else nm.std for nm in norms], batch)
+    # member j's params, best-epoch params, Adam m and v: state[:, j]
+    state = np.zeros((4, len(members), _param_count(arch)))
+    state[0] = [_flatten(mb.init.weights, mb.init.biases) for mb in members]
     step, k = 0, 0
     for epoch in range(config.max_epochs):
-        if k != len(members):  # the group's buffers and views, made anew when it shrank
+        if k != len(members):  # the group's views, buffers and tiles, made anew when it shrank
             k = len(members)
+            theta, best, adam = state[0], state[1], _Adam(state[2:])
             weights, biases = _layer_views(arch, theta)
             weights_t, biases = [w.mT for w in weights], [b[:, None, :] for b in biases]
             grad_w, grad_b = _layer_views(arch, adam.grad)
@@ -471,6 +457,13 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             es_labels = np.stack([mb.early_stop.labels for mb in members])
             es_scratch = _Scratch(arch, (k,), es_labels.shape[1], backprop=False)
             es_probs = np.empty((*es_labels.shape, arch.output_dim))
+            # one normalization per gather along each member's block (mean and
+            # std tiled over the batch); mean 0 and std 1 keep the bits as they are
+            norms = [mb.normalizer for mb in members]
+            normalize = any(nm is not None for nm in norms)
+            if normalize:
+                means = np.tile([np.zeros(arch.input_dim) if nm is None else nm.mean for nm in norms], batch)
+                stds = np.tile([np.ones(arch.input_dim) if nm is None else nm.std for nm in norms], batch)
         rows = [mb.epoch_rows(steps, batch) for mb in members]
         for s in range(steps):
             c = s % chunk
@@ -513,18 +506,13 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
                 mb.stale += 1
             if mb.stale >= max(config.patience, 1) or epoch == config.max_epochs - 1:
                 history = TrainHistory(tuple(mb.epochs), mb.best_epoch, mb.best_acc)
-                outcomes[mb.slot] = (_params_view(arch, best[j].copy()), history)
+                outcomes[mb.slot] = (ModelParams(arch, *_layer_views(arch, best[j].copy())), history)
             else:
                 staying.append(j)
         if not staying:
             break
-        if len(staying) < len(members):
-            members = [members[j] for j in staying]
-            theta, best = theta[staying], best[staying]
-            adam.mv = adam.mv[:, staying]
-            adam.resize()
-            if normalize:
-                means, stds = means[staying], stds[staying]
+        if len(staying) < k:  # the fancy index copies, so the views are rebuilt
+            members, state = [members[j] for j in staying], state[:, staying]
     return outcomes
 
 

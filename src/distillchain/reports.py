@@ -33,6 +33,10 @@ class RunRow:
     val_accuracy: float | None = None
     test_accuracy: float | None = None
 
+    def __post_init__(self) -> None:  # nan fails every comparison
+        if self.ok and not all(a is not None and 0 <= a <= 1 for a in (self.val_accuracy, self.test_accuracy)):
+            raise ValueError("an ok row needs val and test accuracies in [0, 1]")
+
     @property
     def ok(self) -> bool:
         return self.status == "ok"
@@ -47,6 +51,11 @@ class TraceRow:
     test_accuracy: float
     pseudo_count: int
     pseudo_agreement: float | None
+
+    def __post_init__(self) -> None:
+        shares = (self.val_accuracy, self.test_accuracy, self.pseudo_agreement)
+        if not all(0 <= x <= 1 for x in shares if x is not None) or min(self.iteration, self.pseudo_count) < 0:
+            raise ValueError("accuracies and agreement must be in [0, 1], iteration and pseudo count >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,13 +107,17 @@ def fraction_tag(fraction: float) -> str:
     return format(fraction, "g")
 
 
+def write_csv(path: Path | str, header, rows) -> None:
+    """The ``header`` line, then one line per row, each value formatted by ``_fmt``."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_rows(path: Path | str, cls, rows) -> None:
     """Write ``rows``, instances of the row dataclass ``cls``, in the given
-    order under ``cls``'s header, each field formatted by ``_fmt``."""
+    order under ``cls``'s header, through :func:`write_csv`."""
     names = [f.name for f in fields(cls)]
-    lines = [",".join(names)]
-    lines += (",".join(_fmt(getattr(r, name)) for name in names) for r in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, names, ([getattr(r, name) for name in names] for r in rows))
 
 
 def read_rows(path: Path | str, cls) -> list:
@@ -147,10 +160,8 @@ def read_traces_csv(path: Path | str) -> list[TraceRow]:
 
 
 def write_confusion_csv(path: Path | str, catalog: ClassCatalog, confusion: np.ndarray) -> None:
-    lines = ["true_class," + ",".join(catalog.names)]
-    for i, name in enumerate(catalog.names):
-        lines.append(name + "," + ",".join(str(int(v)) for v in confusion[i]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ([name, *counts] for name, counts in zip(catalog.names, confusion.tolist()))
+    write_csv(path, ["true_class", *catalog.names], rows)
 
 
 def best_baseline_mean(summary_path: Path | str) -> float:

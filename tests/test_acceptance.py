@@ -124,8 +124,8 @@ def test_criterion_2_filter_oracle_equivalence():
 
 
 def _mini_chain(seed, relabel=0):
-    """A seeded miniature chain; ``relabel`` shifts every truth label of the
-    pool, mod 3, before the chain runs."""
+    """A seeded miniature chain and its ChainConfig; ``relabel`` shifts every
+    truth label of the pool, mod 3, before the chain runs."""
     train, val, test = generate_synthetic(classes=3, per_class=30, dim=2, spread=0.5, seed=seed)
     splits, truth = make_splits(
         train, SplitSpec(labelled_fraction=0.25, early_stop_fraction=0.1, seed=seed)
@@ -138,7 +138,7 @@ def _mini_chain(seed, relabel=0):
         pretrain=fast, finetune=fast,
     )
     arch = ArchSpec(input_dim=2, hidden=(), output_dim=3)
-    return train, splits, truth, run_chain(splits, truth, val, test, arch, cfg, seed)
+    return train, splits, truth, cfg, run_chain(splits, truth, val, test, arch, cfg, seed)
 
 
 def test_criterion_3_protocol_invariants(monkeypatch):
@@ -194,9 +194,9 @@ def test_criterion_3_protocol_invariants(monkeypatch):
     for name in ("pseudo_label_pool", "filter_pseudo_labels", "train_lockstep"):
         monkeypatch.setattr(chain_module, name, spy(name, getattr(chain_module, name)))
     for seed in range(100):
-        _, _, _, relabelled = _mini_chain(seed, relabel=1)
+        *_, relabelled = _mini_chain(seed, relabel=1)
         handed.clear()
-        train, splits, truth, result = _mini_chain(seed)
+        train, splits, truth, cfg, result = _mini_chain(seed)
         for a, b in zip(result.records, relabelled.records, strict=True):
             assert (a.val_accuracy, a.test_accuracy, a.pseudo_count) == (
                 b.val_accuracy, b.test_accuracy, b.pseudo_count
@@ -204,7 +204,7 @@ def test_criterion_3_protocol_invariants(monkeypatch):
             assert np.array_equal(a.confusion, b.confusion)
             for x, y in zip((*a.model.weights, *a.model.biases), (*b.model.weights, *b.model.biases)):
                 assert np.array_equal(x, y)
-        assert len(result.records) == result.config.iterations + 1
+        assert len(result.records) == cfg.iterations + 1
         assert [r.iteration for r in result.records] == list(range(len(result.records)))
         best = result.records[result.best_iteration]
         assert best.val_accuracy >= result.records[0].val_accuracy

@@ -342,9 +342,7 @@ class TestRunChains:
         results = run_chains(cells, arch, cfg, keep_pseudo_labels=True)
         for cell, got in zip(cells, results):
             want = run_alone(cell, arch, cfg)
-            assert (got.best_iteration, got.seeds, got.config) == (
-                want.best_iteration, want.seeds, want.config
-            )
+            assert (got.best_iteration, got.seeds) == (want.best_iteration, want.seeds)
             assert_same_records(got.records, want.records)
             assert_same_records(
                 got.records, reference_chain_records(*cell, arch, cfg)

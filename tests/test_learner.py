@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -168,7 +169,7 @@ class TestAdamUpdate:
         # entry 0.5 with gradient 0.2: the first bias-corrected step moves by
         # almost exactly the learning rate
         theta = np.array([0.5, 0.0, 0.0, 0.0])  # weights (2, 1), then biases (2,)
-        adam = _Adam(theta)
+        adam = _Adam(np.zeros((2, *theta.shape)))
         adam.grad[...] = [0.2, 0.0, 0.0, 0.0]
         adam.step(theta, 1, learning_rate=0.001)
         assert theta[0] == pytest.approx(0.499, abs=1e-6)
@@ -178,7 +179,7 @@ class TestAdamUpdate:
         params = init_params(ArchSpec(input_dim=2, hidden=(3,), output_dim=2), 1)
         theta = _flatten(params.weights, params.biases)
         before = theta.copy()
-        adam = _Adam(theta)
+        adam = _Adam(np.zeros((2, *theta.shape)))
         adam.grad[...] = 0.0
         adam.step(theta, 1, 0.01)
         assert np.array_equal(theta, before)
@@ -612,6 +613,59 @@ class TestLockstep:
         assert outcomes[2][0] is jobs[2].init
         assert_same_params(outcomes[0][0], init_params(arch, jobs[0].seed))
         assert all(history == TrainHistory() for _, history in outcomes)
+
+    @staticmethod
+    @functools.cache
+    def member_data(j, hidden):
+        """Member j's problem, soft targets, a warm start and a raw matrix
+        with its normalizer, made once per (j, hidden)."""
+        arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
+        lab, es = _three_class_problem(seed=10 + j)
+        t = random_simplex(np.random.default_rng(j), (len(lab), 3))
+        warm_cfg = TrainConfig(learning_rate=3e-3, steps_per_epoch=15, max_epochs=2)
+        warm, _ = reference_train(arch, lab.features, t, es, warm_cfg, seed=99)
+        raw, _, _ = generate_synthetic(classes=3, per_class=60, dim=5, spread=0.9 + j, seed=j)
+        return lab, es, t, warm, raw, normalize(raw, [])[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        hidden=st.sampled_from([(), (4,)]),
+        steps=st.sampled_from([1, 7, 16, 17]),
+        max_epochs=st.integers(1, 8),
+        patience=st.integers(0, 3),
+        kinds=st.lists(st.sampled_from(["plain", "few rows", "warm", "normalized"]), min_size=1, max_size=6),
+        huge=st.none() | st.integers(0, 5),
+    )
+    def test_any_leave_order_matches_reference(self, hidden, steps, max_epochs, patience, kinds, huge):
+        # members leave in whatever order their own patience, epoch budget
+        # or blow-up sets; each member is its rows of the restacked state
+        arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
+        cfg = TrainConfig(learning_rate=3e-3, steps_per_epoch=steps, max_epochs=max_epochs, patience=patience)
+        jobs = []
+        for j, kind in enumerate(kinds):
+            lab, es, t, warm, raw, norm = self.member_data(j, hidden)
+            if kind == "normalized":  # rows of a raw matrix, with repeats
+                rows = np.random.default_rng(j).choice(len(raw), size=len(t))
+                jobs.append(TrainJob(raw.features, t, es, cfg, rows=rows, normalizer=norm, seed=j))
+                continue
+            n = 7 if kind == "few rows" else None  # fewer rows than a batch
+            jobs.append(TrainJob(lab.features[:n], t[:n], es, cfg, init=warm if kind == "warm" else None, seed=j))
+        # weights scaled by 1e300 overflow through a hidden layer; softmax
+        # regression's logits stay finite at that scale
+        huge = None if huge is None or not hidden else huge % len(jobs)
+        if huge is not None:
+            start = init_params(arch, 0)
+            huge_init = ModelParams(arch, tuple(w * 1e300 for w in start.weights), start.biases)
+            jobs[huge] = replace(jobs[huge], init=huge_init)
+        outcomes = train_lockstep(arch, jobs)
+        for j, (job, outcome) in enumerate(zip(jobs, outcomes, strict=True)):
+            if j != huge:
+                self.assert_matches_reference(arch, job, outcome)
+                continue
+            with pytest.raises(NumericError) as alone:
+                train_job(arch, job)
+            assert isinstance(outcome, NumericError) and str(outcome) == str(alone.value)
 
 
 def reference_draws(n, seed, counts):

@@ -1,9 +1,12 @@
 """The results files: each row dataclass is its file's schema, written by
 ``write_rows`` and read back by ``read_rows``."""
 
+import re
+
 import pytest
 
 from distillchain.cli import main
+from distillchain.experiment import aggregate_runs
 from distillchain.reports import (
     RunRow,
     SummaryCell,
@@ -45,31 +48,73 @@ GOOD_RUNS = (
     "mode,fraction,run,seed,status,iteration,val_accuracy,test_accuracy\n"
     "chain_best,0.01,0,5,ok,1,0.5,0.5\n"
 )
+GOOD_TRACES = (
+    "run,fraction,iteration,val_accuracy,test_accuracy,pseudo_count,pseudo_agreement\n"
+    "0,0.01,0,0.5,0.5,0,\n"
+)
+NOT_OK_RUN = "line 3: an ok row needs val and test accuracies in [0, 1]"
+NOT_A_TRACE = "line 3: accuracies and agreement must be in [0, 1], iteration and pseudo count >= 0"
 
 
 @pytest.mark.parametrize(
-    "text, where",
+    "name, text, where",
     [
-        (GOOD_RUNS + "chain_best,0.01\n", "line 3: expected 8 fields, got 2"),
-        (GOOD_RUNS + "chain_best,0.01,1,5,ok,1,high,0.5\n", "line 3: could not convert string to float: 'high'"),
-        (GOOD_RUNS + "chain_best,0.01,1,5,ok,two,0.5,0\n", "line 3: invalid literal for int() with base 10: 'two'"),
-        (GOOD_RUNS + "chain_best,0.01,,5,ok,,0.5,\n", "line 3: invalid literal for int() with base 10: ''"),
-        (GOOD_RUNS.replace("seed", "sead"), "line 1: expected the header"),
-        ("", "line 1: expected the header"),
+        ("runs.csv", GOOD_RUNS + "chain_best,0.01\n", "line 3: expected 8 fields, got 2"),
+        (
+            "runs.csv", GOOD_RUNS + "chain_best,0.01,1,5,ok,1,high,0.5\n",
+            "line 3: could not convert string to float: 'high'",
+        ),
+        (
+            "runs.csv", GOOD_RUNS + "chain_best,0.01,1,5,ok,two,0.5,0\n",
+            "line 3: invalid literal for int() with base 10: 'two'",
+        ),
+        (
+            "runs.csv", GOOD_RUNS + "chain_best,0.01,,5,ok,,0.5,\n",
+            "line 3: invalid literal for int() with base 10: ''",
+        ),
+        ("runs.csv", GOOD_RUNS.replace("seed", "sead"), "line 1: expected the header"),
+        ("runs.csv", "", "line 1: expected the header"),
+        ("runs.csv", GOOD_RUNS + "chain_best,0.01,1,5,ok,1,,0.5\n", NOT_OK_RUN),
+        ("runs.csv", GOOD_RUNS + "chain_best,0.01,1,5,ok,1,0.5,nan\n", NOT_OK_RUN),
+        ("runs.csv", GOOD_RUNS + "chain_best,0.01,1,5,ok,1,7.5,0.5\n", NOT_OK_RUN),
+        ("traces.csv", GOOD_TRACES + "0,0.01,-2,0.5,0.5,3,0.5\n", NOT_A_TRACE),
+        ("traces.csv", GOOD_TRACES + "0,0.01,1,3.0,0.5,3,0.5\n", NOT_A_TRACE),
+        ("traces.csv", GOOD_TRACES + "0,0.01,1,0.5,nan,3,0.5\n", NOT_A_TRACE),
+        ("traces.csv", GOOD_TRACES + "0,0.01,1,0.5,0.5,-5,0.5\n", NOT_A_TRACE),
+        ("traces.csv", GOOD_TRACES + "0,0.01,1,0.5,0.5,3,1.5\n", NOT_A_TRACE),
     ],
-    ids=["short row", "non-numeric float", "non-numeric int", "empty required", "bad header", "empty file"],
+    ids=[
+        "short row", "non-numeric float", "non-numeric int", "empty required", "bad header", "empty file",
+        "ok without accuracy", "ok with nan accuracy", "ok with accuracy above 1",
+        "negative iteration", "accuracy above 1", "nan accuracy", "negative pseudo count", "agreement above 1",
+    ],
 )
-def test_malformed_results_name_the_file_and_line(tmp_path, capsys, text, where):
+def test_malformed_results_name_the_file_and_line(tmp_path, capsys, name, text, where):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "runs.csv").write_text(GOOD_RUNS, encoding="utf-8")
+    path = out / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_rows(path, TraceRow if name == "traces.csv" else RunRow)
+    assert str(excinfo.value).startswith(f"{path}: {where}")
+    assert main(["report", "--out", str(out)]) == 1
+    assert f"{path}: {where}" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+def test_report_refuses_a_repeated_run(tmp_path, capsys):
+    # two identical rows would each count toward their cell's mean
     out = tmp_path / "out"
     out.mkdir()
     runs = out / "runs.csv"
-    runs.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError) as excinfo:
-        read_rows(runs, RunRow)
-    assert str(excinfo.value).startswith(f"{runs}: {where}")
+    runs.write_text(GOOD_RUNS + GOOD_RUNS.splitlines()[1] + "\n", encoding="utf-8")
+    repeated = "repeated (mode, fraction, run) ('chain_best', 0.01, 0)"
+    with pytest.raises(ValueError, match=re.escape(repeated)):
+        aggregate_runs(read_rows(runs, RunRow))
     assert main(["report", "--out", str(out)]) == 1
-    assert f"{runs}: {where}" in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    assert f"{runs}: {repeated}" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
 
 
 def test_best_baseline_mean_needs_a_baseline_row(tmp_path):
