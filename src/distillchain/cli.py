@@ -107,7 +107,7 @@ def _cmd_report(cfg: ExperimentConfig, baseline_summary: str | None) -> None:
     try:
         summary = aggregate_runs(rows)
     except ValueError as exc:
-        raise ValueError(f"{runs_path}: {exc}") from None
+        raise TableParseError(f"{runs_path}: {exc}") from None
     written = emit_outputs(summary, traces, out, baseline)
     print(f"re-aggregated {written[0]}")
 

@@ -470,8 +470,7 @@ def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:
             std = 0.0 if values.size == 1 else float(values.std(ddof=1))
             mean, lo, hi = float(values.mean()), float(values.min()), float(values.max())
             cells.append(SummaryCell(mode, fraction, metric, mean, std, lo, hi, values.size, note))
-    ordered = tuple(sorted(rows, key=lambda r: (r.fraction, r.mode, r.run)))
-    return RunSummary(cells=tuple(cells), details=ordered)
+    return RunSummary(cells=tuple(cells), details=tuple(sorted(rows, key=attrgetter("fraction", "mode", "run"))))
 
 
 def emit_outputs(
@@ -489,7 +488,7 @@ def emit_outputs(
         out.mkdir(parents=True, exist_ok=True)
         written = [out / "summary.csv", out / "runs.csv", out / "traces.csv"]
         write_rows(written[0], SummaryCell, summary.cells)
-        write_rows(written[1], RunRow, sorted(summary.details, key=attrgetter("fraction", "mode", "run")))
+        write_rows(written[1], RunRow, summary.details)
         write_rows(written[2], TraceRow, sorted(traces, key=attrgetter("fraction", "run", "iteration")))
         if traces:
             svg = render_chain_svg(traces, baseline_reference=baseline_reference)

@@ -311,7 +311,7 @@ class _BatchStream:
             self.cursor += count
             return head
         passes = -(-need // self.n)
-        drawn = self.rng.permuted(np.tile(np.arange(self.n), (passes, 1)), axis=1)
+        drawn = self.rng.permuted(np.arange(self.n)[None].repeat(passes, 0), axis=1)
         self.order = drawn[-1]
         self.cursor = need - (passes - 1) * self.n
         return np.concatenate([head, drawn.reshape(-1)[:need]])
@@ -341,9 +341,10 @@ class TrainJob:
 
 TrainOutcome = tuple[ModelParams, TrainHistory] | ValueError | ArithmeticError
 
-# Steps whose minibatches are gathered in one call per member: fewer calls
-# per step, with a gather buffer that stays small whatever the epoch size.
-_GATHER_STEPS = 16
+# Rows per member drawn, gathered and loss-summed as one chunk of steps
+# (16 steps at batch 32): fewer calls per step, with buffers whose size
+# does not depend on the epoch's.
+_CHUNK_ROWS = 512
 
 
 class _Member:
@@ -381,12 +382,6 @@ class _Member:
         self.epochs: list[EpochStats] = []
         self.best_acc, self.best_epoch, self.stale = -1.0, -1, 0
 
-    def epoch_rows(self, steps: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next epoch's rows of the targets and of the feature matrix,
-        one row of ``batch`` per step."""
-        picks = self.stream.take(steps * batch).reshape(steps, batch)
-        return picks, picks if self.rows is None else self.rows[picks]
-
 
 # a blow-up overflows on its way to the per-epoch finiteness check, whose
 # NumericError reports it
@@ -399,14 +394,16 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
     one (4, K, P) state array. Every step runs one stacked forward, backprop
     and Adam update for all K members, which share the step counter, through
     views, buffers and normalizer tiles built from the state and the member
-    list when the group starts or shrinks. The loss is taken once per
-    16-step gather and summed in step order; the epoch's early-stop
-    accuracies come from one stacked forward through the step's own weight
-    views. A member leaves the group, by one index into the member list and
-    the state, when it stops by patience or its epoch fails (non-finite loss
-    or params: NumericError). The outcome per job is ``(params, history)``
-    or the ValueError/ArithmeticError that ended that job alone. All jobs
-    must share their TrainConfig, and the jobs that pass their own checks
+    list when the group starts or shrinks. An epoch runs in chunks of at
+    most ``_CHUNK_ROWS`` rows per member (one step at least): rows are drawn
+    per chunk and the loss summed per chunk, in step order, so memory grows
+    with neither the epoch's length nor a batch beyond that budget. The
+    early-stop accuracies come from one stacked forward. A member leaves the
+    group, by one index into the member list and the state, when it stops
+    by patience or its epoch fails (non-finite loss or params: NumericError).
+    The outcome per job is ``(params, history)`` or the
+    ValueError/ArithmeticError that ended that job alone. All jobs must
+    share their TrainConfig, and the jobs that pass their own checks
     (:func:`evaluate`'s of their early-stop table among them) must share
     their early-stop row count, or ValueError is raised.
 
@@ -435,7 +432,7 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
         return outcomes
 
     steps, batch, lr = config.steps_per_epoch, config.batch_size, config.learning_rate
-    chunk = min(steps, _GATHER_STEPS)
+    chunk = max(1, min(steps, _CHUNK_ROWS // batch))
     # member j's params, best-epoch params, Adam m and v: state[:, j]
     state = np.zeros((4, len(members), _param_count(arch)))
     state[0] = [_flatten(mb.init.weights, mb.init.biases) for mb in members]
@@ -450,8 +447,8 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             scratch = _Scratch(arch, (k,), batch)
             xs, per_row = np.empty((chunk, k, batch, arch.input_dim)), np.empty((chunk, k, batch))
             ts, probs, logs = (np.empty((chunk, k, batch, arch.output_dim)) for _ in range(3))
-            # row 0 stays 0.0, the start of each member's in-order loss sum
-            losses = np.zeros((steps + 1, k))
+            # a chunk's step losses in rows 1.., after each member's running sum
+            losses = np.empty((chunk + 1, k))
             step_views = list(zip(xs, ts, probs))
             es_x = np.stack([mb.early_stop.features for mb in members])
             es_labels = np.stack([mb.early_stop.labels for mb in members])
@@ -464,29 +461,27 @@ def train_lockstep(arch: ArchSpec, jobs: Sequence[TrainJob]) -> list[TrainOutcom
             if normalize:
                 means = np.tile([np.zeros(arch.input_dim) if nm is None else nm.mean for nm in norms], batch)
                 stds = np.tile([np.ones(arch.input_dim) if nm is None else nm.std for nm in norms], batch)
-        rows = [mb.epoch_rows(steps, batch) for mb in members]
-        for s in range(steps):
-            c = s % chunk
-            if c == 0:
-                n = min(chunk, steps - s)
-                for j, (mb, (picks, x_rows)) in enumerate(zip(members, rows)):
-                    # mode="clip" spares take() the buffered copy it makes
-                    # for out= under mode="raise"; all rows are in range
-                    mb.x.take(x_rows[s : s + n], 0, out=xs[:n, j], mode="clip")
-                    mb.t.take(picks[s : s + n], 0, out=ts[:n, j], mode="clip")
-                if normalize:  # the IEEE operations of Normalizer.apply
-                    blocks = xs[:n].reshape(n, k, -1)
-                    blocks -= means
-                    blocks /= stds
-            x, t, p = step_views[c]
-            _forward_into(scratch, weights_t, biases, x, p)
-            _backprop_into(scratch, weights, x, p, t, grad_w, grad_b)
-            step += 1
-            adam.step(theta, step, lr)
-            if c == n - 1:  # the chunk's losses, one row per step
-                _cross_entropy_into(probs[:n], ts[:n], logs[:n], per_row[:n], losses[s - c + 1 : s + 2])
-        # accumulate adds row by row: the sum in step order
-        mean_loss = np.add.accumulate(losses, axis=0)[-1] / steps
+        losses[0] = 0.0
+        for start in range(0, steps, chunk):
+            n = min(chunk, steps - start)
+            for j, mb in enumerate(members):
+                picks = mb.stream.take(n * batch).reshape(n, batch)
+                # mode="clip" spares take() the copy it buffers for out= under "raise"
+                mb.x.take(picks if mb.rows is None else mb.rows[picks], 0, out=xs[:n, j], mode="clip")
+                mb.t.take(picks, 0, out=ts[:n, j], mode="clip")
+            if normalize:  # the IEEE operations of Normalizer.apply
+                blocks = xs[:n].reshape(n, k, -1)
+                blocks -= means
+                blocks /= stds
+            for x, t, p in step_views[:n]:
+                _forward_into(scratch, weights_t, biases, x, p)
+                _backprop_into(scratch, weights, x, p, t, grad_w, grad_b)
+                step += 1
+                adam.step(theta, step, lr)
+            _cross_entropy_into(probs[:n], ts[:n], logs[:n], per_row[:n], losses[1 : n + 1])
+            # accumulate adds row by row: the epoch's sum in step order
+            losses[0] = np.add.accumulate(losses[: n + 1], axis=0)[-1]
+        mean_loss = losses[0] / steps
         loss_ok, params_ok = np.isfinite(mean_loss), np.isfinite(theta).all(axis=1)
         # each member's hard accuracy on its early-stop table, as evaluate gives it
         _forward_into(es_scratch, weights_t, biases, es_x, es_probs)

@@ -14,7 +14,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .dataset import ClassCatalog
+from .dataset import ClassCatalog, TableParseError
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -74,7 +74,7 @@ class SummaryCell:
 @dataclass(frozen=True)
 class RunSummary:
     """Aggregated mean/std/min/max cells plus the per-run detail rows they
-    came from."""
+    came from, sorted by (fraction, mode, run)."""
 
     cells: tuple[SummaryCell, ...]
     details: tuple[RunRow, ...]
@@ -123,25 +123,25 @@ def write_rows(path: Path | str, cls, rows) -> None:
 def read_rows(path: Path | str, cls) -> list:
     """The ``cls`` rows of a file ``write_rows`` wrote: each column parsed by
     its field's declared type, blank lines skipped. A bad header, a wrong
-    field count or a value that does not parse raises ValueError naming the
-    file and line."""
+    field count or a value that does not parse raises TableParseError
+    naming the file and line."""
     hints = get_type_hints(cls)
     header = ",".join(f.name for f in fields(cls))
     parsers = [_parser(hints[f.name]) for f in fields(cls)]
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != header:
-        raise ValueError(f"{path}: line 1: expected the header {header}")
+        raise TableParseError(f"{path}: line 1: expected the header {header}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         texts = line.split(",")
         if len(texts) != len(parsers):
-            raise ValueError(f"{path}: line {lineno}: expected {len(parsers)} fields, got {len(texts)}")
+            raise TableParseError(f"{path}: line {lineno}: expected {len(parsers)} fields, got {len(texts)}")
         try:
             rows.append(cls(*(parse(text) for parse, text in zip(parsers, texts))))
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            raise TableParseError(f"{path}: line {lineno}: {exc}") from None
     return rows
 
 
@@ -167,14 +167,14 @@ def write_confusion_csv(path: Path | str, catalog: ClassCatalog, confusion: np.n
 def best_baseline_mean(summary_path: Path | str) -> float:
     """Largest mean baseline test accuracy in a summary file, for the
     reference line of the chain chart; a summary without one, such as a
-    chain sweep's own, raises ValueError naming the file."""
+    chain sweep's own, raises TableParseError naming the file."""
     means = [
         c.mean
         for c in read_rows(summary_path, SummaryCell)
         if c.mode == "baseline" and c.metric == "test_accuracy" and c.mean is not None
     ]
     if not means:
-        raise ValueError(f"{summary_path}: no baseline test_accuracy mean; not a baseline sweep's summary")
+        raise TableParseError(f"{summary_path}: no baseline test_accuracy mean; not a baseline sweep's summary")
     return max(means)
 
 

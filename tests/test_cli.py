@@ -450,3 +450,25 @@ class TestCliCommands:
             assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "fresh").exists()
         assert (done / "runs.csv").read_text().splitlines()[0] != SUMMARY_HEADER
+
+    @pytest.mark.parametrize("fault", ["repeated run", "nan trace", "runs as baseline summary"])
+    def test_results_file_fault_names_the_file_not_the_config(self, tmp_path, capsys, fault):
+        # a fault in a file a sweep writes is reported as an input table's
+        # is, by its path, and not as invalid configuration
+        done = tmp_path / "done"
+        assert main(["chain", *FAST, "--seed", "3", "--out", str(done)]) == 0
+        bad, argv = done / "runs.csv", ["report", "--out", str(done)]
+        if fault == "repeated run":
+            bad.write_text(bad.read_text() + bad.read_text().splitlines()[-1] + "\n")
+        elif fault == "nan trace":
+            bad = done / "traces.csv"
+            header, first, *rest = bad.read_text().splitlines()
+            fields = first.split(",")
+            fields[3] = "nan"  # val_accuracy
+            bad.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        else:
+            argv = ["chain", *FAST, "--seed", "3", "--out", str(tmp_path / "fresh"), "--baseline-summary", str(bad)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "invalid configuration" not in err

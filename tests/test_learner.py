@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,7 @@ from distillchain.learner import (
     TrainJob,
     _Adam,
     _BatchStream,
+    _CHUNK_ROWS,
     _flatten,
     train_job,
     train_lockstep,
@@ -415,9 +417,9 @@ class TestLockstep:
     trainer per member."""
 
     @staticmethod
-    def jobs(hidden, k, steps=15):
+    def jobs(hidden, k, steps=15, batch=32):
         arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
-        cfg = TrainConfig(learning_rate=3e-3, steps_per_epoch=steps, max_epochs=12, patience=2)
+        cfg = TrainConfig(learning_rate=3e-3, batch_size=batch, steps_per_epoch=steps, max_epochs=12, patience=2)
         jobs = []
         for j in range(k):
             lab, es = _three_class_problem(seed=10 + j)
@@ -461,11 +463,19 @@ class TestLockstep:
 
     @pytest.mark.parametrize("hidden", [(), (32, 16)])
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("steps", [16, 17, 40])
-    def test_losses_taken_per_gather_chunk(self, hidden, k, steps):
-        # the loss is taken once per 16-step gather: epochs of exactly one
-        # chunk, of a chunk and one step, and of two chunks and a part
-        arch, jobs = self.jobs(hidden, k, steps=steps)
+    @pytest.mark.parametrize(
+        "batch,steps",
+        [
+            (32, _CHUNK_ROWS // 32),  # exactly one chunk
+            (32, _CHUNK_ROWS // 32 + 1),  # a chunk and one step
+            (32, 2 * _CHUNK_ROWS // 32 + 8),  # two chunks and a part
+            (_CHUNK_ROWS + 88, 3),  # a batch above the budget: one step per chunk
+        ],
+    )
+    def test_losses_taken_per_gather_chunk(self, hidden, k, batch, steps):
+        # rows are drawn and the loss taken once per chunk of _CHUNK_ROWS
+        # rows per member; each member's loss sum carries over the chunks
+        arch, jobs = self.jobs(hidden, k, steps=steps, batch=batch)
         outcomes = train_lockstep(arch, jobs)
         for job, outcome in zip(jobs, outcomes):
             self.assert_matches_reference(arch, job, outcome)
@@ -632,16 +642,21 @@ class TestLockstep:
     @given(
         hidden=st.sampled_from([(), (4,)]),
         steps=st.sampled_from([1, 7, 16, 17]),
+        batch=st.sampled_from([32, 100, 600]),
         max_epochs=st.integers(1, 8),
         patience=st.integers(0, 3),
         kinds=st.lists(st.sampled_from(["plain", "few rows", "warm", "normalized"]), min_size=1, max_size=6),
         huge=st.none() | st.integers(0, 5),
     )
-    def test_any_leave_order_matches_reference(self, hidden, steps, max_epochs, patience, kinds, huge):
+    def test_any_leave_order_matches_reference(self, hidden, steps, batch, max_epochs, patience, kinds, huge):
         # members leave in whatever order their own patience, epoch budget
-        # or blow-up sets; each member is its rows of the restacked state
+        # or blow-up sets; each member is its rows of the restacked state.
+        # Batches of 32, 100 and 600 make chunks of 16, 5 and 1 steps, and
+        # partial last chunks.
         arch = ArchSpec(input_dim=5, hidden=hidden, output_dim=3)
-        cfg = TrainConfig(learning_rate=3e-3, steps_per_epoch=steps, max_epochs=max_epochs, patience=patience)
+        cfg = TrainConfig(
+            learning_rate=3e-3, batch_size=batch, steps_per_epoch=steps, max_epochs=max_epochs, patience=patience
+        )
         jobs = []
         for j, kind in enumerate(kinds):
             lab, es, t, warm, raw, norm = self.member_data(j, hidden)
@@ -666,6 +681,29 @@ class TestLockstep:
             with pytest.raises(NumericError) as alone:
                 train_job(arch, job)
             assert isinstance(outcome, NumericError) and str(outcome) == str(alone.value)
+
+
+def lockstep_heap_peak(steps, batch):
+    """Traced heap peak, in MiB, of one epoch of train_lockstep over four
+    softmax regressions on 90 labelled rows."""
+    train, es, _ = generate_synthetic(classes=3, per_class=40, dim=5, spread=0.9, seed=0)
+    arch = ArchSpec(input_dim=5, output_dim=3)
+    cfg = TrainConfig(batch_size=batch, steps_per_epoch=steps, max_epochs=1)
+    x, t = train.features[:90], one_hot(train.labels[:90], 3)
+    jobs = [TrainJob(x, t, es, cfg, seed=j) for j in range(4)]
+    tracemalloc.start()
+    try:
+        train_lockstep(arch, jobs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_lockstep_heap_grows_with_neither_epoch_nor_batch():
+    # rows are drawn and losses kept per chunk of at most _CHUNK_ROWS rows
+    # per member (or one batch), never for a whole epoch
+    assert lockstep_heap_peak(10_000, 32) <= lockstep_heap_peak(100, 32) + 0.15
+    assert lockstep_heap_peak(100, 4096) < 16
 
 
 def reference_draws(n, seed, counts):
