@@ -3,7 +3,11 @@
 Configuration is line-oriented ``key = value`` with ``#`` comments and dotted
 section keys, the keys of ``experiment.CONFIG_KEYS``; every key is also
 exposed as a CLI flag of the same name, and flags take precedence over the
-file. Exit codes: 0 success, 1 invalid config or input file, 2 runtime failure.
+file. Exit codes follow the type a fault is raised with: 0 success; 1 for a
+ConfigError (a bad file, key or flag value, or a config no table can serve,
+found before the out dir is made), printed ``error: invalid configuration:
+<msg>``, or a TableParseError, printed ``error: <file>: ...``; 2 for
+anything else, a runtime failure, printed ``error: <Type>: <msg>``.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataset import TableParseError, write_table
+from .dataset import TableParseError, utf8_decoding, write_table
 from .experiment import (
     CONFIG_KEYS,
+    ConfigError,
     ExperimentConfig,
     aggregate_runs,
     build_config,
@@ -26,16 +31,14 @@ from .experiment import (
 from .reports import RunRow, TraceRow, best_baseline_mean, read_rows
 
 
-class ConfigError(ValueError):
-    """Bad configuration file, key, or flag value."""
-
-
 def parse_config_file(path: Path | str) -> dict[str, str]:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"no config file at {path}")
+    with utf8_decoding(path):
+        lines = path.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -72,7 +75,7 @@ def _make_parser() -> _Parser:
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """The defaults, overridden by the config file, overridden by the flags;
-    every invalid value is a ConfigError."""
+    every invalid value is a ConfigError, and a file not UTF-8 a TableParseError."""
     values = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:
         value = getattr(args, key.replace(".", "__"))
@@ -119,27 +122,18 @@ def main(argv: list[str] | None = None) -> int:
         baseline_summary = getattr(args, "baseline_summary", None)
         if baseline_summary is not None and not Path(baseline_summary).is_file():
             raise ConfigError(f"baseline summary not found: {baseline_summary}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         if args.command == "synth":
             _cmd_synth(cfg)
-        elif args.command in ("baseline", "chain"):
-            if args.command == "baseline":
-                summary = run_baseline_sweep(cfg)
-            else:
-                summary = run_chain_experiment(cfg, baseline_summary=baseline_summary)
-            cells = len({(row.fraction, row.run) for row in summary.details})  # a chain cell has two rows
-            print(f"{args.command} sweep done: {cells} cells -> {cfg.out_dir}")
         elif args.command == "report":
             _cmd_report(cfg, baseline_summary)
+        else:  # baseline or chain
+            chain = args.command == "chain"
+            summary = run_chain_experiment(cfg, baseline_summary) if chain else run_baseline_sweep(cfg)
+            cells = len({(row.fraction, row.run) for row in summary.details})  # a chain cell has two rows
+            print(f"{args.command} sweep done: {cells} cells -> {cfg.out_dir}")
     except (ConfigError, TableParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        label = "invalid configuration: " if isinstance(exc, ConfigError) else ""
+        print(f"error: {label}{exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - surface as runtime failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

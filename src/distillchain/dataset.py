@@ -7,6 +7,8 @@ repeated calls are bit-identical.
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from pathlib import Path
@@ -17,6 +19,19 @@ import numpy as np
 
 class TableParseError(ValueError):
     """Malformed table file; message names the offending line."""
+
+
+@contextmanager
+def utf8_decoding(path: Path | str) -> Iterator[None]:
+    """A UnicodeDecodeError reading file ``path`` within, as a TableParseError
+    naming the line of the file's first byte that is not UTF-8, numbered as
+    ``splitlines`` (and so read_table) numbers lines."""
+    try:
+        yield
+    except UnicodeDecodeError:  # a reader decoding in chunks gives no file offset: read it again
+        text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+        bad = re.search("[\udc80-\udcff]", text).start()  # the first undecodable byte, escaped
+        raise TableParseError(f"{path}: line {len(text[: bad + 1].splitlines())}: not UTF-8 text") from None
 
 
 @dataclass(frozen=True)
@@ -490,7 +505,8 @@ def write_table(path: Path | str, table: DataTable) -> None:
 def _read_catalog(sidecar: Path) -> ClassCatalog:
     if not sidecar.exists():
         raise TableParseError(f"missing catalog sidecar {sidecar}")
-    lines = sidecar.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
+    with utf8_decoding(sidecar):
+        lines = sidecar.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     if not lines:
         raise TableParseError(f"{sidecar}: empty catalog sidecar")
     try:
@@ -577,7 +593,8 @@ def _rejected_row(ids: np.ndarray, features: np.ndarray, linenos: np.ndarray) ->
 
 def read_table(path: Path | str) -> DataTable:
     """Read a CSV table; the catalog comes from the ``.classes`` sidecar.
-    A UTF-8 byte-order mark at the start of either file is dropped.
+    A UTF-8 byte-order mark at the start of either file is dropped, and a
+    byte that is not UTF-8 is a TableParseError naming its file and line.
 
     Data lines are parsed in blocks of ``_BLOCK_LINES``, each in a few batched
     steps, with the same ``int``/``float`` builtins a per-line parse would
@@ -590,7 +607,7 @@ def read_table(path: Path | str) -> DataTable:
     path = Path(path)
     catalog = _read_catalog(classes_path(path))
     label_of = {name: i for i, name in enumerate(catalog.names)}
-    with path.open(encoding="utf-8") as f:
+    with path.open(encoding="utf-8") as f, utf8_decoding(path):
         blocks = _line_blocks(f)
         start, lines = next(blocks, (1, []))
         if not lines:

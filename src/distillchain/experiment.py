@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -53,6 +53,11 @@ _ROLE_DATASET = 0
 _ROLE_SPLIT = 1
 _ROLE_TRAIN = 2
 _ROLE_CHAIN = 3
+
+
+class ConfigError(ValueError):
+    """Bad configuration file, key or flag value, or a config no table can
+    serve, found before a sweep makes its out dir."""
 
 
 @dataclass(frozen=True)
@@ -280,22 +285,19 @@ def derive_seed(master: int, *key: int) -> int:
 
 
 def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTable]:
-    """Generate the synthetic tables (seeded from the master seed) or load
-    the configured CSV files, every row labelled (read_table rejects an
-    empty label). Their ``.classes`` sidecars must agree, and the train
-    table must hold a row of every class, else a TableParseError: labels
-    are encoded by catalog index, so a reordered catalog would silently
-    score validation or test labels as other classes, and no cell's
-    early-stop draw could cover a missing class."""
+    """Generate the synthetic tables (seeded from the master seed; a spec
+    no table can be generated from is a ConfigError) or load the
+    configured CSV files, every row labelled (read_table rejects an empty
+    label). Their ``.classes`` sidecars must agree, and the train table
+    must hold a row of every class, else a TableParseError: labels are
+    encoded by catalog index, so a reordered catalog would silently score
+    validation or test labels as other classes, and no cell's early-stop
+    draw could cover a missing class."""
     if isinstance(cfg.source, SyntheticSpec):
-        s = cfg.source
-        return generate_synthetic(
-            classes=s.classes,
-            per_class=s.per_class,
-            dim=s.dim,
-            spread=s.spread,
-            seed=derive_seed(cfg.seed, _ROLE_DATASET),
-        )
+        try:  # the spec's fields are the generator's parameters
+            return generate_synthetic(**asdict(cfg.source), seed=derive_seed(cfg.seed, _ROLE_DATASET))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     files = cfg.source
     tables = (read_table(files.train), read_table(files.validation), read_table(files.test))
     for path, table in zip((files.train, files.validation, files.test), tables):
@@ -508,15 +510,19 @@ def _sweep(cfg: ExperimentConfig, chain_cfg: ChainConfig, baseline: float | None
     """Every cell of ``cfg`` run as a chain of ``chain_cfg``, its rows,
     traces and files made by ``_finish_cell`` as its group finishes, then
     the sweep-level files with ``baseline``, if given, as the chart's
-    reference. Faults every cell would hit fail first: a train file without
-    a sample of some class (in ``prepare_dataset``), a chain keeping more
-    probabilities than there are classes, or an early-stop set too small to
-    cover them."""
+    reference. Faults every cell would hit fail first, before the out dir
+    is made: a train file without a sample of some class (in
+    ``prepare_dataset``), and the ConfigErrors of a chain keeping more
+    probabilities than there are classes or an early-stop set too small to
+    cover them. Anything raised later is a runtime failure."""
     dataset = prepare_dataset(cfg)
     catalog = dataset[0].catalog
     if chain_cfg.iterations and (chain_cfg.distill.top_probs or 0) > catalog.size:
-        raise ValueError(f"chain.top_probs ({chain_cfg.distill.top_probs}) exceeds the {catalog.size} classes")
-    early_stop_size(dataset[0], cfg.early_stop_fraction)
+        raise ConfigError(f"chain.top_probs ({chain_cfg.distill.top_probs}) exceeds the {catalog.size} classes")
+    try:
+        early_stop_size(dataset[0], cfg.early_stop_fraction)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     # starmap holds no cell's output past its call, so none outlives its group
     finish = partial(_finish_cell, cfg, chain_cfg, catalog)

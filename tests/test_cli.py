@@ -12,6 +12,7 @@ from distillchain import (
     ExperimentConfig,
     TrainConfig,
     chain,
+    experiment,
     generate_synthetic,
     read_table,
     run_baseline_sweep,
@@ -48,8 +49,16 @@ FAST = [
 ]
 
 
+def spoil(path, lineno):
+    """Put a byte that is not UTF-8 at the start of line ``lineno`` (from 1) of ``path``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+    path.write_bytes(b"".join(lines))
+
+
 # what every cell of a 3-class sweep with too small an early-stop reserve would hit
 NO_RESERVE = "early-stop set of 0 cannot cover 3 classes; increase early_stop_fraction or the table size"
+LR_FAULT = "learning_rate must be positive and finite"
 
 
 class TestConfigFile:
@@ -311,13 +320,21 @@ class TestCliCommands:
         assert run_cli("chain", *no_reserve, "--out", str(out)).returncode == 1
         assert run_cli("chain", "--early_stop_fraction", "1.0", "--out", str(out)).returncode == 1
         assert not out.exists()
+        # a config path that is no file, or a file that is not UTF-8 text, is named
+        result = run_cli("baseline", "--config", str(tmp_path))
+        assert (result.returncode, result.stderr) == (1, f"error: invalid configuration: no config file at {tmp_path}\n")
+        undecodable = tmp_path / "exp.cfg"
+        undecodable.write_text("seed = 1\nruns = 2\n")
+        spoil(undecodable, 2)
+        result = run_cli("baseline", "--config", str(undecodable))
+        assert (result.returncode, result.stderr) == (1, f"error: {undecodable}: line 2: not UTF-8 text\n")
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("chain", "--chain.finetune.learning_rate", "inf"), "learning_rate must be positive and finite"),
-            (("chain", "--chain.pretrain.learning_rate", "nan"), "learning_rate must be positive and finite"),
-            (("baseline", "--train.learning_rate", "inf"), "learning_rate must be positive and finite"),
+            (("chain", "--chain.finetune.learning_rate", "inf"), f"invalid configuration: {LR_FAULT}"),
+            (("chain", "--chain.pretrain.learning_rate", "nan"), f"invalid configuration: {LR_FAULT}"),
+            (("baseline", "--train.learning_rate", "inf"), f"invalid configuration: {LR_FAULT}"),
             # the table has 3 classes
             (("chain", "--chain.top_probs", "4"), "invalid configuration: chain.top_probs (4) exceeds the 3 classes"),
             (("chain", "--early_stop_fraction", "0"), f"invalid configuration: {NO_RESERVE}"),
@@ -374,7 +391,7 @@ class TestCliCommands:
     def test_an_out_dir_the_echo_cannot_carry_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["chain", *FAST, "--out", "r#1"]) == 1
-        assert "error: out must hold no '#'" in capsys.readouterr().err
+        assert "error: invalid configuration: out must hold no '#'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("fault", ["no label", "catalog"])
@@ -393,11 +410,48 @@ class TestCliCommands:
         assert main(["chain", *FAST, "--source", "files", *files, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == want  # not "invalid configuration"
 
+    @pytest.mark.parametrize("fault", ["train line 90", "sidecar", "runs for report", "baseline summary"])
+    def test_an_input_file_that_is_not_utf8_exits_one_naming_it(self, tmp_path, capsys, fault):
+        paths = [tmp_path / f"{name}.csv" for name in ("train", "validation", "test")]
+        # 30 features: line 90 lies past the first 8 KiB a text reader decodes
+        for path, table in zip(paths, generate_synthetic(3, 40, 30, 0.4, seed=11)):
+            write_table(path, table)
+        files = ["--source", "files", *(f"--data.{n}={p}" for n, p in zip(("train", "validation", "test"), paths))]
+        argv = ["chain", *FAST, *files, "--out", str(tmp_path / "out")]
+        bad, lineno = paths[0], 90
+        if fault == "sidecar":
+            bad, lineno = paths[1].with_suffix(".classes"), 1
+        elif fault != "train line 90":
+            done = tmp_path / "done"
+            assert main(["chain", *FAST, "--out", str(done)]) == 0
+            bad, lineno = done / "runs.csv", 2
+            argv = ["report", "--out", str(done)]
+            if fault == "baseline summary":
+                assert main(["baseline", *FAST, "--out", str(tmp_path / "base")]) == 0
+                bad, lineno = tmp_path / "base" / "summary.csv", 3
+                argv = ["chain", *FAST, "--out", str(tmp_path / "out"), "--baseline-summary", str(bad)]
+        spoil(bad, lineno)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line {lineno}: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_exits_two(self, tmp_path):
         blocked = tmp_path / "blocked"
         blocked.write_text("not a directory")
         result = run_cli("baseline", *FAST, "--out", str(blocked), "--seed", "1")
         assert result.returncode == 2, result.stdout + result.stderr
+
+    def test_a_fault_once_the_out_dir_exists_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        # a ValueError after cells have trained is no config fault, whatever its type
+        def aggregate_runs(rows):
+            raise ValueError("late fault")
+
+        monkeypatch.setattr(experiment, "aggregate_runs", aggregate_runs)
+        out = tmp_path / "out"
+        assert main(["chain", *FAST, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: ValueError: late fault\n"
+        assert (out / "confusion_0.2_0.csv").exists()
 
     def test_report_rebuilds_summary(self, tmp_path):
         out = tmp_path / "out"

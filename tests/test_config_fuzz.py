@@ -1,7 +1,8 @@
 """A config-space fuzzer. Hypothesis draws edge values for one to three
 configuration keys on top of a tiny baseline or chain sweep, from a tiny
 synthetic source or a tiny files source, and runs the CLI in-process. Every
-config either fails before any cell trains (exit 1, no out dir) or runs
+config either fails before any cell trains (exit 1, no out dir, and an
+``error: invalid configuration: `` line or one naming a data file) or runs
 cleanly (exit 0, no warning or stderr text, every row ``ok`` or skipped with
 a reason, and a ``report`` over the out dir rewrites it byte for byte); the
 CLI never exits 2. A skip reason shared by every row of a sweep of two runs
@@ -52,6 +53,7 @@ TINY = {
        for name in ("max_epochs", "steps_per_epoch")},
 }
 SYNTHETIC = {"synthetic.classes": str(CLASSES), "synthetic.per_class": "10", "synthetic.dim": "2"}
+DATA_KEYS = ("data.train", "data.validation", "data.test")
 
 EDGE_VALUES = [(key, value) for key in CONFIG_KEYS if key != "out" for value in edges(key)]
 overrides = st.lists(st.sampled_from(EDGE_VALUES), min_size=1, max_size=3, unique_by=lambda kv: kv[0]).map(dict)
@@ -86,7 +88,10 @@ def test_a_config_fails_before_training_or_runs_cleanly(tmp_path_factory, capfd,
         event(f"exit {code}")
         assert code in (0, 1), err
         if code == 1:
-            assert err.startswith("error: ") and not out.exists() and not trainer.called
+            inputs = [values[key] for key in DATA_KEYS if values.get(key)]  # the data files, drawn or not
+            named = err.startswith("error: ") and any(path in err for path in inputs)
+            assert err.startswith("error: invalid configuration: ") or named, err
+            assert not out.exists() and not trainer.called
             return
         assert err == "" and not caught, (err, [str(w.message) for w in caught])
         rows = read_rows(out / "runs.csv", RunRow)

@@ -125,6 +125,11 @@ class TestSoftCrossEntropy:
         with pytest.raises(ValueError):
             soft_cross_entropy(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
+    def test_a_zero_probability_is_clamped_at_1e_minus_12(self):
+        # every phase's train loss reads the clamp when a target class gets
+        # no probability
+        assert soft_cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == -np.log(1e-12)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_non_negative_and_at_least_entropy(self, seed):
