@@ -54,12 +54,12 @@ def main() -> None:
     t0 = time.perf_counter()
     base_cfg = ExperimentConfig(out_dir=str(out / "baseline"), **common)
     run_baseline_sweep(base_cfg)
-    print(f"baseline sweep: {time.perf_counter() - t0:.0f}s -> {out / 'baseline'}")
+    print(f"baseline sweep: {time.perf_counter() - t0:.2f}s -> {out / 'baseline'}")
 
     t1 = time.perf_counter()
     chain_cfg = ExperimentConfig(out_dir=str(out / "chain"), **common)
     run_chain_experiment(chain_cfg, baseline_summary=out / "baseline" / "summary.csv")
-    print(f"chain sweep:    {time.perf_counter() - t1:.0f}s -> {out / 'chain'}")
+    print(f"chain sweep:    {time.perf_counter() - t1:.2f}s -> {out / 'chain'}")
 
     traces = read_rows(out / "chain" / "traces.csv", TraceRow)
     best = {}

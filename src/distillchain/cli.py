@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataset import TableParseError, utf8_decoding, write_table
+from .dataset import TableParseError, read_lines, write_table
 from .experiment import (
     CONFIG_KEYS,
     ConfigError,
@@ -24,6 +24,7 @@ from .experiment import (
     aggregate_runs,
     build_config,
     emit_outputs,
+    make_out_dir,
     prepare_dataset,
     run_baseline_sweep,
     run_chain_experiment,
@@ -35,10 +36,8 @@ def parse_config_file(path: Path | str) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no config file at {path}")
-    with utf8_decoding(path):
-        lines = path.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -90,7 +89,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _cmd_synth(cfg: ExperimentConfig) -> None:
     train, val, test = prepare_dataset(cfg)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    make_out_dir(out)
     for name, table in (("train", train), ("validation", val), ("test", test)):
         write_table(out / f"{name}.csv", table)
     print(f"wrote {len(train)}/{len(val)}/{len(test)} samples under {out}")
@@ -102,8 +101,6 @@ def _cmd_report(cfg: ExperimentConfig, baseline_summary: str | None) -> None:
     resolved config is left as the sweep wrote it."""
     out = Path(cfg.out_dir)
     runs_path, traces_path = out / "runs.csv", out / "traces.csv"
-    if not runs_path.exists():
-        raise ConfigError(f"no runs.csv under {out}; run a sweep first")
     baseline = best_baseline_mean(baseline_summary) if baseline_summary else None
     traces = read_rows(traces_path, TraceRow) if traces_path.exists() else []
     rows = read_rows(runs_path, RunRow)
@@ -120,8 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         args = _make_parser().parse_args(argv)
         cfg = _resolve_config(args)
         baseline_summary = getattr(args, "baseline_summary", None)
-        if baseline_summary is not None and not Path(baseline_summary).is_file():
-            raise ConfigError(f"baseline summary not found: {baseline_summary}")
         if args.command == "synth":
             _cmd_synth(cfg)
         elif args.command == "report":

@@ -22,16 +22,24 @@ class TableParseError(ValueError):
 
 
 @contextmanager
-def utf8_decoding(path: Path | str) -> Iterator[None]:
-    """A UnicodeDecodeError reading file ``path`` within, as a TableParseError
-    naming the line of the file's first byte that is not UTF-8, numbered as
-    ``splitlines`` (and so read_table) numbers lines."""
+def input_file(path: Path | str) -> Iterator[None]:
+    """An OSError (missing, a directory, unreadable) or UnicodeDecodeError reading
+    input file ``path`` within, as a TableParseError naming it and, for a byte that
+    is not UTF-8, the line of its first such byte as ``splitlines`` numbers lines."""
     try:
         yield
+    except OSError as exc:
+        raise TableParseError(f"{path}: cannot read: {exc.strerror}") from None
     except UnicodeDecodeError:  # a reader decoding in chunks gives no file offset: read it again
         text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
         bad = re.search("[\udc80-\udcff]", text).start()  # the first undecodable byte, escaped
         raise TableParseError(f"{path}: line {len(text[: bad + 1].splitlines())}: not UTF-8 text") from None
+
+
+def read_lines(path: Path | str) -> list[str]:
+    """The lines of text input file ``path``, read through input_file, a leading byte-order mark dropped."""
+    with input_file(path):
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
 
 
 @dataclass(frozen=True)
@@ -503,10 +511,7 @@ def write_table(path: Path | str, table: DataTable) -> None:
 
 
 def _read_catalog(sidecar: Path) -> ClassCatalog:
-    if not sidecar.exists():
-        raise TableParseError(f"missing catalog sidecar {sidecar}")
-    with utf8_decoding(sidecar):
-        lines = sidecar.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
+    lines = read_lines(sidecar)
     if not lines:
         raise TableParseError(f"{sidecar}: empty catalog sidecar")
     try:
@@ -593,8 +598,8 @@ def _rejected_row(ids: np.ndarray, features: np.ndarray, linenos: np.ndarray) ->
 
 def read_table(path: Path | str) -> DataTable:
     """Read a CSV table; the catalog comes from the ``.classes`` sidecar.
-    A UTF-8 byte-order mark at the start of either file is dropped, and a
-    byte that is not UTF-8 is a TableParseError naming its file and line.
+    A UTF-8 byte-order mark at the start of either file is dropped; either
+    file unreadable or not UTF-8 is a TableParseError naming it (input_file).
 
     Data lines are parsed in blocks of ``_BLOCK_LINES``, each in a few batched
     steps, with the same ``int``/``float`` builtins a per-line parse would
@@ -607,7 +612,7 @@ def read_table(path: Path | str) -> DataTable:
     path = Path(path)
     catalog = _read_catalog(classes_path(path))
     label_of = {name: i for i, name in enumerate(catalog.names)}
-    with path.open(encoding="utf-8") as f, utf8_decoding(path):
+    with input_file(path), path.open(encoding="utf-8") as f:
         blocks = _line_blocks(f)
         start, lines = next(blocks, (1, []))
         if not lines:

@@ -409,12 +409,12 @@ def _finish_cell(cfg, chain_cfg, catalog, cell, pool_ids, outcome) -> tuple[list
     return rows, traces
 
 
-# Cells trained in one lockstep group at most. Memory grows with every cell
-# in flight, while past about eight members a stacked training step gets
-# little cheaper per model: on a 2-core x86 host, per model and step, about
-# 40 us alone, 18 at eight members and 16 at sixteen for softmax regression,
-# and 99, 42 and 41 us for hidden layers (32, 16) (medians, BENCH_7.json).
-_GROUP_CELLS = 8
+# Cells trained in one lockstep group at most, a bound on memory: each cell in
+# flight holds its chain's tables, while larger groups run fewer stacked steps
+# and so train faster. The default chain sweep at jobs = 1 (BENCH_29.json), by
+# cap, stacked steps / traced heap peak: 8: 125,100 / 11.5 MiB; 12: 99,000 /
+# 14.0 MiB; 16: 68,800 / 20.2 MiB; one group of 30: 38,200 / 32.7 MiB. Budget 24 MiB.
+_GROUP_CELLS = 16
 
 
 def _cell_groups(cells: list, jobs: int) -> list[list]:
@@ -482,12 +482,11 @@ def emit_outputs(
     baseline_reference: float | None = None,
     config_lines: list[str] | None = None,
 ) -> list[Path]:
-    """Write the sweep-level files: summary.csv, runs.csv, traces.csv and
-    (when there are traces) chain_curves.svg. Rerunning with identical
-    inputs rewrites identical bytes."""
+    """Write the sweep-level files into the existing dir ``out_dir``:
+    summary.csv, runs.csv, traces.csv and (when there are traces)
+    chain_curves.svg. Rerunning with identical inputs rewrites identical bytes."""
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         written = [out / "summary.csv", out / "runs.csv", out / "traces.csv"]
         write_rows(written[0], SummaryCell, summary.cells)
         write_rows(written[1], RunRow, summary.details)
@@ -504,6 +503,14 @@ def emit_outputs(
         return written
     except OSError as exc:
         raise OSError(f"cannot write outputs under {out}: {exc}") from exc
+
+
+def make_out_dir(out: Path | str) -> None:
+    """Make dir ``out``; one that cannot be made is a ConfigError naming it."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot make {out}: {exc.strerror}") from None
 
 
 def _sweep(cfg: ExperimentConfig, chain_cfg: ChainConfig, baseline: float | None = None) -> RunSummary:
@@ -523,7 +530,7 @@ def _sweep(cfg: ExperimentConfig, chain_cfg: ChainConfig, baseline: float | None
         early_stop_size(dataset[0], cfg.early_stop_fraction)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    make_out_dir(cfg.out_dir)
     # starmap holds no cell's output past its call, so none outlives its group
     finish = partial(_finish_cell, cfg, chain_cfg, catalog)
     finished = list(itertools.starmap(finish, _execute_cells(cfg, chain_cfg, dataset)))

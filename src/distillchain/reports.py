@@ -14,7 +14,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .dataset import ClassCatalog, TableParseError, utf8_decoding
+from .dataset import ClassCatalog, TableParseError, read_lines
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
@@ -121,15 +121,13 @@ def write_rows(path: Path | str, cls, rows) -> None:
 
 
 def read_rows(path: Path | str, cls) -> list:
-    """The ``cls`` rows of a file ``write_rows`` wrote: each column parsed by
-    its field's declared type, blank lines skipped. A byte that is not
-    UTF-8, a bad header, a wrong field count or a value that does not parse
-    raises TableParseError naming the file and line."""
+    """The ``cls`` rows of a file ``write_rows`` wrote, read by read_lines:
+    each column parsed by its field's declared type, blank lines skipped. A bad
+    header, field count or value raises TableParseError naming the file and line."""
     hints = get_type_hints(cls)
     header = ",".join(f.name for f in fields(cls))
     parsers = [_parser(hints[f.name]) for f in fields(cls)]
-    with utf8_decoding(path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != header:
         raise TableParseError(f"{path}: line 1: expected the header {header}")
     rows = []

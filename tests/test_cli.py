@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from distillchain import (
 )
 from distillchain.cli import ConfigError, _make_parser, _resolve_config, main, parse_config_file
 from distillchain.experiment import CONFIG_KEYS, DataFiles, SyntheticSpec, build_config, config_to_lines
-from distillchain.reports import SUMMARY_HEADER
+from distillchain.reports import SUMMARY_HEADER, RunRow, write_rows
 
 from conftest import blank_label
 
@@ -436,11 +438,57 @@ class TestCliCommands:
         assert capsys.readouterr().err == f"error: {bad}: line {lineno}: not UTF-8 text\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "fault", ["train missing", "sidecar a directory", "baseline summary missing", "no runs", "traces a directory"]
+    )
+    def test_an_input_file_that_cannot_be_read_exits_one_naming_it(self, tmp_path, no_training, capsys, fault):
+        paths = [tmp_path / f"{name}.csv" for name in ("train", "validation", "test")]
+        for path, table in zip(paths, generate_synthetic(3, 40, 3, 0.4, seed=11)):
+            write_table(path, table)
+        files = ["--source", "files", *(f"--data.{n}={p}" for n, p in zip(("train", "validation", "test"), paths))]
+        out, reason = tmp_path / "out", os.strerror(errno.ENOENT)
+        argv = ["baseline", *FAST, *files, "--out", str(out)]
+        if fault == "train missing":  # its sidecar is kept
+            bad = paths[0]
+            bad.unlink()
+        elif fault == "sidecar a directory":
+            bad, reason = paths[1].with_suffix(".classes"), os.strerror(errno.EISDIR)
+            bad.unlink()
+            bad.mkdir()
+        elif fault == "baseline summary missing":
+            bad = tmp_path / "base" / "summary.csv"
+            argv = ["chain", *FAST, "--out", str(out), "--baseline-summary", str(bad)]
+        else:  # report over a sweep's out dir
+            done = tmp_path / "done"
+            done.mkdir()
+            argv = ["report", "--out", str(done)]
+            bad = done / "runs.csv"
+            if fault == "traces a directory":
+                write_rows(bad, RunRow, [RunRow("chain_best", 0.2, 0, 5, "ok", 1, 0.5, 0.5)])
+                bad, reason = done / "traces.csv", os.strerror(errno.EISDIR)
+                bad.mkdir()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: cannot read: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "baseline"])
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_an_out_dir_that_cannot_be_made_is_invalid_configuration(self, tmp_path, no_training, capsys, command, where):
+        blocker = tmp_path / "afile"
+        blocker.write_text("not a directory")
+        out, reason = blocker, os.strerror(errno.EEXIST)
+        if where == "under a file":
+            out, reason = blocker / "sub", os.strerror(errno.ENOTDIR)
+        assert main([command, *FAST, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: out: cannot make {out}: {reason}\n"
+        assert blocker.read_text() == "not a directory"
+
     def test_runtime_failure_exits_two(self, tmp_path):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("not a directory")
-        result = run_cli("baseline", *FAST, "--out", str(blocked), "--seed", "1")
+        out = tmp_path / "out"  # a file the sweep must write is blocked once the out dir exists
+        (out / "summary.csv").mkdir(parents=True)
+        result = run_cli("baseline", *FAST, "--out", str(out), "--seed", "1")
         assert result.returncode == 2, result.stdout + result.stderr
+        assert result.stderr.startswith(f"error: OSError: cannot write outputs under {out}: ")
 
     def test_a_fault_once_the_out_dir_exists_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
         # a ValueError after cells have trained is no config fault, whatever its type

@@ -103,6 +103,13 @@ def test_malformed_results_name_the_file_and_line(tmp_path, capsys, name, text, 
     assert not (out / "summary.csv").exists()
 
 
+def test_a_byte_order_mark_is_read_past(tmp_path):
+    # as spreadsheet programs write one; the header still parses
+    path = tmp_path / "runs.csv"
+    path.write_text("\ufeff" + GOOD_RUNS, encoding="utf-8")
+    assert read_rows(path, RunRow) == [RunRow("chain_best", 0.01, 0, 5, "ok", 1, 0.5, 0.5)]
+
+
 def test_report_refuses_a_repeated_run(tmp_path, capsys):
     # two identical rows would each count toward their cell's mean
     out = tmp_path / "out"
