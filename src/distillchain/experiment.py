@@ -288,11 +288,11 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
     """Generate the synthetic tables (seeded from the master seed; a spec
     no table can be generated from is a ConfigError) or load the
     configured CSV files, every row labelled (read_table rejects an empty
-    label). Their ``.classes`` sidecars must agree, and the train table
-    must hold a row of every class, else a TableParseError: labels are
-    encoded by catalog index, so a reordered catalog would silently score
-    validation or test labels as other classes, and no cell's early-stop
-    draw could cover a missing class."""
+    label). Validation and test must have rows, the train table's catalog
+    and its feature count, and the train table a row of every class, else a
+    TableParseError naming the file: every cell would score or split on
+    them, and labels are encoded by catalog index, so a reordered catalog
+    would silently score validation or test labels as other classes."""
     if isinstance(cfg.source, SyntheticSpec):
         try:  # the spec's fields are the generator's parameters
             return generate_synthetic(**asdict(cfg.source), seed=derive_seed(cfg.seed, _ROLE_DATASET))
@@ -300,11 +300,11 @@ def prepare_dataset(cfg: ExperimentConfig) -> tuple[DataTable, DataTable, DataTa
             raise ConfigError(str(exc)) from None
     files = cfg.source
     tables = (read_table(files.train), read_table(files.validation), read_table(files.test))
-    for path, table in zip((files.train, files.validation, files.test), tables):
-        if table.catalog != tables[0].catalog:
+    for path, table in zip((files.validation, files.test), tables[1:]):
+        if (table.catalog, table.dim) != (tables[0].catalog, tables[0].dim) or not len(table):
             raise TableParseError(
-                f"class catalog of {path} ({','.join(table.catalog.names)}) differs from "
-                f"that of {files.train} ({','.join(tables[0].catalog.names)})"
+                f"{path} has {len(table)} rows of {table.dim} features in classes {','.join(table.catalog.names)}; "
+                f"{files.train} has {tables[0].dim} features in classes {','.join(tables[0].catalog.names)}"
             )
     if missing := missing_classes(tables[0]):
         raise TableParseError(f"{files.train} has no samples for classes {missing}")

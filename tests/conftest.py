@@ -43,6 +43,15 @@ def table_from(catalog, features, labels, ids=None):
     return DataTable(catalog=catalog, ids=ids, features=features, labels=labels)
 
 
+def outcome_of(call):
+    """What ``call()`` returns, or the ValueError or ArithmeticError it
+    raises; any other exception propagates."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
 def blank_label(path, lineno):
     """Empty the label field of line ``lineno`` (from 1) of the CSV at ``path``."""
     lines = path.read_text().splitlines(keepends=True)

@@ -396,21 +396,34 @@ class TestCliCommands:
         assert "error: invalid configuration: out must hold no '#'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("fault", ["no label", "catalog"])
-    def test_bad_input_file_exits_one_naming_it(self, tmp_path, capsys, fault):
+    @pytest.mark.parametrize("fault", ["no label", "catalog", "feature count", "no rows"])
+    def test_bad_input_file_exits_one_naming_it(self, tmp_path, no_training, capsys, fault):
         paths = [tmp_path / f"{name}.csv" for name in ("train", "validation", "test")]
-        for path, table in zip(paths, generate_synthetic(3, 40, 3, 0.4, seed=11)):
+        tables = generate_synthetic(3, 40, 3, 0.4, seed=11)
+        for path, table in zip(paths, tables):
             write_table(path, table)
         train, validation, test = paths
         if fault == "no label":
             blank_label(train, 3)
             want = f"error: {train}: line 3: no label; every row must be labelled\n"
-        else:
+        elif fault == "catalog":
             test.with_suffix(".classes").write_text("c2,c1,c0\n")
-            want = f"error: class catalog of {test} (c2,c1,c0) differs from that of {train} (c0,c1,c2)\n"
+            want = f"error: {test} has {len(tables[2])} rows of 3 features in classes c2,c1,c0; "
+        elif fault == "feature count":
+            wide = replace(tables[1], features=np.hstack([tables[1].features, tables[1].features[:, :1]]))
+            write_table(validation, wide)
+            want = f"error: {validation} has {len(wide)} rows of 4 features in classes c0,c1,c2; "
+        else:
+            test.write_text(test.read_text().splitlines(keepends=True)[0])
+            want = f"error: {test} has 0 rows of 3 features in classes c0,c1,c2; "
+        if fault != "no label":
+            want += f"{train} has 3 features in classes c0,c1,c2\n"
         files = ["--data.train", str(train), "--data.validation", str(validation), "--data.test", str(test)]
-        assert main(["chain", *FAST, "--source", "files", *files, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == want  # not "invalid configuration"
+        out = tmp_path / "out"
+        for command in ("baseline", "chain"):
+            assert main([command, *FAST, "--source", "files", *files, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == want  # not "invalid configuration"
+            assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["train line 90", "sidecar", "runs for report", "baseline summary"])
     def test_an_input_file_that_is_not_utf8_exits_one_naming_it(self, tmp_path, capsys, fault):

@@ -28,7 +28,7 @@ from distillchain import (
 from distillchain import dataset
 from distillchain.dataset import _fisher_yates, synthetic_class_means
 
-from conftest import rare_class_tables, reaches_labels, table_from
+from conftest import outcome_of, rare_class_tables, reaches_labels, table_from
 
 
 TISSUE_CLASSES = ("ADI", "BACK", "DEB", "LYM", "MUC", "MUS", "NORM", "STR", "TUM")
@@ -875,3 +875,28 @@ class TestNormalize:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 2.0
         mean[0] = 5.0  # the caller's array is still theirs
+
+
+AB = ClassCatalog(("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: DataTable(AB, np.arange(3), np.zeros(3), np.zeros(3)), "features must be a 2-D array"),
+        (lambda: DataTable(AB, np.arange(3), np.zeros((2, 2)), np.zeros(3)), "ids and features row counts differ"),
+        (lambda: DataTable(AB, np.arange(3), np.zeros((3, 2)), np.zeros(2)), "labels shape does not match row count"),
+        (lambda: Normalizer(np.zeros(2), np.ones(3)), "mean and std must be 1-D arrays of equal length"),
+        (lambda: Normalizer(np.zeros(2), np.array([1.0, 0.0])), "std entries must be strictly positive"),
+        (lambda: SplitSpec(labelled_fraction=0.0), "labelled_fraction must be in (0, 1]"),
+        (lambda: SplitSpec(labelled_fraction=1.5), "labelled_fraction must be in (0, 1]"),
+        (lambda: SplitSpec(labelled_fraction=0.5, seed=-1), "seed must be a non-negative integer"),
+    ],
+    ids=[
+        "1-D features", "row counts", "label shape", "normalizer shapes", "std 0", "fraction 0", "fraction 1.5",
+        "seed -1",
+    ],
+)
+def test_each_input_check_names_its_fault(call, want):
+    got = outcome_of(call)
+    assert (type(got), str(got)) == (ValueError, want)

@@ -26,7 +26,7 @@ from distillchain import (
 )
 from distillchain.learner import ModelParams, forward
 
-from conftest import pool_from, truth_from
+from conftest import outcome_of, pool_from, truth_from
 
 
 def labels_at(positions, rows):
@@ -387,3 +387,30 @@ class TestPseudoLabels:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
         positions[0] = 7  # the caller's arrays are still theirs
+
+
+AB = ClassCatalog(("a", "b"))
+THREE = labels_at([0, 1, 2], [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: PseudoLabels(np.arange(2), np.full((3, 2), 0.5)), "soft must be (n, C) with one position per row"),
+        (lambda: keep_top_probabilities(THREE, 0), "keep must be in [1, 2]"),
+        (lambda: keep_top_probabilities(THREE, 3), "keep must be in [1, 2]"),
+        (lambda: keep_most_confident_per_class(THREE, 0, AB), "cap must be positive or None"),
+        (
+            lambda: keep_most_confident_per_class(THREE, None, ClassCatalog(("a", "b", "c"))),
+            "pseudo-labels have 2 classes, catalog has 3",
+        ),
+        (
+            lambda: pseudo_label_quality(PseudoLabels(np.zeros(0, np.int64), np.zeros((0, 2))), truth_from(AB, [0, 1])),
+            "no labels to score",
+        ),
+    ],
+    ids=["positions and soft", "keep 0", "keep above C", "cap 0", "catalog size", "no labels"],
+)
+def test_each_input_check_names_its_fault(call, want):
+    got = outcome_of(call)
+    assert (type(got), str(got)) == (ValueError, want)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from distillchain import (
     ArchSpec,
     ClassCatalog,
+    Normalizer,
     NumericError,
     TrainConfig,
     backward,
@@ -39,7 +40,7 @@ from distillchain.learner import (
     train_lockstep,
 )
 
-from conftest import table_from
+from conftest import outcome_of, table_from
 
 
 def params_from(weights, biases, input_dim, hidden, output_dim):
@@ -802,3 +803,63 @@ class TestSyntheticSanity:
 
         assert trained_accuracy(0.01) > 0.99
         assert abs(trained_accuracy(500.0) - 1.0 / 3.0) < 0.12
+
+
+# One valid single-member lockstep job, for the input checks below to spoil.
+ARCH = ArchSpec(input_dim=2, output_dim=3)
+ABC = ClassCatalog(("a", "b", "c"))
+ONES = ModelParams(ARCH, (np.ones((3, 2)),), (np.zeros(3),))
+
+
+def lockstep_outcome(**fields):
+    """The outcome of one lockstep job of ARCH with ``fields`` replaced."""
+    early_stop = table_from(ABC, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], [0, 1, 2])
+    job = TrainJob(np.zeros((4, 2)), one_hot([0, 1, 2, 0], 3), early_stop, TrainConfig(max_epochs=1))
+    return train_lockstep(ARCH, [replace(job, **fields)])[0]
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: ArchSpec(input_dim=2, hidden=(0,)), ValueError("all layer widths must be positive")),
+        (lambda: ArchSpec(input_dim=2, output_dim=1), ValueError("output_dim must be >= 2")),
+        (lambda: ModelParams(ARCH, (), ()), ValueError("layer count does not match architecture")),
+        (
+            lambda: ModelParams(ARCH, (np.ones((2, 3)),), (np.zeros(3),)),
+            ValueError("parameter shapes do not match architecture"),
+        ),
+        (lambda: forward(ONES, np.zeros((1, 3))), ValueError("feature dim 3 does not match model input 2")),
+        (
+            lambda: backward(ONES, np.zeros((1, 2)), np.ones((1, 2)) / 2),
+            ValueError("targets shape does not match batch and output dim"),
+        ),
+        (  # finite features whose logits overflow
+            lambda: backward(ONES, np.full((1, 2), 1e308), one_hot([0], 3)),
+            NumericError("non-finite gradient"),
+        ),
+        (lambda: one_hot(np.array([0, 3]), 3), ValueError("labels outside [0, num_classes)")),
+        # a lockstep job's own faults are its outcome, not a raise
+        (lambda: lockstep_outcome(features=np.zeros((4, 3))), ValueError("feature dim 3 does not match model input 2")),
+        (
+            lambda: lockstep_outcome(normalizer=Normalizer(np.zeros(3), np.ones(3))),
+            ValueError("normalizer dim does not match the features"),
+        ),
+        (
+            lambda: lockstep_outcome(targets=one_hot([0, 1, 2], 3)),
+            ValueError("targets shape does not match features and output dim"),
+        ),
+        (
+            lambda: lockstep_outcome(init=init_params(ArchSpec(input_dim=2, hidden=(4,), output_dim=3), 0)),
+            ValueError("initial params do not match the architecture"),
+        ),
+        (lambda: train_lockstep(ARCH, []), []),
+    ],
+    ids=[
+        "arch width", "arch output", "layer count", "param shapes", "forward dim", "backward targets",
+        "backward non-finite", "one_hot range", "job dim", "job normalizer", "job targets", "job init", "no jobs",
+    ],
+)
+def test_each_input_check_names_its_fault(call, want):
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the case
+        got = outcome_of(call)
+    assert (type(got), str(got)) == (type(want), str(want))
