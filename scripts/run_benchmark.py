@@ -3,8 +3,11 @@
 
 Baseline labelled-fraction sweep, then the teacher-student chain sweep with
 the baseline's best mean as the chart reference, into <out>/baseline and
-<out>/chain. The printed table compares the teacher with the best selected
-chain iteration per fraction; the last lines name the host kind (numpy's
+<out>/chain. The printed table gives, per fraction, the mean test accuracy of
+the baseline, of the chain's teacher and of the best selected chain
+iteration, and the best chain's gap over the baseline and over the teacher;
+the line under it gives the baseline at the largest fraction, the paper's
+full-label comparison. The last lines name the host kind (numpy's
 highest enabled dispatch target and OpenBLAS's core, scripts/host_kind.py)
 and the output hashes that pin the results byte for byte (first 16 hex
 digits of sha256).
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from distillchain import ExperimentConfig, SyntheticSpec, run_baseline_sweep, run_chain_experiment
-from distillchain.reports import RunRow, TraceRow, read_rows
+from distillchain.reports import RunRow, SummaryCell, TraceRow, read_rows
 from host_kind import host_kind
 
 # The outputs whose hashes are the byte-identity oracle of a seeded run.
@@ -61,16 +64,24 @@ def main() -> None:
     run_chain_experiment(chain_cfg, baseline_summary=out / "baseline" / "summary.csv")
     print(f"chain sweep:    {time.perf_counter() - t1:.2f}s -> {out / 'chain'}")
 
+    baseline = {
+        cell.fraction: cell.mean
+        for cell in read_rows(out / "baseline" / "summary.csv", SummaryCell)
+        if cell.metric == "test_accuracy" and cell.mean is not None
+    }
     traces = read_rows(out / "chain" / "traces.csv", TraceRow)
     best = {}
     for row in read_rows(out / "chain" / "runs.csv", RunRow):
         if row.mode == "chain_best" and row.ok:
             best.setdefault(row.fraction, []).append(row.test_accuracy)
-    print("\nfraction  teacher-test  best-chain-test  gap")
+    print("\nfraction  baseline-test  teacher-test  best-chain-test  gap-vs-baseline  gap-vs-teacher")
     for fraction in sorted(best):
         teacher = [t.test_accuracy for t in traces if t.fraction == fraction and t.iteration == 0]
         t_mean, b_mean = float(np.mean(teacher)), float(np.mean(best[fraction]))
-        print(f"{fraction:8g}  {t_mean:12.4f}  {b_mean:15.4f}  {b_mean - t_mean:+.4f}")
+        base = baseline[fraction]
+        print(f"{fraction:8g}  {base:13.4f}  {t_mean:12.4f}  {b_mean:15.4f}  {b_mean - base:+15.4f}  {b_mean - t_mean:+14.4f}")
+    largest = max(baseline)
+    print(f"baseline-test at the largest fraction, {largest:g}: {baseline[largest]:.4f}")
 
     # trained weights differ between host kinds, so the hashes name theirs
     print("\nhost: numpy {}, OpenBLAS {}".format(*host_kind()))

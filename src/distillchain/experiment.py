@@ -448,19 +448,17 @@ def _execute_cells(
 
 def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:
     """Mean, sample (n-1) std, min, max of validation and test accuracy per
-    (mode, fraction) over the non-skipped runs. Cells with a single value
+    (mode, fraction) over the non-skipped runs, each group summed in run
+    order, so the order of ``rows`` moves no bit. Cells with a single value
     report std 0 flagged ``n=1``; cells with no usable runs stay visible as
     ``no data`` warning rows. A repeated (mode, fraction, run) is a ValueError."""
-    keys = [(r.mode, r.fraction, r.run) for r in rows]
+    details = tuple(sorted(rows, key=attrgetter("fraction", "mode", "run")))
+    keys = [(r.mode, r.fraction, r.run) for r in details]
     if len(set(keys)) < len(keys):
         raise ValueError(f"repeated (mode, fraction, run) {max(keys, key=keys.count)}")
-    groups: dict[tuple[float, str], list[RunRow]] = {}
-    for row in rows:
-        groups.setdefault((row.fraction, row.mode), []).append(row)
-
     cells: list[SummaryCell] = []
-    for fraction, mode in sorted(groups):
-        ok = [r for r in groups[(fraction, mode)] if r.ok]
+    for (fraction, mode), group in itertools.groupby(details, key=attrgetter("fraction", "mode")):
+        ok = [r for r in group if r.ok]
         for metric in ("val_accuracy", "test_accuracy"):
             if not ok:
                 cells.append(
@@ -472,7 +470,7 @@ def aggregate_runs(rows: list[RunRow] | tuple[RunRow, ...]) -> RunSummary:
             std = 0.0 if values.size == 1 else float(values.std(ddof=1))
             mean, lo, hi = float(values.mean()), float(values.min()), float(values.max())
             cells.append(SummaryCell(mode, fraction, metric, mean, std, lo, hi, values.size, note))
-    return RunSummary(cells=tuple(cells), details=tuple(sorted(rows, key=attrgetter("fraction", "mode", "run"))))
+    return RunSummary(cells=tuple(cells), details=details)
 
 
 def emit_outputs(

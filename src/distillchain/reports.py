@@ -70,6 +70,11 @@ class SummaryCell:
     n: int
     note: str = ""
 
+    def __post_init__(self) -> None:
+        shares = (self.mean, self.min, self.max)
+        if not all(0 <= x <= 1 for x in shares if x is not None) or not 0 <= (self.std or 0) < np.inf or self.n < 0:
+            raise ValueError("mean, min and max must be in [0, 1], std finite and >= 0, n >= 0")
+
 
 @dataclass(frozen=True)
 class RunSummary:

@@ -61,6 +61,12 @@ def blank_label(path, lineno):
     path.write_text("".join(lines))
 
 
+def reverse_rows(path):
+    """Reverse the order of the lines under the header of the CSV at ``path``."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([header, *reversed(rows)]))
+
+
 def tiny_config(tmp_path, **overrides):
     """A seeded chain sweep small enough to run in well under a second."""
     fast = TrainConfig(max_epochs=3, steps_per_epoch=10, patience=3)

@@ -24,7 +24,7 @@ from distillchain.cli import ConfigError, _make_parser, _resolve_config, main, p
 from distillchain.experiment import CONFIG_KEYS, DataFiles, SyntheticSpec, build_config, config_to_lines
 from distillchain.reports import SUMMARY_HEADER, RunRow, write_rows
 
-from conftest import blank_label
+from conftest import blank_label, reverse_rows
 
 
 def run_cli(*args):
@@ -515,15 +515,16 @@ class TestCliCommands:
         assert (out / "confusion_0.2_0.csv").exists()
 
     def test_report_rebuilds_summary(self, tmp_path):
+        # from runs.csv's rows in any order: a group of three runs sums to
+        # other last bits in another order
         out = tmp_path / "out"
-        first = run_cli("chain", *FAST, "--seed", "3", "--out", str(out))
+        first = run_cli("chain", *FAST, "--runs", "3", "--seed", "3", "--out", str(out))
         assert first.returncode == 0, first.stderr
-        original = (out / "summary.csv").read_bytes()
-        original_svg = (out / "chain_curves.svg").read_bytes()
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        reverse_rows(out / "runs.csv")
         (out / "summary.csv").unlink()
         assert main(["report", "--out", str(out)]) == 0
-        assert (out / "summary.csv").read_bytes() == original
-        assert (out / "chain_curves.svg").read_bytes() == original_svg
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
     def test_report_without_traces_writes_their_header_and_no_chart(self, tmp_path):
         # a missing traces.csv counts as no traces: report writes the
@@ -566,7 +567,7 @@ class TestCliCommands:
         assert not (tmp_path / "fresh").exists()
         assert (done / "runs.csv").read_text().splitlines()[0] != SUMMARY_HEADER
 
-    @pytest.mark.parametrize("fault", ["repeated run", "nan trace", "runs as baseline summary"])
+    @pytest.mark.parametrize("fault", ["repeated run", "nan trace", "runs as baseline summary", "nan baseline mean"])
     def test_results_file_fault_names_the_file_not_the_config(self, tmp_path, capsys, fault):
         # a fault in a file a sweep writes is reported as an input table's
         # is, by its path, and not as invalid configuration
@@ -582,6 +583,13 @@ class TestCliCommands:
             fields[3] = "nan"  # val_accuracy
             bad.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
         else:
+            if fault == "nan baseline mean":
+                assert main(["baseline", *FAST, "--seed", "3", "--out", str(tmp_path / "base")]) == 0
+                bad = tmp_path / "base" / "summary.csv"
+                header, val, test = bad.read_text().splitlines()
+                fields = test.split(",")
+                fields[3] = "nan"  # the test_accuracy mean
+                bad.write_text("\n".join([header, val, ",".join(fields)]) + "\n")
             argv = ["chain", *FAST, "--seed", "3", "--out", str(tmp_path / "fresh"), "--baseline-summary", str(bad)]
         capsys.readouterr()
         assert main(argv) == 1

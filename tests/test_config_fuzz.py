@@ -7,7 +7,8 @@ editing the test does not change them. Every
 config either fails before any cell trains (exit 1, no out dir, and an
 ``error: invalid configuration: `` line or one naming a data file) or runs
 cleanly (exit 0, no warning or stderr text, every row ``ok`` or skipped with
-a reason, and a ``report`` over the out dir rewrites it byte for byte); the
+a reason, and a ``report`` over the out dir rewrites it byte for byte, again
+once the rows of its ``runs.csv`` are reversed); the
 CLI never exits 2. A skip reason shared by every row of a sweep of two runs
 is a suspect config fault, and must be a training blow-up: a config no cell
 can train with is to fail before the sweep instead.
@@ -32,6 +33,8 @@ from distillchain import chain, generate_synthetic, write_table
 from distillchain.cli import main
 from distillchain.experiment import CONFIG_KEYS, _parse_bool, _parse_int_or_none
 from distillchain.reports import RunRow, read_rows
+
+from conftest import reverse_rows
 
 CLASSES = 3
 FLOAT_EDGES = ("0", "1", "-1", "1e-300", "1.7976931348623157e308", "nan", "inf", "-inf")
@@ -115,6 +118,9 @@ def test_a_config_fails_before_training_or_runs_cleanly(tmp_path_factory, capfd,
             event("one skip reason in every cell")
             assert "non-finite" in rows[0].status, rows[0].status
         written = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert main(["report", f"--out={out}"]) == 0
-        assert capfd.readouterr().err == ""
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+        for reorder in (False, True):  # runs.csv as written, then its rows reversed
+            if reorder:
+                reverse_rows(out / "runs.csv")
+            assert main(["report", f"--out={out}"]) == 0
+            assert capfd.readouterr().err == ""
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == written

@@ -1,9 +1,12 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from distillchain import (
     ChainConfig,
@@ -79,6 +82,12 @@ class TestAggregateRuns:
         rows = [row("baseline", 0.1, i, float(v), float(v)) for i, v in enumerate(rng.uniform(0, 1, 7))]
         cell = aggregate_runs(rows).cells[0]
         assert cell.min <= cell.mean <= cell.max
+
+    def test_any_row_order_gives_the_same_summary(self):
+        # 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 and 0.3 + 0.2 + 0.1 to 0.6
+        rows = [row("baseline", 0.1, i, v, v) for i, v in enumerate((0.1, 0.2, 0.3))]
+        summary = aggregate_runs(rows)
+        assert all(aggregate_runs(order) == summary for order in itertools.permutations(rows))
 
     def test_detail_rows_sorted(self):
         rows = [
@@ -209,23 +218,68 @@ def test_mismatched_class_sidecars_are_rejected(tmp_path):
     assert paths[0] in str(excinfo.value) and paths[1] in str(excinfo.value)
 
 
+def swept_files(sweep, out, jobs=1, cap=None, groups=None):
+    """The files, bar the config echo, of a tiny sweep of 9 cells (3
+    fractions, 3 runs: with 2 runs a mean sums in either order alike) into
+    ``out``, under a group cap of ``cap`` and, when given, with its cells
+    grouped by ``groups`` (cells -> their groups) instead of _cell_groups."""
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(experiment, "_GROUP_CELLS", cap)
+        if groups is not None:
+            patch.setattr(experiment, "_cell_groups", lambda cells, jobs: groups(cells))
+        sweep(tiny_config(out, fractions=(0.1, 0.2, 1.0), runs=3, jobs=jobs))
+    return {p.name: p.read_bytes() for p in sorted((out / "out").iterdir()) if p.name != "config_resolved.cfg"}
+
+
+@pytest.fixture(scope="module")
+def contiguous(tmp_path_factory):
+    """The files of a sweep function's contiguous jobs = 1 sweep, every
+    cell in one lockstep group, made once per module."""
+    made = {}
+
+    def files(sweep):
+        if sweep not in made:
+            made[sweep] = swept_files(sweep, tmp_path_factory.mktemp("contiguous"))
+        return made[sweep]
+
+    return files
+
+
 @pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
-def test_lockstep_groups_do_not_change_bytes(tmp_path, sweep, monkeypatch):
-    # jobs = 1 trains all six cells as one lockstep group, jobs = 2 and 3 as
-    # contiguous groups of three and of two; a group cap of 4 and of 1 splits
-    # the jobs = 1 sweep into groups of three and of one
-    written = {}
-    for jobs, cap in ((1, 8), (2, 8), (3, 8), (1, 4), (1, 1)):
-        monkeypatch.setattr(experiment, "_GROUP_CELLS", cap)
-        out = tmp_path / f"{jobs}_{cap}"
-        sweep(tiny_config(out, fractions=(0.1, 0.2, 1.0), runs=2, jobs=jobs))
-        written[jobs, cap] = {
-            p.name: p.read_bytes()
-            for p in sorted((out / "out").iterdir())
-            if p.name != "config_resolved.cfg"
-        }
-    assert "runs.csv" in written[1, 8] and "confusion_0.1_1.csv" in written[1, 8]
-    assert all(files == written[1, 8] for files in written.values())
+def test_lockstep_groups_do_not_change_bytes(tmp_path, sweep, contiguous):
+    # jobs = 2 and 3 train the nine cells as contiguous groups of four and
+    # five, and of three; a group cap of 4 and of 1 splits the jobs = 1
+    # sweep into groups of three and of one; then the cells reversed in one
+    # group, and dealt round robin into two, at jobs 1 and 2
+    def reversed_in_one(cells):
+        return [cells[::-1]]
+
+    def round_robin(cells):
+        return [cells[g::2] for g in range(2)]
+
+    variants = [
+        dict(jobs=2), dict(jobs=3), dict(cap=4), dict(cap=1),
+        *(dict(jobs=jobs, groups=groups) for groups in (reversed_in_one, round_robin) for jobs in (1, 2)),
+    ]
+    reference = contiguous(sweep)
+    assert "runs.csv" in reference and "confusion_0.1_2.csv" in reference
+    for i, variant in enumerate(variants):
+        assert swept_files(sweep, tmp_path / str(i), **variant) == reference, variant
+
+
+@pytest.mark.parametrize("sweep", [run_baseline_sweep, run_chain_experiment])
+@given(order=st.permutations(range(9)), cuts=st.sets(st.integers(1, 8), max_size=3), jobs=st.sampled_from([1, 2]))
+@seed(31)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_any_cell_order_and_grouping_writes_the_same_bytes(tmp_path_factory, contiguous, sweep, order, cuts, jobs):
+    # a permutation of the nine cells, cut into one to four groups
+    bounds = [0, *sorted(cuts), len(order)]
+
+    def groups(cells):
+        return [[cells[i] for i in order[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+
+    assert swept_files(sweep, tmp_path_factory.mktemp("drawn"), jobs, groups=groups) == contiguous(sweep)
 
 
 @pytest.mark.parametrize("sweep", ["baseline", "chain"])

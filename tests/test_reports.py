@@ -8,6 +8,7 @@ import pytest
 from distillchain.cli import main
 from distillchain.experiment import aggregate_runs
 from distillchain.reports import (
+    SUMMARY_HEADER,
     RunRow,
     SummaryCell,
     TraceRow,
@@ -122,6 +123,22 @@ def test_report_refuses_a_repeated_run(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 1
     assert f"{runs}: {repeated}" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["runs.csv"]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (float("nan"), 0.0, 0.5, 0.5, 2), (7.5, 0.0, 0.5, 0.5, 2), (0.5, 0.0, -0.1, 0.5, 2),
+        (0.5, float("nan"), 0.5, 0.5, 2), (0.5, float("inf"), 0.5, 0.5, 2), (0.5, -1.0, 0.5, 0.5, 2),
+        (0.5, 0.0, 0.5, 0.5, -1),
+    ],
+    ids=["nan mean", "mean above 1", "negative min", "nan std", "infinite std", "negative std", "negative n"],
+)
+def test_a_summary_cell_holds_only_what_aggregate_runs_writes(tmp_path, values):
+    path = tmp_path / "summary.csv"
+    path.write_text(f"{SUMMARY_HEADER}\nbaseline,0.2,test_accuracy,{','.join(map(str, values))},\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: mean, min and max must be in"):
+        read_rows(path, SummaryCell)
 
 
 def test_best_baseline_mean_needs_a_baseline_row(tmp_path):

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from distillchain.experiment import build_config, config_to_lines
-from distillchain.reports import TraceRow, read_rows
+from distillchain.reports import SummaryCell, TraceRow, read_rows
 
 from conftest import host_kind, numpy_x86_v3, simulated_avx2_host, tiny_config
 
@@ -108,7 +108,8 @@ def fast_benchmark_hashes(out, host_env=None):
     """The output hashes `scripts/run_benchmark.py --fast --seed 0` prints
     when run in a child process with ``host_env`` added to its environment,
     each checked against the file it names, after the host kind it prints
-    is checked against the one a child with ``host_env`` reports."""
+    is checked against the one a child with ``host_env`` reports and each
+    baseline mean it prints against the baseline summary."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"), "--fast", "--seed", "0", "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **(host_env or {})},
@@ -117,6 +118,15 @@ def fast_benchmark_hashes(out, host_env=None):
     assert done.returncode == 0, done.stderr
     host = re.search(r"^host: numpy (\S+), OpenBLAS (\S+)$", done.stdout, re.MULTILINE)
     assert host and host.groups() == host_kind(host_env), done.stdout
+    means = {
+        cell.fraction: f"{cell.mean:.4f}"
+        for cell in read_rows(out / "baseline" / "summary.csv", SummaryCell)
+        if cell.metric == "test_accuracy"
+    }
+    *table, largest = done.stdout.partition("gap-vs-teacher\n")[2].partition("\n\n")[0].splitlines()
+    shown = {float(fraction): base for fraction, base, *_ in map(str.split, table)}
+    assert shown and all(base == means[fraction] for fraction, base in shown.items()), done.stdout
+    assert largest == f"baseline-test at the largest fraction, {max(means):g}: {means[max(means)]}"
     hashes = done.stdout.partition("output hashes:\n")[2].splitlines()
     printed = dict(line.strip().split(": ") for line in hashes)
     for name, digest in printed.items():
