@@ -33,9 +33,6 @@ from .reports import RunRow, TraceRow, best_baseline_mean, read_rows
 
 
 def parse_config_file(path: Path | str) -> dict[str, str]:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"no config file at {path}")
     values: dict[str, str] = {}
     for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -74,7 +71,7 @@ def _make_parser() -> _Parser:
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """The defaults, overridden by the config file, overridden by the flags;
-    every invalid value is a ConfigError, and a file not UTF-8 a TableParseError."""
+    every invalid value is a ConfigError, and an unreadable or non-UTF-8 file a TableParseError."""
     values = parse_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:
         value = getattr(args, key.replace(".", "__"))

@@ -378,10 +378,7 @@ def make_splits(train: DataTable, spec: SplitSpec) -> tuple[SplitResult, PoolTru
         n_labelled = int(spec.labelled_fraction * n)
     if n_labelled < 1:
         raise ValueError("labelled_fraction yields an empty labelled set")
-    if n_early + n_labelled > n:
-        raise ValueError(
-            f"requested sizes infeasible: {n_early} early-stop + {n_labelled} labelled > {n}"
-        )
+    # SplitSpec bounds the fractions so that n_early + n_labelled <= n
 
     # draws are on ranks, positions in ascending-id order: the shuffles sort
     # their input, so they draw what they would on the ids themselves
@@ -570,9 +567,8 @@ def _parse_block(
         if n == 1:
             raise TableParseError(f"{path}: line {linenos[0]}: {why(rows[0].split(','))}") from None
         half = len(lines) // 2
-        parsed = [_parse_block(path, start, lines[:half], d, label_of)]
-        parsed.append(_parse_block(path, start + half, lines[half:], d, label_of))
-        return tuple(map(np.concatenate, zip(*parsed)))
+        _parse_block(path, start, lines[:half], d, label_of)
+        _parse_block(path, start + half, lines[half:], d, label_of)  # each check is per line: a half raises
     return linenos, ids, labels, features
 
 

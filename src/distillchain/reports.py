@@ -34,6 +34,8 @@ class RunRow:
     test_accuracy: float | None = None
 
     def __post_init__(self) -> None:  # nan fails every comparison
+        if not 0 < self.fraction <= 1 or self.run < 0:
+            raise ValueError("fraction must be in (0, 1] and run >= 0")
         if self.ok and not all(a is not None and 0 <= a <= 1 for a in (self.val_accuracy, self.test_accuracy)):
             raise ValueError("an ok row needs val and test accuracies in [0, 1]")
 
@@ -54,8 +56,9 @@ class TraceRow:
 
     def __post_init__(self) -> None:
         shares = (self.val_accuracy, self.test_accuracy, self.pseudo_agreement)
-        if not all(0 <= x <= 1 for x in shares if x is not None) or min(self.iteration, self.pseudo_count) < 0:
-            raise ValueError("accuracies and agreement must be in [0, 1], iteration and pseudo count >= 0")
+        counts = (self.iteration, self.pseudo_count, self.run)
+        if not all(0 <= x <= 1 for x in shares if x is not None) or min(counts) < 0 or not 0 < self.fraction <= 1:
+            raise ValueError("accuracies and agreement must be in [0, 1], fraction in (0, 1], iteration, pseudo count and run >= 0")
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,9 @@ class SummaryCell:
     note: str = ""
 
     def __post_init__(self) -> None:
-        shares = (self.mean, self.min, self.max)
-        if not all(0 <= x <= 1 for x in shares if x is not None) or not 0 <= (self.std or 0) < np.inf or self.n < 0:
-            raise ValueError("mean, min and max must be in [0, 1], std finite and >= 0, n >= 0")
+        bounded = all(0 <= x <= 1 for x in (self.mean, self.min, self.max) if x is not None) and 0 < self.fraction <= 1
+        if not bounded or not 0 <= (self.std or 0) < np.inf or self.n < 0:
+            raise ValueError("mean, min and max must be in [0, 1], fraction in (0, 1], std finite and >= 0, n >= 0")
 
 
 @dataclass(frozen=True)

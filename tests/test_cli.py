@@ -1,6 +1,7 @@
 import errno
 import os
 import re
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,7 +22,14 @@ from distillchain import (
     write_table,
 )
 from distillchain.cli import ConfigError, _make_parser, _resolve_config, main, parse_config_file
-from distillchain.experiment import CONFIG_KEYS, DataFiles, SyntheticSpec, build_config, config_to_lines
+from distillchain.experiment import (
+    CONFIG_KEYS,
+    DataFiles,
+    SyntheticSpec,
+    build_config,
+    config_to_lines,
+    prepare_dataset,
+)
 from distillchain.reports import SUMMARY_HEADER, RunRow, write_rows
 
 from conftest import blank_label, reverse_rows
@@ -85,11 +93,15 @@ arch.hidden = 8,4
         cfg.write_bytes(b"\xef\xbb\xbfsource = synthetic\nseed = 9\n")
         assert parse_config_file(cfg) == {"source": "synthetic", "seed": "9"}
 
-    def test_unknown_key_names_line(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("seed = 1\nnot_a_key = 2\n")
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_config_file(cfg)
+    @pytest.mark.parametrize(
+        "line, fault", [("not_a_key = 2", "unknown key 'not_a_key'"), ("runs 2", "expected 'key = value'")]
+    )
+    def test_a_bad_line_exits_one_naming_it(self, tmp_path, capsys, line, fault):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "out"
+        cfg.write_text(f"seed = 1\n{line}\n")
+        assert main(["baseline", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: {cfg}: line 2: {fault}\n"
+        assert not out.exists()
 
     def test_build_config_round_trips_defaults(self):
         cfg = build_config(dict(line.split(" = ") for line in config_to_lines(ExperimentConfig())))
@@ -269,17 +281,15 @@ def no_training(monkeypatch):
 
 
 class TestCliCommands:
-    def test_synth_writes_tables(self, tmp_path):
+    def test_synth_writes_tables(self, tmp_path, capsys):
         out = tmp_path / "data"
-        result = run_cli(
-            "synth", "--synthetic.classes", "3", "--synthetic.per_class", "20",
-            "--synthetic.dim", "2", "--out", str(out), "--seed", "5",
-        )
-        assert result.returncode == 0, result.stderr
-        train = read_table(out / "train.csv")
-        assert len(train) == 48
-        assert (out / "validation.classes").exists()
-        assert len(read_table(out / "test.csv")) == 6
+        argv = ["--synthetic.classes", "3", "--synthetic.per_class", "20", "--synthetic.dim", "2", "--seed", "5"]
+        assert main(["synth", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 48/6/6 samples under {out}\n"
+        for name, want in zip(("train", "validation", "test"), prepare_dataset(resolve(*argv))):
+            got = read_table(out / f"{name}.csv")
+            assert got.catalog == want.catalog
+            assert all(np.array_equal(getattr(got, a), getattr(want, a)) for a in ("ids", "labels", "features"))
 
     def test_synth_then_files_matches_synthetic_run(self, tmp_path):
         out = tmp_path / "data"
@@ -313,7 +323,6 @@ class TestCliCommands:
 
     def test_invalid_config_exits_one(self, tmp_path):
         assert run_cli("baseline", "--runs", "zero").returncode == 1
-        assert run_cli("baseline", "--config", str(tmp_path / "missing.cfg")).returncode == 1
         assert run_cli("baseline", "--fractions", "0.5,0.2").returncode == 1
         assert run_cli("nonsense").returncode == 1
         out = tmp_path / "out"  # a bad value fails before the sweep makes its out dir
@@ -322,9 +331,7 @@ class TestCliCommands:
         assert run_cli("chain", *no_reserve, "--out", str(out)).returncode == 1
         assert run_cli("chain", "--early_stop_fraction", "1.0", "--out", str(out)).returncode == 1
         assert not out.exists()
-        # a config path that is no file, or a file that is not UTF-8 text, is named
-        result = run_cli("baseline", "--config", str(tmp_path))
-        assert (result.returncode, result.stderr) == (1, f"error: invalid configuration: no config file at {tmp_path}\n")
+        # a config file that is not UTF-8 text is named
         undecodable = tmp_path / "exp.cfg"
         undecodable.write_text("seed = 1\nruns = 2\n")
         spoil(undecodable, 2)
@@ -452,7 +459,11 @@ class TestCliCommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "fault", ["train missing", "sidecar a directory", "baseline summary missing", "no runs", "traces a directory"]
+        "fault",
+        [
+            "train missing", "sidecar a directory", "baseline summary missing", "no runs", "traces a directory",
+            "config missing", "config a directory",
+        ],
     )
     def test_an_input_file_that_cannot_be_read_exits_one_naming_it(self, tmp_path, no_training, capsys, fault):
         paths = [tmp_path / f"{name}.csv" for name in ("train", "validation", "test")]
@@ -471,6 +482,12 @@ class TestCliCommands:
         elif fault == "baseline summary missing":
             bad = tmp_path / "base" / "summary.csv"
             argv = ["chain", *FAST, "--out", str(out), "--baseline-summary", str(bad)]
+        elif fault.startswith("config"):
+            bad = tmp_path / "exp.cfg"
+            if fault == "config a directory":
+                bad.mkdir()
+                reason = os.strerror(errno.EISDIR)
+            argv = ["baseline", "--config", str(bad), *FAST, "--out", str(out)]
         else:  # report over a sweep's out dir
             done = tmp_path / "done"
             done.mkdir()
@@ -516,12 +533,14 @@ class TestCliCommands:
 
     def test_report_rebuilds_summary(self, tmp_path):
         # from runs.csv's rows in any order: a group of three runs sums to
-        # other last bits in another order
+        # other last bits in another order; a blank line is skipped
         out = tmp_path / "out"
         first = run_cli("chain", *FAST, "--runs", "3", "--seed", "3", "--out", str(out))
         assert first.returncode == 0, first.stderr
         written = {p.name: p.read_bytes() for p in out.iterdir()}
         reverse_rows(out / "runs.csv")
+        header, *rows = (out / "runs.csv").read_text().splitlines(keepends=True)
+        (out / "runs.csv").write_text("".join([header, rows[0], "\n", *rows[1:]]))
         (out / "summary.csv").unlink()
         assert main(["report", "--out", str(out)]) == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == written
@@ -539,8 +558,15 @@ class TestCliCommands:
         assert not (out / "chain_curves.svg").exists()
         assert {name: (out / name).read_bytes() for name in before} == before
 
-    def test_report_without_runs_exits_one(self, tmp_path):
-        assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
+    @pytest.mark.filterwarnings("ignore:'distillchain.cli' found in sys.modules:RuntimeWarning")
+    def test_report_without_runs_exits_one(self, tmp_path, monkeypatch):
+        argv = ["report", "--out", str(tmp_path / "nothing")]
+        assert main(argv) == 1
+        # run as a script, the module exits with main's code
+        monkeypatch.setattr(sys, "argv", ["distillchain", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("distillchain.cli", run_name="__main__")
+        assert exit_.value.code == 1
 
     def test_baseline_summary_sets_the_reference_line(self, tmp_path):
         base, out = tmp_path / "base", tmp_path / "out"
@@ -567,20 +593,31 @@ class TestCliCommands:
         assert not (tmp_path / "fresh").exists()
         assert (done / "runs.csv").read_text().splitlines()[0] != SUMMARY_HEADER
 
-    @pytest.mark.parametrize("fault", ["repeated run", "nan trace", "runs as baseline summary", "nan baseline mean"])
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "repeated run", "nan fraction", "negative run", "nan trace", "nan trace fraction",
+            "runs as baseline summary", "nan baseline mean",
+        ],
+    )
     def test_results_file_fault_names_the_file_not_the_config(self, tmp_path, capsys, fault):
         # a fault in a file a sweep writes is reported as an input table's
         # is, by its path, and not as invalid configuration
         done = tmp_path / "done"
         assert main(["chain", *FAST, "--seed", "3", "--out", str(done)]) == 0
         bad, argv = done / "runs.csv", ["report", "--out", str(done)]
+        # rows no sweep writes: the column and text put in a file's first row
+        edits = {
+            "nan fraction": (1, "nan"), "negative run": (2, "-1"), "nan trace": (3, "nan"), "nan trace fraction": (1, "nan"),
+        }
         if fault == "repeated run":
             bad.write_text(bad.read_text() + bad.read_text().splitlines()[-1] + "\n")
-        elif fault == "nan trace":
-            bad = done / "traces.csv"
+        elif fault in edits:
+            column, value = edits[fault]
+            bad = done / "traces.csv" if "trace" in fault else bad
             header, first, *rest = bad.read_text().splitlines()
             fields = first.split(",")
-            fields[3] = "nan"  # val_accuracy
+            fields[column] = value
             bad.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
         else:
             if fault == "nan baseline mean":

@@ -2,11 +2,12 @@ import ast
 import itertools
 import pickle
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from distillchain import (
@@ -151,6 +152,17 @@ class TestGenerateSynthetic:
             dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
             min_dist = dists[~np.eye(classes, dtype=bool)].min()
             assert min_dist == pytest.approx(2.0, abs=1e-9)
+
+    def test_a_draw_with_a_zero_row_is_drawn_again(self, monkeypatch):
+        # a zero row has no direction: the draw is skipped, not divided by
+        want = synthetic_class_means(3, 2, 5)
+        draws = iter([np.array([[1.0, 0.5], [0.0, 0.0], [-1.0, 2.0]]), np.random.default_rng(5).standard_normal((3, 2))])
+        stub = mock.Mock(standard_normal=lambda shape: next(draws))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: stub)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = synthetic_class_means(3, 2, 5)
+        assert np.array_equal(got, want)
 
     def test_nearest_mean_accuracy_matches_gaussian_oracle(self):
         # 1-D two-class case: means land exactly on +-1, so a nearest-mean
@@ -716,6 +728,28 @@ class TestMakeSplits:
         union = np.concatenate(pieces)
         assert np.unique(union).size == union.size == n
         assert set(union.tolist()) == set(train.ids.tolist())
+
+    @seed(32)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_the_sizes_fit_the_table_at_every_edge_splitspec_accepts(self, data):
+        # make_splits relies on SplitSpec to keep early-stop plus labelled
+        # within n, at labelled_fraction = 1 - e and its float neighbours too
+        classes = data.draw(st.integers(2, 4), label="classes")
+        n = data.draw(st.integers(2 * classes, 80), label="n")
+        e = data.draw(st.floats(classes / n, 0.5), label="early_stop_fraction")
+        n_early = int(e * n)
+        assume(n_early >= classes)
+        edges = (1.0 - e, np.nextafter(1.0 - e, 0.0), np.nextafter(1.0 - e, 1.0))
+        accepted = [float(f) for f in edges if not isinstance(outcome_of(lambda: SplitSpec(float(f), e)), ValueError)]
+        f = data.draw(st.sampled_from([*accepted, 1.0]) | st.floats(0.0, 1.0 - e, exclude_min=True), label="f")
+        n_labelled = n - n_early if f == 1.0 else int(f * n)
+        assume(n_labelled >= 1)
+        train = _labelled_table(n, catalog_size=classes, seed=n)
+        result, _ = make_splits(train, SplitSpec(labelled_fraction=f, early_stop_fraction=e, seed=n))
+        assert (len(result.early_stop), len(result.labelled)) == (n_early, n_labelled)
+        parts = np.concatenate([result.early_stop.ids, result.labelled.ids, result.pool.ids])
+        assert np.array_equal(np.sort(parts), train.ids)  # disjoint, and the pool is the rest
 
     def test_early_stop_covers_every_class(self):
         for seed in range(30):

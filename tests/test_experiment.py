@@ -584,6 +584,8 @@ class TestEmitOutputs:
 
 class TestExperimentConfigValidation:
     def test_fraction_bounds(self, tmp_path):
+        with pytest.raises(ValueError, match="fractions must be non-empty"):
+            tiny_config(tmp_path, fractions=())
         with pytest.raises(ValueError):
             tiny_config(tmp_path, fractions=(0.0, 0.5))
         with pytest.raises(ValueError):

@@ -54,7 +54,7 @@ GOOD_TRACES = (
     "0,0.01,0,0.5,0.5,0,\n"
 )
 NOT_OK_RUN = "line 3: an ok row needs val and test accuracies in [0, 1]"
-NOT_A_TRACE = "line 3: accuracies and agreement must be in [0, 1], iteration and pseudo count >= 0"
+NOT_A_TRACE = "line 3: accuracies and agreement must be in [0, 1], fraction in (0, 1], iteration, pseudo count and run >= 0"
 
 
 @pytest.mark.parametrize(

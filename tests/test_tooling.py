@@ -203,3 +203,26 @@ def test_numpy_floor_has_the_array_attributes_the_code_uses():
     assert floor, "pyproject.toml declares no numpy floor"
     uses_mt = any(".mT" in path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py"))
     assert not uses_mt or (int(floor[1]), int(floor[2])) >= (2, 0)
+
+
+def test_unrun_lines_lists_what_a_test_file_leaves_unrun():
+    # on one test file: it exits with pytest's code and lists, by file, line
+    # and source, the statements that file never runs, among them the three
+    # row-file wrappers only the benchmark's oracle calls; then their count
+    wrappers = {
+        "write_rows(path, SummaryCell, summary.cells)", "return read_rows(path, RunRow)",
+        "return read_rows(path, TraceRow)",
+    }
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "unrun_lines.py"),
+            "-q", "-p", "no:cacheprovider", str(ROOT / "tests" / "test_reports.py"),
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    listed = re.findall(r"^(src/distillchain/\w+\.py):(\d+): (.+)$", done.stdout, re.MULTILINE)
+    for path, lineno, source in listed:
+        assert (ROOT / path).read_text(encoding="utf-8").splitlines()[int(lineno) - 1].strip() == source
+    assert wrappers <= {source for path, _, source in listed if path.endswith("/reports.py")}
+    assert re.fullmatch(rf"{len(listed)} statements never ran: .*reports \d+", done.stdout.splitlines()[-1])
