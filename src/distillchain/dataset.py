@@ -540,7 +540,8 @@ def _parse_block(
 
     A block that fails is parsed again in halves, the first half first, so
     that its first line that fails alone raises the TableParseError, naming
-    the first of its field count, id, label and features that fails."""
+    the first of its field count, id, label, features, finite features and
+    non-negative id that fails."""
     rows = list(filter(None, lines))
     if len(rows) == len(lines):
         linenos = np.arange(start, start + len(lines))
@@ -563,6 +564,13 @@ def _parse_block(
         del tokens[::width]  # the ids; the labels now recur every width - 1
         del tokens[:: width - 1]
         features = np.fromiter(map(float, tokens), np.float64, n * d).reshape(n, d)
+        del tokens  # the block's strings go before the checks allocate
+        why = lambda fields: "non-finite feature"
+        if not np.isfinite(features).all():
+            raise ValueError("non-finite feature")
+        why = lambda fields: f"sample id {int(fields[0])}; sample ids must be non-negative"
+        if (ids < 0).any():
+            raise ValueError("negative id")
     except (ValueError, KeyError, OverflowError):
         if n == 1:
             raise TableParseError(f"{path}: line {linenos[0]}: {why(rows[0].split(','))}") from None
@@ -572,17 +580,8 @@ def _parse_block(
     return linenos, ids, labels, features
 
 
-def _rejected_row(ids: np.ndarray, features: np.ndarray, linenos: np.ndarray) -> str:
-    """The "line N: why" message for the first row a DataTable refuses: a
-    non-finite feature, else a negative id, else the later copy of a
-    repeated id."""
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        return f"line {linenos[finite.argmin()]}: non-finite feature"
-    negative = ids < 0
-    if negative.any():
-        row = negative.argmax()
-        return f"line {linenos[row]}: sample id {ids[row]}; sample ids must be non-negative"
+def _repeated_id(ids: np.ndarray, linenos: np.ndarray) -> str:
+    """The "line N: why" message for the later copy of the first repeated id."""
     order = np.argsort(ids, kind="stable")
     row = order[1:][ids[order[1:]] == ids[order[:-1]]].min()
     first = (ids == ids[row]).argmax()
@@ -600,10 +599,10 @@ def read_table(path: Path | str) -> DataTable:
     Data lines are parsed in blocks of ``_BLOCK_LINES``, each in a few batched
     steps, with the same ``int``/``float`` builtins a per-line parse would
     use. A bad table raises TableParseError naming the file and line: the
-    first line, in file order, whose field count, id, label (an empty one
-    too: every row is labelled) or features (in that order) do not parse;
-    once the whole file has parsed, the first row with a non-finite feature,
-    then with a negative id, then repeating an id.
+    first line, in file order, that fails a check, named by its first
+    failing check of field count, id, label (an empty one too: every row is
+    labelled), features, finite features and non-negative id; then, once the
+    whole file has parsed, the later copy of the first repeated id.
     """
     path = Path(path)
     catalog = _read_catalog(classes_path(path))
@@ -623,4 +622,4 @@ def read_table(path: Path | str) -> DataTable:
     try:
         return DataTable(catalog=catalog, ids=ids, features=features, labels=labels)
     except ValueError:
-        raise TableParseError(f"{path}: {_rejected_row(ids, features, linenos)}") from None
+        raise TableParseError(f"{path}: {_repeated_id(ids, linenos)}") from None

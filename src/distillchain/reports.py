@@ -88,9 +88,6 @@ class RunSummary:
     details: tuple[RunRow, ...]
 
 
-SUMMARY_HEADER = ",".join(f.name for f in fields(SummaryCell))
-
-
 def _fmt(x: str | float | int | None) -> str:
     if x is None:
         return ""

@@ -4,7 +4,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,11 @@ from distillchain import (
     soft_cross_entropy,
 )
 from distillchain.learner import ModelParams
+from distillchain.reports import SummaryCell
+
+
+# summary.csv's header: the field names of its row schema
+SUMMARY_HEADER = ",".join(f.name for f in fields(SummaryCell))
 
 
 @pytest.fixture

@@ -30,9 +30,9 @@ from distillchain.experiment import (
     config_to_lines,
     prepare_dataset,
 )
-from distillchain.reports import SUMMARY_HEADER, RunRow, write_rows
+from distillchain.reports import RunRow, write_rows
 
-from conftest import blank_label, reverse_rows
+from conftest import SUMMARY_HEADER, blank_label, reverse_rows
 
 
 def run_cli(*args):

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import pickle
 import tracemalloc
 import warnings
@@ -322,6 +323,8 @@ class TestTableIO:
             ),
             ("5,a,0\n5,b,0\n", "line 3: sample id 5 repeats line 2; sample ids"),
             ("5,a,0\n4,b,0\n5,a,nan\n", "line 4: non-finite feature"),
+            ("0,a,nan\n1,zz,0\n", "line 2: non-finite feature"),
+            ("-1,a,0\n1,zz,0\n", "line 2: sample id -1; sample ids must be non-negative"),
         ],
     )
     def test_negative_and_repeated_ids_name_their_line(self, tmp_path, rows, why):
@@ -377,7 +380,10 @@ class TestWriteTable:
 
 
 def reference_read_table(path, catalog):
-    """read_table as it was when it parsed the whole file line by line."""
+    """read_table's rule, one line at a time: the first line that fails a
+    check, by its first failing check of field count, id, label, features,
+    finite features and non-negative id; then, after the whole file, the
+    later copy of the first repeated id."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -387,7 +393,7 @@ def reference_read_table(path, catalog):
         raise TableParseError(f"{path}: line 1: header must be id,label,f0,...")
     d = len(header) - 2
 
-    ids, labels, feats = [], [], []
+    ids, labels, feats, linenos, seen = [], [], [], [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -413,37 +419,30 @@ def reference_read_table(path, catalog):
             row = [float(v) for v in parts[2:]]
         except ValueError:
             raise TableParseError(f"{path}: line {lineno}: non-numeric feature") from None
+        if not all(math.isfinite(v) for v in row):
+            raise TableParseError(f"{path}: line {lineno}: non-finite feature")
+        if sid < 0:
+            raise TableParseError(
+                f"{path}: line {lineno}: sample id {sid}; sample ids must be non-negative"
+            )
         ids.append(sid)
         labels.append(label)
         feats.append(row)
+        linenos.append(lineno)
+        seen.setdefault(sid, lineno)
 
-    features = np.array(feats, dtype=np.float64).reshape(len(ids), d)
-    data_linenos = [n for n, line in enumerate(lines[1:], start=2) if line]
-    finite_rows = np.isfinite(features).all(axis=1)
-    if not finite_rows.all():
-        lineno = data_linenos[int(np.argmin(finite_rows))]
-        raise TableParseError(f"{path}: line {lineno}: non-finite feature")
-    try:
-        return DataTable(
-            catalog=catalog,
-            ids=np.array(ids, dtype=np.int64),
-            features=features,
-            labels=np.array(labels, dtype=np.int64),
-        )
-    except ValueError as exc:
-        message = f"{path}: {exc}"
-        # the one intended difference: read_table now names the first
-        # offending line, worked out here from the parsed rows
-        seen = {}
-        for row, (sid, lineno) in enumerate(zip(ids, data_linenos)):
-            if sid < 0 and "non-negative" in message:
-                message = f"{path}: line {lineno}: sample id {sid}; {exc}"
-                break
-            if sid in seen and "unique" in message:
-                message = f"{path}: line {lineno}: sample id {sid} repeats line {seen[sid]}; {exc}"
-                break
-            seen.setdefault(sid, lineno)
-        raise TableParseError(message) from exc
+    for sid, lineno in zip(ids, linenos):
+        if seen[sid] != lineno:
+            raise TableParseError(
+                f"{path}: line {lineno}: sample id {sid} repeats line {seen[sid]}; "
+                "sample ids must be unique within a table"
+            )
+    return DataTable(
+        catalog=catalog,
+        ids=np.array(ids, dtype=np.int64),
+        features=np.array(feats, dtype=np.float64).reshape(len(ids), d),
+        labels=np.array(labels, dtype=np.int64),
+    )
 
 
 def outcome(read, path):
@@ -920,6 +919,7 @@ AB = ClassCatalog(("a", "b"))
         (lambda: DataTable(AB, np.arange(3), np.zeros(3), np.zeros(3)), "features must be a 2-D array"),
         (lambda: DataTable(AB, np.arange(3), np.zeros((2, 2)), np.zeros(3)), "ids and features row counts differ"),
         (lambda: DataTable(AB, np.arange(3), np.zeros((3, 2)), np.zeros(2)), "labels shape does not match row count"),
+        (lambda: DataTable(AB, np.array([0, -1]), np.zeros((2, 1)), np.zeros(2)), "sample ids must be non-negative"),
         (lambda: Normalizer(np.zeros(2), np.ones(3)), "mean and std must be 1-D arrays of equal length"),
         (lambda: Normalizer(np.zeros(2), np.array([1.0, 0.0])), "std entries must be strictly positive"),
         (lambda: SplitSpec(labelled_fraction=0.0), "labelled_fraction must be in (0, 1]"),
@@ -927,8 +927,8 @@ AB = ClassCatalog(("a", "b"))
         (lambda: SplitSpec(labelled_fraction=0.5, seed=-1), "seed must be a non-negative integer"),
     ],
     ids=[
-        "1-D features", "row counts", "label shape", "normalizer shapes", "std 0", "fraction 0", "fraction 1.5",
-        "seed -1",
+        "1-D features", "row counts", "label shape", "negative id", "normalizer shapes", "std 0", "fraction 0",
+        "fraction 1.5", "seed -1",
     ],
 )
 def test_each_input_check_names_its_fault(call, want):

@@ -36,14 +36,9 @@ from distillchain import (
     write_table,
 )
 from distillchain.dataset import classes_path
-from distillchain.reports import (
-    SUMMARY_HEADER,
-    fraction_tag,
-    read_rows,
-    render_chain_svg,
-)
+from distillchain.reports import fraction_tag, read_rows, render_chain_svg
 
-from conftest import blank_label, rare_class_tables, tiny_config
+from conftest import SUMMARY_HEADER, blank_label, rare_class_tables, tiny_config
 
 
 def row(mode, fraction, run, val, test, status="ok"):

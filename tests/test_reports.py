@@ -8,7 +8,6 @@ import pytest
 from distillchain.cli import main
 from distillchain.experiment import aggregate_runs
 from distillchain.reports import (
-    SUMMARY_HEADER,
     RunRow,
     SummaryCell,
     TraceRow,
@@ -16,6 +15,8 @@ from distillchain.reports import (
     read_rows,
     write_rows,
 )
+
+from conftest import SUMMARY_HEADER
 
 ROWS = {
     RunRow: [

@@ -226,3 +226,21 @@ def test_unrun_lines_lists_what_a_test_file_leaves_unrun():
         assert (ROOT / path).read_text(encoding="utf-8").splitlines()[int(lineno) - 1].strip() == source
     assert wrappers <= {source for path, _, source in listed if path.endswith("/reports.py")}
     assert re.fullmatch(rf"{len(listed)} statements never ran: .*reports \d+", done.stdout.splitlines()[-1])
+
+
+def test_step_bench_prints_a_row_per_arch_and_stack_size():
+    # one short epoch at K = 1: a row per architecture with its four
+    # timings, model-step equal to stacked step, then the host kind
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "step_bench.py"),
+            "--ks", "1", "--epochs", "1", "--steps", "5", "--reps", "1",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = re.findall(r"^ *(none|32,16) +1 +([\d.]+) +([\d.]+) +([\d.]+) +([\d.]+)$", done.stdout, re.MULTILINE)
+    assert [row[0] for row in rows] == ["none", "32,16"], done.stdout
+    for _, low, mid, low_model, mid_model in rows:
+        assert 0 < float(low) <= float(mid) and (low, mid) == (low_model, mid_model)
+    assert done.stdout.splitlines()[-1] == "host: numpy {}, OpenBLAS {}".format(*host_kind())
